@@ -3,7 +3,7 @@
 A shifted Crank-Nicolson theta-scheme drives four model problems (scalar
 decay, 1-d diffusion, 1-d transport, and a moving-boundary piston
 surrogate); the Parareal engine composes coarse and fine propagators
-over equal time windows with serial or pipelined scheduling; the CLI
+over equal time windows on one dependency-driven task executor; the CLI
 reproduces convergence, failure-mode, and speedup experiments at desk
 scale.
 """
@@ -25,11 +25,7 @@ from .linalg import (
     MaxItersExceeded,
     NewtonSettings,
     NumericBreakdown,
-    Tridiagonal,
-    axpy,
-    dot,
     newton_solve,
-    solve_tridiagonal,
 )
 from .parareal import (
     ErrorEntry,
@@ -70,7 +66,7 @@ from .state import State
 __all__ = [
     "__version__",
     "State",
-    "NewtonSettings", "Tridiagonal", "axpy", "dot", "newton_solve", "solve_tridiagonal",
+    "NewtonSettings", "newton_solve",
     "NumericBreakdown", "MaxItersExceeded",
     "ThetaSettings", "ThetaPropagator", "SleepPropagator", "Propagator",
     "theta_step", "make_propagator", "convergence_order",

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
-from .integrators import ThetaSettings, TimeStepError, make_propagator
+from .integrators import NonDivisibleWindow, ThetaSettings, TimeStepError, _split_window, make_propagator
 from .linalg import MaxItersExceeded, NumericBreakdown
 from .parareal import (
     PararealConfig,
     PararealError,
+    SCHEDULERS,
     SpeedupModel,
     boundary_error,
     run_parareal,
@@ -40,7 +41,11 @@ from .parareal import (
     VARIANTS,
 )
 from .problems import (
+    Advection1DParams,
+    AlePistonParams,
+    DahlquistParams,
     GaussianBump,
+    Heat1DParams,
     MeshDegenerate,
     ProblemSpec,
     SineMode,
@@ -113,7 +118,6 @@ class ExperimentConfig:
     variants: tuple = ("classic",)
     workers: int = 1
     reference_fine_factor: int = 4
-    seed: int = 0
     output_path: str = "results.csv"
     theta0: float = 0.0
     max_iters: int = 0            # 0 picks min(8, intervals)
@@ -131,11 +135,13 @@ class ExperimentConfig:
         window = self.horizon / self.intervals
         if not self.coarse_steps:
             raise ConfigError("need at least one coarse step")
-        for K in self.coarse_steps:
-            if K <= 0.0 or not _divides(window, K):
-                raise ConfigError(f"coarse step {K} does not divide the window {window}")
-        if self.fine_step <= 0.0 or not _divides(window, self.fine_step):
-            raise ConfigError(f"fine step {self.fine_step} does not divide the window {window}")
+        for name, step in [("coarse", K) for K in self.coarse_steps] + [("fine", self.fine_step)]:
+            if step <= 0.0:
+                raise ConfigError(f"{name} step {step} must be positive")
+            try:
+                _split_window(window, step)
+            except NonDivisibleWindow as exc:
+                raise ConfigError(f"{name} step {step} does not divide the window {window}") from exc
         if self.fine_step >= min(self.coarse_steps):
             raise ConfigError("fine step must be smaller than every coarse step")
         for v in self.variants:
@@ -151,13 +157,8 @@ class ExperimentConfig:
             raise ConfigError("max_iters must lie in [1, intervals]")
         if self.tol <= 0.0:
             raise ConfigError("tol must be positive")
-        if self.scheduler not in ("serial", "pipelined"):
+        if self.scheduler not in SCHEDULERS:
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
-
-
-def _divides(window: float, step: float) -> bool:
-    n = max(round(window / step), 1)
-    return abs(window - n * step) <= 1e-9 * max(window, step)
 
 
 # --------------------------------------------------------------------------
@@ -177,46 +178,40 @@ def _parse_init(text: str):
     raise ConfigError(f"unknown initial data {text!r}")
 
 
+# problem kind -> (factory, params record); the defaults live in problems.py
+_PROBLEMS = {
+    "dahlquist": (dahlquist, DahlquistParams),
+    "heat1d": (heat1d, Heat1DParams),
+    "advection1d": (advection1d, Advection1DParams),
+    "ale_piston": (ale_piston, AlePistonParams),
+}
+
+
+def _coerce(name: str, text: str):
+    if name == "init":
+        return _parse_init(text)
+    if name == "periodic":
+        return text.strip().lower() in ("1", "true", "yes", "on")
+    if name == "mesh_n":
+        return int(text)
+    return float(text)
+
+
 def _build_problem(kind: str, section) -> ProblemSpec:
-    get = section.get
+    if kind not in _PROBLEMS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    factory, params = _PROBLEMS[kind]
+    names = [f.name for f in dataclasses.fields(params)]
+    if kind != "dahlquist":
+        names.append("mesh_n")
     try:
-        if kind == "dahlquist":
-            return dahlquist(lam=float(get("lam", -1.0)), y0=float(get("y0", 1.0)))
-        mesh_n = int(get("mesh_n", 63 if kind != "advection1d" else 64))
-        if kind == "heat1d":
-            return heat1d(
-                mesh_n=mesh_n,
-                nu=float(get("nu", 2e-2)),
-                length=float(get("length", 1.0)),
-                left_bc=float(get("left_bc", 0.0)),
-                right_bc=float(get("right_bc", 0.0)),
-                init=_parse_init(get("init", "sine:1")),
-            )
-        if kind == "advection1d":
-            return advection1d(
-                mesh_n=mesh_n,
-                speed=float(get("speed", 1.0)),
-                length=float(get("length", 1.0)),
-                init=_parse_init(get("init", "gaussian:0.5:0.1")),
-                periodic=str(get("periodic", "true")).strip().lower() in ("1", "true", "yes", "on"),
-            )
-        if kind == "ale_piston":
-            return ale_piston(
-                mesh_n=mesh_n,
-                rho_f=float(get("rho_f", 1e3)),
-                nu=float(get("nu", 2e-2)),
-                L0=float(get("l0", 1.0)),
-                adv=float(get("adv", 0.5)),
-                m_s=float(get("m_s", 100.0)),
-                kappa=float(get("kappa", 400.0)),
-                v_in=float(get("v_in", 0.5)),
-                period=float(get("period", 1.0)),
-            )
+        # configparser lowercases keys, so AlePistonParams.L0 is read from l0
+        kwargs = {name: _coerce(name, section[name.lower()]) for name in names if name.lower() in section}
+        return factory(**kwargs)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad parameter for problem {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown problem kind {kind!r}")
 
 
 def _split_list(text: str) -> list:
@@ -242,7 +237,6 @@ def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             variants=tuple(_split_list(exp.get("variants", "classic"))),
             workers=int(exp.get("workers", os.environ.get(ENV_WORKERS, "1"))),
             reference_fine_factor=int(exp.get("reference_fine_factor", 4)),
-            seed=int(exp.get("seed", 0)),
             output_path=exp.get("output", "results.csv"),
             theta0=float(exp.get("theta0", 0.0)),
             max_iters=int(exp.get("max_iters", 0)),
@@ -484,7 +478,6 @@ def speedup_report(rows: Sequence[ResultRow]) -> str:
 def _run_checks() -> int:
     import numpy as np
 
-    from .linalg import Tridiagonal, solve_tridiagonal
     from .parareal import theta_weight
     from .problems import rhs
     from .state import State
@@ -496,19 +489,6 @@ def _run_checks() -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         if not ok:
             failures += 1
-
-    rng = np.random.default_rng(0)
-    ok = True
-    for _ in range(10):
-        n = int(rng.integers(2, 32))
-        lower = rng.standard_normal(n - 1)
-        upper = rng.standard_normal(n - 1)
-        diag = np.abs(rng.standard_normal(n)) + 3.0
-        b = rng.standard_normal(n)
-        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        x = solve_tridiagonal(Tridiagonal(lower, diag, upper), b)
-        ok = ok and np.allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-    report("tridiagonal solve matches dense solve", ok)
 
     problem = dahlquist()
     s0 = initial_state(problem)
@@ -566,7 +546,6 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             "fine_step": cfg.fine_step,
             "variants": list(cfg.variants),
             "reference_fine_factor": cfg.reference_fine_factor,
-            "seed": cfg.seed,
             "theta0": cfg.theta0,
             "max_iters": cfg.effective_max_iters(),
             "tol": cfg.tol,

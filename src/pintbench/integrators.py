@@ -12,9 +12,10 @@ proportional amount of damping for retained second-order accuracy.
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
 propagator and an expensive fine one over the same windows. Propagators
-are immutable after construction and safe to share across workers; each
-``advance`` is deterministic, so identical inputs give bit-identical
-outputs regardless of scheduling.
+are safe to share across workers: their settings do not change after
+construction, and the only state ``advance`` writes is a pair of cost
+counters updated under a lock. Each ``advance`` is deterministic, so
+identical inputs give bit-identical outputs regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -128,8 +129,10 @@ class ThetaPropagator:
 
     ``advance`` composes as many steps as the window requires; rounding
     slack (below 1e-9 relative) is absorbed into the last step so the
-    final time lands on ``t_end`` exactly. Newton iterations are
-    accumulated in ``newton_iterations`` for cost diagnostics.
+    final time lands on ``t_end`` exactly. Newton iterations and steps
+    are accumulated in ``newton_iterations`` and ``steps_taken`` for cost
+    diagnostics; these counters change under a lock, everything else is
+    fixed at construction.
     """
 
     def __init__(self, problem: _problems.ProblemSpec, settings: ThetaSettings, cost_hint: float = 0.0):

@@ -1,9 +1,8 @@
-"""Dense and banded numerical kernels.
+"""Dense nonlinear solve.
 
-Vector arithmetic, tridiagonal (Thomas) solves, and a damped Newton
-iteration with finite-difference Jacobians. Everything here operates on
-plain 1-d float64 numpy arrays and is free of shared mutable state, so
-all functions are safe to call concurrently.
+A damped Newton iteration with finite-difference Jacobians. Everything
+here operates on plain 1-d float64 numpy arrays and is free of shared
+mutable state, so all functions are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -32,98 +31,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericBreakdown(f"{name} contains NaN or Inf entries")
     return arr
-
-
-def axpy(alpha: float, x, y) -> np.ndarray:
-    """Return ``alpha * x + y`` for equal-length vectors."""
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
-    return alpha * xv + yv
-
-
-def dot(x, y) -> float:
-    """Euclidean inner product of two equal-length vectors."""
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
-    return float(np.dot(xv, yv))
-
-
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Tridiagonal matrix stored as its three bands.
-
-    ``lower`` and ``upper`` have length ``n - 1``, ``diag`` has length ``n``.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "diag", as_vector(self.diag, "diag"))
-        for name in ("lower", "upper"):
-            band = np.asarray(getattr(self, name), dtype=np.float64)
-            if band.ndim != 1:
-                raise ValueError(f"{name} band must be one-dimensional")
-            if band.size and not np.all(np.isfinite(band)):
-                raise NumericBreakdown(f"{name} band contains NaN or Inf entries")
-            object.__setattr__(self, name, band)
-        n = self.diag.size
-        if self.lower.size != n - 1 or self.upper.size != n - 1:
-            raise ValueError(
-                f"band lengths inconsistent: n={n}, lower={self.lower.size}, upper={self.upper.size}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def matvec(self, x) -> np.ndarray:
-        xv = as_vector(x, "x")
-        if xv.size != self.n:
-            raise ValueError(f"length mismatch: matrix n={self.n}, vector {xv.size}")
-        out = self.diag * xv
-        if self.n > 1:
-            out[:-1] += self.upper * xv[1:]
-            out[1:] += self.lower * xv[:-1]
-        return out
-
-
-def solve_tridiagonal(A: Tridiagonal, b) -> np.ndarray:
-    """Solve ``A x = b`` by the Thomas recursion.
-
-    Pivots smaller than ``1e-14 * max|diag|`` are treated as breakdown so
-    that an implicit time step can fail its Newton update instead of
-    returning garbage.
-    """
-    bv = as_vector(b, "b")
-    n = A.n
-    if bv.size != n:
-        raise ValueError(f"length mismatch: matrix n={n}, rhs {bv.size}")
-    pivot_floor = 1e-14 * float(np.max(np.abs(A.diag)))
-
-    c = A.diag.copy()
-    d = bv.copy()
-    for i in range(1, n):
-        if abs(c[i - 1]) <= pivot_floor:
-            raise NumericBreakdown(f"zero pivot in Thomas elimination at row {i - 1}")
-        m = A.lower[i - 1] / c[i - 1]
-        c[i] = c[i] - m * A.upper[i - 1]
-        d[i] = d[i] - m * d[i - 1]
-    if abs(c[n - 1]) <= pivot_floor:
-        raise NumericBreakdown(f"zero pivot in Thomas elimination at row {n - 1}")
-
-    x = np.empty(n)
-    x[n - 1] = d[n - 1] / c[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (d[i] - A.upper[i] * x[i + 1]) / c[i]
-    if not np.all(np.isfinite(x)):
-        raise NumericBreakdown("non-finite solution from Thomas elimination")
-    return x
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Parallel-in-time iteration with serial and pipelined schedulers.
+"""Parallel-in-time iteration on a dependency-driven task executor.
 
 The algorithm splits the horizon into ``L`` equal windows, seeds every
 window boundary with a cheap coarse propagator ``C``, then iterates: all
@@ -13,13 +13,13 @@ prediction per layout block (least-squares projection, or the same
 projection further divided by the fine norm to damp mismatched pairs),
 average over blocks, and clamp to a configured interval.
 
-Two schedulers execute the same task graph: ``serial`` runs tasks in
-deterministic priority order on the calling thread; ``pipelined`` runs
-them on a worker pool where a window's fine propagation for iteration
-``i`` starts as soon as the iteration ``i-1`` corrector has published
-that window's left boundary, overlapping successive iterations. Every
-task writes a slot no other task touches, so results are bit-identical
-across schedulers and worker counts.
+One executor runs the task graph. A window's fine propagation for
+iteration ``i`` starts as soon as the iteration ``i-1`` corrector has
+published that window's left boundary, so successive iterations overlap
+on a worker pool. With one worker, which is what ``scheduler="serial"``
+selects, the executor runs inline on the calling thread and executes the
+tasks in the deterministic serial order. Every task writes a slot no
+other task touches, so results are bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -48,7 +48,11 @@ class PararealError(RuntimeError):
 
 @dataclass(frozen=True)
 class PararealConfig:
-    """Interval count, iteration budget, stopping rule, and scheduling."""
+    """Interval count, iteration budget, stopping rule, and scheduling.
+
+    ``scheduler="serial"`` runs the task graph on one worker, the calling
+    thread, whatever ``workers`` says; ``"pipelined"`` uses ``workers``.
+    """
 
     intervals: int
     max_iters: int
@@ -267,25 +271,15 @@ def pipelined_schedule(intervals: int, iterations: int) -> list:
     return tasks
 
 
-def _run_serial(tasks: Sequence[Task], run_task: Callable) -> Optional[int]:
-    stop_at = None
-    for task in sorted(tasks, key=lambda t: t.key):
-        if stop_at is not None and task.iteration > stop_at:
-            continue
-        outcome = run_task(task)
-        if outcome is not None:
-            stop_at = outcome if stop_at is None else min(stop_at, outcome)
-    return stop_at
-
-
 class _PipelinedExecutor:
     """Priority-ordered worker pool over the task graph.
 
     Each worker pops the smallest ready key, so one worker degenerates to
-    the serial order. Once ``run_task`` reports convergence at iteration
-    ``i``, tasks of later iterations are skipped. A stall (tasks left but
-    nothing ready or running) cannot happen on a well-formed graph and is
-    reported as a defect rather than swallowed.
+    the serial order; a single worker is the calling thread itself. Once
+    ``run_task`` reports convergence at iteration ``i``, tasks of later
+    iterations are skipped. A stall (tasks left but nothing ready or
+    running) cannot happen on a well-formed graph and is reported as a
+    defect rather than swallowed.
     """
 
     def __init__(self, tasks: Sequence[Task], run_task: Callable, workers: int):
@@ -350,11 +344,14 @@ class _PipelinedExecutor:
                 self._complete(key)
 
     def run(self) -> Optional[int]:
-        threads = [threading.Thread(target=self._worker, daemon=True) for _ in range(self.workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        if self.workers == 1:
+            self._worker()
+        else:
+            threads = [threading.Thread(target=self._worker, daemon=True) for _ in range(self.workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         if self.failure is not None:
             raise self.failure
         return self.stop_at
@@ -400,8 +397,6 @@ def run_parareal(
     theta_rows = [[1.0] * L for _ in range(max_iters + 1)]
     corr_rows = [[0.0] * L for _ in range(max_iters + 1)]
     timing = {"init": 0.0, "iterations": [0.0] * (max_iters + 1)}
-    counter_lock = threading.Lock()
-    counters = {"fine": 0}
     t_start = time.perf_counter()
 
     def run_task(task: Task) -> Optional[int]:
@@ -416,8 +411,6 @@ def run_parareal(
                 return None
             if task.kind == "fine":
                 fine_vals[i][l + 1] = F.advance(X[i - 1][l], t_grid[l + 1])
-                with counter_lock:
-                    counters["fine"] += 1
                 return None
             coarse_new = C.advance(X[i][l], t_grid[l + 1])
             fine_old = fine_vals[i][l + 1]
@@ -439,11 +432,8 @@ def run_parareal(
         except Exception as exc:
             raise PararealError(f"{task.kind} failed at iteration {i}, interval {l}: {exc}") from exc
 
-    tasks = pipelined_schedule(L, max_iters)
-    if cfg.scheduler == "serial":
-        stop_at = _run_serial(tasks, run_task)
-    else:
-        stop_at = _PipelinedExecutor(tasks, run_task, cfg.workers).run()
+    workers = 1 if cfg.scheduler == "serial" else cfg.workers
+    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, workers).run()
 
     iters_run = stop_at if stop_at is not None else max_iters
     trace = RunTrace(intervals=L, variant=cfg.variant, scheduler=cfg.scheduler)
@@ -457,7 +447,8 @@ def run_parareal(
     trace.init_seconds = timing["init"]
     trace.iteration_seconds = [timing["iterations"][i] for i in range(1, iters_run + 1)]
     trace.total_seconds = time.perf_counter() - t_start
-    trace.fine_propagations = counters["fine"]
+    # a slot is filled only by a fine task that succeeded
+    trace.fine_propagations = sum(v is not None for row in fine_vals for v in row)
     if oracle is not None:
         for i in range(1, iters_run + 1):
             entries = boundary_error(X[i][1:], oracle[1:])

@@ -10,18 +10,6 @@ import heapq
 import numpy as np
 
 
-def dense_tridiagonal_solve(lower, diag, upper, b):
-    """Solve the banded system by assembling the dense matrix explicitly."""
-    n = len(diag)
-    dense = np.zeros((n, n))
-    for i in range(n):
-        dense[i, i] = diag[i]
-    for i in range(n - 1):
-        dense[i + 1, i] = lower[i]
-        dense[i, i + 1] = upper[i]
-    return np.linalg.solve(dense, np.asarray(b, dtype=float))
-
-
 def textbook_parareal(coarse, fine, s0, t_grid, iterations, variant="classic", clamp=(0.0, 1.0)):
     """Plain triple-loop Parareal over the given boundary grid.
 

@@ -80,6 +80,12 @@ fine_step = 0.01
         assert cfg.problem.kind == "heat1d"
         assert cfg.problem.mesh_n == 63
 
+    def test_problem_keys_fill_params_fields(self, tmp_path):
+        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=tmp_path / "r.csv"))
+        cfg = load_config(path, ["--problem=ale_piston", "--ale_piston.L0=2.0", "--ale_piston.mesh_n=15"])
+        assert cfg.problem.params.L0 == 2.0
+        assert cfg.problem.mesh_n == 15
+
     def test_unknown_problem_rejected(self, tmp_path):
         body = "[experiment]\nproblem = pendulum\n"
         with pytest.raises(ConfigError):
@@ -256,6 +262,13 @@ class TestMainEntryPoint:
         out = tmp_path / "res.csv"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
         assert main(["run", path, "--coarse_steps=0.3"]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_numeric_problem_value_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
+        assert main(["run", path, "--dahlquist.lam=abc"]) == EXIT_CONFIG
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 

@@ -5,109 +5,8 @@ from pintbench.linalg import (
     MaxItersExceeded,
     NewtonSettings,
     NumericBreakdown,
-    Tridiagonal,
-    axpy,
-    dot,
     newton_solve,
-    solve_tridiagonal,
 )
-
-from oracles import dense_tridiagonal_solve
-
-
-class TestAxpyDot:
-    def test_axpy_identity_alpha_zero(self):
-        assert axpy(0.0, [1.0, 2.0], [3.0, 4.0]).tolist() == [3.0, 4.0]
-
-    def test_axpy_unit_alpha(self):
-        assert axpy(1.0, [1.0, 1.0], [0.0, 0.0]).tolist() == [1.0, 1.0]
-
-    def test_axpy_hand_case(self):
-        assert axpy(-2.0, [1.0, 2.0], [5.0, 5.0]).tolist() == [3.0, 1.0]
-
-    def test_dot_orthogonal(self):
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_dot_scalars(self):
-        assert dot([2.0], [3.0]) == 6.0
-
-    def test_dot_hand_case(self):
-        assert dot([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 14.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            axpy(1.0, [1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            dot([1.0], [1.0, 2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            dot([], [])
-
-    def test_nan_reported_as_breakdown(self):
-        with pytest.raises(NumericBreakdown):
-            axpy(1.0, [np.nan, 1.0], [0.0, 0.0])
-        with pytest.raises(NumericBreakdown):
-            dot([np.inf], [1.0])
-
-    def test_exact_on_integer_values(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            n = int(rng.integers(1, 65))
-            x = rng.integers(-(2**20), 2**20, size=n).astype(float)
-            y = rng.integers(-(2**20), 2**20, size=n).astype(float)
-            alpha = float(rng.integers(-100, 100))
-            expected = [alpha * a + b for a, b in zip(x.tolist(), y.tolist())]
-            assert axpy(alpha, x, y).tolist() == expected
-            assert dot(x, y) == sum(a * b for a, b in zip(x.tolist(), y.tolist()))
-
-
-class TestTridiagonal:
-    def test_identity_system(self):
-        A = Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
-        assert solve_tridiagonal(A, [4.0, 5.0, 6.0]).tolist() == [4.0, 5.0, 6.0]
-
-    def test_two_by_two(self):
-        A = Tridiagonal([1.0], [2.0, 2.0], [1.0])
-        x = solve_tridiagonal(A, [3.0, 3.0])
-        assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-14)
-
-    def test_three_by_three_against_dense_oracle(self):
-        lower, diag, upper = [1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0]
-        b = [6.0, 12.0, 6.0]
-        expected = dense_tridiagonal_solve(lower, diag, upper, b)
-        x = solve_tridiagonal(Tridiagonal(lower, diag, upper), b)
-        assert np.allclose(x, expected, rtol=1e-12, atol=0)
-
-    def test_band_length_validation(self):
-        with pytest.raises(ValueError):
-            Tridiagonal([1.0], [1.0, 1.0, 1.0], [1.0])
-
-    def test_zero_pivot_breakdown(self):
-        A = Tridiagonal([1.0], [0.0, 1.0], [1.0])
-        with pytest.raises(NumericBreakdown):
-            solve_tridiagonal(A, [1.0, 1.0])
-
-    def test_rhs_length_mismatch(self):
-        A = Tridiagonal([1.0], [2.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            solve_tridiagonal(A, [1.0, 1.0, 1.0])
-
-    def test_random_diagonally_dominant_vs_dense(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            n = int(rng.integers(1, 65))
-            lower = rng.standard_normal(max(n - 1, 0))
-            upper = rng.standard_normal(max(n - 1, 0))
-            diag = rng.standard_normal(n)
-            diag += np.sign(diag) * 3.0  # strictly dominant
-            b = rng.standard_normal(n)
-            A = Tridiagonal(lower, diag, upper)
-            x = solve_tridiagonal(A, b)
-            expected = dense_tridiagonal_solve(lower, diag, upper, b)
-            scale = max(1.0, float(np.max(np.abs(expected))))
-            assert np.max(np.abs(x - expected)) <= 1e-10 * scale
-            assert np.max(np.abs(A.matvec(x) - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
 
 class TestNewton:
@@ -157,6 +56,14 @@ class TestNewton:
     def test_nonfinite_start_rejected(self):
         with pytest.raises(NumericBreakdown):
             newton_solve(lambda v: v * np.nan, [1.0])
+        with pytest.raises(NumericBreakdown):
+            newton_solve(lambda v: v, [np.nan, 1.0])
+        with pytest.raises(NumericBreakdown):
+            newton_solve(lambda v: v, [np.inf])
+
+    def test_empty_start_rejected(self):
+        with pytest.raises(ValueError):
+            newton_solve(lambda v: v, [])
 
     def test_system_root(self):
         # intersect a circle with a line: x^2 + y^2 = 2, x = y

@@ -98,6 +98,26 @@ class TestSchedulerEquivalence:
             counts[scheduler] = trace.fine_propagations
         assert counts["serial"] == counts["pipelined"] == 4 * 3
 
+    @pytest.mark.parametrize("scheduler, workers", [("pipelined", 1), ("serial", 4)])
+    def test_single_worker_runs_on_calling_thread(self, scheduler, workers):
+        seen = []
+
+        class Probe:
+            cost_hint = 0.0
+
+            def __init__(self, step):
+                self.step = step
+
+            def advance(self, state, t_end):
+                seen.append((threading.get_ident(), threading.active_count()))
+                return state.with_values(state.values * 0.5, time=t_end)
+
+        caller, threads_before = threading.get_ident(), threading.active_count()
+        s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
+        cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, scheduler=scheduler, workers=workers)
+        run_parareal(Probe(0.5), Probe(0.1), s0, 2.0, cfg)
+        assert seen and set(seen) == {(caller, threads_before)}
+
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_pipelined_bitwise_equals_serial(self, workers):
         problem = heat1d(mesh_n=15, nu=0.1, init=SineMode(1))
