@@ -43,13 +43,14 @@ from .parareal import (
     theta_weight,
 )
 from .problems import (
-    Advection1DParams,
-    AlePistonParams,
-    DahlquistParams,
+    PROBLEMS,
+    Advection1D,
+    AlePiston,
+    Dahlquist,
     GaussianBump,
-    Heat1DParams,
+    Heat1D,
     MeshDegenerate,
-    ProblemSpec,
+    Problem,
     SineMode,
     Zero,
     advection1d,
@@ -71,7 +72,7 @@ __all__ = [
     "ThetaSettings", "ThetaPropagator", "SleepPropagator", "Propagator",
     "theta_step", "make_propagator", "convergence_order",
     "NonDivisibleWindow", "TimeStepError",
-    "ProblemSpec", "DahlquistParams", "Heat1DParams", "Advection1DParams", "AlePistonParams",
+    "Problem", "PROBLEMS", "Dahlquist", "Heat1D", "Advection1D", "AlePiston",
     "SineMode", "Zero", "GaussianBump", "MeshDegenerate",
     "dahlquist", "heat1d", "advection1d", "ale_piston",
     "forcing_s", "rhs", "initial_state", "reference_solution",

@@ -19,6 +19,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -41,19 +42,14 @@ from .parareal import (
     VARIANTS,
 )
 from .problems import (
-    Advection1DParams,
-    AlePistonParams,
-    DahlquistParams,
+    PROBLEMS,
     GaussianBump,
-    Heat1DParams,
     MeshDegenerate,
-    ProblemSpec,
+    Problem,
     SineMode,
     Zero,
-    advection1d,
     ale_piston,
     dahlquist,
-    heat1d,
     initial_state,
 )
 
@@ -110,7 +106,7 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problem: ProblemSpec
+    problem: Problem
     horizon: float
     intervals: int
     coarse_steps: tuple
@@ -128,6 +124,11 @@ class ExperimentConfig:
         return self.max_iters if self.max_iters > 0 else min(8, self.intervals)
 
     def validate(self) -> None:
+        numbers = [("horizon", self.horizon), ("fine step", self.fine_step), ("theta0", self.theta0),
+                   ("tol", self.tol)] + [("coarse step", K) for K in self.coarse_steps]
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} {value} must be finite")
         if self.horizon <= 0.0:
             raise ConfigError("horizon must be positive")
         if self.intervals < 2:
@@ -159,6 +160,12 @@ class ExperimentConfig:
             raise ConfigError("tol must be positive")
         if self.scheduler not in SCHEDULERS:
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
+        # the run would reject these only on reaching each step, some after the sequential solve
+        for step in (*self.coarse_steps, self.fine_step, self.fine_step / self.reference_fine_factor):
+            try:
+                ThetaSettings(step=step, theta0=self.theta0)
+            except ValueError as exc:
+                raise ConfigError(f"theta0 {self.theta0} at step {step}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -178,15 +185,6 @@ def _parse_init(text: str):
     raise ConfigError(f"unknown initial data {text!r}")
 
 
-# problem kind -> (factory, params record); the defaults live in problems.py
-_PROBLEMS = {
-    "dahlquist": (dahlquist, DahlquistParams),
-    "heat1d": (heat1d, Heat1DParams),
-    "advection1d": (advection1d, Advection1DParams),
-    "ale_piston": (ale_piston, AlePistonParams),
-}
-
-
 def _coerce(name: str, text: str):
     if name == "init":
         return _parse_init(text)
@@ -197,17 +195,15 @@ def _coerce(name: str, text: str):
     return float(text)
 
 
-def _build_problem(kind: str, section) -> ProblemSpec:
-    if kind not in _PROBLEMS:
+def _build_problem(kind: str, section) -> Problem:
+    if kind not in PROBLEMS:
         raise ConfigError(f"unknown problem kind {kind!r}")
-    factory, params = _PROBLEMS[kind]
-    names = [f.name for f in dataclasses.fields(params)]
-    if kind != "dahlquist":
-        names.append("mesh_n")
+    cls = PROBLEMS[kind]
+    names = [f.name for f in dataclasses.fields(cls)]
     try:
-        # configparser lowercases keys, so AlePistonParams.L0 is read from l0
+        # configparser lowercases keys, so AlePiston.L0 is read from l0; the defaults live in problems.py
         kwargs = {name: _coerce(name, section[name.lower()]) for name in names if name.lower() in section}
-        return factory(**kwargs)
+        return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise

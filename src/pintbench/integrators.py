@@ -68,7 +68,7 @@ class ThetaSettings:
         return 0.5 + self.theta0 * self.step
 
 
-def _theta_step(problem: _problems.ProblemSpec, state: State, settings: ThetaSettings):
+def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSettings):
     """One implicit step; returns (new state, Newton iterations used)."""
     k = settings.step
     theta = min(max(settings.theta, 0.5), 1.0)
@@ -97,7 +97,7 @@ def _theta_step(problem: _problems.ProblemSpec, state: State, settings: ThetaSet
     return state.with_values(solution, time=t1), iters
 
 
-def theta_step(problem: _problems.ProblemSpec, s: State, settings: ThetaSettings) -> State:
+def theta_step(problem: _problems.Problem, s: State, settings: ThetaSettings) -> State:
     """Advance ``s`` by exactly one step of ``settings.step`` seconds."""
     new, _ = _theta_step(problem, s, settings)
     return new
@@ -135,7 +135,7 @@ class ThetaPropagator:
     fixed at construction.
     """
 
-    def __init__(self, problem: _problems.ProblemSpec, settings: ThetaSettings, cost_hint: float = 0.0):
+    def __init__(self, problem: _problems.Problem, settings: ThetaSettings, cost_hint: float = 0.0):
         self.problem = problem
         self.settings = settings
         self.step = settings.step
@@ -170,7 +170,7 @@ class ThetaPropagator:
 
 
 def make_propagator(
-    problem: _problems.ProblemSpec, settings: ThetaSettings, cost_hint: float = 0.0
+    problem: _problems.Problem, settings: ThetaSettings, cost_hint: float = 0.0
 ) -> ThetaPropagator:
     """Build the theta-scheme propagator for ``problem``."""
     return ThetaPropagator(problem, settings, cost_hint=cost_hint)
@@ -210,7 +210,7 @@ class SleepPropagator:
 
 
 def convergence_order(
-    problem: _problems.ProblemSpec,
+    problem: _problems.Problem,
     steps: Sequence[float],
     theta0: float = 0.0,
     fixed_theta: float | None = None,

@@ -277,9 +277,13 @@ class _PipelinedExecutor:
     Each worker pops the smallest ready key, so one worker degenerates to
     the serial order; a single worker is the calling thread itself. Once
     ``run_task`` reports convergence at iteration ``i``, tasks of later
-    iterations are skipped. A stall (tasks left but nothing ready or
-    running) cannot happen on a well-formed graph and is reported as a
-    defect rather than swallowed.
+    iterations are skipped. A failing task stops only tasks with larger
+    keys: the failure with the smallest key is raised, which is the one
+    the serial order meets first, and a failure in an iteration after
+    the converged one is dropped because the serial order never runs
+    it. A stall (tasks left but nothing ready or running) cannot happen
+    on a well-formed graph and is reported as a defect rather than
+    swallowed.
     """
 
     def __init__(self, tasks: Sequence[Task], run_task: Callable, workers: int):
@@ -298,7 +302,7 @@ class _PipelinedExecutor:
         self.unfinished = len(tasks)
         self.running = 0
         self.stop_at: Optional[int] = None
-        self.failure: Optional[BaseException] = None
+        self.failure: Optional[tuple] = None  # (task key, exception)
         self.workers = workers
 
     def _complete(self, key) -> None:
@@ -313,16 +317,15 @@ class _PipelinedExecutor:
     def _worker(self) -> None:
         while True:
             with self.cond:
-                while not self.ready and self.unfinished > 0 and self.failure is None:
+                while not self.ready or (self.failure is not None and self.ready[0] > self.failure[0]):
                     if self.running == 0:
-                        self.failure = RuntimeError(
-                            "scheduler stalled: tasks remain but none are ready or running"
-                        )
-                        self.cond.notify_all()
-                        break
+                        if self.failure is None and self.unfinished > 0:
+                            # the empty key sorts below every task key, so nothing else starts
+                            self.failure = ((), RuntimeError(
+                                "scheduler stalled: tasks remain but none are ready or running"
+                            ))
+                        return
                     self.cond.wait()
-                if self.failure is not None or self.unfinished == 0:
-                    return
                 key = heapq.heappop(self.ready)
                 task = self.tasks[key]
                 if self.stop_at is not None and task.iteration > self.stop_at:
@@ -333,10 +336,11 @@ class _PipelinedExecutor:
                 outcome = self.run_task(task)
             except BaseException as exc:
                 with self.cond:
-                    self.failure = exc
+                    if self.failure is None or key < self.failure[0]:
+                        self.failure = (key, exc)
                     self.running -= 1
                     self.cond.notify_all()
-                return
+                continue
             with self.cond:
                 self.running -= 1
                 if outcome is not None:
@@ -352,8 +356,11 @@ class _PipelinedExecutor:
                 t.start()
             for t in threads:
                 t.join()
-        if self.failure is not None:
-            raise self.failure
+        # convergence at iteration i needs every task up to i to succeed, so a
+        # task failure beside it comes from a later iteration, which the serial
+        # order never runs; a stall is raised regardless
+        if self.failure is not None and (self.stop_at is None or self.failure[0] == ()):
+            raise self.failure[1]
         return self.stop_at
 
 

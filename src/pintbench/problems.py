@@ -1,7 +1,9 @@
 """Model problems: semi-discrete right-hand sides, initial data, references.
 
-Four problems share one state/rhs interface so a single implicit
-integrator drives them all:
+Each problem is one frozen dataclass that owns its parameters and its
+behaviour: ``layout()``, ``initial_values()`` and ``rhs(values, t)``, the
+interface a single implicit integrator drives. ``PROBLEMS`` maps each
+class's ``kind`` to the class:
 
 * ``dahlquist``    scalar linear test equation y' = lambda * y
 * ``heat1d``       diffusion on a fixed interval, Dirichlet boundaries,
@@ -15,22 +17,21 @@ integrator drives them all:
                    Velocity continuity enters through the right boundary
                    value, the viscous traction drives the oscillator.
 
-Space is discretized with second-order stencils on uniform grids;
-``mesh_n`` counts interior nodes (for the periodic transport grid, all
-nodes). All rhs evaluations are pure functions.
+The three PDE problems discretize space with second-order stencils on
+uniform grids; their first field ``mesh_n`` counts interior nodes (for
+the periodic transport grid, all nodes), ``h`` is the grid spacing and
+``grid()`` the node coordinates. All rhs evaluations are pure functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
-from .state import Layout, State
-
-KINDS = ("dahlquist", "heat1d", "advection1d", "ale_piston")
+from .state import Layout, State, validate_layout
 
 
 class MeshDegenerate(RuntimeError):
@@ -49,10 +50,15 @@ class SineMode:
         if self.mode < 1:
             raise ValueError("mode number must be at least 1")
 
+    def profile(self, x: np.ndarray, length: float, periodic: bool = False) -> np.ndarray:
+        # whole waves fit a periodic domain, half waves fit between two walls
+        return np.sin((2.0 * np.pi if periodic else np.pi) * self.mode * x / length)
+
 
 @dataclass(frozen=True)
 class Zero:
-    pass
+    def profile(self, x: np.ndarray, length: float, periodic: bool = False) -> np.ndarray:
+        return np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -64,19 +70,55 @@ class GaussianBump:
         if self.width <= 0.0:
             raise ValueError("bump width must be positive")
 
+    def profile(self, x: np.ndarray, length: float, periodic: bool = False) -> np.ndarray:
+        return np.exp(-(((x - self.center) / self.width) ** 2))
+
 
 # --------------------------------------------------------------------------
-# per-kind parameter records
+# problems
 
 
 @dataclass(frozen=True)
-class DahlquistParams:
+class Dahlquist:
+    """Scalar linear test equation y' = lam * y."""
+
+    kind: ClassVar[str] = "dahlquist"
     lam: float = -1.0
     y0: float = 1.0
 
+    def layout(self) -> Layout:
+        return {"y": (0, 1)}
+
+    def initial_values(self) -> np.ndarray:
+        return np.array([self.y0])
+
+    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
+        return self.lam * values
+
 
 @dataclass(frozen=True)
-class Heat1DParams:
+class _Mesh1D:
+    """A problem on a uniform 1-d grid of ``mesh_n`` unknown nodes with spacing ``h``."""
+
+    mesh_n: int = 63
+
+    def __post_init__(self):
+        if self.mesh_n < 3:
+            raise ValueError("PDE problems need mesh_n >= 3")
+
+    def grid(self) -> np.ndarray:
+        """Node coordinates carrying the unknowns (interior, or all if periodic)."""
+        return self.h * np.arange(1, self.mesh_n + 1)
+
+    def layout(self) -> Layout:
+        return {"v": (0, self.mesh_n)}
+
+
+@dataclass(frozen=True)
+class Heat1D(_Mesh1D):
+    """Diffusion on (0, length) with Dirichlet boundary values."""
+
+    kind: ClassVar[str] = "heat1d"
     nu: float = 2e-2
     length: float = 1.0
     left_bc: float = 0.0
@@ -84,28 +126,84 @@ class Heat1DParams:
     init: Union[SineMode, Zero] = SineMode(1)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.nu <= 0.0:
             raise ValueError("diffusivity nu must be positive")
         if self.length <= 0.0:
             raise ValueError("length must be positive")
 
+    @property
+    def h(self) -> float:
+        return self.length / (self.mesh_n + 1)
+
+    def initial_values(self) -> np.ndarray:
+        return self.init.profile(self.grid(), self.length)
+
+    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
+        n = self.mesh_n
+        h = self.h
+        padded = np.empty(n + 2)
+        padded[0] = self.left_bc
+        padded[1:-1] = values
+        padded[-1] = self.right_bc
+        return (self.nu / h**2) * (padded[2:] - 2.0 * padded[1:-1] + padded[:-2])
+
 
 @dataclass(frozen=True)
-class Advection1DParams:
+class Advection1D(_Mesh1D):
+    """Transport at constant speed on (0, length), zero values at both ends unless periodic."""
+
+    kind: ClassVar[str] = "advection1d"
+    mesh_n: int = 64
     speed: float = 1.0
     length: float = 1.0
     init: Union[GaussianBump, SineMode] = GaussianBump()
     periodic: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if self.speed == 0.0:
             raise ValueError("transport speed must be non-zero")
         if self.length <= 0.0:
             raise ValueError("length must be positive")
 
+    @property
+    def h(self) -> float:
+        if self.periodic:
+            return self.length / self.mesh_n
+        return self.length / (self.mesh_n + 1)
+
+    def grid(self) -> np.ndarray:
+        if self.periodic:
+            return self.h * np.arange(self.mesh_n)
+        return super().grid()
+
+    def initial_values(self) -> np.ndarray:
+        return self.init.profile(self.grid(), self.length, self.periodic)
+
+    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
+        n = self.mesh_n
+        h = self.h
+        if self.periodic:
+            dv = np.roll(values, -1) - np.roll(values, 1)
+        else:
+            padded = np.empty(n + 2)
+            padded[0] = 0.0
+            padded[1:-1] = values
+            padded[-1] = 0.0
+            dv = padded[2:] - padded[:-2]
+        return -self.speed * dv / (2.0 * h)
+
 
 @dataclass(frozen=True)
-class AlePistonParams:
+class AlePiston(_Mesh1D):
+    """Advection-diffusion on (0, L0 + u), right end on a spring-mass oscillator.
+
+    The unknowns are the fluid velocity ``v`` on the reference grid, the
+    interface displacement ``u`` and the piston velocity ``w``.
+    """
+
+    kind: ClassVar[str] = "ale_piston"
     rho_f: float = 1e3     # fluid density, kg/m^3
     nu: float = 2e-2       # kinematic viscosity, m^2/s
     L0: float = 1.0        # rest length of the fluid interval, m
@@ -116,95 +214,68 @@ class AlePistonParams:
     period: float = 1.0    # forcing period, s
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("rho_f", "nu", "L0", "m_s", "kappa", "period"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.v_in < 0.0:
             raise ValueError("v_in must be non-negative")
 
+    @property
+    def h(self) -> float:
+        # the reference domain is always (0, 1)
+        return 1.0 / (self.mesh_n + 1)
 
-Params = Union[DahlquistParams, Heat1DParams, Advection1DParams, AlePistonParams]
+    def layout(self) -> Layout:
+        n = self.mesh_n
+        return {"v": (0, n), "u": (n, 1), "w": (n + 1, 1)}
 
-_PARAM_KIND = {
-    DahlquistParams: "dahlquist",
-    Heat1DParams: "heat1d",
-    Advection1DParams: "advection1d",
-    AlePistonParams: "ale_piston",
-}
+    def initial_values(self) -> np.ndarray:
+        # starts from rest, driven only by the inflow forcing
+        return np.zeros(self.mesh_n + 2)
 
+    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
+        n = self.mesh_n
+        h = self.h
+        v = values[:n]
+        u = float(values[n])
+        w = float(values[n + 1])
+        if abs(u) >= 0.9 * self.L0:
+            raise MeshDegenerate(f"interface displacement {u:.3e} collapses the mesh (L0={self.L0})")
+        length = self.L0 + u
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Tagged description of one model problem."""
+        v_left = self.v_in * forcing_s(t, self.period)
+        v_right = w
+        padded = np.empty(n + 2)
+        padded[0] = v_left
+        padded[1:-1] = v
+        padded[-1] = v_right
 
-    kind: str
-    params: Params
-    mesh_n: int = 0
+        xhat = self.grid()
+        first = (padded[2:] - padded[:-2]) / (2.0 * h)
+        second = (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / h**2
+        dvdt = -((self.adv - xhat * w) / length) * first + (self.nu / length**2) * second
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        expected = _PARAM_KIND[type(self.params)]
-        if expected != self.kind:
-            raise ValueError(f"params of type {type(self.params).__name__} do not match kind {self.kind!r}")
-        if self.kind != "dahlquist" and self.mesh_n < 3:
-            raise ValueError("PDE problems need mesh_n >= 3")
+        # second-order one-sided derivative at the moving end (xhat = 1)
+        dv_end = (3.0 * v_right - 4.0 * v[-1] + v[-2]) / (2.0 * h)
+        traction = self.rho_f * self.nu * dv_end / length
 
-
-def dahlquist(lam: float = -1.0, y0: float = 1.0) -> ProblemSpec:
-    return ProblemSpec("dahlquist", DahlquistParams(lam=lam, y0=y0))
-
-
-def heat1d(mesh_n: int = 63, **kwargs) -> ProblemSpec:
-    return ProblemSpec("heat1d", Heat1DParams(**kwargs), mesh_n=mesh_n)
-
-
-def advection1d(mesh_n: int = 64, **kwargs) -> ProblemSpec:
-    return ProblemSpec("advection1d", Advection1DParams(**kwargs), mesh_n=mesh_n)
-
-
-def ale_piston(mesh_n: int = 63, **kwargs) -> ProblemSpec:
-    return ProblemSpec("ale_piston", AlePistonParams(**kwargs), mesh_n=mesh_n)
-
-
-# --------------------------------------------------------------------------
-# grids and layouts
-
-
-def grid_spacing(problem: ProblemSpec) -> float:
-    params = problem.params
-    if problem.kind == "heat1d":
-        return params.length / (problem.mesh_n + 1)
-    if problem.kind == "advection1d":
-        if params.periodic:
-            return params.length / problem.mesh_n
-        return params.length / (problem.mesh_n + 1)
-    if problem.kind == "ale_piston":
-        # reference domain is always (0, 1)
-        return 1.0 / (problem.mesh_n + 1)
-    raise ValueError(f"{problem.kind} has no spatial grid")
+        out = np.empty(n + 2)
+        out[:n] = dvdt
+        out[n] = w
+        # the viscous traction opposes the piston velocity (drag); with the
+        # fluid on the left of the interface the force on the solid is the
+        # negative of the outward viscous stress, which keeps the coupled
+        # energy exchange anti-symmetric and the rest dynamics dissipative
+        out[n + 1] = -(traction + self.kappa * u) / self.m_s
+        return out
 
 
-def grid(problem: ProblemSpec) -> np.ndarray:
-    """Node coordinates carrying the unknowns (interior, or all if periodic)."""
-    h = grid_spacing(problem)
-    n = problem.mesh_n
-    if problem.kind == "advection1d" and problem.params.periodic:
-        return h * np.arange(n)
-    return h * np.arange(1, n + 1)
+Problem = Union[Dahlquist, Heat1D, Advection1D, AlePiston]
+PROBLEMS = {cls.kind: cls for cls in (Dahlquist, Heat1D, Advection1D, AlePiston)}
 
-
-def layout(problem: ProblemSpec) -> Layout:
-    n = problem.mesh_n
-    if problem.kind == "dahlquist":
-        return {"y": (0, 1)}
-    if problem.kind in ("heat1d", "advection1d"):
-        return {"v": (0, n)}
-    return {"v": (0, n), "u": (n, 1), "w": (n + 1, 1)}
-
-
-def state_size(problem: ProblemSpec) -> int:
-    return sum(length for _, length in layout(problem).values())
+# the lower-case names stay as constructors for library callers
+dahlquist, heat1d, advection1d, ale_piston = Dahlquist, Heat1D, Advection1D, AlePiston
 
 
 # --------------------------------------------------------------------------
@@ -221,109 +292,28 @@ def forcing_s(t: float, period: float = 1.0) -> float:
     return 0.5 * (1.0 - math.cos(math.pi * t / period))
 
 
-def initial_state(problem: ProblemSpec) -> State:
+def initial_state(problem: Problem) -> State:
     """State at time zero with the problem's initial data."""
-    lay = layout(problem)
-    params = problem.params
-    if problem.kind == "dahlquist":
-        return State(np.array([params.y0]), 0.0, lay)
-
-    values = np.zeros(state_size(problem))
-    if problem.kind == "ale_piston":
-        # starts from rest, driven only by the inflow forcing
-        return State(values, 0.0, lay)
-
-    x = grid(problem)
-    init = params.init
-    if isinstance(init, Zero):
-        pass
-    elif isinstance(init, SineMode):
-        if problem.kind == "advection1d" and params.periodic:
-            values[:] = np.sin(2.0 * np.pi * init.mode * x / params.length)
-        else:
-            values[:] = np.sin(np.pi * init.mode * x / params.length)
-    elif isinstance(init, GaussianBump):
-        values[:] = np.exp(-(((x - init.center) / init.width) ** 2))
-    else:
-        raise ValueError(f"unsupported initial data {init!r} for {problem.kind}")
-    return State(values, 0.0, lay)
+    return State(problem.initial_values(), 0.0, problem.layout())
 
 
-def rhs_values(problem: ProblemSpec, values: np.ndarray, t: float) -> np.ndarray:
+def rhs_values(problem: Problem, values: np.ndarray, t: float) -> np.ndarray:
     """Time derivative of every unknown, on raw value vectors.
 
     Hot-path variant of :func:`rhs` that skips State wrapping; the
     integrator calls this once per Newton residual evaluation.
     """
-    params = problem.params
-    if problem.kind == "dahlquist":
-        return params.lam * values
-
-    n = problem.mesh_n
-    h = grid_spacing(problem)
-
-    if problem.kind == "heat1d":
-        padded = np.empty(n + 2)
-        padded[0] = params.left_bc
-        padded[1:-1] = values
-        padded[-1] = params.right_bc
-        return (params.nu / h**2) * (padded[2:] - 2.0 * padded[1:-1] + padded[:-2])
-
-    if problem.kind == "advection1d":
-        if params.periodic:
-            dv = np.roll(values, -1) - np.roll(values, 1)
-        else:
-            padded = np.empty(n + 2)
-            padded[0] = 0.0
-            padded[1:-1] = values
-            padded[-1] = 0.0
-            dv = padded[2:] - padded[:-2]
-        return -params.speed * dv / (2.0 * h)
-
-    # ale_piston
-    v = values[:n]
-    u = float(values[n])
-    w = float(values[n + 1])
-    if abs(u) >= 0.9 * params.L0:
-        raise MeshDegenerate(f"interface displacement {u:.3e} collapses the mesh (L0={params.L0})")
-    length = params.L0 + u
-
-    v_left = params.v_in * forcing_s(t, params.period)
-    v_right = w
-    padded = np.empty(n + 2)
-    padded[0] = v_left
-    padded[1:-1] = v
-    padded[-1] = v_right
-
-    xhat = h * np.arange(1, n + 1)
-    first = (padded[2:] - padded[:-2]) / (2.0 * h)
-    second = (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / h**2
-    dvdt = -((params.adv - xhat * w) / length) * first + (params.nu / length**2) * second
-
-    # second-order one-sided derivative at the moving end (xhat = 1)
-    dv_end = (3.0 * v_right - 4.0 * v[-1] + v[-2]) / (2.0 * h)
-    traction = params.rho_f * params.nu * dv_end / length
-
-    out = np.empty(n + 2)
-    out[:n] = dvdt
-    out[n] = w
-    # the viscous traction opposes the piston velocity (drag); with the
-    # fluid on the left of the interface the force on the solid is the
-    # negative of the outward viscous stress, which keeps the coupled
-    # energy exchange anti-symmetric and the rest dynamics dissipative
-    out[n + 1] = -(traction + params.kappa * u) / params.m_s
-    return out
+    return problem.rhs(values, t)
 
 
-def rhs(problem: ProblemSpec, s: State, t: float) -> np.ndarray:
+def rhs(problem: Problem, s: State, t: float) -> np.ndarray:
     """Time derivative of the state vector at time ``t``."""
-    if s.size != state_size(problem):
-        raise ValueError(f"state size {s.size} does not match problem ({state_size(problem)})")
+    validate_layout(problem.layout(), s.size)
     return rhs_values(problem, s.values, t)
 
 
 def reference_solution(
-    problem: ProblemSpec,
+    problem: Problem,
     t: float,
     fine_factor: int = 4,
     base_step: float | None = None,
@@ -338,9 +328,8 @@ def reference_solution(
     """
     if fine_factor < 2:
         raise ValueError("fine_factor must be at least 2")
-    if problem.kind == "dahlquist":
-        params = problem.params
-        return State(np.array([params.y0 * math.exp(params.lam * t)]), t, layout(problem))
+    if isinstance(problem, Dahlquist):
+        return State(np.array([problem.y0 * math.exp(problem.lam * t)]), t, problem.layout())
     s0 = initial_state(problem)
     if t == 0.0:
         return s0

@@ -29,11 +29,8 @@ from pintbench.problems import (
     advection1d,
     ale_piston,
     dahlquist,
-    grid,
-    grid_spacing,
     heat1d,
     initial_state,
-    layout,
     rhs,
 )
 from pintbench.state import State
@@ -183,23 +180,21 @@ def test_criterion_7_piston_sanity():
 
     problem = ale_piston(mesh_n=31, rho_f=1.0, nu=0.05, L0=1.0, adv=0.0, m_s=2.0, kappa=1.0, v_in=0.0)
     n = problem.mesh_n
-    h = grid_spacing(problem)
+    h = problem.h
     values = np.zeros(n + 2)
-    values[:n] = 0.02 * np.sin(np.pi * grid(problem))
+    values[:n] = 0.02 * np.sin(np.pi * problem.grid())
     values[n] = 0.05
     values[n + 1] = 0.03
-    perturbed = State(values, 0.0, layout(problem))
+    perturbed = State(values, 0.0, problem.layout())
     _, iters = _theta_step(problem, perturbed, ThetaSettings(step=0.01))
     newton_ok = iters <= 6
-
-    params = problem.params
 
     def energy(state):
         v = state.values[:n]
         u = state.values[n]
         w = state.values[n + 1]
-        return (0.5 * params.m_s * w**2 + 0.5 * params.kappa * u**2
-                + 0.5 * params.rho_f * (params.L0 + u) * h * float(np.sum(v**2)))
+        return (0.5 * problem.m_s * w**2 + 0.5 * problem.kappa * u**2
+                + 0.5 * problem.rho_f * (problem.L0 + u) * h * float(np.sum(v**2)))
 
     prop = make_propagator(problem, ThetaSettings(step=0.005, newton=NewtonSettings(abs_tol=1e-12)))
     s = perturbed

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -19,7 +20,7 @@ from pintbench.cli import (
     speedup_report,
 )
 from pintbench.parareal import SpeedupModel, theoretical_speedup
-from pintbench.problems import dahlquist
+from pintbench.problems import PROBLEMS, SineMode, dahlquist
 
 CSV_HEADER = "problem,K,k,variant,iter,boundary,rel_err,theta,t_seq_s,t_par_s,speedup_meas,speedup_theory"
 
@@ -60,30 +61,45 @@ class TestConfigParsing:
         cfg = load_config(path, ["--workers=5", "--dahlquist.lam=-2.5", "--intervals=5"])
         assert cfg.workers == 5
         assert cfg.intervals == 5
-        assert cfg.problem.params.lam == -2.5
+        assert cfg.problem.lam == -2.5
 
     def test_malformed_override_rejected(self, tmp_path):
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=tmp_path / "r.csv"))
         with pytest.raises(ConfigError):
             load_config(path, ["--workers"])
 
-    def test_problem_section_defaults(self, tmp_path):
-        body = """
+    @pytest.mark.parametrize("kind", list(PROBLEMS))
+    def test_problem_section_defaults(self, tmp_path, kind):
+        body = f"""
 [experiment]
-problem = heat1d
+problem = {kind}
 horizon = 2.0
 intervals = 4
 coarse_steps = 0.1
 fine_step = 0.01
 """
-        cfg = load_config(write_config(tmp_path / "h.ini", body))
-        assert cfg.problem.kind == "heat1d"
-        assert cfg.problem.mesh_n == 63
+        path = write_config(tmp_path / "h.ini", body)
+        cls = PROBLEMS[kind]
+        assert load_config(path).problem == cls()
+
+        # one valid non-default value per field, given as --<kind>.<field>
+        expected, overrides = {}, []
+        for field in dataclasses.fields(cls):
+            default = getattr(cls(), field.name)
+            if isinstance(default, bool):
+                value, text = not default, str(not default).lower()
+            elif isinstance(default, (int, float)):
+                value = text = default + 2
+            else:
+                value, text = SineMode(2), "sine:2"
+            expected[field.name] = value
+            overrides.append(f"--{kind}.{field.name}={text}")
+        assert load_config(path, overrides).problem == cls(**expected)
 
     def test_problem_keys_fill_params_fields(self, tmp_path):
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=tmp_path / "r.csv"))
         cfg = load_config(path, ["--problem=ale_piston", "--ale_piston.L0=2.0", "--ale_piston.mesh_n=15"])
-        assert cfg.problem.params.L0 == 2.0
+        assert cfg.problem.L0 == 2.0
         assert cfg.problem.mesh_n == 15
 
     def test_unknown_problem_rejected(self, tmp_path):
@@ -261,9 +277,14 @@ class TestMainEntryPoint:
     def test_invalid_config_exits_two_without_output(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
-        assert main(["run", path, "--coarse_steps=0.3"]) == EXIT_CONFIG
-        assert not out.exists()
-        assert "config error" in capsys.readouterr().err
+        bad = ["--coarse_steps=0.3", "--fine_step=nan", "--horizon=inf", "--tol=nan",
+               "--theta0=20", "--theta0=-1"]
+        for override in bad:
+            assert main(["run", path, override]) == EXIT_CONFIG, override
+            assert not out.exists()
+            captured = capsys.readouterr()
+            assert "config error" in captured.err, override
+            assert captured.out == ""
 
     def test_non_numeric_problem_value_exits_two(self, tmp_path, capsys):
         out = tmp_path / "res.csv"

@@ -8,18 +8,14 @@ from pintbench.linalg import NewtonSettings
 from pintbench.problems import (
     GaussianBump,
     MeshDegenerate,
-    ProblemSpec,
     SineMode,
     Zero,
     advection1d,
     ale_piston,
     dahlquist,
     forcing_s,
-    grid,
-    grid_spacing,
     heat1d,
     initial_state,
-    layout,
     reference_solution,
     rhs,
     rhs_values,
@@ -61,13 +57,13 @@ class TestSpecsAndInitialStates:
     def test_heat_sine_initial_formula(self):
         problem = heat1d(mesh_n=9, length=2.0, init=SineMode(2))
         s = initial_state(problem)
-        x = grid(problem)
+        x = problem.grid()
         assert np.allclose(s.values, np.sin(2.0 * np.pi * x / 2.0), rtol=0, atol=1e-15)
 
     def test_advection_gaussian_initial_formula(self):
         problem = advection1d(mesh_n=9, init=GaussianBump(0.5, 0.1))
         s = initial_state(problem)
-        x = grid(problem)
+        x = problem.grid()
         assert np.allclose(s.values, np.exp(-(((x - 0.5) / 0.1) ** 2)), rtol=0, atol=1e-15)
 
     def test_piston_starts_from_rest(self):
@@ -89,12 +85,6 @@ class TestSpecsAndInitialStates:
             ale_piston(kappa=-1.0)
         with pytest.raises(ValueError):
             ale_piston(v_in=-0.5)
-
-    def test_kind_params_must_match(self):
-        from pintbench.problems import Heat1DParams
-
-        with pytest.raises(ValueError):
-            ProblemSpec("dahlquist", Heat1DParams(), mesh_n=5)
 
 
 class TestRhs:
@@ -129,7 +119,7 @@ class TestRhs:
         problem = advection1d(mesh_n=8, speed=2.0, length=1.0)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(8)
-        s = State(v, 0.0, layout(problem))
+        s = State(v, 0.0, problem.layout())
         out = rhs(problem, s, 0.0)
         h = 1.0 / 8.0
         expected = np.array([
@@ -152,7 +142,7 @@ class TestRhs:
         # exactly, so the interface force magnitude is rho_f*nu*w/L0
         problem = ale_piston(mesh_n=15, rho_f=2.0, nu=0.05, L0=1.0, m_s=1.0, kappa=3.0, v_in=0.0)
         w = 0.7
-        x = grid(problem)
+        x = problem.grid()
         values = np.concatenate([x * w, [0.0], [w]])
         out = rhs_values(problem, values, 0.0)
         traction = 2.0 * 0.05 * w / 1.0
@@ -164,7 +154,7 @@ class TestRhs:
         # node i is (adv - x_i*w), exact for the central stencil on linear data
         problem = ale_piston(mesh_n=15, rho_f=1.0, nu=1e-12, L0=1.0, adv=0.3, m_s=1.0, kappa=1.0, v_in=0.0)
         w = 0.5
-        x = grid(problem)
+        x = problem.grid()
         values = np.concatenate([x * w, [0.0], [w]])
         out = rhs_values(problem, values, 0.0)
         # second differences of linear data vanish, so only transport remains
@@ -201,20 +191,19 @@ class TestInvariants:
         problem = ale_piston(mesh_n=31, rho_f=1.0, nu=0.05, L0=1.0, adv=0.0,
                              m_s=2.0, kappa=1.0, v_in=0.0)
         n = problem.mesh_n
-        h = grid_spacing(problem)
+        h = problem.h
         values = np.zeros(n + 2)
-        values[:n] = 0.02 * np.sin(np.pi * grid(problem))
+        values[:n] = 0.02 * np.sin(np.pi * problem.grid())
         values[n] = 0.05
         values[n + 1] = 0.03
-        s = State(values, 0.0, layout(problem))
-        params = problem.params
+        s = State(values, 0.0, problem.layout())
 
         def energy(state):
             v = state.values[:n]
             u = state.values[n]
             w = state.values[n + 1]
-            return (0.5 * params.m_s * w**2 + 0.5 * params.kappa * u**2
-                    + 0.5 * params.rho_f * (params.L0 + u) * h * float(np.sum(v**2)))
+            return (0.5 * problem.m_s * w**2 + 0.5 * problem.kappa * u**2
+                    + 0.5 * problem.rho_f * (problem.L0 + u) * h * float(np.sum(v**2)))
 
         prop = make_propagator(problem, ThetaSettings(step=0.005, newton=NewtonSettings(abs_tol=1e-12)))
         e0 = energy(s)

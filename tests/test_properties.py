@@ -1,14 +1,15 @@
 """Properties of the task executor over random run shapes.
 
 Each example runs the same Parareal problem at one worker and at ``k``
-workers, then once more with a failure injected into one fine task.
+workers, then injects a failure into the fine or the coarse propagator
+and runs both worker counts again.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pintbench.integrators import ThetaSettings, make_propagator  # noqa: E402
 from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal  # noqa: E402
@@ -22,15 +23,18 @@ def _fine():
     return make_propagator(PROBLEM, ThetaSettings(step=WINDOW / 4))
 
 
-def _run(L, iterations, workers, variant, fine):
-    coarse = make_propagator(PROBLEM, ThetaSettings(step=WINDOW))
+def _coarse():
+    return make_propagator(PROBLEM, ThetaSettings(step=WINDOW))
+
+
+def _run(L, iterations, workers, variant, fine, coarse):
     cfg = PararealConfig(intervals=L, max_iters=iterations, tol=1e-30, variant=variant,
                          scheduler="pipelined", workers=workers)
     return run_parareal(coarse, fine, initial_state(PROBLEM), L * WINDOW, cfg)[1]
 
 
 class _FailOnInput:
-    """Fine propagator that raises when it is handed one given boundary state."""
+    """Propagator that raises when it is handed one given boundary state."""
 
     def __init__(self, inner, time, values):
         self.inner = inner
@@ -57,22 +61,29 @@ def test_worker_count_changes_nothing_and_failures_stay_located(data):
     workers = data.draw(st.integers(1, 8), label="workers")
     variant = data.draw(st.sampled_from(VARIANTS), label="variant")
 
-    one = _run(L, iterations, 1, variant, _fine())
-    many = _run(L, iterations, workers, variant, _fine())
+    one = _run(L, iterations, 1, variant, _fine(), _coarse())
+    many = _run(L, iterations, workers, variant, _fine(), _coarse())
     assert _bytes(many) == _bytes(one)
     assert many.fine_propagations == one.fine_propagations
 
-    # fine task (i, l) advances boundary l of iterate i-1; a converged
-    # boundary repeats across iterates, so inject only at an input that no
-    # other fine task of the run receives
-    last = min(one.iterations_run + 1, iterations)
-    inputs = {(i, l): one.iterate_values[i - 1][l].tobytes() for i in range(1, last + 1) for l in range(L)}
-    unique = [
-        (i, l) for (i, l), b in inputs.items()
-        if sum(b == other for (_, m), other in inputs.items() if m == l) == 1
-    ]
-    assume(unique)
-    i, l = data.draw(st.sampled_from(unique), label="failing task")
-    failing = _FailOnInput(_fine(), L * WINDOW * l / L, inputs[(i, l)])
-    with pytest.raises(PararealError, match=rf"^fine failed at iteration {i}, interval {l}:"):
-        _run(L, iterations, workers, variant, failing)
+    # task key (iteration, phase, interval) -> the boundary state it advances:
+    # fine task (i, l) starts from iterate i-1, the coarse sweep (i = 0) and
+    # the correctors from iterate i; the serial order runs keys ascending
+    run = range(one.iterations_run + 1)
+    starts = {(i, 0, l): one.iterate_values[i - 1][l] for i in run[1:] for l in range(L)}
+    starts.update({(i, 1, l): one.iterate_values[i][l] for i in run for l in range(L)})
+    key = data.draw(st.sampled_from(sorted(starts)), label="failing task")
+    _, phase, l = key
+    values = starts[key].tobytes()
+    first = min(key for key, v in starts.items() if key[1:] == (phase, l) and v.tobytes() == values)
+    failing = _FailOnInput(_fine() if phase == 0 else _coarse(), L * WINDOW * l / L, values)
+    fine, coarse = (failing, _coarse()) if phase == 0 else (_fine(), failing)
+    kind = "fine" if phase == 0 else ("coarse_init" if first[0] == 0 else "correct")
+
+    messages = []
+    for w in (1, workers):
+        with pytest.raises(PararealError) as info:
+            _run(L, iterations, w, variant, fine, coarse)
+        messages.append(str(info.value))
+    assert messages[0].startswith(f"{kind} failed at iteration {first[0]}, interval {l}:")
+    assert messages[1] == messages[0]

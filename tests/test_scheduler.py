@@ -8,6 +8,7 @@ from pintbench.integrators import SleepPropagator, ThetaSettings, make_propagato
 from pintbench.linalg import NewtonSettings
 from pintbench.parareal import (
     PararealConfig,
+    PararealError,
     Task,
     _PipelinedExecutor,
     pipelined_schedule,
@@ -195,3 +196,56 @@ class TestExecutorDefense:
         orphan = Task("fine", 1, 0, depends=((9, 9, 9),))
         with pytest.raises(ValueError):
             _PipelinedExecutor([orphan], lambda task: None, workers=1)
+
+
+class TestFailureLocation:
+    def test_failure_named_as_with_one_worker(self):
+        # every fine task fails after the same delay, so with a worker per
+        # window the order in which the failures land is a matter of timing
+        class SlowFailure:
+            step = 0.05
+            cost_hint = 0.0
+
+            def advance(self, state, t_end):
+                time.sleep(0.01)
+                raise RuntimeError("injected failure")
+
+        def message(workers):
+            s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
+            cfg = PararealConfig(intervals=4, max_iters=1, tol=1e-30, scheduler="pipelined", workers=workers)
+            with pytest.raises(PararealError) as info:
+                run_parareal(SleepPropagator(step=0.5, cost_per_step=0.0), SlowFailure(), s0, 2.0, cfg)
+            return str(info.value)
+
+        expected = message(1)
+        assert expected.startswith("fine failed at iteration 1, interval 0:")
+        assert [message(4) for _ in range(20)] == [expected] * 20
+
+    def test_failure_after_convergence_is_dropped(self):
+        # the corrector that detects convergence at iteration 1 is slow, so the
+        # second worker starts the iteration-2 fine task of window 1, which the
+        # serial order never runs; its failure must not fail the run
+        class FailsOnSecondStartAtOne:
+            step = 0.1
+            cost_hint = 0.0
+
+            def __init__(self):
+                self.inner = SleepPropagator(step=0.1, cost_per_step=0.0)
+                self.starts = []
+
+            def advance(self, state, t_end):
+                if state.time == 1.0:
+                    self.starts.append(state.time)
+                    if len(self.starts) > 1:
+                        raise RuntimeError("injected failure")
+                return self.inner.advance(state, t_end)
+
+        def run(workers):
+            C = SleepPropagator(step=0.5, cost_per_step=0.02)
+            s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
+            cfg = PararealConfig(intervals=2, max_iters=2, tol=1.0, scheduler="pipelined", workers=workers)
+            return run_parareal(C, FailsOnSecondStartAtOne(), s0, 2.0, cfg)[1]
+
+        one, two = run(1), run(2)
+        assert one.iterations_run == two.iterations_run == 1
+        assert [v.tobytes() for v in two.iterate_values[-1]] == [v.tobytes() for v in one.iterate_values[-1]]
