@@ -3,11 +3,14 @@
 Experiments are described by INI-style config files (one section per
 problem kind plus an ``[experiment]`` section); every key can be
 overridden on the command line with ``--key=value`` or
-``--section.key=value``. The harness times the sequential fine solve,
-runs the parallel-in-time iteration per coarse step and variant, and
-emits one row per (iteration, boundary), per-boundary discretization
-error rows (against a refined reference), and one summary row per
-(coarse step, variant) with measured and modelled speedup.
+``--section.key=value``. A key in ``[experiment]`` or in the chosen
+problem's section that the harness does not know is a config error, so
+a misspelled override never runs with the defaults. The harness times
+the sequential fine solve, runs the parallel-in-time iteration per
+coarse step and variant, and emits one row per (iteration, boundary),
+per-boundary discretization error rows (against a refined reference),
+and one summary row per (coarse step, variant) with measured and
+modelled speedup.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (a partial
 results file is written), 4 I/O error.
@@ -195,11 +198,20 @@ def _coerce(name: str, text: str):
     return float(text)
 
 
+def _reject_unknown_keys(section_name: str, section, valid) -> None:
+    unknown = sorted(set(section) - set(valid))
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) {', '.join(unknown)} in [{section_name}]; valid keys: {', '.join(sorted(valid))}"
+        )
+
+
 def _build_problem(kind: str, section) -> Problem:
     if kind not in PROBLEMS:
         raise ConfigError(f"unknown problem kind {kind!r}")
     cls = PROBLEMS[kind]
     names = [f.name for f in dataclasses.fields(cls)]
+    _reject_unknown_keys(kind, section, [name.lower() for name in names])
     try:
         # configparser lowercases keys, so AlePiston.L0 is read from l0; the defaults live in problems.py
         kwargs = {name: _coerce(name, section[name.lower()]) for name in names if name.lower() in section}
@@ -214,10 +226,17 @@ def _split_list(text: str) -> list:
     return [item.strip() for item in text.replace(";", ",").split(",") if item.strip()]
 
 
+EXPERIMENT_KEYS = (
+    "problem", "horizon", "intervals", "coarse_steps", "fine_step", "variants", "workers",
+    "reference_fine_factor", "output", "theta0", "max_iters", "tol", "scheduler",
+)
+
+
 def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     if not parser.has_section("experiment"):
         raise ConfigError("config must contain an [experiment] section")
     exp = parser["experiment"]
+    _reject_unknown_keys("experiment", exp, EXPERIMENT_KEYS)
     kind = exp.get("problem", "").strip().lower()
     if not kind:
         raise ConfigError("experiment section must name a problem")
@@ -532,7 +551,10 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             "abs_tol": newton.abs_tol,
             "rel_tol": newton.rel_tol,
             "max_iters": newton.max_iters,
-            "fd_epsilon": newton.fd_epsilon,
+            # the integrator differentiates each problem's rhs analytically; a
+            # linear problem's step reuses one frozen inverse of I - k*theta*J
+            "jacobian": "analytic",
+            "frozen": cfg.problem.linear,
         },
         "config": {
             "problem": cfg.problem.kind,

@@ -4,9 +4,18 @@ The integrator solves, per step of size ``k``,
 
     y_n - y_{n-1} - k * [theta * f(y_n, t_n) + (1 - theta) * f(y_{n-1}, t_{n-1})] = 0
 
-with a damped Newton iteration. ``theta = 1/2`` is the Crank-Nicolson
-scheme (second order), ``theta = 1`` backward Euler (first order), and
-the shifted variant ``theta = 1/2 + theta0 * k`` trades a step-size
+with a damped Newton iteration on the iteration matrix
+``I - k * theta * J``, where ``J`` is the problem's analytic Jacobian.
+For a nonlinear problem that matrix is formed afresh at every Newton
+iterate. For a linear problem ``J`` is constant, so the step uses a
+frozen inverse of the matrix (simplified Newton, exact here): one
+read-only operator per (problem, step size actually taken, theta), kept
+in one bounded module-level cache that every propagator and step
+shares. Newton still evaluates the residual and confirms convergence on
+every step, and every failure is reported as a ``TimeStepError`` naming
+the step's ``(t_n, k)``. ``theta = 1/2`` is the Crank-Nicolson scheme
+(second order), ``theta = 1`` backward Euler (first order), and the
+shifted variant ``theta = 1/2 + theta0 * k`` trades a step-size
 proportional amount of damping for retained second-order accuracy.
 
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
@@ -20,6 +29,7 @@ identical inputs give bit-identical outputs regardless of scheduling.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -42,6 +52,10 @@ class TimeStepError(RuntimeError):
 
 # mismatch below this relative threshold is absorbed into the last step
 _WINDOW_RTOL = 1e-9
+
+# frozen step operators kept at once: a few step sizes per run, plus the
+# shortened last steps of the windows
+_OPERATOR_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -68,10 +82,39 @@ class ThetaSettings:
         return 0.5 + self.theta0 * self.step
 
 
-def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSettings):
-    """One implicit step; returns (new state, Newton iterations used)."""
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.ndarray:
+    """Read-only inverse of the iteration matrix ``I - k*theta*J`` of a linear problem.
+
+    One module-level cache, keyed on the problem, the step size actually
+    taken and theta, serves every propagator and step, so propagators on
+    the same problem and step share one operator instead of each holding
+    a copy.
+    """
+    jac = problem.jacobian(problem.initial_values(), 0.0)
+    try:
+        inverse = np.linalg.inv(np.eye(jac.shape[0]) - (k * theta) * jac)
+    except np.linalg.LinAlgError as exc:
+        raise NumericBreakdown(f"singular iteration matrix at k={k!r}") from exc
+    inverse.setflags(write=False)
+    return inverse
+
+
+def _effective_theta(settings: ThetaSettings) -> float:
+    return min(max(settings.theta, 0.5), 1.0)
+
+
+def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSettings, inverse=None):
+    """One implicit step; returns (new state, Newton iterations used).
+
+    A linear problem's Newton direction is a product with the shared
+    frozen inverse of ``I - k*theta*J`` (``inverse`` when the caller
+    holds it for this step size, else looked up in the cache); a
+    nonlinear problem forms that matrix afresh from its analytic
+    Jacobian at every Newton iterate.
+    """
     k = settings.step
-    theta = min(max(settings.theta, 0.5), 1.0)
+    theta = _effective_theta(settings)
     t0 = state.time
     t1 = t0 + k
     try:
@@ -90,8 +133,16 @@ def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSetting
         except _problems.MeshDegenerate:
             return np.full_like(y, np.inf)
 
+    def iteration_matrix(y):
+        return np.eye(y.size) - k_impl * problem.jacobian(y, t1)
+
     try:
-        solution, iters = newton_solve(residual, state.values, settings.newton)
+        if problem.linear:
+            if inverse is None:
+                inverse = frozen_inverse(problem, k, theta)
+            solution, iters = newton_solve(residual, state.values, settings.newton, jacobian_inverse=inverse)
+        else:
+            solution, iters = newton_solve(residual, state.values, settings.newton, jacobian=iteration_matrix)
     except (NumericBreakdown, MaxItersExceeded) as exc:
         raise TimeStepError(f"implicit step failed at t_n={t1!r}, k={k!r}: {exc}") from exc
     return state.with_values(solution, time=t1), iters
@@ -129,7 +180,10 @@ class ThetaPropagator:
 
     ``advance`` composes as many steps as the window requires; rounding
     slack (below 1e-9 relative) is absorbed into the last step so the
-    final time lands on ``t_end`` exactly. Newton iterations and steps
+    final time lands on ``t_end`` exactly. For a linear problem
+    ``operator`` is the shared frozen inverse of ``I - k*theta*J`` at the
+    nominal step (None for a nonlinear problem); a shortened last step
+    takes the cached operator for its own size. Newton iterations and steps
     are accumulated in ``newton_iterations`` and ``steps_taken`` for cost
     diagnostics; these counters change under a lock, everything else is
     fixed at construction.
@@ -140,6 +194,7 @@ class ThetaPropagator:
         self.settings = settings
         self.step = settings.step
         self.cost_hint = cost_hint
+        self.operator = frozen_inverse(problem, self.step, _effective_theta(settings)) if problem.linear else None
         self.newton_iterations = 0
         self.steps_taken = 0
         self._stats_lock = threading.Lock()
@@ -155,11 +210,14 @@ class ThetaPropagator:
         s = state
         iters = 0
         for _ in range(n - 1):
-            s, it = _theta_step(self.problem, s, self.settings)
+            s, it = _theta_step(self.problem, s, self.settings, self.operator)
             iters += it
         last = t_end - s.time
-        sub = self.settings if last == self.step else replace(self.settings, step=last)
-        s, it = _theta_step(self.problem, s, sub)
+        if last == self.step:
+            s, it = _theta_step(self.problem, s, self.settings, self.operator)
+        else:
+            # the shortened step has its own operator, keyed on its actual size
+            s, it = _theta_step(self.problem, s, replace(self.settings, step=last))
         iters += it
         if s.time != t_end:
             s = s.with_values(s.values, time=t_end)

@@ -1,8 +1,14 @@
 """Dense nonlinear solve.
 
-A damped Newton iteration with finite-difference Jacobians. Everything
-here operates on plain 1-d float64 numpy arrays and is free of shared
-mutable state, so all functions are safe to call concurrently.
+A damped Newton iteration. The caller supplies the linearization as an
+analytic Jacobian callable, evaluated afresh at every iterate, or as a
+fixed inverse, which turns each direction into a matrix-vector product
+(simplified Newton with a frozen Jacobian). Without either, the
+Jacobian is formed by forward differences; the integrator never takes
+that path, and the tests use it as an oracle for the analytic
+Jacobians. Everything here operates on plain 1-d float64 numpy arrays
+and is free of shared mutable state, so all functions are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -77,12 +83,16 @@ def newton_solve(
     settings: Optional[NewtonSettings] = None,
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     history: Optional[list] = None,
+    jacobian_inverse: Optional[np.ndarray] = None,
 ):
     """Solve ``residual(x) = 0`` by damped Newton iteration.
 
-    The Jacobian is formed columnwise by forward differences with
-    increment ``fd_epsilon * (1 + |x_j|)`` unless an analytic ``jacobian``
-    callable is supplied. Each step is halved until the residual norm
+    The direction is ``-jacobian_inverse @ r`` when a fixed inverse is
+    supplied, else the solution of ``J dx = -r`` with ``J`` from the
+    ``jacobian`` callable, or formed columnwise by forward differences
+    with increment ``fd_epsilon * (1 + |x_j|)`` when neither is given.
+    The residual test, the line search and the breakdown checks are the
+    same on every path. Each step is halved until the residual norm
     decreases or the damping factor reaches ``damping_min``, at which
     point the damped step is taken anyway.
 
@@ -97,6 +107,9 @@ def newton_solve(
         Maps x to the dense Jacobian matrix at x.
     history : list, optional
         If given, the residual norm after each accepted step is appended.
+    jacobian_inverse : ndarray, optional
+        A fixed inverse of the Jacobian, used at every iterate; exact for
+        an affine residual, a frozen approximation otherwise.
 
     Returns
     -------
@@ -124,13 +137,16 @@ def newton_solve(
     for it in range(cfg.max_iters):
         if rnorm <= target:
             return x, it
-        jac = np.asarray(jacobian(x), dtype=np.float64) if jacobian is not None else _fd_jacobian(residual, x, r, cfg.fd_epsilon)
-        if not np.all(np.isfinite(jac)):
-            raise NumericBreakdown("Jacobian contains NaN or Inf entries")
-        try:
-            dx = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NumericBreakdown("singular linearization in Newton step") from exc
+        if jacobian_inverse is not None:
+            dx = -(jacobian_inverse @ r)
+        else:
+            jac = np.asarray(jacobian(x), dtype=np.float64) if jacobian is not None else _fd_jacobian(residual, x, r, cfg.fd_epsilon)
+            if not np.all(np.isfinite(jac)):
+                raise NumericBreakdown("Jacobian contains NaN or Inf entries")
+            try:
+                dx = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError as exc:
+                raise NumericBreakdown("singular linearization in Newton step") from exc
         if not np.all(np.isfinite(dx)):
             raise NumericBreakdown("non-finite Newton direction")
 

@@ -87,9 +87,9 @@ class RunTrace:
     Lists are indexed by iteration (starting at 1); inner lists by
     interval boundary 1..L. ``iterate_values`` additionally keeps the raw
     boundary vectors of every iteration, including the coarse
-    initialization at index 0. ``iteration_seconds`` are cumulative wall
-    times from the start of the run to the completion of each iteration's
-    corrector sweep.
+    initialization at index 0; they are the states' own arrays, not
+    copies. ``iteration_seconds`` are cumulative wall times from the start
+    of the run to the completion of each iteration's corrector sweep.
     """
 
     intervals: int
@@ -448,9 +448,9 @@ def run_parareal(
     trace.converged = stop_at is not None
     trace.theta_values = [list(theta_rows[i]) for i in range(1, iters_run + 1)]
     trace.correction_norms = [list(corr_rows[i]) for i in range(1, iters_run + 1)]
-    trace.iterate_values = [
-        [X[i][l].values.copy() for l in range(L + 1)] for i in range(iters_run + 1)
-    ]
+    # states are never written, so the trace shares their arrays; the last
+    # row is the returned states' own values
+    trace.iterate_values = [[X[i][l].values for l in range(L + 1)] for i in range(iters_run + 1)]
     trace.init_seconds = timing["init"]
     trace.iteration_seconds = [timing["iterations"][i] for i in range(1, iters_run + 1)]
     trace.total_seconds = time.perf_counter() - t_start

@@ -1,9 +1,12 @@
 """Model problems: semi-discrete right-hand sides, initial data, references.
 
 Each problem is one frozen dataclass that owns its parameters and its
-behaviour: ``layout()``, ``initial_values()`` and ``rhs(values, t)``, the
-interface a single implicit integrator drives. ``PROBLEMS`` maps each
-class's ``kind`` to the class:
+behaviour: ``layout()``, ``initial_values()``, ``rhs(values, t)`` and the
+analytic ``jacobian(values, t)`` of that rhs as a dense matrix, the
+interface a single implicit integrator drives. The class flag ``linear``
+says the rhs is affine in the unknowns, so its Jacobian depends on
+neither the values nor the time. ``PROBLEMS`` maps each class's ``kind``
+to the class:
 
 * ``dahlquist``    scalar linear test equation y' = lambda * y
 * ``heat1d``       diffusion on a fixed interval, Dirichlet boundaries,
@@ -78,11 +81,22 @@ class GaussianBump:
 # problems
 
 
+def _tridiagonal(n: int, lower, diag, upper) -> np.ndarray:
+    """Dense n x n matrix with the given sub-, main and super-diagonal."""
+    out = np.zeros((n, n))
+    idx = np.arange(n)
+    out[idx, idx] = diag
+    out[idx[1:], idx[:-1]] = lower
+    out[idx[:-1], idx[1:]] = upper
+    return out
+
+
 @dataclass(frozen=True)
 class Dahlquist:
     """Scalar linear test equation y' = lam * y."""
 
     kind: ClassVar[str] = "dahlquist"
+    linear: ClassVar[bool] = True
     lam: float = -1.0
     y0: float = 1.0
 
@@ -94,6 +108,9 @@ class Dahlquist:
 
     def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
         return self.lam * values
+
+    def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
+        return np.array([[self.lam]])
 
 
 @dataclass(frozen=True)
@@ -119,6 +136,7 @@ class Heat1D(_Mesh1D):
     """Diffusion on (0, length) with Dirichlet boundary values."""
 
     kind: ClassVar[str] = "heat1d"
+    linear: ClassVar[bool] = True
     nu: float = 2e-2
     length: float = 1.0
     left_bc: float = 0.0
@@ -148,12 +166,18 @@ class Heat1D(_Mesh1D):
         padded[-1] = self.right_bc
         return (self.nu / h**2) * (padded[2:] - 2.0 * padded[1:-1] + padded[:-2])
 
+    def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
+        # the boundary values only shift the rhs
+        c = self.nu / self.h**2
+        return _tridiagonal(self.mesh_n, c, -2.0 * c, c)
+
 
 @dataclass(frozen=True)
 class Advection1D(_Mesh1D):
     """Transport at constant speed on (0, length), zero values at both ends unless periodic."""
 
     kind: ClassVar[str] = "advection1d"
+    linear: ClassVar[bool] = True
     mesh_n: int = 64
     speed: float = 1.0
     length: float = 1.0
@@ -194,6 +218,16 @@ class Advection1D(_Mesh1D):
             dv = padded[2:] - padded[:-2]
         return -self.speed * dv / (2.0 * h)
 
+    def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
+        n = self.mesh_n
+        c = self.speed / (2.0 * self.h)
+        jac = _tridiagonal(n, c, 0.0, -c)
+        if self.periodic:
+            # the stencil wraps around: v_{-1} = v_{n-1} and v_n = v_0
+            jac[0, n - 1] = c
+            jac[n - 1, 0] = -c
+        return jac
+
 
 @dataclass(frozen=True)
 class AlePiston(_Mesh1D):
@@ -204,6 +238,7 @@ class AlePiston(_Mesh1D):
     """
 
     kind: ClassVar[str] = "ale_piston"
+    linear: ClassVar[bool] = False
     rho_f: float = 1e3     # fluid density, kg/m^3
     nu: float = 2e-2       # kinematic viscosity, m^2/s
     L0: float = 1.0        # rest length of the fluid interval, m
@@ -234,7 +269,8 @@ class AlePiston(_Mesh1D):
         # starts from rest, driven only by the inflow forcing
         return np.zeros(self.mesh_n + 2)
 
-    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
+    def _fluid(self, values: np.ndarray, t: float):
+        """Terms rhs and jacobian share: v, u, w, length, first and second differences, drift."""
         n = self.mesh_n
         h = self.h
         v = values[:n]
@@ -244,20 +280,26 @@ class AlePiston(_Mesh1D):
             raise MeshDegenerate(f"interface displacement {u:.3e} collapses the mesh (L0={self.L0})")
         length = self.L0 + u
 
-        v_left = self.v_in * forcing_s(t, self.period)
-        v_right = w
+        # the right boundary value is the piston velocity w (velocity continuity)
         padded = np.empty(n + 2)
-        padded[0] = v_left
+        padded[0] = self.v_in * forcing_s(t, self.period)
         padded[1:-1] = v
-        padded[-1] = v_right
+        padded[-1] = w
 
         xhat = self.grid()
         first = (padded[2:] - padded[:-2]) / (2.0 * h)
         second = (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / h**2
-        dvdt = -((self.adv - xhat * w) / length) * first + (self.nu / length**2) * second
+        drift = (self.adv - xhat * w) / length
+        return v, u, w, length, first, second, drift
+
+    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
+        n = self.mesh_n
+        h = self.h
+        v, u, w, length, first, second, drift = self._fluid(values, t)
+        dvdt = -drift * first + (self.nu / length**2) * second
 
         # second-order one-sided derivative at the moving end (xhat = 1)
-        dv_end = (3.0 * v_right - 4.0 * v[-1] + v[-2]) / (2.0 * h)
+        dv_end = (3.0 * w - 4.0 * v[-1] + v[-2]) / (2.0 * h)
         traction = self.rho_f * self.nu * dv_end / length
 
         out = np.empty(n + 2)
@@ -269,6 +311,30 @@ class AlePiston(_Mesh1D):
         # energy exchange anti-symmetric and the rest dynamics dissipative
         out[n + 1] = -(traction + self.kappa * u) / self.m_s
         return out
+
+    def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
+        """Tridiagonal fluid block bordered by the ``u`` and ``w`` columns and the traction row."""
+        n = self.mesh_n
+        h = self.h
+        v, u, w, length, first, second, drift = self._fluid(values, t)
+        diffusion = self.nu / length**2
+        jac = np.zeros((n + 2, n + 2))
+        jac[:n, :n] = _tridiagonal(n, drift[1:] / (2.0 * h) + diffusion / h**2,
+                                   -2.0 * diffusion / h**2, -drift[:-1] / (2.0 * h) + diffusion / h**2)
+        # u stretches the interval: drift ~ 1/length, diffusion ~ 1/length^2
+        jac[:n, n] = (drift / length) * first - (2.0 * diffusion / length) * second
+        # w moves the grid (the xhat * w transport) and is the right boundary value
+        jac[:n, n + 1] = (self.grid() / length) * first
+        jac[n - 1, n + 1] += -drift[-1] / (2.0 * h) + diffusion / h**2
+        jac[n, n + 1] = 1.0
+        # the one-sided traction row: -(rho_f nu dv_end / length + kappa u) / m_s
+        scale = self.rho_f * self.nu / (length * self.m_s)
+        dv_end = (3.0 * w - 4.0 * v[-1] + v[-2]) / (2.0 * h)
+        jac[n + 1, n - 2] = -scale / (2.0 * h)
+        jac[n + 1, n - 1] = scale * 2.0 / h
+        jac[n + 1, n] = scale * dv_end / length - self.kappa / self.m_s
+        jac[n + 1, n + 1] = -scale * 3.0 / (2.0 * h)
+        return jac
 
 
 Problem = Union[Dahlquist, Heat1D, Advection1D, AlePiston]

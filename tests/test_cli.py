@@ -293,6 +293,30 @@ class TestMainEntryPoint:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_keys_exit_two_without_output(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        body = """
+[experiment]
+problem = heat1d
+horizon = 2.0
+intervals = 4
+coarse_steps = 0.1
+fine_step = 0.01
+output = {out}
+
+[heat1d]
+mesh_n = 15
+""".format(out=out)
+        path = write_config(tmp_path / "h.ini", body)
+        for override, unknown, valid in (("--heat1d.nuu=5", "nuu", "nu"), ("--horizn=1.0", "horizn", "horizon")):
+            assert main(["run", path, override]) == EXIT_CONFIG, override
+            assert not out.exists()
+            captured = capsys.readouterr()
+            message, _, listed = captured.err.partition("valid keys: ")
+            assert "config error" in message and unknown in message
+            assert valid in listed.split(", ")
+            assert captured.out == ""
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["run", "/no/such/config.ini"]) == EXIT_CONFIG
 

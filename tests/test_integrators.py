@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from pintbench import linalg
 from pintbench.integrators import (
     NonDivisibleWindow,
     SleepPropagator,
     ThetaSettings,
     TimeStepError,
     convergence_order,
+    frozen_inverse,
     make_propagator,
     theta_step,
 )
@@ -16,6 +18,7 @@ from pintbench.linalg import NewtonSettings
 from pintbench.problems import (
     SineMode,
     Zero,
+    advection1d,
     ale_piston,
     dahlquist,
     heat1d,
@@ -145,6 +148,98 @@ class TestPropagator:
         prop.advance(initial_state(problem), 0.5)
         assert prop.steps_taken == 10
         assert prop.newton_iterations >= prop.steps_taken
+
+
+class TestStepOperator:
+    def test_shortened_last_step_uses_its_own_operator(self):
+        # 80 steps of 0.005 with the window end moved 1e-12 early: the last
+        # step is shortened, and a frozen operator keyed on the nominal step
+        # would give different bits than one built for the actual size
+        problem = heat1d(mesh_n=15, nu=0.1)
+        settings = ThetaSettings(step=0.005, theta0=0.5)
+        t_end = 0.4 - 1e-12
+        out = make_propagator(problem, settings).advance(initial_state(problem), t_end)
+
+        s = initial_state(problem)
+        for _ in range(79):
+            frozen_inverse.cache_clear()
+            s = theta_step(problem, s, settings)
+        last = t_end - s.time
+        assert last != settings.step
+        frozen_inverse.cache_clear()
+        s = theta_step(problem, s, ThetaSettings(step=last, theta0=0.5))
+        assert out.time == t_end
+        assert out.values.tobytes() == s.values.tobytes()
+
+    def test_propagators_share_one_read_only_operator(self):
+        settings = ThetaSettings(step=0.01, theta0=0.5)
+        a = make_propagator(heat1d(mesh_n=15), settings)
+        b = make_propagator(heat1d(mesh_n=15), ThetaSettings(step=0.01, theta0=0.5))
+        assert a.operator is b.operator
+        assert not a.operator.flags.writeable
+        with pytest.raises(ValueError):
+            a.operator[0, 0] = 0.0
+        assert make_propagator(ale_piston(mesh_n=7), settings).operator is None
+
+    def test_shared_cache_under_thread_contention(self):
+        # more distinct shortened last steps than the cache holds, advanced
+        # from 8 threads in different orders with frequent thread switches:
+        # every result must equal the serial one bit for bit
+        import sys
+        import threading
+
+        problem = heat1d(mesh_n=7, nu=0.1)
+        prop = make_propagator(problem, ThetaSettings(step=0.01))
+        s0 = initial_state(problem)
+        ends = [0.1 - j * 1e-12 for j in range(80)]
+        expected = [prop.advance(s0, t).values.tobytes() for t in ends]
+        results, errors = {}, []
+
+        def work(w):
+            try:
+                for j in range(80):
+                    j = (j * 7 + w * 11) % 80
+                    results[w, j] = prop.advance(s0, ends[j]).values.tobytes()
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(results[w, j] == expected[j] for w in range(8) for j in range(80))
+
+    def test_nan_state_raises_located_step_error(self):
+        problem = heat1d(mesh_n=15)
+        s0 = initial_state(problem)
+        values = s0.values.copy()
+        values[3] = np.nan
+        with pytest.raises(TimeStepError, match=r"t_n=0\.01, k=0\.01"):
+            theta_step(problem, s0.with_values(values), ThetaSettings(step=0.01))
+        with pytest.raises(TimeStepError, match=r"t_n=0\.01, k=0\.01"):
+            make_propagator(problem, ThetaSettings(step=0.01)).advance(s0.with_values(values), 0.1)
+
+    @pytest.mark.parametrize("problem", [
+        dahlquist(), heat1d(mesh_n=15, left_bc=1.0), advection1d(mesh_n=16),
+        advection1d(mesh_n=15, periodic=False), ale_piston(mesh_n=15),
+    ], ids=lambda p: f"{p.kind}-periodic" if getattr(p, "periodic", False) else p.kind)
+    def test_steps_never_difference_numerically(self, problem, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("finite-difference Jacobian on the integrator path")
+
+        monkeypatch.setattr(linalg, "_fd_jacobian", forbidden)
+        prop = make_propagator(problem, ThetaSettings(step=0.02))
+        out = prop.advance(initial_state(problem), 0.2)
+        assert np.all(np.isfinite(out.values))
+        assert prop.newton_iterations >= prop.steps_taken == 10
 
 
 class TestSleepPropagator:

@@ -358,3 +358,10 @@ class TestRunParareal:
         assert trace.iteration_seconds == sorted(trace.iteration_seconds)
         assert trace.total_seconds >= trace.iteration_seconds[-1]
         assert len(trace.iterate_values) == 4  # init + 3 iterations
+
+    def test_trace_shares_the_returned_arrays(self):
+        # the trace keeps no second copy of the states the run returns
+        problem, C, F, s0, grid, T = _dahlquist_setup()
+        states, trace = run_parareal(C, F, s0, T, PararealConfig(intervals=4, max_iters=3, tol=1e-30))
+        assert all(v is s.values for v, s in zip(trace.iterate_values[-1], states))
+        assert all(row[0] is s0.values for row in trace.iterate_values)

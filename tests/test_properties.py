@@ -1,19 +1,30 @@
-"""Properties of the task executor over random run shapes.
+"""Properties of the task executor and of the problems' Jacobians.
 
-Each example runs the same Parareal problem at one worker and at ``k``
-workers, then injects a failure into the fine or the coarse propagator
-and runs both worker counts again.
+Each executor example runs the same Parareal problem at one worker and
+at ``k`` workers, then injects a failure into the fine or the coarse
+propagator and runs both worker counts again. Each Jacobian example
+checks a problem's analytic ``jacobian`` against forward differences of
+its ``rhs`` at a random admissible state and time.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
+import numpy as np  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pintbench.integrators import ThetaSettings, make_propagator  # noqa: E402
+from pintbench.linalg import NewtonSettings, _fd_jacobian  # noqa: E402
 from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal  # noqa: E402
-from pintbench.problems import dahlquist, initial_state  # noqa: E402
+from pintbench.problems import (  # noqa: E402
+    AlePiston,
+    advection1d,
+    ale_piston,
+    dahlquist,
+    heat1d,
+    initial_state,
+)
 
 WINDOW = 0.25
 PROBLEM = dahlquist(lam=-1.0)
@@ -87,3 +98,51 @@ def test_worker_count_changes_nothing_and_failures_stay_located(data):
         messages.append(str(info.value))
     assert messages[0].startswith(f"{kind} failed at iteration {first[0]}, interval {l}:")
     assert messages[1] == messages[0]
+
+
+KINDS = ["dahlquist", "heat1d", "advection1d-periodic", "advection1d", "ale_piston"]
+
+
+def _draw_problem(data, kind):
+    floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
+    if kind == "dahlquist":
+        return dahlquist(lam=data.draw(floats(-50.0, 50.0), label="lam"))
+    mesh_n = data.draw(st.integers(3, 24), label="mesh_n")
+    if kind == "heat1d":
+        return heat1d(mesh_n, nu=data.draw(floats(1e-3, 1.0), label="nu"),
+                      length=data.draw(floats(0.5, 2.0), label="length"),
+                      left_bc=data.draw(floats(0.1, 2.0), label="left_bc"),
+                      right_bc=data.draw(floats(-2.0, -0.1), label="right_bc"))
+    if kind.startswith("advection1d"):
+        speed = data.draw(floats(0.1, 2.0), label="speed") * data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        return advection1d(mesh_n, speed=speed, periodic=kind.endswith("periodic"))
+    return ale_piston(mesh_n, nu=data.draw(floats(1e-3, 0.1), label="nu"),
+                      adv=data.draw(floats(-1.0, 1.0), label="adv"),
+                      m_s=data.draw(floats(1.0, 100.0), label="m_s"),
+                      v_in=data.draw(floats(0.0, 1.0), label="v_in"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_analytic_jacobian_matches_finite_differences(kind, data):
+    problem = _draw_problem(data, kind)
+    size = problem.initial_values().size
+    values = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size), label="values"))
+    if isinstance(problem, AlePiston):
+        # non-zero displacement inside the mesh guard, non-zero piston velocity
+        values[-2] = 0.9 * problem.L0 * data.draw(st.floats(0.05, 0.98), label="u") \
+            * data.draw(st.sampled_from([-1.0, 1.0]), label="u sign")
+        values[-1] = data.draw(st.floats(0.05, 1.0), label="w") * data.draw(st.sampled_from([-1.0, 1.0]), label="w sign")
+    t = data.draw(st.floats(0.1, 5.0), label="t")
+
+    def rhs(y):
+        return problem.rhs(y, t)
+
+    jac = problem.jacobian(values, t)
+    oracle = _fd_jacobian(rhs, values, rhs(values), NewtonSettings().fd_epsilon)
+    assert jac.shape == (size, size)
+    # forward differences are accurate to about 1e-9 of the largest entry on
+    # the linear problems; on the piston their truncation error grows with
+    # the stretch (curvature ~ 1/length^3) to 2.5e-6 at |u| = 0.88 L0
+    assert np.max(np.abs(jac - oracle)) <= 5e-6 * np.max(np.abs(jac))
