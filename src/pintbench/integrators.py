@@ -18,6 +18,18 @@ the step's ``(t_n, k)``. ``theta = 1/2`` is the Crank-Nicolson scheme
 shifted variant ``theta = 1/2 + theta0 * k`` trades a step-size
 proportional amount of damping for retained second-order accuracy.
 
+Newton returns the last iterate it evaluated the residual at, so a step
+ends holding ``f(y_n, t_n)``, and that vector is the next step's
+``f(y_{n-1}, t_{n-1})``: a window evaluates the rhs once at its start and
+then only inside Newton. For an autonomous problem (``problem.autonomous``)
+the residual at the start values reuses that vector too, since
+``f(y_{n-1}, t_n)`` is the same. Both reuse the result of the same call
+on the same arguments, so the output is bit-identical to evaluating
+afresh. ``advance`` steps raw arrays and builds one ``State`` per window.
+A step whose start values already solve it returns that array itself,
+so a result may share its values with its input; states are never
+written, so this is safe.
+
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
 propagator and an expensive fine one over the same windows. Propagators
@@ -104,32 +116,36 @@ def _effective_theta(settings: ThetaSettings) -> float:
     return min(max(settings.theta, 0.5), 1.0)
 
 
-def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSettings, inverse=None):
-    """One implicit step; returns (new state, Newton iterations used).
+def _step_values(problem: _problems.Problem, y0: np.ndarray, f0, t0: float, k: float, theta: float,
+                 newton: NewtonSettings, inverse=None):
+    """One implicit step on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).
 
-    A linear problem's Newton direction is a product with the shared
-    frozen inverse of ``I - k*theta*J`` (``inverse`` when the caller
-    holds it for this step size, else looked up in the cache); a
-    nonlinear problem forms that matrix afresh from its analytic
-    Jacobian at every Newton iterate.
+    ``f0`` is ``f(y0, t0)`` when the caller holds it (the previous step's
+    returned rhs), else None and evaluated here. A linear problem's
+    Newton direction is a product with the shared frozen inverse of
+    ``I - k*theta*J`` (``inverse`` when the caller holds it for this step
+    size, else looked up in the cache); a nonlinear problem forms that
+    matrix afresh from its analytic Jacobian at every Newton iterate.
     """
-    k = settings.step
-    theta = _effective_theta(settings)
-    t0 = state.time
     t1 = t0 + k
-    try:
-        f0 = _problems.rhs_values(problem, state.values, t0)
-    except _problems.MeshDegenerate as exc:
-        raise TimeStepError(f"implicit step failed at t_n={t1!r}, k={k!r}: {exc}") from exc
-    base = state.values + (k * (1.0 - theta)) * f0
     k_impl = k * theta
+    y_last = f_last = None
+
+    def rhs1(y):
+        # the rhs at t1, kept for the last argument: Newton returns the
+        # last iterate it evaluated, so the solution's rhs is at hand
+        nonlocal y_last, f_last
+        if y is not y_last:
+            f_last = _problems.rhs_values(problem, y, t1)
+            y_last = y
+        return f_last
 
     def residual(y):
         # a trial iterate may leave the admissible region (e.g. collapse
         # the moving mesh); report it as a non-finite residual so the
         # Newton line search backs off instead of aborting
         try:
-            return y - base - k_impl * _problems.rhs_values(problem, y, t1)
+            return y - base - k_impl * rhs1(y)
         except _problems.MeshDegenerate:
             return np.full_like(y, np.inf)
 
@@ -137,15 +153,28 @@ def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSetting
         return np.eye(y.size) - k_impl * problem.jacobian(y, t1)
 
     try:
+        if f0 is None:
+            f0 = _problems.rhs_values(problem, y0, t0)
+        base = y0 + (k * (1.0 - theta)) * f0
+        if problem.autonomous:
+            # f(y0, t1) is f(y0, t0) when the rhs does not depend on time
+            y_last, f_last = y0, f0
         if problem.linear:
             if inverse is None:
                 inverse = frozen_inverse(problem, k, theta)
-            solution, iters = newton_solve(residual, state.values, settings.newton, jacobian_inverse=inverse)
+            y1, iters = newton_solve(residual, y0, newton, jacobian_inverse=inverse)
         else:
-            solution, iters = newton_solve(residual, state.values, settings.newton, jacobian=iteration_matrix)
-    except (NumericBreakdown, MaxItersExceeded) as exc:
+            y1, iters = newton_solve(residual, y0, newton, jacobian=iteration_matrix)
+        return y1, rhs1(y1), iters
+    except (_problems.MeshDegenerate, NumericBreakdown, MaxItersExceeded) as exc:
         raise TimeStepError(f"implicit step failed at t_n={t1!r}, k={k!r}: {exc}") from exc
-    return state.with_values(solution, time=t1), iters
+
+
+def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSettings, inverse=None):
+    """One implicit step of a state; returns (new state, Newton iterations used)."""
+    values, _, iters = _step_values(problem, state.values, None, state.time, settings.step,
+                                    _effective_theta(settings), settings.newton, inverse)
+    return state.with_values(values, time=state.time + settings.step), iters
 
 
 def theta_step(problem: _problems.Problem, s: State, settings: ThetaSettings) -> State:
@@ -180,13 +209,16 @@ class ThetaPropagator:
 
     ``advance`` composes as many steps as the window requires; rounding
     slack (below 1e-9 relative) is absorbed into the last step so the
-    final time lands on ``t_end`` exactly. For a linear problem
-    ``operator`` is the shared frozen inverse of ``I - k*theta*J`` at the
-    nominal step (None for a nonlinear problem); a shortened last step
-    takes the cached operator for its own size. Newton iterations and steps
-    are accumulated in ``newton_iterations`` and ``steps_taken`` for cost
-    diagnostics; these counters change under a lock, everything else is
-    fixed at construction.
+    final time lands on ``t_end`` exactly. ``theta`` is the effective
+    implicitness at the nominal step. For a linear problem ``operator``
+    is the shared frozen inverse of ``I - k*theta*J`` at the nominal step
+    (None for a nonlinear problem); a shortened last step takes its own
+    theta and the cached operator for its own size. The steps of a window
+    run on raw arrays and carry the rhs from one step to the next, so the
+    window's first rhs is its only one outside Newton. Newton iterations
+    and steps are accumulated in ``newton_iterations`` and
+    ``steps_taken`` for cost diagnostics; these counters change under a
+    lock, everything else is fixed at construction.
     """
 
     def __init__(self, problem: _problems.Problem, settings: ThetaSettings, cost_hint: float = 0.0):
@@ -194,7 +226,8 @@ class ThetaPropagator:
         self.settings = settings
         self.step = settings.step
         self.cost_hint = cost_hint
-        self.operator = frozen_inverse(problem, self.step, _effective_theta(settings)) if problem.linear else None
+        self.theta = _effective_theta(settings)
+        self.operator = frozen_inverse(problem, self.step, self.theta) if problem.linear else None
         self.newton_iterations = 0
         self.steps_taken = 0
         self._stats_lock = threading.Lock()
@@ -207,24 +240,25 @@ class ThetaPropagator:
             raise ValueError(f"cannot advance backwards from {state.time} to {t_end}")
         n = _split_window(window, self.step)
 
-        s = state
+        problem, k, newton = self.problem, self.step, self.settings.newton
+        y, f, t = state.values, None, state.time
         iters = 0
         for _ in range(n - 1):
-            s, it = _theta_step(self.problem, s, self.settings, self.operator)
+            y, f, it = _step_values(problem, y, f, t, k, self.theta, newton, self.operator)
+            t += k
             iters += it
-        last = t_end - s.time
-        if last == self.step:
-            s, it = _theta_step(self.problem, s, self.settings, self.operator)
+        last = t_end - t
+        if last == k:
+            y, _, it = _step_values(problem, y, f, t, k, self.theta, newton, self.operator)
         else:
-            # the shortened step has its own operator, keyed on its actual size
-            s, it = _theta_step(self.problem, s, replace(self.settings, step=last))
+            # the shortened step has its own theta and operator, keyed on its actual size
+            theta = _effective_theta(replace(self.settings, step=last))
+            y, _, it = _step_values(problem, y, f, t, last, theta, newton)
         iters += it
-        if s.time != t_end:
-            s = s.with_values(s.values, time=t_end)
         with self._stats_lock:
             self.newton_iterations += iters
             self.steps_taken += n
-        return s
+        return state.with_values(y, time=t_end)
 
 
 def make_propagator(

@@ -9,10 +9,18 @@ that path, and the tests use it as an oracle for the analytic
 Jacobians. Everything here operates on plain 1-d float64 numpy arrays
 and is free of shared mutable state, so all functions are safe to call
 concurrently.
+
+Finiteness comes from the dot products behind the norms: ``v @ v`` is a
+sum of squares, so it is finite exactly when every entry is finite and
+the norm does not overflow, and ``math.sqrt(v @ v)`` equals
+``np.linalg.norm(v)`` bit for bit. The entrywise scan runs only when that
+sum is not finite, to tell an overflowing norm of a finite vector from a
+NaN or Inf entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,7 +42,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not math.isfinite(arr @ arr) and not np.all(np.isfinite(arr)):
         raise NumericBreakdown(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -101,7 +109,9 @@ def newton_solve(
     residual : callable
         Maps a 1-d array to the residual array of the same length.
     x0 : array_like
-        Starting guess; the residual must be finite here.
+        Starting guess; the residual must be finite here. It is never
+        written, and it is not copied: a float64 vector whose residual
+        already meets the tolerance is returned as the object itself.
     settings : NewtonSettings, optional
     jacobian : callable, optional
         Maps x to the dense Jacobian matrix at x.
@@ -115,7 +125,9 @@ def newton_solve(
     -------
     (x, iterations)
         Solution with ``||residual(x)||_2 <= abs_tol + rel_tol * ||residual(x0)||_2``
-        and the number of accepted Newton steps.
+        and the number of accepted Newton steps. ``x`` is the last
+        argument ``residual`` was called with, so a caller can keep what
+        it computed there (the integrator keeps the rhs).
 
     Raises
     ------
@@ -125,14 +137,16 @@ def newton_solve(
         NaN/Inf encountered or the linearization is singular.
     """
     cfg = settings if settings is not None else NewtonSettings()
-    x = as_vector(x0, "x0").copy()
+    x = as_vector(x0, "x0")
     r = np.asarray(residual(x), dtype=np.float64)
-    if not np.all(np.isfinite(r)):
+    rr = r @ r
+    if not math.isfinite(rr) and not np.all(np.isfinite(r)):
         raise NumericBreakdown("residual not finite at starting point")
     if r.size != x.size:
         raise ValueError(f"residual length {r.size} does not match unknowns {x.size}")
-    rnorm = float(np.linalg.norm(r))
-    target = cfg.abs_tol + cfg.rel_tol * rnorm
+    rnorm = math.sqrt(rr)
+    # without a relative part the target stays abs_tol when the start norm overflows (0 * inf is NaN)
+    target = cfg.abs_tol + (cfg.rel_tol * rnorm if cfg.rel_tol else 0.0)
 
     for it in range(cfg.max_iters):
         if rnorm <= target:
@@ -147,18 +161,20 @@ def newton_solve(
                 dx = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError as exc:
                 raise NumericBreakdown("singular linearization in Newton step") from exc
-        if not np.all(np.isfinite(dx)):
+        if not math.isfinite(dx @ dx) and not np.all(np.isfinite(dx)):
             raise NumericBreakdown("non-finite Newton direction")
 
         lam = 1.0
         while True:
             x_trial = x + lam * dx
             r_trial = np.asarray(residual(x_trial), dtype=np.float64)
-            trial_norm = float(np.linalg.norm(r_trial)) if np.all(np.isfinite(r_trial)) else np.inf
+            rr = r_trial @ r_trial
+            # a non-finite entry and an overflowing norm both read as infinite
+            trial_norm = math.sqrt(rr) if math.isfinite(rr) else math.inf
             if trial_norm < rnorm or lam <= cfg.damping_min:
                 break
             lam = max(lam / 2.0, cfg.damping_min)
-        if not np.isfinite(trial_norm):
+        if trial_norm == math.inf:
             raise NumericBreakdown(f"residual not finite after damping to {lam}")
         x, r, rnorm = x_trial, r_trial, trial_norm
         if history is not None:

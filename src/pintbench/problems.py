@@ -5,8 +5,12 @@ behaviour: ``layout()``, ``initial_values()``, ``rhs(values, t)`` and the
 analytic ``jacobian(values, t)`` of that rhs as a dense matrix, the
 interface a single implicit integrator drives. The class flag ``linear``
 says the rhs is affine in the unknowns, so its Jacobian depends on
-neither the values nor the time. ``PROBLEMS`` maps each class's ``kind``
-to the class:
+neither the values nor the time; the flag ``autonomous`` says the rhs
+does not depend on the time, so ``rhs(values, t)`` gives the same bits
+at every ``t`` and the integrator reuses the rhs at a step's start
+values for its end time. Every float parameter must be finite; NaN or
+infinity is rejected with ``ValueError`` at construction. ``PROBLEMS``
+maps each class's ``kind`` to the class:
 
 * ``dahlquist``    scalar linear test equation y' = lambda * y
 * ``heat1d``       diffusion on a fixed interval, Dirichlet boundaries,
@@ -29,7 +33,7 @@ the periodic transport grid, all nodes), ``h`` is the grid spacing and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
 import numpy as np
@@ -39,6 +43,14 @@ from .state import Layout, State, validate_layout
 
 class MeshDegenerate(RuntimeError):
     """Interface displacement large enough to collapse the fluid interval."""
+
+
+def _require_finite(obj) -> None:
+    """Reject a NaN or infinite float field of a dataclass instance."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -70,6 +82,7 @@ class GaussianBump:
     width: float = 0.1
 
     def __post_init__(self):
+        _require_finite(self)
         if self.width <= 0.0:
             raise ValueError("bump width must be positive")
 
@@ -97,8 +110,12 @@ class Dahlquist:
 
     kind: ClassVar[str] = "dahlquist"
     linear: ClassVar[bool] = True
+    autonomous: ClassVar[bool] = True
     lam: float = -1.0
     y0: float = 1.0
+
+    def __post_init__(self):
+        _require_finite(self)
 
     def layout(self) -> Layout:
         return {"y": (0, 1)}
@@ -120,6 +137,7 @@ class _Mesh1D:
     mesh_n: int = 63
 
     def __post_init__(self):
+        _require_finite(self)
         if self.mesh_n < 3:
             raise ValueError("PDE problems need mesh_n >= 3")
 
@@ -137,6 +155,7 @@ class Heat1D(_Mesh1D):
 
     kind: ClassVar[str] = "heat1d"
     linear: ClassVar[bool] = True
+    autonomous: ClassVar[bool] = True
     nu: float = 2e-2
     length: float = 1.0
     left_bc: float = 0.0
@@ -178,6 +197,7 @@ class Advection1D(_Mesh1D):
 
     kind: ClassVar[str] = "advection1d"
     linear: ClassVar[bool] = True
+    autonomous: ClassVar[bool] = True
     mesh_n: int = 64
     speed: float = 1.0
     length: float = 1.0
@@ -239,6 +259,7 @@ class AlePiston(_Mesh1D):
 
     kind: ClassVar[str] = "ale_piston"
     linear: ClassVar[bool] = False
+    autonomous: ClassVar[bool] = False
     rho_f: float = 1e3     # fluid density, kg/m^3
     nu: float = 2e-2       # kinematic viscosity, m^2/s
     L0: float = 1.0        # rest length of the fluid interval, m
@@ -367,7 +388,9 @@ def rhs_values(problem: Problem, values: np.ndarray, t: float) -> np.ndarray:
     """Time derivative of every unknown, on raw value vectors.
 
     Hot-path variant of :func:`rhs` that skips State wrapping; the
-    integrator calls this once per Newton residual evaluation.
+    integrator calls this once per window start and once per Newton
+    residual evaluation at a new iterate (for an autonomous problem not
+    at a step's start values, whose rhs it already holds).
     """
     return problem.rhs(values, t)
 

@@ -278,7 +278,7 @@ class TestMainEntryPoint:
         out = tmp_path / "res.csv"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
         bad = ["--coarse_steps=0.3", "--fine_step=nan", "--horizon=inf", "--tol=nan",
-               "--theta0=20", "--theta0=-1"]
+               "--theta0=20", "--theta0=-1", "--dahlquist.lam=nan", "--dahlquist.y0=inf"]
         for override in bad:
             assert main(["run", path, override]) == EXIT_CONFIG, override
             assert not out.exists()

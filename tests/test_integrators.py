@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pintbench import linalg
+from pintbench import integrators, linalg, problems
 from pintbench.integrators import (
     NonDivisibleWindow,
     SleepPropagator,
@@ -27,6 +27,12 @@ from pintbench.problems import (
 from pintbench.state import State
 
 TIGHT = NewtonSettings(abs_tol=1e-13)
+
+# one case per problem class, with non-zero heat boundary values and both advection grids
+STEP_CASES = pytest.mark.parametrize("problem", [
+    dahlquist(), heat1d(mesh_n=15, left_bc=1.0), advection1d(mesh_n=16),
+    advection1d(mesh_n=15, periodic=False), ale_piston(mesh_n=15),
+], ids=lambda p: f"{p.kind}-periodic" if getattr(p, "periodic", False) else p.kind)
 
 
 def scalar_theta_factor(lam: float, k: float, theta: float) -> float:
@@ -151,11 +157,13 @@ class TestPropagator:
 
 
 class TestStepOperator:
-    def test_shortened_last_step_uses_its_own_operator(self):
+    @STEP_CASES
+    def test_shortened_last_step_uses_its_own_operator(self, problem):
         # 80 steps of 0.005 with the window end moved 1e-12 early: the last
         # step is shortened, and a frozen operator keyed on the nominal step
-        # would give different bits than one built for the actual size
-        problem = heat1d(mesh_n=15, nu=0.1)
+        # would give different bits than one built for the actual size; the
+        # window carries the rhs across steps, the chain of single steps
+        # evaluates it afresh, and both must give the same bits
         settings = ThetaSettings(step=0.005, theta0=0.5)
         t_end = 0.4 - 1e-12
         out = make_propagator(problem, settings).advance(initial_state(problem), t_end)
@@ -227,10 +235,7 @@ class TestStepOperator:
         with pytest.raises(TimeStepError, match=r"t_n=0\.01, k=0\.01"):
             make_propagator(problem, ThetaSettings(step=0.01)).advance(s0.with_values(values), 0.1)
 
-    @pytest.mark.parametrize("problem", [
-        dahlquist(), heat1d(mesh_n=15, left_bc=1.0), advection1d(mesh_n=16),
-        advection1d(mesh_n=15, periodic=False), ale_piston(mesh_n=15),
-    ], ids=lambda p: f"{p.kind}-periodic" if getattr(p, "periodic", False) else p.kind)
+    @STEP_CASES
     def test_steps_never_difference_numerically(self, problem, monkeypatch):
         def forbidden(*args):
             raise AssertionError("finite-difference Jacobian on the integrator path")
@@ -240,6 +245,34 @@ class TestStepOperator:
         out = prop.advance(initial_state(problem), 0.2)
         assert np.all(np.isfinite(out.values))
         assert prop.newton_iterations >= prop.steps_taken == 10
+
+    @STEP_CASES
+    def test_window_evaluates_the_rhs_once_outside_newton(self, problem, monkeypatch):
+        # every step ends holding the rhs at its solution, which the next
+        # step starts from; an autonomous problem's start residual reuses it
+        rhs_calls, residual_calls = [], []
+        rhs_values, newton_solve = problems.rhs_values, integrators.newton_solve
+
+        def counted_rhs(*args):
+            rhs_calls.append(args[2])
+            return rhs_values(*args)
+
+        def counted_newton(residual, *args, **kwargs):
+            def counted_residual(y):
+                residual_calls.append(1)
+                return residual(y)
+            return newton_solve(counted_residual, *args, **kwargs)
+
+        monkeypatch.setattr(problems, "rhs_values", counted_rhs)
+        monkeypatch.setattr(integrators, "newton_solve", counted_newton)
+        n = 12
+        make_propagator(problem, ThetaSettings(step=0.02)).advance(initial_state(problem), n * 0.02)
+        assert rhs_calls[0] == 0.0
+        if problem.autonomous:
+            assert len(rhs_calls) == n + 1
+        else:
+            assert len(residual_calls) >= 2 * n
+            assert len(rhs_calls) == len(residual_calls) + 1
 
 
 class TestSleepPropagator:

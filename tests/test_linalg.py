@@ -5,6 +5,7 @@ from pintbench.linalg import (
     MaxItersExceeded,
     NewtonSettings,
     NumericBreakdown,
+    as_vector,
     newton_solve,
 )
 
@@ -84,3 +85,38 @@ class TestNewton:
             NewtonSettings(damping_min=2.0)
         with pytest.raises(ValueError):
             NewtonSettings(rel_tol=-1.0)
+
+
+class TestFiniteness:
+    """Finiteness is read off the squared norms; the messages are those of an entrywise scan."""
+
+    HUGE = np.array([1e200, -1e200, 3e200])  # finite, but the squared norm overflows
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_norm_is_not_a_breakdown(self):
+        assert as_vector(self.HUGE) is self.HUGE
+        # the start residual's norm overflows to inf; the first full step lands on the root
+        x, iters = newton_solve(lambda v: v, self.HUGE, jacobian=lambda v: np.eye(3))
+        assert iters == 1 and not x.any()
+        x, iters = newton_solve(lambda v: v, self.HUGE, jacobian_inverse=np.eye(3))
+        assert iters == 1 and not x.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_keep_their_messages(self, bad):
+        vec = np.array([1.0, bad, 2.0])
+        with pytest.raises(NumericBreakdown, match=r"^start contains NaN or Inf entries$"):
+            as_vector(vec, "start")
+        with pytest.raises(NumericBreakdown, match=r"^x0 contains NaN or Inf entries$"):
+            newton_solve(lambda v: v, vec)
+        with pytest.raises(NumericBreakdown, match=r"^residual not finite at starting point$"):
+            newton_solve(lambda v: v * vec, [1.0, 1.0, 1.0])
+        with pytest.raises(NumericBreakdown, match=r"^non-finite Newton direction$"):
+            newton_solve(lambda v: v - 1.0, [0.0, 0.0, 0.0], jacobian_inverse=np.diag(vec))
+        with pytest.raises(NumericBreakdown, match=r"^residual not finite after damping to 0\.015625$"):
+            newton_solve(lambda v: v - 1.0 if v[0] == 0.0 else v * vec, [0.0, 0.0, 0.0],
+                         jacobian_inverse=np.eye(3))
+
+    def test_converged_start_is_returned_as_is(self):
+        x0 = np.array([5.0])
+        x, iters = newton_solve(lambda v: v - 5.0, x0, jacobian_inverse=np.eye(1))
+        assert iters == 0 and x is x0

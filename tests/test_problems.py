@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from pintbench.integrators import ThetaSettings, make_propagator
 from pintbench.linalg import NewtonSettings
 from pintbench.problems import (
+    PROBLEMS,
     GaussianBump,
     MeshDegenerate,
     SineMode,
@@ -85,6 +87,16 @@ class TestSpecsAndInitialStates:
             ale_piston(kappa=-1.0)
         with pytest.raises(ValueError):
             ale_piston(v_in=-0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cls,name", [
+        (cls, f.name) for cls in (*PROBLEMS.values(), GaussianBump) for f in dataclasses.fields(cls)
+        if isinstance(getattr(cls(), f.name), float)
+    ], ids=lambda x: x if isinstance(x, str) else x.__name__)
+    def test_non_finite_parameter_rejected(self, cls, name, value):
+        # NaN passes every ordered comparison check and +inf every positivity check
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(**{name: value})
 
 
 class TestRhs:

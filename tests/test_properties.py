@@ -4,12 +4,16 @@ Each executor example runs the same Parareal problem at one worker and
 at ``k`` workers, then injects a failure into the fine or the coarse
 propagator and runs both worker counts again. Each Jacobian example
 checks a problem's analytic ``jacobian`` against forward differences of
-its ``rhs`` at a random admissible state and time.
+its ``rhs`` at a random admissible state and time, and each autonomy
+example checks a problem's ``autonomous`` flag against its ``rhs`` at
+two random times.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
+
+from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -18,6 +22,7 @@ from pintbench.integrators import ThetaSettings, make_propagator  # noqa: E402
 from pintbench.linalg import NewtonSettings, _fd_jacobian  # noqa: E402
 from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal  # noqa: E402
 from pintbench.problems import (  # noqa: E402
+    PROBLEMS,
     AlePiston,
     advection1d,
     ale_piston,
@@ -122,11 +127,7 @@ def _draw_problem(data, kind):
                       v_in=data.draw(floats(0.0, 1.0), label="v_in"))
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_analytic_jacobian_matches_finite_differences(kind, data):
-    problem = _draw_problem(data, kind)
+def _draw_values(data, problem):
     size = problem.initial_values().size
     values = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size), label="values"))
     if isinstance(problem, AlePiston):
@@ -134,6 +135,20 @@ def test_analytic_jacobian_matches_finite_differences(kind, data):
         values[-2] = 0.9 * problem.L0 * data.draw(st.floats(0.05, 0.98), label="u") \
             * data.draw(st.sampled_from([-1.0, 1.0]), label="u sign")
         values[-1] = data.draw(st.floats(0.05, 1.0), label="w") * data.draw(st.sampled_from([-1.0, 1.0]), label="w sign")
+    return values
+
+
+def test_every_problem_class_is_drawn():
+    assert {kind.split("-")[0] for kind in KINDS} == set(PROBLEMS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_analytic_jacobian_matches_finite_differences(kind, data):
+    problem = _draw_problem(data, kind)
+    size = problem.initial_values().size
+    values = _draw_values(data, problem)
     t = data.draw(st.floats(0.1, 5.0), label="t")
 
     def rhs(y):
@@ -146,3 +161,22 @@ def test_analytic_jacobian_matches_finite_differences(kind, data):
     # the linear problems; on the piston their truncation error grows with
     # the stretch (curvature ~ 1/length^3) to 2.5e-6 at |u| = 0.88 L0
     assert np.max(np.abs(jac - oracle)) <= 5e-6 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_autonomous_flag_matches_the_rhs(kind, data):
+    # the integrator reuses the rhs at a step's start values for its end
+    # time when the class says autonomous, so the flag must never be wrong
+    problem = _draw_problem(data, kind)
+    values = _draw_values(data, problem)
+    if isinstance(problem, AlePiston):
+        # with inflow the rhs depends on time: the forcing rises over the first period
+        problem = replace(problem, v_in=data.draw(st.floats(0.05, 1.0), label="v_in"))
+        t0 = problem.period * data.draw(st.floats(0.05, 0.45), label="t0")
+        t1 = problem.period * data.draw(st.floats(0.55, 0.95), label="t1")
+    else:
+        t0, t1 = (data.draw(st.floats(-10.0, 10.0), label=label) for label in ("t0", "t1"))
+    same = problem.rhs(values, t0).tobytes() == problem.rhs(values, t1).tobytes()
+    assert same == problem.autonomous
