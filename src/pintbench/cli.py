@@ -51,8 +51,6 @@ from .problems import (
     Problem,
     SineMode,
     Zero,
-    ale_piston,
-    dahlquist,
     initial_state,
 )
 
@@ -487,55 +485,6 @@ def speedup_report(rows: Sequence[ResultRow]) -> str:
 
 
 # --------------------------------------------------------------------------
-# smoke checks (`pint-bench check`)
-
-
-def _run_checks() -> int:
-    import numpy as np
-
-    from .parareal import theta_weight
-    from .problems import rhs
-    from .state import State
-
-    failures = 0
-
-    def report(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    problem = dahlquist()
-    s0 = initial_state(problem)
-    fine = make_propagator(problem, ThetaSettings(step=0.01))
-    coarse = make_propagator(problem, ThetaSettings(step=0.1))
-    grid = [0.0, 0.5, 1.0, 1.5, 2.0]
-    seq = sequential_solve(fine, s0, grid)
-    ok = True
-    for scheduler in ("serial", "pipelined"):
-        pcfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, scheduler=scheduler, workers=2)
-        states, _ = run_parareal(coarse, fine, s0, 2.0, pcfg)
-        for l in (1, 2):
-            rel = abs(states[l].values[0] - seq[l].values[0]) / abs(seq[l].values[0])
-            ok = ok and rel <= 1e-12
-    report("parareal exactness on the first iterated boundaries", ok)
-
-    lay = {"v": (0, 2)}
-    same = theta_weight(State(np.array([1.0, 2.0]), 0.0, lay), State(np.array([1.0, 2.0]), 0.0, lay), "least_squares")
-    orth = theta_weight(State(np.array([1.0, 0.0]), 0.0, lay), State(np.array([0.0, 1.0]), 0.0, lay), "angle_penalized")
-    report("weight units (identical -> 1, orthogonal -> 0)", same == 1.0 and orth == 0.0)
-
-    s = theoretical_speedup(SpeedupModel(r=0.02, iters=3, intervals=20))
-    report("speedup model value", abs(s - 5.78) < 5e-3)
-
-    piston = ale_piston(mesh_n=15, v_in=0.0)
-    rest = initial_state(piston)
-    report("piston rest state is a fixed point", float(np.max(np.abs(rhs(piston, rest, 0.0)))) == 0.0)
-
-    return EXIT_OK if failures == 0 else EXIT_NUMERIC
-
-
-# --------------------------------------------------------------------------
 # entry point
 
 
@@ -549,7 +498,6 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "workers": cfg.workers,
         "newton": {
             "abs_tol": newton.abs_tol,
-            "rel_tol": newton.rel_tol,
             "max_iters": newton.max_iters,
             # the integrator differentiates each problem's rhs analytically; a
             # linear problem's step reuses one frozen inverse of I - k*theta*J
@@ -645,17 +593,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     speed_p = sub.add_parser("speedup", help="summarize a results file")
     speed_p.add_argument("results", help="path to a CSV or JSON results file")
 
-    sub.add_parser("check", help="run the invariant smoke suite")
-
     args, unknown = parser.parse_known_args(argv)
     if args.command == "run":
         return _cmd_run(args, unknown)
     if unknown:
         print(f"unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "speedup":
-        return _cmd_speedup(args)
-    return _run_checks()
+    return _cmd_speedup(args)
 
 
 if __name__ == "__main__":

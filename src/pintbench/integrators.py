@@ -42,6 +42,7 @@ identical inputs give bit-identical outputs regardless of scheduling.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -195,6 +196,8 @@ class Propagator(Protocol):
 
 def _split_window(window: float, step: float) -> int:
     """Number of internal steps for ``window``, validating divisibility."""
+    if not math.isfinite(window):
+        raise ValueError(f"window {window!r} is not finite")
     n = max(int(round(window / step)), 1)
     mismatch = abs(window - n * step)
     if mismatch > _WINDOW_RTOL * max(abs(window), step):
@@ -279,10 +282,11 @@ class SleepPropagator:
     """
 
     def __init__(self, step: float, cost_per_step: float, decay_rate: float = 1.0):
-        if step <= 0.0:
+        # written so that NaN fails both checks
+        if not step > 0.0:
             raise ValueError("step must be positive")
-        if cost_per_step < 0.0:
-            raise ValueError("cost_per_step must be non-negative")
+        if not 0.0 <= cost_per_step < math.inf:
+            raise ValueError("cost_per_step must be finite and non-negative")
         self.step = step
         self.cost_hint = cost_per_step
         self.decay_rate = decay_rate

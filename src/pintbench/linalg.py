@@ -3,12 +3,9 @@
 A damped Newton iteration. The caller supplies the linearization as an
 analytic Jacobian callable, evaluated afresh at every iterate, or as a
 fixed inverse, which turns each direction into a matrix-vector product
-(simplified Newton with a frozen Jacobian). Without either, the
-Jacobian is formed by forward differences; the integrator never takes
-that path, and the tests use it as an oracle for the analytic
-Jacobians. Everything here operates on plain 1-d float64 numpy arrays
-and is free of shared mutable state, so all functions are safe to call
-concurrently.
+(simplified Newton with a frozen Jacobian). Everything here operates on
+plain 1-d float64 numpy arrays and is free of shared mutable state, so
+all functions are safe to call concurrently.
 
 Finiteness comes from the dot products behind the norms: ``v @ v`` is a
 sum of squares, so it is finite exactly when every entry is finite and
@@ -52,37 +49,16 @@ class NewtonSettings:
     """Tolerances and safeguards for the damped Newton iteration."""
 
     abs_tol: float = 1e-10
-    rel_tol: float = 0.0
     max_iters: int = 25
     damping_min: float = 1.0 / 64.0
-    fd_epsilon: float = 1e-7
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0:
+        if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
-        if self.rel_tol < 0.0:
-            raise ValueError("rel_tol must be non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not 0.0 < self.damping_min <= 1.0:
             raise ValueError("damping_min must lie in (0, 1]")
-        if self.fd_epsilon <= 0.0:
-            raise ValueError("fd_epsilon must be positive")
-
-
-def _fd_jacobian(residual: Callable, x: np.ndarray, r0: np.ndarray, eps: float) -> np.ndarray:
-    """Columnwise forward-difference Jacobian of ``residual`` at ``x``."""
-    n = x.size
-    jac = np.empty((r0.size, n))
-    for j in range(n):
-        h = eps * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        rp = np.asarray(residual(xp), dtype=np.float64)
-        if not np.all(np.isfinite(rp)):
-            raise NumericBreakdown(f"residual not finite while differencing column {j}")
-        jac[:, j] = (rp - r0) / h
-    return jac
 
 
 def newton_solve(
@@ -90,19 +66,17 @@ def newton_solve(
     x0,
     settings: Optional[NewtonSettings] = None,
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    history: Optional[list] = None,
     jacobian_inverse: Optional[np.ndarray] = None,
 ):
     """Solve ``residual(x) = 0`` by damped Newton iteration.
 
-    The direction is ``-jacobian_inverse @ r`` when a fixed inverse is
-    supplied, else the solution of ``J dx = -r`` with ``J`` from the
-    ``jacobian`` callable, or formed columnwise by forward differences
-    with increment ``fd_epsilon * (1 + |x_j|)`` when neither is given.
-    The residual test, the line search and the breakdown checks are the
-    same on every path. Each step is halved until the residual norm
-    decreases or the damping factor reaches ``damping_min``, at which
-    point the damped step is taken anyway.
+    Exactly one linearization is given. The direction is
+    ``-jacobian_inverse @ r`` for a fixed inverse, else the solution of
+    ``J dx = -r`` with ``J`` from the ``jacobian`` callable. The residual
+    test, the line search and the breakdown checks are the same on both
+    paths. Each step is halved until the residual norm decreases or the
+    damping factor reaches ``damping_min``, at which point the damped step
+    is taken anyway.
 
     Parameters
     ----------
@@ -115,8 +89,6 @@ def newton_solve(
     settings : NewtonSettings, optional
     jacobian : callable, optional
         Maps x to the dense Jacobian matrix at x.
-    history : list, optional
-        If given, the residual norm after each accepted step is appended.
     jacobian_inverse : ndarray, optional
         A fixed inverse of the Jacobian, used at every iterate; exact for
         an affine residual, a frozen approximation otherwise.
@@ -124,19 +96,24 @@ def newton_solve(
     Returns
     -------
     (x, iterations)
-        Solution with ``||residual(x)||_2 <= abs_tol + rel_tol * ||residual(x0)||_2``
-        and the number of accepted Newton steps. ``x`` is the last
-        argument ``residual`` was called with, so a caller can keep what
-        it computed there (the integrator keeps the rhs).
+        Solution with ``||residual(x)||_2 <= abs_tol`` and the number of
+        accepted Newton steps. ``x`` is the last argument ``residual`` was
+        called with, so a caller can keep what it computed there (the
+        integrator keeps the rhs).
 
     Raises
     ------
+    TypeError
+        Neither or both of ``jacobian`` and ``jacobian_inverse`` given.
     MaxItersExceeded
         No convergence within ``max_iters`` steps.
     NumericBreakdown
         NaN/Inf encountered or the linearization is singular.
     """
+    if (jacobian is None) == (jacobian_inverse is None):
+        raise TypeError("newton_solve takes exactly one of jacobian and jacobian_inverse")
     cfg = settings if settings is not None else NewtonSettings()
+    tol = cfg.abs_tol
     x = as_vector(x0, "x0")
     r = np.asarray(residual(x), dtype=np.float64)
     rr = r @ r
@@ -145,16 +122,14 @@ def newton_solve(
     if r.size != x.size:
         raise ValueError(f"residual length {r.size} does not match unknowns {x.size}")
     rnorm = math.sqrt(rr)
-    # without a relative part the target stays abs_tol when the start norm overflows (0 * inf is NaN)
-    target = cfg.abs_tol + (cfg.rel_tol * rnorm if cfg.rel_tol else 0.0)
 
     for it in range(cfg.max_iters):
-        if rnorm <= target:
+        if rnorm <= tol:
             return x, it
         if jacobian_inverse is not None:
             dx = -(jacobian_inverse @ r)
         else:
-            jac = np.asarray(jacobian(x), dtype=np.float64) if jacobian is not None else _fd_jacobian(residual, x, r, cfg.fd_epsilon)
+            jac = np.asarray(jacobian(x), dtype=np.float64)
             if not np.all(np.isfinite(jac)):
                 raise NumericBreakdown("Jacobian contains NaN or Inf entries")
             try:
@@ -177,11 +152,9 @@ def newton_solve(
         if trial_norm == math.inf:
             raise NumericBreakdown(f"residual not finite after damping to {lam}")
         x, r, rnorm = x_trial, r_trial, trial_norm
-        if history is not None:
-            history.append(rnorm)
 
-    if rnorm <= target:
+    if rnorm <= tol:
         return x, cfg.max_iters
     raise MaxItersExceeded(
-        f"no convergence in {cfg.max_iters} iterations (||r|| = {rnorm:.3e}, target {target:.3e})"
+        f"no convergence in {cfg.max_iters} iterations (||r|| = {rnorm:.3e}, target {tol:.3e})"
     )

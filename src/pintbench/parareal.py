@@ -25,6 +25,7 @@ other task touches, so results are bit-identical across worker counts.
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -67,13 +68,13 @@ class PararealConfig:
             raise ValueError("need at least 2 intervals")
         if not 1 <= self.max_iters <= self.intervals:
             raise ValueError("max_iters must lie in [1, intervals]; further iterations cannot improve")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # NaN too: it would never stop a run
             raise ValueError("tol must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         lo, hi = self.theta_clamp
-        if lo > hi:
-            raise ValueError("theta_clamp must be a non-empty interval")
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError("theta_clamp must be a finite non-empty interval")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}, expected one of {SCHEDULERS}")
         if self.workers < 1:

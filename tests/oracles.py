@@ -65,6 +65,22 @@ def _oracle_weight(fine_state, coarse_state, variant, clamp):
     return min(max(w, clamp[0]), clamp[1])
 
 
+def fd_jacobian(f, x):
+    """Columnwise forward-difference Jacobian of ``f`` at ``x``.
+
+    Column ``j`` uses the increment ``1e-7 * (1 + |x_j|)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    f0 = np.asarray(f(x), dtype=np.float64)
+    jac = np.empty((f0.size, x.size))
+    for j in range(x.size):
+        h = 1e-7 * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += h
+        jac[:, j] = (np.asarray(f(xp), dtype=np.float64) - f0) / h
+    return jac
+
+
 def simulate_makespan(tasks, durations, workers):
     """List-schedule the task graph and return the simulated makespan.
 

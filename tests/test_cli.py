@@ -345,11 +345,6 @@ adv = 5.0
         assert (tmp_path / "res.csv.partial").exists()
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_check_subcommand(self, capsys):
-        assert main(["check"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-
     def test_speedup_subcommand(self, tmp_path, capsys):
         rows = [
             ResultRow("heat1d", 0.05, 0.005, "classic", 3, None, 1e-9, None,

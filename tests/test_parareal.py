@@ -186,6 +186,11 @@ class TestPararealConfig:
         with pytest.raises(ValueError):
             PararealConfig(intervals=4, max_iters=2, tol=0.0)
         with pytest.raises(ValueError):
+            PararealConfig(intervals=4, max_iters=2, tol=np.nan)
+        for clamp in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)):
+            with pytest.raises(ValueError):
+                PararealConfig(intervals=4, max_iters=2, theta_clamp=clamp)
+        with pytest.raises(ValueError):
             PararealConfig(intervals=4, max_iters=2, variant="bogus")
         with pytest.raises(ValueError):
             PararealConfig(intervals=4, max_iters=2, scheduler="bogus")
@@ -346,6 +351,18 @@ class TestRunParareal:
         cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30)
         with pytest.raises(ValueError):
             run_parareal(C, F, s0, T, cfg, oracle=[s0])
+
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan])
+    @pytest.mark.parametrize("entry", ["advance", "sequential_solve", "run_parareal"])
+    def test_non_finite_end_time_rejected(self, entry, t_end):
+        _, C, F, s0, _, _ = _dahlquist_setup()
+        calls = {
+            "advance": lambda: F.advance(s0, t_end),
+            "sequential_solve": lambda: sequential_solve(F, s0, [0.0, t_end]),
+            "run_parareal": lambda: run_parareal(C, F, s0, t_end, PararealConfig(intervals=4, max_iters=2)),
+        }
+        with pytest.raises(ValueError, match=r"^window (inf|nan) is not finite$"):
+            calls[entry]()
 
     def test_trace_bookkeeping(self):
         problem, C, F, s0, grid, T = _dahlquist_setup()

@@ -19,7 +19,6 @@ import numpy as np  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pintbench.integrators import ThetaSettings, make_propagator  # noqa: E402
-from pintbench.linalg import NewtonSettings, _fd_jacobian  # noqa: E402
 from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal  # noqa: E402
 from pintbench.problems import (  # noqa: E402
     PROBLEMS,
@@ -30,6 +29,8 @@ from pintbench.problems import (  # noqa: E402
     heat1d,
     initial_state,
 )
+
+from oracles import fd_jacobian  # noqa: E402
 
 WINDOW = 0.25
 PROBLEM = dahlquist(lam=-1.0)
@@ -155,7 +156,7 @@ def test_analytic_jacobian_matches_finite_differences(kind, data):
         return problem.rhs(y, t)
 
     jac = problem.jacobian(values, t)
-    oracle = _fd_jacobian(rhs, values, rhs(values), NewtonSettings().fd_epsilon)
+    oracle = fd_jacobian(rhs, values)
     assert jac.shape == (size, size)
     # forward differences are accurate to about 1e-9 of the largest entry on
     # the linear problems; on the piston their truncation error grows with
