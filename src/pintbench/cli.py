@@ -1,16 +1,19 @@
 """Benchmark harness: experiment configs, timed runs, CSV/JSON emission.
 
-Experiments are described by INI-style config files (one section per
-problem kind plus an ``[experiment]`` section); every key can be
-overridden on the command line with ``--key=value`` or
-``--section.key=value``. A key in ``[experiment]`` or in the chosen
-problem's section that the harness does not know is a config error, so
-a misspelled override never runs with the defaults. The harness times
-the sequential fine solve, runs the parallel-in-time iteration per
-coarse step and variant, and emits one row per (iteration, boundary),
-per-boundary discretization error rows (against a refined reference),
-and one summary row per (coarse step, variant) with measured and
-modelled speedup.
+Experiments are described by INI-style config files: an ``[experiment]``
+section whose keys are the fields of ``ExperimentConfig``, and a
+``[<kind>]`` section whose keys are the fields of the chosen problem
+class. Every key can be overridden on the command line with
+``--key=value`` or ``--section.key=value``. The dataclasses are the one
+schema: a value is converted by its field's declared type, a key left
+out keeps the field's default, and a key that names no field is a
+config error, so a misspelled override never runs with the defaults.
+Results go to the ``output`` path, as JSON when it ends in ``.json``
+and as CSV otherwise. The harness times the sequential fine solve, runs
+the parallel-in-time iteration per coarse step and variant, and emits
+one row per (iteration, boundary), per-boundary discretization error
+rows (against a refined reference), and one summary row per (coarse
+step, variant) with measured and modelled speedup.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (a partial
 results file is written), 4 I/O error.
@@ -27,22 +30,21 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import __version__
-from .integrators import NonDivisibleWindow, ThetaSettings, TimeStepError, _split_window, make_propagator
+from .integrators import ThetaSettings, TimeStepError, _split_window, make_propagator
 from .linalg import MaxItersExceeded, NumericBreakdown
 from .parareal import (
     PararealConfig,
     PararealError,
-    SCHEDULERS,
     SpeedupModel,
     boundary_error,
     run_parareal,
     sequential_solve,
     theoretical_speedup,
-    VARIANTS,
 )
 from .problems import (
     PROBLEMS,
@@ -107,161 +109,127 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: the fields are the ``[experiment]`` keys and carry their only defaults.
+
+    Construction validates the config by building the library objects a
+    run uses (``parareal`` and ``theta_settings``, and the window split of
+    every step), so an invalid config raises ``ConfigError`` before any
+    solve starts. ``max_iters = 0`` picks ``min(8, intervals)``; the
+    worker count defaults to ``PINT_BENCH_WORKERS``, else 1.
+    """
+
     problem: Problem
-    horizon: float
-    intervals: int
-    coarse_steps: tuple
-    fine_step: float
-    variants: tuple = ("classic",)
-    workers: int = 1
+    horizon: float = 8.0
+    intervals: int = 20
+    coarse_steps: tuple[float, ...] = (0.05,)
+    fine_step: float = 0.005
+    variants: tuple[str, ...] = ("classic",)
+    workers: int = field(default_factory=lambda: int(os.environ.get(ENV_WORKERS, "1")))
     reference_fine_factor: int = 4
-    output_path: str = "results.csv"
+    output: str = "results.csv"
     theta0: float = 0.0
-    max_iters: int = 0            # 0 picks min(8, intervals)
+    max_iters: int = 0
     tol: float = 1e-12
     scheduler: str = "pipelined"
 
-    def effective_max_iters(self) -> int:
-        return self.max_iters if self.max_iters > 0 else min(8, self.intervals)
-
-    def validate(self) -> None:
-        numbers = [("horizon", self.horizon), ("fine step", self.fine_step), ("theta0", self.theta0),
-                   ("tol", self.tol)] + [("coarse step", K) for K in self.coarse_steps]
+    def __post_init__(self):
+        # scheduler names are case-insensitive: Serial selects serial
+        object.__setattr__(self, "scheduler", self.scheduler.lower())
+        numbers = [("horizon", self.horizon), ("fine_step", self.fine_step), ("theta0", self.theta0),
+                   ("tol", self.tol)] + [("coarse_steps", K) for K in self.coarse_steps]
         for name, value in numbers:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} {value} must be finite")
         if self.horizon <= 0.0:
             raise ConfigError("horizon must be positive")
-        if self.intervals < 2:
-            raise ConfigError("need at least 2 intervals")
-        window = self.horizon / self.intervals
-        if not self.coarse_steps:
-            raise ConfigError("need at least one coarse step")
-        for name, step in [("coarse", K) for K in self.coarse_steps] + [("fine", self.fine_step)]:
-            if step <= 0.0:
-                raise ConfigError(f"{name} step {step} must be positive")
-            try:
-                _split_window(window, step)
-            except NonDivisibleWindow as exc:
-                raise ConfigError(f"{name} step {step} does not divide the window {window}") from exc
-        if self.fine_step >= min(self.coarse_steps):
-            raise ConfigError("fine step must be smaller than every coarse step")
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ConfigError(f"unknown variant {v!r}")
-        if not self.variants:
-            raise ConfigError("need at least one variant")
+        if not self.coarse_steps or not self.variants:
+            raise ConfigError("need at least one coarse step and one variant")
         if self.reference_fine_factor < 2:
             raise ConfigError("reference_fine_factor must be at least 2")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        if self.max_iters < 0 or self.effective_max_iters() > self.intervals:
-            raise ConfigError("max_iters must lie in [1, intervals]")
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
-        if self.scheduler not in SCHEDULERS:
-            raise ConfigError(f"unknown scheduler {self.scheduler!r}")
-        # the run would reject these only on reaching each step, some after the sequential solve
-        for step in (*self.coarse_steps, self.fine_step, self.fine_step / self.reference_fine_factor):
-            try:
-                ThetaSettings(step=step, theta0=self.theta0)
-            except ValueError as exc:
-                raise ConfigError(f"theta0 {self.theta0} at step {step}: {exc}") from exc
+        try:
+            for variant in self.variants:
+                self.parareal(variant)
+            # every step a run takes, the refined reference's too; ThetaSettings rejects a
+            # nonpositive step before _split_window would divide by it
+            for step in (*self.coarse_steps, self.fine_step, self.fine_step / self.reference_fine_factor):
+                self.theta_settings(step)
+            for step in (*self.coarse_steps, self.fine_step):
+                _split_window(self.horizon / self.intervals, step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.fine_step >= min(self.coarse_steps):
+            raise ConfigError("fine_step must be smaller than every coarse step")
+
+    def parareal(self, variant: str) -> PararealConfig:
+        return PararealConfig(
+            intervals=self.intervals,
+            max_iters=self.max_iters or min(8, self.intervals),
+            tol=self.tol,
+            variant=variant,
+            scheduler=self.scheduler,
+            workers=self.workers,
+        )
+
+    def theta_settings(self, step: float) -> ThetaSettings:
+        return ThetaSettings(step=step, theta0=self.theta0)
 
 
 # --------------------------------------------------------------------------
 # config parsing
 
-
-def _parse_init(text: str):
-    parts = text.strip().lower().split(":")
-    if parts[0] in ("zero", "rest"):
-        return Zero()
-    if parts[0] == "sine":
-        return SineMode(int(parts[1]) if len(parts) > 1 else 1)
-    if parts[0] == "gaussian":
-        center = float(parts[1]) if len(parts) > 1 else 0.5
-        width = float(parts[2]) if len(parts) > 2 else 0.1
-        return GaussianBump(center, width)
-    raise ConfigError(f"unknown initial data {text!r}")
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+_INITIAL_DATA = {"zero": Zero, "rest": Zero, "sine": SineMode, "gaussian": GaussianBump}
 
 
-def _coerce(name: str, text: str):
-    if name == "init":
-        return _parse_init(text)
-    if name == "periodic":
-        return text.strip().lower() in ("1", "true", "yes", "on")
-    if name == "mesh_n":
-        return int(text)
-    return float(text)
+def _initial_data(text: str):
+    """``<name>[:<field>...]``, the fields in the descriptor's declaration order."""
+    name, *values = text.lower().split(":")
+    if name not in _INITIAL_DATA:
+        raise ConfigError(f"unknown initial data {text!r}; expected one of {', '.join(_INITIAL_DATA)}")
+    cls = _INITIAL_DATA[name]
+    params = dataclasses.fields(cls)
+    if len(values) > len(params):
+        raise ConfigError(f"initial data {text!r}: {name} takes at most {len(params)} field(s)")
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _coerce(hints[f.name], value) for f, value in zip(params, values)})
 
 
-def _reject_unknown_keys(section_name: str, section, valid) -> None:
-    unknown = sorted(set(section) - set(valid))
+def _coerce(hint, text: str):
+    """Convert a config value to a field's declared type."""
+    text = text.strip()
+    if hint is bool:
+        if text.lower() not in _BOOLEANS:
+            raise ConfigError(f"{text!r} is not a boolean; expected one of {', '.join(_BOOLEANS)}")
+        return _BOOLEANS[text.lower()]
+    if hint in (int, float, str):
+        return hint(text)
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(item(v.strip()) for v in text.replace(";", ",").split(",") if v.strip())
+    return _initial_data(text)
+
+
+def _build(cls, section_name: str, section, **given):
+    """Instantiate the dataclass ``cls`` from an INI section, plus the ready-made fields ``given``.
+
+    configparser lowercases keys, so a key matches the field whose
+    lowercased name it is; a key that names no field is rejected, a field
+    the section leaves out keeps its dataclass default.
+    """
+    names = {f.name.lower(): f.name for f in dataclasses.fields(cls) if f.init}
+    unknown = sorted(set(section) - set(names))
     if unknown:
         raise ConfigError(
-            f"unknown key(s) {', '.join(unknown)} in [{section_name}]; valid keys: {', '.join(sorted(valid))}"
+            f"unknown key(s) {', '.join(unknown)} in [{section_name}]; valid keys: {', '.join(sorted(names))}"
         )
-
-
-def _build_problem(kind: str, section) -> Problem:
-    if kind not in PROBLEMS:
-        raise ConfigError(f"unknown problem kind {kind!r}")
-    cls = PROBLEMS[kind]
-    names = [f.name for f in dataclasses.fields(cls)]
-    _reject_unknown_keys(kind, section, [name.lower() for name in names])
+    hints = typing.get_type_hints(cls)
     try:
-        # configparser lowercases keys, so AlePiston.L0 is read from l0; the defaults live in problems.py
-        kwargs = {name: _coerce(name, section[name.lower()]) for name in names if name.lower() in section}
-        return cls(**kwargs)
+        kwargs = {names[key]: _coerce(hints[names[key]], section[key]) for key in section if names[key] not in given}
+        return cls(**kwargs, **given)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad parameter for problem {kind!r}: {exc}") from exc
-
-
-def _split_list(text: str) -> list:
-    return [item.strip() for item in text.replace(";", ",").split(",") if item.strip()]
-
-
-EXPERIMENT_KEYS = (
-    "problem", "horizon", "intervals", "coarse_steps", "fine_step", "variants", "workers",
-    "reference_fine_factor", "output", "theta0", "max_iters", "tol", "scheduler",
-)
-
-
-def parse_config(parser: configparser.ConfigParser) -> ExperimentConfig:
-    if not parser.has_section("experiment"):
-        raise ConfigError("config must contain an [experiment] section")
-    exp = parser["experiment"]
-    _reject_unknown_keys("experiment", exp, EXPERIMENT_KEYS)
-    kind = exp.get("problem", "").strip().lower()
-    if not kind:
-        raise ConfigError("experiment section must name a problem")
-    section = parser[kind] if parser.has_section(kind) else {}
-    problem = _build_problem(kind, section)
-    try:
-        cfg = ExperimentConfig(
-            problem=problem,
-            horizon=float(exp.get("horizon", 8.0)),
-            intervals=int(exp.get("intervals", 20)),
-            coarse_steps=tuple(float(v) for v in _split_list(exp.get("coarse_steps", "0.05"))),
-            fine_step=float(exp.get("fine_step", 0.005)),
-            variants=tuple(_split_list(exp.get("variants", "classic"))),
-            workers=int(exp.get("workers", os.environ.get(ENV_WORKERS, "1"))),
-            reference_fine_factor=int(exp.get("reference_fine_factor", 4)),
-            output_path=exp.get("output", "results.csv"),
-            theta0=float(exp.get("theta0", 0.0)),
-            max_iters=int(exp.get("max_iters", 0)),
-            tol=float(exp.get("tol", 1e-12)),
-            scheduler=exp.get("scheduler", "pipelined").strip().lower(),
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad experiment key: {exc}") from exc
-    cfg.validate()
-    return cfg
+        raise ConfigError(f"bad value in [{section_name}]: {exc}") from exc
 
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.\-]+)=(.*)$")
@@ -287,7 +255,14 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value)
-    return parse_config(parser)
+    if not parser.has_section("experiment"):
+        raise ConfigError("config must contain an [experiment] section")
+    experiment = parser["experiment"]
+    kind = experiment.get("problem", "").strip().lower()
+    if kind not in PROBLEMS:
+        raise ConfigError(f"[experiment] problem must be one of {', '.join(PROBLEMS)}, got {kind!r}")
+    problem = _build(PROBLEMS[kind], kind, parser[kind] if parser.has_section(kind) else {})
+    return _build(ExperimentConfig, "experiment", experiment, problem=problem)
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +275,6 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
     ``collect`` (when given) receives rows incrementally so callers can
     write partial results if a later stage fails numerically.
     """
-    cfg.validate()
     rows = collect if collect is not None else []
     problem = cfg.problem
     L = cfg.intervals
@@ -309,7 +283,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
     t_grid = [cfg.horizon * l / L for l in range(L + 1)]
     t_grid[-1] = cfg.horizon
 
-    fine = make_propagator(problem, ThetaSettings(step=k, theta0=cfg.theta0))
+    fine = make_propagator(problem, cfg.theta_settings(k))
     if verbose:
         print(f"[pint-bench] sequential fine solve (step {k:g}) ...", flush=True)
     t0 = time.perf_counter()
@@ -322,9 +296,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
             f"({per_newton * 1e3:.3f} ms each)"
         )
 
-    ref_prop = make_propagator(
-        problem, ThetaSettings(step=k / cfg.reference_fine_factor, theta0=cfg.theta0)
-    )
+    ref_prop = make_propagator(problem, cfg.theta_settings(k / cfg.reference_fine_factor))
     reference = sequential_solve(ref_prop, s0, t_grid)
     disc = boundary_error(seq, reference)
     disc_final = disc[L].value
@@ -333,19 +305,11 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
 
     for K in cfg.coarse_steps:
         for variant in cfg.variants:
-            coarse = make_propagator(problem, ThetaSettings(step=K, theta0=cfg.theta0))
-            fine_run = make_propagator(problem, ThetaSettings(step=k, theta0=cfg.theta0))
-            pcfg = PararealConfig(
-                intervals=L,
-                max_iters=cfg.effective_max_iters(),
-                tol=cfg.tol,
-                variant=variant,
-                scheduler=cfg.scheduler,
-                workers=cfg.workers,
-            )
+            coarse = make_propagator(problem, cfg.theta_settings(K))
+            fine_run = make_propagator(problem, cfg.theta_settings(k))
             if verbose:
                 print(f"[pint-bench] parareal K={K:g} variant={variant} ...", flush=True)
-            _, trace = run_parareal(coarse, fine_run, s0, cfg.horizon, pcfg, oracle=seq)
+            _, trace = run_parareal(coarse, fine_run, s0, cfg.horizon, cfg.parareal(variant), oracle=seq)
             for i in range(1, trace.iterations_run + 1):
                 errs = trace.boundary_errors[i - 1]
                 thetas = trace.theta_values[i - 1]
@@ -492,6 +456,10 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     from .linalg import NewtonSettings
 
     newton = NewtonSettings()
+    # the experiment fields, less the run-local ones, with the problem by kind and max_iters as run
+    config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in ("workers", "output")}
+    config.update(problem=cfg.problem.kind, coarse_steps=list(cfg.coarse_steps), variants=list(cfg.variants),
+                  max_iters=cfg.parareal(cfg.variants[0]).max_iters)
     return {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -504,61 +472,44 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             "jacobian": "analytic",
             "frozen": cfg.problem.linear,
         },
-        "config": {
-            "problem": cfg.problem.kind,
-            "horizon": cfg.horizon,
-            "intervals": cfg.intervals,
-            "coarse_steps": list(cfg.coarse_steps),
-            "fine_step": cfg.fine_step,
-            "variants": list(cfg.variants),
-            "reference_fine_factor": cfg.reference_fine_factor,
-            "theta0": cfg.theta0,
-            "max_iters": cfg.effective_max_iters(),
-            "tol": cfg.tol,
-            "scheduler": cfg.scheduler,
-        },
+        "config": config,
     }
 
 
 def _cmd_run(args, overrides) -> int:
     try:
         cfg = load_config(args.config, overrides)
-        if args.workers is not None:
-            cfg = dataclasses.replace(cfg, workers=args.workers)
-        if args.output is not None:
-            cfg = dataclasses.replace(cfg, output_path=args.output)
-        cfg.validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    fmt = args.format or ("json" if cfg.output_path.endswith(".json") else "csv")
+    def emit(rows, path):
+        # the .json extension of the output selects JSON, for the partial file too
+        if cfg.output.endswith(".json"):
+            emit_json(rows, path, _metadata(cfg))
+        else:
+            emit_csv(rows, path)
+
     partial: list = []
     try:
         rows = run_experiment(cfg, verbose=args.verbose, collect=partial)
     except _NUMERIC_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         try:
-            path = cfg.output_path + ".partial"
-            if fmt == "json":
-                emit_json(partial, path, _metadata(cfg))
-            else:
-                emit_csv(partial, path)
+            path = cfg.output + ".partial"
+            emit(partial, path)
             print(f"partial results written to {path}", file=sys.stderr)
         except OSError as io_exc:
             print(f"could not write partial results: {io_exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
     try:
-        if fmt == "json":
-            emit_json(rows, cfg.output_path, _metadata(cfg))
-        else:
-            emit_csv(rows, cfg.output_path)
+        emit(rows, cfg.output)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     if args.verbose:
-        print(f"[pint-bench] wrote {len(rows)} rows to {cfg.output_path}")
+        print(f"[pint-bench] wrote {len(rows)} rows to {cfg.output}")
     print(speedup_report(rows), end="")
     return EXIT_OK
 
@@ -585,9 +536,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     run_p = sub.add_parser("run", help="run an experiment config")
     run_p.add_argument("config", help="path to the INI experiment config")
-    run_p.add_argument("--workers", type=int, default=None)
-    run_p.add_argument("--output", default=None)
-    run_p.add_argument("--format", choices=("csv", "json"), default=None)
     run_p.add_argument("--verbose", action="store_true")
 
     speed_p = sub.add_parser("speedup", help="summarize a results file")

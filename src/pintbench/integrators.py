@@ -84,11 +84,11 @@ class ThetaSettings:
     newton: NewtonSettings = field(default_factory=NewtonSettings)
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:  # NaN too
+            raise ValueError(f"step must be positive and finite, got {self.step!r}")
         theta = self.theta
         if not 0.5 - 1e-12 <= theta <= 1.0 + 1e-12:
-            raise ValueError(f"effective theta {theta} outside [1/2, 1]; adjust theta0")
+            raise ValueError(f"effective theta {theta} at step {self.step!r} outside [1/2, 1]; adjust theta0")
 
     @property
     def theta(self) -> float:
@@ -287,6 +287,9 @@ class SleepPropagator:
             raise ValueError("step must be positive")
         if not 0.0 <= cost_per_step < math.inf:
             raise ValueError("cost_per_step must be finite and non-negative")
+        # the decay factor 1 / (1 + decay_rate * dt) must exist and stay positive
+        if not (math.isfinite(decay_rate) and 1.0 + decay_rate * step > 0.0):
+            raise ValueError("decay_rate must be finite with 1 + decay_rate * step > 0")
         self.step = step
         self.cost_hint = cost_per_step
         self.decay_rate = decay_rate

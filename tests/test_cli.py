@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,7 @@ from pintbench.cli import (
     speedup_report,
 )
 from pintbench.parareal import SpeedupModel, theoretical_speedup
-from pintbench.problems import PROBLEMS, SineMode, dahlquist
+from pintbench.problems import PROBLEMS, GaussianBump, SineMode, Zero, dahlquist
 
 CSV_HEADER = "problem,K,k,variant,iter,boundary,rel_err,theta,t_seq_s,t_par_s,speedup_meas,speedup_theory"
 
@@ -121,7 +123,7 @@ fine_step = 0.01
             ExperimentConfig(
                 problem=dahlquist(), horizon=2.0, intervals=4,
                 coarse_steps=(0.1,), fine_step=0.1,
-            ).validate()
+            )
 
     def test_env_default_workers(self, tmp_path, monkeypatch):
         body = """
@@ -133,8 +135,57 @@ coarse_steps = 0.1
 fine_step = 0.01
 """
         monkeypatch.setenv("PINT_BENCH_WORKERS", "7")
-        cfg = load_config(write_config(tmp_path / "a.ini", body))
-        assert cfg.workers == 7
+        path = write_config(tmp_path / "a.ini", body)
+        assert load_config(path).workers == 7
+        assert load_config(path, ["--workers=3"]).workers == 3
+
+    def test_experiment_section_defaults(self, tmp_path):
+        path = write_config(tmp_path / "e.ini", "[experiment]\nproblem = dahlquist\n")
+        assert load_config(path) == ExperimentConfig(problem=dahlquist())
+
+        # one valid non-default value per field, given as --<field>
+        cases = {
+            "horizon": ("4.0", 4.0),
+            "intervals": ("10", 10),
+            "coarse_steps": ("0.1;0.2", (0.1, 0.2)),
+            "fine_step": ("0.01", 0.01),
+            "variants": ("least_squares, angle_penalized", ("least_squares", "angle_penalized")),
+            "workers": ("3", 3),
+            "reference_fine_factor": ("2", 2),
+            "output": ("out.json", "out.json"),
+            "theta0": ("1.0", 1.0),
+            "max_iters": ("3", 3),
+            "tol": ("1e-6", 1e-6),
+            "scheduler": ("Serial", "serial"),
+        }
+        assert set(cases) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"problem"}
+        cfg = load_config(path, [f"--{name}={text}" for name, (text, _) in cases.items()])
+        for name, (_, value) in cases.items():
+            assert getattr(cfg, name) == value, name
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1", True), ("yes", True), ("TRUE", True), ("On", True),
+        ("0", False), ("No", False), ("false", False), ("OFF", False),
+    ])
+    def test_boolean_words(self, tmp_path, text, expected):
+        path = write_config(tmp_path / "a.ini", "[experiment]\nproblem = advection1d\n")
+        assert load_config(path, [f"--advection1d.periodic={text}"]).problem.periodic is expected
+
+    @pytest.mark.parametrize("text, expected", [
+        ("zero", Zero()), ("rest", Zero()), ("sine", SineMode(1)), ("Sine:3", SineMode(3)),
+        ("gaussian", GaussianBump()), ("gaussian:0.3", GaussianBump(0.3)),
+        ("gaussian:0.3:0.2", GaussianBump(0.3, 0.2)),
+    ])
+    def test_initial_data_descriptors(self, tmp_path, text, expected):
+        path = write_config(tmp_path / "a.ini", "[experiment]\nproblem = heat1d\n")
+        assert load_config(path, [f"--heat1d.init={text}"]).problem.init == expected
+
+    def test_readme_example_loads(self, tmp_path):
+        # the README's INI example must stay a config the schema accepts
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        cfg = load_config(write_config(tmp_path / "readme.ini", block))
+        assert cfg.problem.kind == "heat1d"
 
 
 class TestRunExperiment:
@@ -270,7 +321,7 @@ class TestMainEntryPoint:
     def test_run_json_format(self, tmp_path):
         out = tmp_path / "res.json"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
-        assert main(["run", path, "--format", "json"]) == EXIT_OK
+        assert main(["run", path]) == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["metadata"]["config"]["problem"] == "dahlquist"
 
@@ -316,6 +367,34 @@ mesh_n = 15
             assert "config error" in message and unknown in message
             assert valid in listed.split(", ")
             assert captured.out == ""
+
+    @pytest.mark.parametrize("overrides", [
+        ["--problem=advection1d", "--advection1d.periodic=ture"],
+        ["--problem=heat1d", "--heat1d.init=sine:2:junk"],
+        ["--problem=heat1d", "--heat1d.init=zero:7"],
+        ["--problem=heat1d", "--heat1d.init=gaussian:0.3:0.2:1"],
+        ["--problem=heat1d", "--heat1d.init=cosine:1"],
+        ["--workers", "3"],
+    ])
+    def test_bad_value_exits_two_without_output(self, tmp_path, capsys, overrides):
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
+        assert main(["run", path, *overrides]) == EXIT_CONFIG
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+    def test_verbose_prints_newton_counters(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
+        assert main(["run", path, "--verbose"]) == EXIT_OK
+        text = capsys.readouterr().out
+        sequential = re.search(r"s, (\d+) Newton iterations \([\d.]+ ms each\)", text)
+        parareal = re.search(r"2 iterations, coarse Newton (\d+), fine Newton (\d+), t_par\(to iter \d\)", text)
+        assert sequential and parareal, text
+        assert all(int(n) > 0 for n in sequential.groups() + parareal.groups())
+        assert f"wrote 13 rows to {out}" in text
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["run", "/no/such/config.ini"]) == EXIT_CONFIG

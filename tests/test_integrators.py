@@ -78,8 +78,9 @@ class TestThetaSettings:
         assert ThetaSettings(step=0.1, theta0=5.0).theta == pytest.approx(1.0)
 
     def test_step_positive(self):
-        with pytest.raises(ValueError):
-            ThetaSettings(step=0.0)
+        for step in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                ThetaSettings(step=step)
 
 
 class TestPropagator:
@@ -293,6 +294,11 @@ class TestSleepPropagator:
         for step, cost in ((0.0, 0.0), (np.nan, 0.0), (0.5, -1.0), (0.5, np.nan), (0.5, np.inf)):
             with pytest.raises(ValueError):
                 SleepPropagator(step=step, cost_per_step=cost)
+        # 1 + decay_rate * step must be positive: -2.0 at step 0.5 divides by zero
+        for decay in (np.nan, np.inf, -np.inf, -2.0, -3.0):
+            with pytest.raises(ValueError, match="decay_rate"):
+                SleepPropagator(step=0.5, cost_per_step=0.0, decay_rate=decay)
+        assert SleepPropagator(step=0.5, cost_per_step=0.0, decay_rate=-1.0).decay_rate == -1.0
 
 
 class TestConvergenceOrder:
