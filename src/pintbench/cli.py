@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -181,11 +182,12 @@ _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 _INITIAL_DATA = {"zero": Zero, "rest": Zero, "sine": SineMode, "gaussian": GaussianBump}
 
 
-def _initial_data(text: str):
-    """``<name>[:<field>...]``, the fields in the descriptor's declaration order."""
+def _initial_data(text: str, allowed: tuple):
+    """``<name>[:<field>...]`` naming one of the ``allowed`` descriptors, the fields in declaration order."""
+    names = [name for name, cls in _INITIAL_DATA.items() if cls in allowed]
     name, *values = text.lower().split(":")
-    if name not in _INITIAL_DATA:
-        raise ConfigError(f"unknown initial data {text!r}; expected one of {', '.join(_INITIAL_DATA)}")
+    if name not in names:
+        raise ConfigError(f"initial data {text!r} not allowed here; expected one of {', '.join(names)}")
     cls = _INITIAL_DATA[name]
     params = dataclasses.fields(cls)
     if len(values) > len(params):
@@ -206,7 +208,8 @@ def _coerce(hint, text: str):
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         return tuple(item(v.strip()) for v in text.replace(";", ",").split(",") if v.strip())
-    return _initial_data(text)
+    # an initial-data field declares the descriptors it accepts, one class or a Union of them
+    return _initial_data(text, typing.get_args(hint) or (hint,))
 
 
 def _build(cls, section_name: str, section, **given):
@@ -476,12 +479,31 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _check_writable(path: str) -> None:
+    """Raise ``OSError`` unless a file could be written at ``path``; creates nothing."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "empty output path")
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, "output directory does not exist", parent)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, "output path is not writable", path)
+
+
 def _cmd_run(args, overrides) -> int:
     try:
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        # fail before the solves, not after them
+        _check_writable(cfg.output)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     def emit(rows, path):
         # the .json extension of the output selects JSON, for the partial file too

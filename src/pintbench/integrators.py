@@ -9,11 +9,11 @@ with a damped Newton iteration on the iteration matrix
 For a nonlinear problem that matrix is formed afresh at every Newton
 iterate. For a linear problem ``J`` is constant, so the step uses a
 frozen inverse of the matrix (simplified Newton, exact here): one
-read-only operator per (problem, step size actually taken, theta), kept
-in one bounded module-level cache that every propagator and step
-shares. Newton still evaluates the residual and confirms convergence on
-every step, and every failure is reported as a ``TimeStepError`` naming
-the step's ``(t_n, k)``. ``theta = 1/2`` is the Crank-Nicolson scheme
+read-only operator per (problem, step size, theta), kept in one bounded
+module-level cache that every propagator and step shares. Newton still
+evaluates the residual and confirms convergence on every step, and
+every failure is reported as a ``TimeStepError`` naming the step's
+``(t_n, k)``. ``theta = 1/2`` is the Crank-Nicolson scheme
 (second order), ``theta = 1`` backward Euler (first order), and the
 shifted variant ``theta = 1/2 + theta0 * k`` trades a step-size
 proportional amount of damping for retained second-order accuracy.
@@ -32,8 +32,11 @@ written, so this is safe.
 
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
-propagator and an expensive fine one over the same windows. Propagators
-are safe to share across workers: their settings do not change after
+propagator and an expensive fine one over the same windows. A window
+of ``n`` steps takes ``n`` steps of exactly the propagator's step and
+is stamped ``t_end``: rounding slack of at most 1e-9 relative between
+the window and ``n`` steps is stamped, not integrated. Propagators are
+safe to share across workers: their settings do not change after
 construction, and the only state ``advance`` writes is a pair of cost
 counters updated under a lock. Each ``advance`` is deterministic, so
 identical inputs give bit-identical outputs regardless of scheduling.
@@ -45,7 +48,7 @@ import functools
 import math
 import threading
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -63,11 +66,11 @@ class TimeStepError(RuntimeError):
     """An implicit step failed; message carries the step's (t_n, k)."""
 
 
-# mismatch below this relative threshold is absorbed into the last step
+# window mismatch below this relative threshold is rounding slack, stamped not integrated
 _WINDOW_RTOL = 1e-9
 
-# frozen step operators kept at once: a few step sizes per run, plus the
-# shortened last steps of the windows
+# frozen step operators kept at once: one per (problem, step size, theta),
+# and a run uses a few step sizes
 _OPERATOR_CACHE_SIZE = 64
 
 
@@ -75,8 +78,8 @@ _OPERATOR_CACHE_SIZE = 64
 class ThetaSettings:
     """Step size, implicitness shift, and Newton settings for theta stepping.
 
-    The effective implicitness is ``theta = 1/2 + theta0 * step`` and must
-    lie in [1/2, 1]; configurations outside that range are rejected.
+    The effective implicitness is ``theta = 1/2 + theta0 * step``, clamped
+    to [1/2, 1]; configurations more than 1e-12 outside it are rejected.
     """
 
     step: float
@@ -86,23 +89,22 @@ class ThetaSettings:
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:  # NaN too
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
-        theta = self.theta
+        theta = 0.5 + self.theta0 * self.step
         if not 0.5 - 1e-12 <= theta <= 1.0 + 1e-12:
             raise ValueError(f"effective theta {theta} at step {self.step!r} outside [1/2, 1]; adjust theta0")
 
     @property
     def theta(self) -> float:
-        return 0.5 + self.theta0 * self.step
+        return min(max(0.5 + self.theta0 * self.step, 0.5), 1.0)
 
 
 @functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
 def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.ndarray:
     """Read-only inverse of the iteration matrix ``I - k*theta*J`` of a linear problem.
 
-    One module-level cache, keyed on the problem, the step size actually
-    taken and theta, serves every propagator and step, so propagators on
-    the same problem and step share one operator instead of each holding
-    a copy.
+    One module-level cache, keyed on the problem, the step size and theta,
+    serves every propagator and step, so propagators on the same problem
+    and step share one operator instead of each holding a copy.
     """
     jac = problem.jacobian(problem.initial_values(), 0.0)
     try:
@@ -113,19 +115,14 @@ def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.nda
     return inverse
 
 
-def _effective_theta(settings: ThetaSettings) -> float:
-    return min(max(settings.theta, 0.5), 1.0)
-
-
 def _step_values(problem: _problems.Problem, y0: np.ndarray, f0, t0: float, k: float, theta: float,
-                 newton: NewtonSettings, inverse=None):
+                 newton: NewtonSettings, inverse):
     """One implicit step on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).
 
     ``f0`` is ``f(y0, t0)`` when the caller holds it (the previous step's
     returned rhs), else None and evaluated here. A linear problem's
-    Newton direction is a product with the shared frozen inverse of
-    ``I - k*theta*J`` (``inverse`` when the caller holds it for this step
-    size, else looked up in the cache); a nonlinear problem forms that
+    Newton direction is a product with ``inverse``, the frozen inverse of
+    ``I - k*theta*J``; a nonlinear problem passes None and forms that
     matrix afresh from its analytic Jacobian at every Newton iterate.
     """
     t1 = t0 + k
@@ -161,8 +158,6 @@ def _step_values(problem: _problems.Problem, y0: np.ndarray, f0, t0: float, k: f
             # f(y0, t1) is f(y0, t0) when the rhs does not depend on time
             y_last, f_last = y0, f0
         if problem.linear:
-            if inverse is None:
-                inverse = frozen_inverse(problem, k, theta)
             y1, iters = newton_solve(residual, y0, newton, jacobian_inverse=inverse)
         else:
             y1, iters = newton_solve(residual, y0, newton, jacobian=iteration_matrix)
@@ -171,10 +166,11 @@ def _step_values(problem: _problems.Problem, y0: np.ndarray, f0, t0: float, k: f
         raise TimeStepError(f"implicit step failed at t_n={t1!r}, k={k!r}: {exc}") from exc
 
 
-def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSettings, inverse=None):
+def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSettings):
     """One implicit step of a state; returns (new state, Newton iterations used)."""
+    prop = ThetaPropagator(problem, settings)
     values, _, iters = _step_values(problem, state.values, None, state.time, settings.step,
-                                    _effective_theta(settings), settings.newton, inverse)
+                                    prop.theta, settings.newton, prop.operator)
     return state.with_values(values, time=state.time + settings.step), iters
 
 
@@ -210,15 +206,14 @@ def _split_window(window: float, step: float) -> int:
 class ThetaPropagator:
     """Theta-scheme propagator for one problem at a fixed step size.
 
-    ``advance`` composes as many steps as the window requires; rounding
-    slack (below 1e-9 relative) is absorbed into the last step so the
-    final time lands on ``t_end`` exactly. ``theta`` is the effective
-    implicitness at the nominal step. For a linear problem ``operator``
-    is the shared frozen inverse of ``I - k*theta*J`` at the nominal step
-    (None for a nonlinear problem); a shortened last step takes its own
-    theta and the cached operator for its own size. The steps of a window
-    run on raw arrays and carry the rhs from one step to the next, so the
-    window's first rhs is its only one outside Newton. Newton iterations
+    ``advance`` takes the ``n`` steps of exactly ``step`` that the window
+    holds and stamps the result ``t_end``; the rounding slack between the
+    window and ``n * step`` (at most 1e-9 relative) is not integrated.
+    ``theta`` is the effective implicitness. For a linear problem every
+    step uses ``operator``, the shared frozen inverse of ``I - k*theta*J``
+    (None for a nonlinear problem). The steps of a window run on raw
+    arrays and carry the rhs from one step to the next, so the window's
+    first rhs is its only one outside Newton. Newton iterations
     and steps are accumulated in ``newton_iterations`` and
     ``steps_taken`` for cost diagnostics; these counters change under a
     lock, everything else is fixed at construction.
@@ -229,7 +224,7 @@ class ThetaPropagator:
         self.settings = settings
         self.step = settings.step
         self.cost_hint = cost_hint
-        self.theta = _effective_theta(settings)
+        self.theta = settings.theta
         self.operator = frozen_inverse(problem, self.step, self.theta) if problem.linear else None
         self.newton_iterations = 0
         self.steps_taken = 0
@@ -246,18 +241,10 @@ class ThetaPropagator:
         problem, k, newton = self.problem, self.step, self.settings.newton
         y, f, t = state.values, None, state.time
         iters = 0
-        for _ in range(n - 1):
+        for _ in range(n):
             y, f, it = _step_values(problem, y, f, t, k, self.theta, newton, self.operator)
             t += k
             iters += it
-        last = t_end - t
-        if last == k:
-            y, _, it = _step_values(problem, y, f, t, k, self.theta, newton, self.operator)
-        else:
-            # the shortened step has its own theta and operator, keyed on its actual size
-            theta = _effective_theta(replace(self.settings, step=last))
-            y, _, it = _step_values(problem, y, f, t, last, theta, newton)
-        iters += it
         with self._stats_lock:
             self.newton_iterations += iters
             self.steps_taken += n
@@ -276,9 +263,10 @@ class SleepPropagator:
 
     Used to benchmark schedulers in isolation: every internal step sleeps
     ``cost_per_step`` seconds and applies a backward-Euler decay
-    ``y <- y / (1 + decay_rate * dt)``, so coarse and fine instances
+    ``y <- y / (1 + decay_rate * step)``, so coarse and fine instances
     disagree enough to keep the corrector active while the numerical work
-    stays negligible next to the sleeps.
+    stays negligible next to the sleeps. Like ``ThetaPropagator``, a window
+    takes ``n`` steps of exactly ``step`` and is stamped ``t_end``.
     """
 
     def __init__(self, step: float, cost_per_step: float, decay_rate: float = 1.0):
@@ -287,7 +275,7 @@ class SleepPropagator:
             raise ValueError("step must be positive")
         if not 0.0 <= cost_per_step < math.inf:
             raise ValueError("cost_per_step must be finite and non-negative")
-        # the decay factor 1 / (1 + decay_rate * dt) must exist and stay positive
+        # the decay factor 1 / (1 + decay_rate * step) must exist and stay positive
         if not (math.isfinite(decay_rate) and 1.0 + decay_rate * step > 0.0):
             raise ValueError("decay_rate must be finite with 1 + decay_rate * step > 0")
         self.step = step
@@ -303,8 +291,7 @@ class SleepPropagator:
         n = _split_window(window, self.step)
         if self.cost_hint > 0.0:
             _time.sleep(n * self.cost_hint)
-        dt = window / n
-        factor = (1.0 + self.decay_rate * dt) ** (-n)
+        factor = (1.0 + self.decay_rate * self.step) ** (-n)
         return state.with_values(state.values * factor, time=t_end)
 
 

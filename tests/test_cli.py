@@ -171,14 +171,24 @@ fine_step = 0.01
         path = write_config(tmp_path / "a.ini", "[experiment]\nproblem = advection1d\n")
         assert load_config(path, [f"--advection1d.periodic={text}"]).problem.periodic is expected
 
-    @pytest.mark.parametrize("text, expected", [
-        ("zero", Zero()), ("rest", Zero()), ("sine", SineMode(1)), ("Sine:3", SineMode(3)),
-        ("gaussian", GaussianBump()), ("gaussian:0.3", GaussianBump(0.3)),
-        ("gaussian:0.3:0.2", GaussianBump(0.3, 0.2)),
+    @pytest.mark.parametrize("problem, text, expected", [
+        ("heat1d", "zero", Zero()), ("heat1d", "rest", Zero()), ("heat1d", "sine", SineMode(1)),
+        ("heat1d", "Sine:3", SineMode(3)), ("advection1d", "sine:2", SineMode(2)),
+        ("advection1d", "gaussian", GaussianBump()), ("advection1d", "gaussian:0.3", GaussianBump(0.3)),
+        ("advection1d", "gaussian:0.3:0.2", GaussianBump(0.3, 0.2)),
     ])
-    def test_initial_data_descriptors(self, tmp_path, text, expected):
-        path = write_config(tmp_path / "a.ini", "[experiment]\nproblem = heat1d\n")
-        assert load_config(path, [f"--heat1d.init={text}"]).problem.init == expected
+    def test_initial_data_descriptors(self, tmp_path, problem, text, expected):
+        path = write_config(tmp_path / "a.ini", f"[experiment]\nproblem = {problem}\n")
+        assert load_config(path, [f"--{problem}.init={text}"]).problem.init == expected
+
+    @pytest.mark.parametrize("problem, text, allowed", [
+        ("heat1d", "gaussian:0.3", "zero, rest, sine"), ("heat1d", "cosine", "zero, rest, sine"),
+        ("advection1d", "zero", "sine, gaussian"),
+    ])
+    def test_initial_data_outside_the_declared_type(self, tmp_path, problem, text, allowed):
+        path = write_config(tmp_path / "a.ini", f"[experiment]\nproblem = {problem}\n")
+        with pytest.raises(ConfigError, match=f"expected one of {allowed}$"):
+            load_config(path, [f"--{problem}.init={text}"])
 
     def test_readme_example_loads(self, tmp_path):
         # the README's INI example must stay a config the schema accepts
@@ -329,9 +339,10 @@ class TestMainEntryPoint:
         out = tmp_path / "res.csv"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
         bad = ["--coarse_steps=0.3", "--fine_step=nan", "--horizon=inf", "--tol=nan",
-               "--theta0=20", "--theta0=-1", "--dahlquist.lam=nan", "--dahlquist.y0=inf"]
+               "--theta0=20", "--theta0=-1", "--dahlquist.lam=nan", "--dahlquist.y0=inf",
+               "--problem=heat1d --heat1d.init=gaussian:0.3"]
         for override in bad:
-            assert main(["run", path, override]) == EXIT_CONFIG, override
+            assert main(["run", path, *override.split()]) == EXIT_CONFIG, override
             assert not out.exists()
             captured = capsys.readouterr()
             assert "config error" in captured.err, override
@@ -439,10 +450,17 @@ adv = 5.0
         emit_csv([], str(rows_path))
         assert main(["speedup", str(rows_path), "--bogus=1"]) == EXIT_CONFIG
 
-    def test_unwritable_output_exits_four(self, tmp_path, capsys):
+    def test_unwritable_output_exits_four(self, tmp_path, capsys, monkeypatch):
+        # the output path is checked before any solve runs
+        from pintbench import cli
         from pintbench.cli import EXIT_IO
 
+        solves = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: solves.append(1))
         out = tmp_path / "missing_dir" / "res.csv"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
-        assert main(["run", path]) == EXIT_IO
-        assert "I/O error" in capsys.readouterr().err
+        for override in ([], ["--output="], [f"--output={tmp_path}"]):
+            assert main(["run", path, *override]) == EXIT_IO, override
+            assert "I/O error" in capsys.readouterr().err
+        assert solves == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "a.ini"]

@@ -76,6 +76,7 @@ class TestThetaSettings:
         with pytest.raises(ValueError):
             ThetaSettings(step=0.1, theta0=6.0)  # theta = 1.1
         assert ThetaSettings(step=0.1, theta0=5.0).theta == pytest.approx(1.0)
+        assert ThetaSettings(step=0.1, theta0=5.0 + 5e-12).theta == 1.0  # rounding excess clamped
 
     def test_step_positive(self):
         for step in (0.0, -0.1, np.nan, np.inf):
@@ -159,25 +160,22 @@ class TestPropagator:
 
 class TestStepOperator:
     @STEP_CASES
-    def test_shortened_last_step_uses_its_own_operator(self, problem):
-        # 80 steps of 0.005 with the window end moved 1e-12 early: the last
-        # step is shortened, and a frozen operator keyed on the nominal step
-        # would give different bits than one built for the actual size; the
-        # window carries the rhs across steps, the chain of single steps
-        # evaluates it afresh, and both must give the same bits
+    def test_window_takes_whole_nominal_steps(self, problem):
+        # 80 steps of 0.005 with the window end moved 1e-12 early: the window
+        # still takes 80 steps of exactly 0.005 and is stamped t_end; it
+        # carries the rhs across steps, the chain of single steps evaluates
+        # it afresh, and both must give the same bits
         settings = ThetaSettings(step=0.005, theta0=0.5)
         t_end = 0.4 - 1e-12
-        out = make_propagator(problem, settings).advance(initial_state(problem), t_end)
+        prop = make_propagator(problem, settings)
+        out = prop.advance(initial_state(problem), t_end)
 
         s = initial_state(problem)
-        for _ in range(79):
-            frozen_inverse.cache_clear()
+        for _ in range(80):
             s = theta_step(problem, s, settings)
-        last = t_end - s.time
-        assert last != settings.step
-        frozen_inverse.cache_clear()
-        s = theta_step(problem, s, ThetaSettings(step=last, theta0=0.5))
+        assert s.time != t_end
         assert out.time == t_end
+        assert prop.steps_taken == 80
         assert out.values.tobytes() == s.values.tobytes()
 
     def test_propagators_share_one_read_only_operator(self):
@@ -191,24 +189,30 @@ class TestStepOperator:
         assert make_propagator(ale_piston(mesh_n=7), settings).operator is None
 
     def test_shared_cache_under_thread_contention(self):
-        # more distinct shortened last steps than the cache holds, advanced
-        # from 8 threads in different orders with frequent thread switches:
-        # every result must equal the serial one bit for bit
+        # more distinct step sizes than the cache holds, each built into a
+        # propagator and advanced from 8 threads in different orders with
+        # frequent thread switches: every result must equal the serial one
+        # bit for bit
         import sys
         import threading
 
         problem = heat1d(mesh_n=7, nu=0.1)
-        prop = make_propagator(problem, ThetaSettings(step=0.01))
         s0 = initial_state(problem)
-        ends = [0.1 - j * 1e-12 for j in range(80)]
-        expected = [prop.advance(s0, t).values.tobytes() for t in ends]
+        steps = [0.1 / j for j in range(1, 81)]
+        assert len(steps) > integrators._OPERATOR_CACHE_SIZE
+        frozen_inverse.cache_clear()
+
+        def advance(j):
+            return make_propagator(problem, ThetaSettings(step=steps[j])).advance(s0, 0.1).values.tobytes()
+
+        expected = [advance(j) for j in range(80)]
         results, errors = {}, []
 
         def work(w):
             try:
                 for j in range(80):
                     j = (j * 7 + w * 11) % 80
-                    results[w, j] = prop.advance(s0, ends[j]).values.tobytes()
+                    results[w, j] = advance(j)
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -224,6 +228,7 @@ class TestStepOperator:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+        assert frozen_inverse.cache_info().misses > len(steps)  # operators were evicted and rebuilt
         assert all(results[w, j] == expected[j] for w in range(8) for j in range(80))
 
     def test_nan_state_raises_located_step_error(self):

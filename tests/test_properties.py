@@ -6,7 +6,9 @@ propagator and runs both worker counts again. Each Jacobian example
 checks a problem's analytic ``jacobian`` against forward differences of
 its ``rhs`` at a random admissible state and time, and each autonomy
 example checks a problem's ``autonomous`` flag against its ``rhs`` at
-two random times.
+two random times. Each window example advances over a window a hair off
+a whole number of steps and checks that it takes exactly that many
+steps of the nominal size and lands on the requested end.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from dataclasses import replace  # noqa: E402
 import numpy as np  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pintbench.integrators import ThetaSettings, make_propagator  # noqa: E402
+from pintbench.integrators import SleepPropagator, ThetaSettings, make_propagator, theta_step  # noqa: E402
 from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal  # noqa: E402
 from pintbench.problems import (  # noqa: E402
     PROBLEMS,
@@ -181,3 +183,35 @@ def test_autonomous_flag_matches_the_rhs(kind, data):
         t0, t1 = (data.draw(st.floats(-10.0, 10.0), label=label) for label in ("t0", "t1"))
     same = problem.rhs(values, t0).tobytes() == problem.rhs(values, t1).tobytes()
     assert same == problem.autonomous
+
+
+WINDOW_PROBLEMS = [dahlquist(), heat1d(15, left_bc=1.0), advection1d(16), advection1d(15, periodic=False),
+                   ale_piston(15)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_window_takes_n_nominal_steps_and_lands_on_its_end(data):
+    problem = data.draw(st.sampled_from(WINDOW_PROBLEMS), label="problem")
+    k = data.draw(st.floats(1e-3, 0.05), label="k")
+    n = data.draw(st.integers(1, 30), label="n")
+    slack = data.draw(st.floats(-1e-10, 1e-10), label="slack") * n * k
+    t0 = data.draw(st.floats(0.0, 10.0), label="t0")
+    settings_ = ThetaSettings(step=k, theta0=data.draw(st.sampled_from([0.0, 0.5]), label="theta0"))
+    base = initial_state(problem)
+    s0 = base.with_values(base.values, time=t0)
+    t_end = t0 + n * k + slack
+
+    prop = make_propagator(problem, settings_)
+    out = prop.advance(s0, t_end)
+    chained = s0
+    for _ in range(n):
+        chained = theta_step(problem, chained, settings_)
+    assert out.time == t_end
+    assert out.values.tobytes() == chained.values.tobytes()
+    assert prop.steps_taken == n
+
+    rate = data.draw(st.floats(0.0, 10.0), label="rate")
+    slept = SleepPropagator(k, cost_per_step=0.0, decay_rate=rate).advance(s0, t_end)
+    assert slept.time == t_end
+    assert slept.values.tobytes() == (s0.values * (1.0 + rate * k) ** -n).tobytes()
