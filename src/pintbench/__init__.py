@@ -28,7 +28,6 @@ from .linalg import (
     newton_solve,
 )
 from .parareal import (
-    ErrorEntry,
     PararealConfig,
     PararealError,
     RunTrace,
@@ -76,7 +75,7 @@ __all__ = [
     "SineMode", "Zero", "GaussianBump", "MeshDegenerate",
     "dahlquist", "heat1d", "advection1d", "ale_piston",
     "forcing_s", "rhs", "initial_state", "reference_solution",
-    "PararealConfig", "RunTrace", "SpeedupModel", "ErrorEntry", "Task", "PararealError",
+    "PararealConfig", "RunTrace", "SpeedupModel", "Task", "PararealError",
     "run_parareal", "sequential_solve", "parareal_update", "theta_weight",
     "boundary_error", "theoretical_speedup", "pipelined_schedule",
 ]

@@ -15,8 +15,8 @@ one row per (iteration, boundary), per-boundary discretization error
 rows (against a refined reference), and one summary row per (coarse
 step, variant) with measured and modelled speedup.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (a partial
-results file is written), 4 I/O error.
+Exit codes: 0 success, 2 config error or malformed results file, 3
+numerical failure (a partial results file is written), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ EXIT_IO = 4
 
 ENV_WORKERS = "PINT_BENCH_WORKERS"
 
-CSV_COLUMNS = (
-    "problem", "K", "k", "variant", "iter", "boundary", "rel_err", "theta",
-    "t_seq_s", "t_par_s", "speedup_meas", "speedup_theory",
-)
-
 # rows carrying the dashed reference line use this sentinel variant
 DISCRETIZATION_VARIANT = "discretization"
 
@@ -81,11 +76,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One results row: the fields, in order, are the CSV columns and the JSON keys.
+
+    A summary row carries all four timing fields, every other row none.
+    """
+
     problem: str
     K: float
     k: float
     variant: str
-    iteration: int
+    iter: int
     boundary: Optional[int]
     rel_err: float
     theta: Optional[float]
@@ -97,15 +97,15 @@ class ResultRow:
     def __post_init__(self):
         if self.rel_err < 0.0:
             raise ValueError("errors cannot be negative")
+        timing = [self.t_seq_s, self.t_par_s, self.speedup_meas, self.speedup_theory]
+        if timing.count(None) not in (0, len(timing)):
+            raise ValueError("a summary row needs all of t_seq_s, t_par_s, speedup_meas and speedup_theory")
         if self.speedup_meas is not None and self.speedup_meas <= 0.0:
             raise ValueError("measured speedup must be positive")
 
-    def as_tuple(self):
-        return (
-            self.problem, self.K, self.k, self.variant, self.iteration, self.boundary,
-            self.rel_err, self.theta, self.t_seq_s, self.t_par_s,
-            self.speedup_meas, self.speedup_theory,
-        )
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
+_ROW_TYPES = typing.get_type_hints(ResultRow)
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,22 @@ def _initial_data(text: str, allowed: tuple):
     return cls(**{f.name: _coerce(hints[f.name], value) for f, value in zip(params, values)})
 
 
-def _coerce(hint, text: str):
-    """Convert a config value to a field's declared type."""
-    text = text.strip()
+def _coerce(hint, value):
+    """Convert a config value, or a results value from CSV text or JSON, to a field's declared type.
+
+    An ``Optional`` field reads empty text or a JSON null as None. A JSON
+    number is read from its text, so ``2.7`` is no int.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union and type(None) in args:
+        if value is None or (isinstance(value, str) and not value.strip()):
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+    if not isinstance(value, str):
+        if hint is str or type(value) not in (int, float):
+            raise ValueError(f"{value!r} is not a {hint.__name__}")
+        value = repr(value)
+    text = value.strip()
     if hint is bool:
         if text.lower() not in _BOOLEANS:
             raise ConfigError(f"{text!r} is not a boolean; expected one of {', '.join(_BOOLEANS)}")
@@ -302,9 +315,9 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
     ref_prop = make_propagator(problem, cfg.theta_settings(k / cfg.reference_fine_factor))
     reference = sequential_solve(ref_prop, s0, t_grid)
     disc = boundary_error(seq, reference)
-    disc_final = disc[L].value
+    disc_final = disc[L]
     for l in range(1, L + 1):
-        rows.append(ResultRow(problem.kind, 0.0, k, DISCRETIZATION_VARIANT, 0, l, disc[l].value, None))
+        rows.append(ResultRow(problem.kind, 0.0, k, DISCRETIZATION_VARIANT, 0, l, disc[l], None))
 
     for K in cfg.coarse_steps:
         for variant in cfg.variants:
@@ -361,13 +374,13 @@ def emit_csv(rows: Sequence[ResultRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row.as_tuple()) + "\n")
+            fh.write(",".join(_fmt(v) for v in dataclasses.astuple(row)) + "\n")
 
 
 def emit_json(rows: Sequence[ResultRow], path: str, metadata: Optional[dict] = None) -> None:
     payload = {
         "metadata": metadata or {},
-        "rows": [dict(zip(CSV_COLUMNS, row.as_tuple())) for row in rows],
+        "rows": [dataclasses.asdict(row) for row in rows],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
@@ -375,44 +388,40 @@ def emit_json(rows: Sequence[ResultRow], path: str, metadata: Optional[dict] = N
 
 
 def _row_from_record(record: dict) -> ResultRow:
-    def opt(name, cast):
-        value = record.get(name)
-        if value in (None, ""):
-            return None
-        return cast(value)
-
-    return ResultRow(
-        problem=str(record["problem"]),
-        K=float(record["K"]),
-        k=float(record["k"]),
-        variant=str(record["variant"]),
-        iteration=int(record["iter"]),
-        boundary=opt("boundary", int),
-        rel_err=float(record["rel_err"]),
-        theta=opt("theta", float),
-        t_seq_s=opt("t_seq_s", float),
-        t_par_s=opt("t_par_s", float),
-        speedup_meas=opt("speedup_meas", float),
-        speedup_theory=opt("speedup_theory", float),
-    )
+    """Build a row from its values keyed by column, each read by its field's type."""
+    if not isinstance(record, dict):
+        raise TypeError(f"{record!r} is not an object keyed by column")
+    unknown = sorted(set(record) - set(CSV_COLUMNS))
+    if unknown:
+        raise ValueError(f"unknown column(s) {', '.join(unknown)}")
+    return ResultRow(**{name: _coerce(_ROW_TYPES[name], value) for name, value in record.items()})
 
 
 def load_rows(path: str) -> list:
-    """Parse rows back from a CSV or JSON results file."""
-    if path.endswith(".json"):
-        with open(path) as fh:
-            payload = json.load(fh)
-        return [_row_from_record(rec) for rec in payload["rows"]]
-    rows = []
+    """Parse rows back from a CSV or JSON results file; a row with an unknown or missing
+    column, a value its field cannot take, or a CSV field count not the header's raises
+    ``ConfigError`` naming its line or row."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
-            raise ConfigError(f"unexpected CSV header in {path!r}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            rows.append(_row_from_record(dict(zip(CSV_COLUMNS, line.split(",")))))
+        if path.endswith(".json"):
+            records = [(f"row {n}", record) for n, record in enumerate(json.load(fh)["rows"], 1)]
+        else:
+            if tuple(fh.readline().strip().split(",")) != CSV_COLUMNS:
+                raise ConfigError(f"unexpected CSV header in {path!r}")
+            records = []
+            for n, line in enumerate(fh, 2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                values = line.split(",")
+                if len(values) != len(CSV_COLUMNS):
+                    raise ConfigError(f"{path!r} line {n}: {len(values)} fields, the header has {len(CSV_COLUMNS)}")
+                records.append((f"line {n}", dict(zip(CSV_COLUMNS, values))))
+    rows = []
+    for where, record in records:
+        try:
+            rows.append(_row_from_record(record))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path!r} {where}: {exc}") from exc
     return rows
 
 
@@ -433,7 +442,7 @@ def speedup_report(rows: Sequence[ResultRow]) -> str:
         accurate = disc_final is not None and row.rel_err <= disc_final[1]
         marker = "accurate" if accurate else "above discretization error"
         lines.append(
-            f"K={row.K:g} variant={row.variant}: iterations={row.iteration} "
+            f"K={row.K:g} variant={row.variant}: iterations={row.iter} "
             f"measured={row.speedup_meas:.3f} theoretical={row.speedup_theory:.3f} "
             f"efficiency={efficiency:.3f} [{marker}]"
         )
@@ -542,7 +551,8 @@ def _cmd_speedup(args) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # a malformed row arrives as ConfigError; the rest is a JSON file without a rows list
         print(f"cannot parse results: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(speedup_report(rows), end="")

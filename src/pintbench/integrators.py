@@ -219,11 +219,11 @@ class ThetaPropagator:
     lock, everything else is fixed at construction.
     """
 
-    def __init__(self, problem: _problems.Problem, settings: ThetaSettings, cost_hint: float = 0.0):
+    def __init__(self, problem: _problems.Problem, settings: ThetaSettings):
         self.problem = problem
         self.settings = settings
         self.step = settings.step
-        self.cost_hint = cost_hint
+        self.cost_hint = 0.0
         self.theta = settings.theta
         self.operator = frozen_inverse(problem, self.step, self.theta) if problem.linear else None
         self.newton_iterations = 0
@@ -251,11 +251,9 @@ class ThetaPropagator:
         return state.with_values(y, time=t_end)
 
 
-def make_propagator(
-    problem: _problems.Problem, settings: ThetaSettings, cost_hint: float = 0.0
-) -> ThetaPropagator:
+def make_propagator(problem: _problems.Problem, settings: ThetaSettings) -> ThetaPropagator:
     """Build the theta-scheme propagator for ``problem``."""
-    return ThetaPropagator(problem, settings, cost_hint=cost_hint)
+    return ThetaPropagator(problem, settings)
 
 
 class SleepPropagator:

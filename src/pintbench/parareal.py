@@ -93,9 +93,6 @@ class RunTrace:
     of the run to the completion of each iteration's corrector sweep.
     """
 
-    intervals: int
-    variant: str
-    scheduler: str
     iterations_run: int = 0
     converged: bool = False
     theta_values: list = field(default_factory=list)
@@ -106,14 +103,6 @@ class RunTrace:
     iteration_seconds: list = field(default_factory=list)
     total_seconds: float = 0.0
     fine_propagations: int = 0
-
-
-@dataclass(frozen=True)
-class ErrorEntry:
-    """Relative boundary error; ``absolute`` flags a zero-norm reference."""
-
-    value: float
-    absolute: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,19 +192,16 @@ def theta_weight(fine: State, coarse: State, variant: str, clamp: tuple = (0.0, 
 
 
 def boundary_error(parareal_states: Sequence[State], sequential_states: Sequence[State]) -> list:
-    """Relative Euclidean error per boundary, flagged absolute where the
+    """Relative Euclidean error per boundary; the absolute one where the
     sequential norm vanishes."""
     if len(parareal_states) != len(sequential_states):
         raise ValueError("state lists must have equal length")
-    entries = []
+    errors = []
     for vp, vs in zip(parareal_states, sequential_states):
         diff = float(np.linalg.norm(vp.values - vs.values))
         ref = float(np.linalg.norm(vs.values))
-        if ref > 0.0:
-            entries.append(ErrorEntry(diff / ref))
-        else:
-            entries.append(ErrorEntry(diff, absolute=True))
-    return entries
+        errors.append(diff / ref if ref > 0.0 else diff)
+    return errors
 
 
 # --------------------------------------------------------------------------
@@ -444,7 +430,7 @@ def run_parareal(
     stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, workers).run()
 
     iters_run = stop_at if stop_at is not None else max_iters
-    trace = RunTrace(intervals=L, variant=cfg.variant, scheduler=cfg.scheduler)
+    trace = RunTrace()
     trace.iterations_run = iters_run
     trace.converged = stop_at is not None
     trace.theta_values = [list(theta_rows[i]) for i in range(1, iters_run + 1)]
@@ -459,6 +445,5 @@ def run_parareal(
     trace.fine_propagations = sum(v is not None for row in fine_vals for v in row)
     if oracle is not None:
         for i in range(1, iters_run + 1):
-            entries = boundary_error(X[i][1:], oracle[1:])
-            trace.boundary_errors.append([e.value for e in entries])
+            trace.boundary_errors.append(boundary_error(X[i][1:], oracle[1:]))
     return X[iters_run], trace

@@ -59,7 +59,7 @@ def heat_benchmark():
     t0 = time.perf_counter()
     seq = sequential_solve(fine, s0, t_grid)
     reference = sequential_solve(make_propagator(problem, ThetaSettings(step=k / 4.0)), s0, t_grid)
-    disc_final = boundary_error(seq, reference)[L].value
+    disc_final = boundary_error(seq, reference)[L]
     cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, scheduler="serial")
     _, trace = run_parareal(coarse, fine, s0, T, cfg, oracle=seq)
     elapsed = time.perf_counter() - t0
@@ -232,7 +232,7 @@ def test_criterion_8_worker_count_determinism():
         cfg = dataclasses.replace(base, workers=workers)
         rows = run_experiment(cfg)
         runs.append([
-            (r.problem, r.K, r.k, r.variant, r.iteration, r.boundary, r.rel_err, r.theta, r.speedup_theory)
+            (r.problem, r.K, r.k, r.variant, r.iter, r.boundary, r.rel_err, r.theta, r.speedup_theory)
             for r in rows
         ])
     ok = runs[0] == runs[1]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pintbench.cli import (
+    CSV_COLUMNS,
     ConfigError,
     DISCRETIZATION_VARIANT,
     EXIT_CONFIG,
@@ -211,13 +212,13 @@ class TestRunExperiment:
         assert len(boundary) == 8  # 2 iterations x 4 boundaries
         assert len(summary) == 1
         for row in boundary:
-            if row.boundary <= row.iteration:
+            if row.boundary <= row.iter:
                 assert row.rel_err <= 1e-12
 
     def test_summary_speedup_theory_consistent(self, tmp_path):
         rows = run_experiment(self.smoke_config(tmp_path))
         summary = [r for r in rows if r.speedup_meas is not None][0]
-        model = SpeedupModel(r=0.01 / 0.1, iters=summary.iteration, intervals=4)
+        model = SpeedupModel(r=0.01 / 0.1, iters=summary.iter, intervals=4)
         assert abs(summary.speedup_theory - theoretical_speedup(model)) <= 1e-12
         assert summary.speedup_meas > 0
 
@@ -226,7 +227,7 @@ class TestRunExperiment:
         first = run_experiment(cfg)
         second = run_experiment(cfg)
         numeric = lambda rows: [
-            (r.problem, r.K, r.k, r.variant, r.iteration, r.boundary, r.rel_err, r.theta)
+            (r.problem, r.K, r.k, r.variant, r.iter, r.boundary, r.rel_err, r.theta)
             for r in rows
         ]
         assert numeric(first) == numeric(second)
@@ -282,6 +283,20 @@ class TestEmission:
         emit_csv(rows, str(path))
         for line in path.read_text().splitlines():
             assert len(line.split(",")) == 12
+
+    def test_readme_csv_columns(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"CSV columns:\s*```\n(.*?)\n```", readme, flags=re.DOTALL)
+        assert block == ",".join(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("timing", [
+        dict(t_seq_s=4.0, t_par_s=2.0, speedup_meas=2.0),
+        dict(t_seq_s=4.0, t_par_s=2.0, speedup_theory=5.0),
+        dict(speedup_theory=5.0),
+    ])
+    def test_summary_row_carries_all_timing_columns_or_none(self, timing):
+        with pytest.raises(ValueError, match="summary row needs all of"):
+            ResultRow("heat1d", 0.05, 0.005, "classic", 2, None, 1e-8, None, **timing)
 
 
 class TestSpeedupReport:
@@ -444,6 +459,48 @@ adv = 5.0
         emit_csv(rows, str(path))
         assert main(["speedup", str(path)]) == EXIT_OK
         assert "measured=2.000" in capsys.readouterr().out
+
+    # each edit spoils one row of a good file: (suffix, row index, edit, where the message points)
+    @pytest.mark.parametrize("suffix, index, edit, where", [
+        (".csv", 1, lambda line: line + ",1", "line 3"),
+        (".csv", 2, lambda line: line.rsplit(",", 2)[0], "line 4"),
+        (".csv", 2, lambda line: line.rsplit(",", 1)[0] + ",", "line 4"),
+        (".json", 2, lambda rec: {("speedup_measured" if key == "speedup_theory" else key): value
+                                  for key, value in rec.items()}, "row 3"),
+        (".json", 1, lambda rec: {**rec, "iter": 2.7}, "row 2"),
+        (".json", 0, lambda rec: list(rec.values()), "row 1"),
+    ], ids=["extra_field", "summary_missing_two_fields", "summary_empty_speedup_theory",
+            "misspelled_key", "fractional_iter", "row_not_an_object"])
+    def test_malformed_results_exit_two(self, tmp_path, capsys, suffix, index, edit, where):
+        rows = [
+            ResultRow("heat1d", 0.0, 0.005, DISCRETIZATION_VARIANT, 0, 4, 1e-6, None),
+            ResultRow("heat1d", 0.1, 0.005, "classic", 2, 4, 1e-8, 1.0),
+            ResultRow("heat1d", 0.1, 0.005, "classic", 2, None, 1e-8, None,
+                      t_seq_s=4.0, t_par_s=2.0, speedup_meas=2.0, speedup_theory=5.0),
+        ]
+        path = tmp_path / f"rows{suffix}"
+        if suffix == ".csv":
+            emit_csv(rows, str(path))
+            lines = path.read_text().splitlines()
+            lines[index + 1] = edit(lines[index + 1])
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            emit_json(rows, str(path))
+            payload = json.loads(path.read_text())
+            payload["rows"][index] = edit(payload["rows"][index])
+            path.write_text(json.dumps(payload))
+        assert main(["speedup", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "cannot parse results" in captured.err and where in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("payload", [[], {"metadata": {}}, {"rows": 3}])
+    def test_json_without_rows_list_exits_two(self, tmp_path, capsys, payload):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(payload))
+        assert main(["speedup", str(path)]) == EXIT_CONFIG
+        assert "cannot parse results" in capsys.readouterr().err
 
     def test_unknown_arguments_rejected(self, tmp_path, capsys):
         rows_path = tmp_path / "rows.csv"

@@ -156,21 +156,18 @@ class TestSpeedupModel:
 class TestBoundaryError:
     def test_identical_lists_are_zero(self):
         states = [vec_state([1.0, 2.0]), vec_state([3.0, 4.0])]
-        entries = boundary_error(states, states)
-        assert [e.value for e in entries] == [0.0, 0.0]
-        assert not any(e.absolute for e in entries)
+        assert boundary_error(states, states) == [0.0, 0.0]
 
     def test_hand_case(self):
         vp = [vec_state([3.0, 4.0])]
         vs = [vec_state([0.0, 5.0])]
-        entry = boundary_error(vp, vs)[0]
-        assert entry.value == pytest.approx(np.sqrt(10.0) / 5.0, rel=1e-15)
-        assert not entry.absolute
+        (error,) = boundary_error(vp, vs)
+        assert type(error) is float
+        assert error == pytest.approx(np.sqrt(10.0) / 5.0, rel=1e-15)
 
-    def test_zero_reference_flagged_absolute(self):
-        entry = boundary_error([vec_state([1.0, 0.0])], [vec_state([0.0, 0.0])])[0]
-        assert entry.absolute
-        assert entry.value == pytest.approx(1.0)
+    def test_zero_reference_gives_absolute_difference(self):
+        (error,) = boundary_error([vec_state([3.0, 4.0])], [vec_state([0.0, 0.0])])
+        assert error == 5.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
