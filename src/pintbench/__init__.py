@@ -19,7 +19,7 @@ from .integrators import (
     TimeStepError,
     convergence_order,
     make_propagator,
-    theta_step,
+    reference_solution,
 )
 from .linalg import (
     MaxItersExceeded,
@@ -58,7 +58,6 @@ from .problems import (
     forcing_s,
     heat1d,
     initial_state,
-    reference_solution,
     rhs,
 )
 from .state import State
@@ -69,12 +68,12 @@ __all__ = [
     "NewtonSettings", "newton_solve",
     "NumericBreakdown", "MaxItersExceeded",
     "ThetaSettings", "ThetaPropagator", "SleepPropagator", "Propagator",
-    "theta_step", "make_propagator", "convergence_order",
+    "make_propagator", "convergence_order", "reference_solution",
     "NonDivisibleWindow", "TimeStepError",
     "Problem", "PROBLEMS", "Dahlquist", "Heat1D", "Advection1D", "AlePiston",
     "SineMode", "Zero", "GaussianBump", "MeshDegenerate",
     "dahlquist", "heat1d", "advection1d", "ale_piston",
-    "forcing_s", "rhs", "initial_state", "reference_solution",
+    "forcing_s", "rhs", "initial_state",
     "PararealConfig", "RunTrace", "SpeedupModel", "Task", "PararealError",
     "run_parareal", "sequential_solve", "parareal_update", "theta_weight",
     "boundary_error", "theoretical_speedup", "pipelined_schedule",

@@ -10,7 +10,7 @@ For a nonlinear problem that matrix is formed afresh at every Newton
 iterate. For a linear problem ``J`` is constant, so the step uses a
 frozen inverse of the matrix (simplified Newton, exact here): one
 read-only operator per (problem, step size, theta), kept in one bounded
-module-level cache that every propagator and step shares. Newton still
+module-level cache that every propagator shares. Newton still
 evaluates the residual and confirms convergence on every step, and
 every failure is reported as a ``TimeStepError`` naming the step's
 ``(t_n, k)``. ``theta = 1/2`` is the Crank-Nicolson scheme
@@ -25,10 +25,11 @@ then only inside Newton. For an autonomous problem (``problem.autonomous``)
 the residual at the start values reuses that vector too, since
 ``f(y_{n-1}, t_n)`` is the same. Both reuse the result of the same call
 on the same arguments, so the output is bit-identical to evaluating
-afresh. ``advance`` steps raw arrays and builds one ``State`` per window.
-A step whose start values already solve it returns that array itself,
-so a result may share its values with its input; states are never
-written, so this is safe.
+afresh. ``ThetaPropagator.advance`` is the only path to a step; it
+steps raw arrays and builds one ``State`` per window. A step whose start
+values already solve it returns that array itself, so a result may
+share its values with its input; states are never written, so this is
+safe.
 
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
@@ -103,8 +104,8 @@ def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.nda
     """Read-only inverse of the iteration matrix ``I - k*theta*J`` of a linear problem.
 
     One module-level cache, keyed on the problem, the step size and theta,
-    serves every propagator and step, so propagators on the same problem
-    and step share one operator instead of each holding a copy.
+    serves every propagator, so propagators on the same problem and step
+    size share one operator instead of each holding a copy.
     """
     jac = problem.jacobian(problem.initial_values(), 0.0)
     try:
@@ -113,71 +114,6 @@ def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.nda
         raise NumericBreakdown(f"singular iteration matrix at k={k!r}") from exc
     inverse.setflags(write=False)
     return inverse
-
-
-def _step_values(problem: _problems.Problem, y0: np.ndarray, f0, t0: float, k: float, theta: float,
-                 newton: NewtonSettings, inverse):
-    """One implicit step on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).
-
-    ``f0`` is ``f(y0, t0)`` when the caller holds it (the previous step's
-    returned rhs), else None and evaluated here. A linear problem's
-    Newton direction is a product with ``inverse``, the frozen inverse of
-    ``I - k*theta*J``; a nonlinear problem passes None and forms that
-    matrix afresh from its analytic Jacobian at every Newton iterate.
-    """
-    t1 = t0 + k
-    k_impl = k * theta
-    y_last = f_last = None
-
-    def rhs1(y):
-        # the rhs at t1, kept for the last argument: Newton returns the
-        # last iterate it evaluated, so the solution's rhs is at hand
-        nonlocal y_last, f_last
-        if y is not y_last:
-            f_last = _problems.rhs_values(problem, y, t1)
-            y_last = y
-        return f_last
-
-    def residual(y):
-        # a trial iterate may leave the admissible region (e.g. collapse
-        # the moving mesh); report it as a non-finite residual so the
-        # Newton line search backs off instead of aborting
-        try:
-            return y - base - k_impl * rhs1(y)
-        except _problems.MeshDegenerate:
-            return np.full_like(y, np.inf)
-
-    def iteration_matrix(y):
-        return np.eye(y.size) - k_impl * problem.jacobian(y, t1)
-
-    try:
-        if f0 is None:
-            f0 = _problems.rhs_values(problem, y0, t0)
-        base = y0 + (k * (1.0 - theta)) * f0
-        if problem.autonomous:
-            # f(y0, t1) is f(y0, t0) when the rhs does not depend on time
-            y_last, f_last = y0, f0
-        if problem.linear:
-            y1, iters = newton_solve(residual, y0, newton, jacobian_inverse=inverse)
-        else:
-            y1, iters = newton_solve(residual, y0, newton, jacobian=iteration_matrix)
-        return y1, rhs1(y1), iters
-    except (_problems.MeshDegenerate, NumericBreakdown, MaxItersExceeded) as exc:
-        raise TimeStepError(f"implicit step failed at t_n={t1!r}, k={k!r}: {exc}") from exc
-
-
-def _theta_step(problem: _problems.Problem, state: State, settings: ThetaSettings):
-    """One implicit step of a state; returns (new state, Newton iterations used)."""
-    prop = ThetaPropagator(problem, settings)
-    values, _, iters = _step_values(problem, state.values, None, state.time, settings.step,
-                                    prop.theta, settings.newton, prop.operator)
-    return state.with_values(values, time=state.time + settings.step), iters
-
-
-def theta_step(problem: _problems.Problem, s: State, settings: ThetaSettings) -> State:
-    """Advance ``s`` by exactly one step of ``settings.step`` seconds."""
-    new, _ = _theta_step(problem, s, settings)
-    return new
 
 
 class Propagator(Protocol):
@@ -194,13 +130,26 @@ def _split_window(window: float, step: float) -> int:
     """Number of internal steps for ``window``, validating divisibility."""
     if not math.isfinite(window):
         raise ValueError(f"window {window!r} is not finite")
-    n = max(int(round(window / step)), 1)
+    ratio = window / step
+    if not math.isfinite(ratio):
+        raise ValueError(f"window {window!r} holds too many steps of {step!r}")
+    n = max(int(round(ratio)), 1)
     mismatch = abs(window - n * step)
     if mismatch > _WINDOW_RTOL * max(abs(window), step):
         raise NonDivisibleWindow(
             f"window {window!r} is not an integer multiple of step {step!r} (mismatch {mismatch:.3e})"
         )
     return n
+
+
+def _window_steps(state: State, t_end: float, step: float) -> int:
+    """Steps of ``step`` from ``state`` to ``t_end``: 0 for an empty window, ValueError for a backwards one."""
+    window = t_end - state.time
+    if window == 0.0:
+        return 0
+    if window < 0.0:
+        raise ValueError(f"cannot advance backwards from {state.time} to {t_end}")
+    return _split_window(window, step)
 
 
 class ThetaPropagator:
@@ -211,12 +160,13 @@ class ThetaPropagator:
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. For a linear problem every
     step uses ``operator``, the shared frozen inverse of ``I - k*theta*J``
-    (None for a nonlinear problem). The steps of a window run on raw
-    arrays and carry the rhs from one step to the next, so the window's
-    first rhs is its only one outside Newton. Newton iterations
-    and steps are accumulated in ``newton_iterations`` and
-    ``steps_taken`` for cost diagnostics; these counters change under a
-    lock, everything else is fixed at construction.
+    (None for a nonlinear problem). ``advance`` is the only path to a
+    step, so one step is ``advance(state, state.time + step)``. The steps
+    of a window run on raw arrays and carry the rhs from one step to the
+    next, so the window's first rhs is its only one outside Newton.
+    Newton iterations and steps are accumulated in ``newton_iterations``
+    and ``steps_taken`` for cost diagnostics; these counters change under
+    a lock, everything else is fixed at construction.
     """
 
     def __init__(self, problem: _problems.Problem, settings: ThetaSettings):
@@ -231,24 +181,69 @@ class ThetaPropagator:
         self._stats_lock = threading.Lock()
 
     def advance(self, state: State, t_end: float) -> State:
-        window = t_end - state.time
-        if window == 0.0:
+        n = _window_steps(state, t_end, self.step)
+        if n == 0:
             return state
-        if window < 0.0:
-            raise ValueError(f"cannot advance backwards from {state.time} to {t_end}")
-        n = _split_window(window, self.step)
-
-        problem, k, newton = self.problem, self.step, self.settings.newton
         y, f, t = state.values, None, state.time
         iters = 0
         for _ in range(n):
-            y, f, it = _step_values(problem, y, f, t, k, self.theta, newton, self.operator)
-            t += k
+            y, f, it = self._step(y, f, t)
+            t += self.step
             iters += it
         with self._stats_lock:
             self.newton_iterations += iters
             self.steps_taken += n
         return state.with_values(y, time=t_end)
+
+    def _step(self, y0: np.ndarray, f0, t0: float):
+        """One implicit step on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).
+
+        ``f0`` is ``f(y0, t0)`` when the caller holds it (the previous step's
+        returned rhs), else None and evaluated here. A linear problem's
+        Newton direction is a product with ``operator``; a nonlinear
+        problem forms ``I - k*theta*J`` afresh from its analytic Jacobian
+        at every Newton iterate.
+        """
+        problem, k, theta = self.problem, self.step, self.theta
+        t1 = t0 + k
+        k_impl = k * theta
+        y_last = f_last = None
+
+        def rhs1(y):
+            # the rhs at t1, kept for the last argument: Newton returns the
+            # last iterate it evaluated, so the solution's rhs is at hand
+            nonlocal y_last, f_last
+            if y is not y_last:
+                f_last = _problems.rhs_values(problem, y, t1)
+                y_last = y
+            return f_last
+
+        def residual(y):
+            # a trial iterate may leave the admissible region (e.g. collapse
+            # the moving mesh); report it as a non-finite residual so the
+            # Newton line search backs off instead of aborting
+            try:
+                return y - base - k_impl * rhs1(y)
+            except _problems.MeshDegenerate:
+                return np.full_like(y, np.inf)
+
+        def iteration_matrix(y):
+            return np.eye(y.size) - k_impl * problem.jacobian(y, t1)
+
+        try:
+            if f0 is None:
+                f0 = _problems.rhs_values(problem, y0, t0)
+            base = y0 + (k * (1.0 - theta)) * f0
+            if problem.autonomous:
+                # f(y0, t1) is f(y0, t0) when the rhs does not depend on time
+                y_last, f_last = y0, f0
+            if problem.linear:
+                y1, iters = newton_solve(residual, y0, self.settings.newton, jacobian_inverse=self.operator)
+            else:
+                y1, iters = newton_solve(residual, y0, self.settings.newton, jacobian=iteration_matrix)
+            return y1, rhs1(y1), iters
+        except (_problems.MeshDegenerate, NumericBreakdown, MaxItersExceeded) as exc:
+            raise TimeStepError(f"implicit step failed at t_n={t1!r}, k={k!r}: {exc}") from exc
 
 
 def make_propagator(problem: _problems.Problem, settings: ThetaSettings) -> ThetaPropagator:
@@ -281,16 +276,40 @@ class SleepPropagator:
         self.decay_rate = decay_rate
 
     def advance(self, state: State, t_end: float) -> State:
-        window = t_end - state.time
-        if window == 0.0:
+        n = _window_steps(state, t_end, self.step)
+        if n == 0:
             return state
-        if window < 0.0:
-            raise ValueError(f"cannot advance backwards from {state.time} to {t_end}")
-        n = _split_window(window, self.step)
         if self.cost_hint > 0.0:
             _time.sleep(n * self.cost_hint)
         factor = (1.0 + self.decay_rate * self.step) ** (-n)
         return state.with_values(state.values * factor, time=t_end)
+
+
+def reference_solution(
+    problem: _problems.Problem,
+    t: float,
+    fine_factor: int = 4,
+    base_step: float | None = None,
+    theta0: float = 0.0,
+) -> State:
+    """Reference state at time ``t``.
+
+    The scalar test equation has the analytic solution ``y0 * exp(lam*t)``;
+    the PDE problems are integrated sequentially with ``base_step /
+    fine_factor``, a Richardson-style refinement of the caller's step on
+    the same mesh.
+    """
+    if fine_factor < 2:
+        raise ValueError("fine_factor must be at least 2")
+    if isinstance(problem, _problems.Dahlquist):
+        return State(np.array([problem.y0 * math.exp(problem.lam * t)]), t, problem.layout())
+    s0 = _problems.initial_state(problem)
+    if t == 0.0:
+        return s0
+    if base_step is None:
+        raise ValueError("PDE reference solutions need base_step")
+    settings = ThetaSettings(step=base_step / fine_factor, theta0=theta0)
+    return make_propagator(problem, settings).advance(s0, t)
 
 
 def convergence_order(
@@ -313,7 +332,7 @@ def convergence_order(
     if len(steps) < 3:
         raise ValueError("need at least 3 step sizes to fit an order")
     newton_cfg = newton if newton is not None else NewtonSettings()
-    ref = _problems.reference_solution(
+    ref = reference_solution(
         problem, t_final, fine_factor=fine_factor, base_step=min(steps), theta0=theta0
     )
     errors = []

@@ -1,4 +1,4 @@
-"""Model problems: semi-discrete right-hand sides, initial data, references.
+"""Model problems: semi-discrete right-hand sides and initial data.
 
 Each problem is one frozen dataclass that owns its parameters and its
 behaviour: ``layout()``, ``initial_values()``, ``rhs(values, t)`` and the
@@ -400,31 +400,3 @@ def rhs(problem: Problem, s: State, t: float) -> np.ndarray:
     validate_layout(problem.layout(), s.size)
     return rhs_values(problem, s.values, t)
 
-
-def reference_solution(
-    problem: Problem,
-    t: float,
-    fine_factor: int = 4,
-    base_step: float | None = None,
-    theta0: float = 0.0,
-) -> State:
-    """Reference state at time ``t``.
-
-    The scalar test equation has the analytic solution ``y0 * exp(lam*t)``;
-    the PDE problems are integrated sequentially with ``base_step /
-    fine_factor``, a Richardson-style refinement of the caller's step on
-    the same mesh.
-    """
-    if fine_factor < 2:
-        raise ValueError("fine_factor must be at least 2")
-    if isinstance(problem, Dahlquist):
-        return State(np.array([problem.y0 * math.exp(problem.lam * t)]), t, problem.layout())
-    s0 = initial_state(problem)
-    if t == 0.0:
-        return s0
-    if base_step is None:
-        raise ValueError("PDE reference solutions need base_step")
-    from .integrators import ThetaSettings, make_propagator  # deferred: integrators imports this module
-
-    settings = ThetaSettings(step=base_step / fine_factor, theta0=theta0)
-    return make_propagator(problem, settings).advance(s0, t)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pintbench.cli import ExperimentConfig, run_experiment
-from pintbench.integrators import SleepPropagator, ThetaSettings, _theta_step, convergence_order, make_propagator
+from pintbench.integrators import SleepPropagator, ThetaSettings, convergence_order, make_propagator
 from pintbench.linalg import NewtonSettings
 from pintbench.parareal import (
     PararealConfig,
@@ -186,7 +186,9 @@ def test_criterion_7_piston_sanity():
     values[n] = 0.05
     values[n + 1] = 0.03
     perturbed = State(values, 0.0, problem.layout())
-    _, iters = _theta_step(problem, perturbed, ThetaSettings(step=0.01))
+    one_step = make_propagator(problem, ThetaSettings(step=0.01))
+    one_step.advance(perturbed, 0.01)
+    iters = one_step.newton_iterations
     newton_ok = iters <= 6
 
     def energy(state):

@@ -355,7 +355,8 @@ class TestMainEntryPoint:
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
         bad = ["--coarse_steps=0.3", "--fine_step=nan", "--horizon=inf", "--tol=nan",
                "--theta0=20", "--theta0=-1", "--dahlquist.lam=nan", "--dahlquist.y0=inf",
-               "--problem=heat1d --heat1d.init=gaussian:0.3"]
+               "--problem=heat1d --heat1d.init=gaussian:0.3",
+               "--horizon=1e300 --fine_step=1e-300 --coarse_steps=1e-299"]
         for override in bad:
             assert main(["run", path, *override.split()]) == EXIT_CONFIG, override
             assert not out.exists()

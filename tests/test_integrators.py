@@ -12,7 +12,6 @@ from pintbench.integrators import (
     convergence_order,
     frozen_inverse,
     make_propagator,
-    theta_step,
 )
 from pintbench.linalg import NewtonSettings
 from pintbench.problems import (
@@ -44,19 +43,19 @@ class TestThetaStep:
     def test_backward_euler_step(self):
         problem = dahlquist(lam=-1.0, y0=1.0)
         settings = ThetaSettings(step=0.1, theta0=5.0, newton=TIGHT)  # theta = 1
-        out = theta_step(problem, initial_state(problem), settings)
+        out = make_propagator(problem, settings).advance(initial_state(problem), 0.1)
         assert out.time == pytest.approx(0.1, abs=0)
         assert out.values[0] == pytest.approx(1.0 / 1.1, rel=1e-12)
 
     def test_crank_nicolson_step(self):
         problem = dahlquist(lam=-1.0, y0=1.0)
-        out = theta_step(problem, initial_state(problem), ThetaSettings(step=0.1, newton=TIGHT))
+        out = make_propagator(problem, ThetaSettings(step=0.1, newton=TIGHT)).advance(initial_state(problem), 0.1)
         assert out.values[0] == pytest.approx(0.95 / 1.05, rel=1e-12)
 
     def test_steady_state_advances_time_only(self):
         problem = heat1d(mesh_n=7, init=Zero())
         s0 = initial_state(problem)
-        out = theta_step(problem, s0, ThetaSettings(step=0.25, newton=TIGHT))
+        out = make_propagator(problem, ThetaSettings(step=0.25, newton=TIGHT)).advance(s0, 0.25)
         assert out.time == 0.25
         assert np.array_equal(out.values, s0.values)
 
@@ -66,7 +65,7 @@ class TestThetaStep:
         broken = s0.with_values(s0.values.copy())
         broken.values[7] = 0.95  # beyond the mesh-degeneracy guard
         with pytest.raises(TimeStepError, match=r"t_n=.*k="):
-            theta_step(problem, broken, ThetaSettings(step=0.01))
+            make_propagator(problem, ThetaSettings(step=0.01)).advance(broken, 0.01)
 
 
 class TestThetaSettings:
@@ -84,11 +83,17 @@ class TestThetaSettings:
                 ThetaSettings(step=step)
 
 
+# both propagators over the same problem: the window rule is shared
+BOTH_PROPAGATORS = pytest.mark.parametrize("prop", [
+    make_propagator(dahlquist(), ThetaSettings(step=0.1)),
+    SleepPropagator(step=0.1, cost_per_step=0.0),
+], ids=["theta", "sleep"])
+
+
 class TestPropagator:
-    def test_zero_window_returns_input(self):
-        problem = dahlquist()
-        prop = make_propagator(problem, ThetaSettings(step=0.1))
-        s0 = initial_state(problem)
+    @BOTH_PROPAGATORS
+    def test_zero_window_returns_input(self, prop):
+        s0 = initial_state(dahlquist())
         assert prop.advance(s0, 0.0) is s0
 
     def test_backward_euler_composition(self):
@@ -104,11 +109,10 @@ class TestPropagator:
         with pytest.raises(NonDivisibleWindow):
             prop.advance(initial_state(problem), 0.25)
 
-    def test_backwards_window_rejected(self):
-        problem = dahlquist()
-        prop = make_propagator(problem, ThetaSettings(step=0.1))
-        s = initial_state(problem).with_values(np.array([1.0]), time=1.0)
-        with pytest.raises(ValueError):
+    @BOTH_PROPAGATORS
+    def test_backwards_window_rejected(self, prop):
+        s = initial_state(dahlquist()).with_values(np.array([1.0]), time=1.0)
+        with pytest.raises(ValueError, match="from 1.0 to 0.5"):
             prop.advance(s, 0.5)
 
     def test_determinism_bitwise(self):
@@ -147,7 +151,7 @@ class TestPropagator:
             for lam_k in (0.1, 1.0, 10.0, 100.0, 1e4):
                 problem = dahlquist(lam=-lam_k, y0=1.0)
                 settings = ThetaSettings(step=1.0, theta0=theta0_scale, newton=TIGHT)
-                out = theta_step(problem, initial_state(problem), settings)
+                out = make_propagator(problem, settings).advance(initial_state(problem), 1.0)
                 assert abs(out.values[0]) <= 1.0 + 1e-9
 
     def test_newton_iteration_counter(self):
@@ -170,9 +174,10 @@ class TestStepOperator:
         prop = make_propagator(problem, settings)
         out = prop.advance(initial_state(problem), t_end)
 
+        one = make_propagator(problem, settings)
         s = initial_state(problem)
         for _ in range(80):
-            s = theta_step(problem, s, settings)
+            s = one.advance(s, s.time + settings.step)
         assert s.time != t_end
         assert out.time == t_end
         assert prop.steps_taken == 80
@@ -237,7 +242,7 @@ class TestStepOperator:
         values = s0.values.copy()
         values[3] = np.nan
         with pytest.raises(TimeStepError, match=r"t_n=0\.01, k=0\.01"):
-            theta_step(problem, s0.with_values(values), ThetaSettings(step=0.01))
+            make_propagator(problem, ThetaSettings(step=0.01)).advance(s0.with_values(values), 0.01)
         with pytest.raises(TimeStepError, match=r"t_n=0\.01, k=0\.01"):
             make_propagator(problem, ThetaSettings(step=0.01)).advance(s0.with_values(values), 0.1)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pintbench.integrators import ThetaSettings, make_propagator
+from pintbench.integrators import ThetaSettings, make_propagator, reference_solution
 from pintbench.linalg import NewtonSettings
 from pintbench.problems import (
     PROBLEMS,
@@ -18,7 +18,6 @@ from pintbench.problems import (
     forcing_s,
     heat1d,
     initial_state,
-    reference_solution,
     rhs,
     rhs_values,
 )

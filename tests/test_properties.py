@@ -8,7 +8,10 @@ its ``rhs`` at a random admissible state and time, and each autonomy
 example checks a problem's ``autonomous`` flag against its ``rhs`` at
 two random times. Each window example advances over a window a hair off
 a whole number of steps and checks that it takes exactly that many
-steps of the nominal size and lands on the requested end.
+steps of the nominal size and lands on the requested end. Each split
+example counts the steps of one window and step drawn from the whole
+float range: the count fits the window or the split raises
+``ValueError``.
 """
 
 import pytest
@@ -20,7 +23,7 @@ from dataclasses import replace  # noqa: E402
 import numpy as np  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pintbench.integrators import SleepPropagator, ThetaSettings, make_propagator, theta_step  # noqa: E402
+from pintbench.integrators import SleepPropagator, ThetaSettings, _split_window, make_propagator  # noqa: E402
 from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal  # noqa: E402
 from pintbench.problems import (  # noqa: E402
     PROBLEMS,
@@ -204,9 +207,10 @@ def test_window_takes_n_nominal_steps_and_lands_on_its_end(data):
 
     prop = make_propagator(problem, settings_)
     out = prop.advance(s0, t_end)
+    one = make_propagator(problem, settings_)
     chained = s0
     for _ in range(n):
-        chained = theta_step(problem, chained, settings_)
+        chained = one.advance(chained, chained.time + k)
     assert out.time == t_end
     assert out.values.tobytes() == chained.values.tobytes()
     assert prop.steps_taken == n
@@ -215,3 +219,14 @@ def test_window_takes_n_nominal_steps_and_lands_on_its_end(data):
     slept = SleepPropagator(k, cost_per_step=0.0, decay_rate=rate).advance(s0, t_end)
     assert slept.time == t_end
     assert slept.values.tobytes() == (s0.values * (1.0 + rate * k) ** -n).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(window=st.floats(1e-300, 1e300), step=st.floats(1e-300, 1e300))
+def test_split_window_counts_whole_steps_or_raises_value_error(window, step):
+    try:
+        n = _split_window(window, step)
+    except ValueError:
+        return
+    assert n >= 1
+    assert abs(window - n * step) <= 1e-9 * max(window, step)
