@@ -23,7 +23,6 @@ from .integrators import (
 )
 from .linalg import (
     MaxItersExceeded,
-    NewtonSettings,
     NumericBreakdown,
     newton_solve,
 )
@@ -31,7 +30,6 @@ from .parareal import (
     PararealConfig,
     PararealError,
     RunTrace,
-    SpeedupModel,
     Task,
     boundary_error,
     parareal_update,
@@ -65,7 +63,7 @@ from .state import State
 __all__ = [
     "__version__",
     "State",
-    "NewtonSettings", "newton_solve",
+    "newton_solve",
     "NumericBreakdown", "MaxItersExceeded",
     "ThetaSettings", "ThetaPropagator", "SleepPropagator", "Propagator",
     "make_propagator", "convergence_order", "reference_solution",
@@ -74,7 +72,7 @@ __all__ = [
     "SineMode", "Zero", "GaussianBump", "MeshDegenerate",
     "dahlquist", "heat1d", "advection1d", "ale_piston",
     "forcing_s", "rhs", "initial_state",
-    "PararealConfig", "RunTrace", "SpeedupModel", "Task", "PararealError",
+    "PararealConfig", "RunTrace", "Task", "PararealError",
     "run_parareal", "sequential_solve", "parareal_update", "theta_weight",
     "boundary_error", "theoretical_speedup", "pipelined_schedule",
 ]

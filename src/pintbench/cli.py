@@ -32,16 +32,15 @@ import re
 import sys
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
 from .integrators import ThetaSettings, TimeStepError, _split_window, make_propagator
-from .linalg import MaxItersExceeded, NumericBreakdown
+from .linalg import MAX_ITERS, MaxItersExceeded, NumericBreakdown
 from .parareal import (
     PararealConfig,
     PararealError,
-    SpeedupModel,
     boundary_error,
     run_parareal,
     sequential_solve,
@@ -62,7 +61,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-ENV_WORKERS = "PINT_BENCH_WORKERS"
+# the most steps one solve of a run may take; the longest is the refined
+# reference, horizon * reference_fine_factor / fine_step, and the shipped
+# configs take 3200-6400, so a config past this would not finish
+MAX_STEPS = 10**6
 
 # rows carrying the dashed reference line use this sentinel variant
 DISCRETIZATION_VARIANT = "discretization"
@@ -115,8 +117,8 @@ class ExperimentConfig:
     Construction validates the config by building the library objects a
     run uses (``parareal`` and ``theta_settings``, and the window split of
     every step), so an invalid config raises ``ConfigError`` before any
-    solve starts. ``max_iters = 0`` picks ``min(8, intervals)``; the
-    worker count defaults to ``PINT_BENCH_WORKERS``, else 1.
+    solve starts, and so does one whose refined reference would take more
+    than ``MAX_STEPS`` steps. ``max_iters = 0`` picks ``min(8, intervals)``.
     """
 
     problem: Problem
@@ -125,7 +127,7 @@ class ExperimentConfig:
     coarse_steps: tuple[float, ...] = (0.05,)
     fine_step: float = 0.005
     variants: tuple[str, ...] = ("classic",)
-    workers: int = field(default_factory=lambda: int(os.environ.get(ENV_WORKERS, "1")))
+    workers: int = 1
     reference_fine_factor: int = 4
     output: str = "results.csv"
     theta0: float = 0.0
@@ -158,6 +160,10 @@ class ExperimentConfig:
                 _split_window(self.horizon / self.intervals, step)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        steps = self.horizon * self.reference_fine_factor / self.fine_step
+        if steps > MAX_STEPS:
+            raise ConfigError(f"the reference solve would take {steps:.3g} steps, more than {MAX_STEPS}; "
+                              "raise fine_step or lower horizon or reference_fine_factor")
         if self.fine_step >= min(self.coarse_steps):
             raise ConfigError("fine_step must be smaller than every coarse step")
 
@@ -339,14 +345,13 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
                     qualifying = i
                     break
             t_par = trace.iteration_seconds[qualifying - 1]
-            model = SpeedupModel(r=k / K, iters=qualifying, intervals=L)
             rows.append(
                 ResultRow(
                     problem.kind, K, k, variant, qualifying, None,
                     trace.boundary_errors[qualifying - 1][L - 1], None,
                     t_seq_s=t_seq, t_par_s=t_par,
                     speedup_meas=t_seq / t_par,
-                    speedup_theory=theoretical_speedup(model),
+                    speedup_theory=theoretical_speedup(k / K, qualifying, L),
                 )
             )
             if verbose:
@@ -465,20 +470,18 @@ def speedup_report(rows: Sequence[ResultRow]) -> str:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    from .linalg import NewtonSettings
-
-    newton = NewtonSettings()
+    parareal = cfg.parareal(cfg.variants[0])
     # the experiment fields, less the run-local ones, with the problem by kind and max_iters as run
     config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in ("workers", "output")}
     config.update(problem=cfg.problem.kind, coarse_steps=list(cfg.coarse_steps), variants=list(cfg.variants),
-                  max_iters=cfg.parareal(cfg.variants[0]).max_iters)
+                  max_iters=parareal.max_iters)
     return {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "workers": cfg.workers,
+        "workers": parareal.workers,
         "newton": {
-            "abs_tol": newton.abs_tol,
-            "max_iters": newton.max_iters,
+            "abs_tol": cfg.theta_settings(cfg.fine_step).newton_tol,
+            "max_iters": MAX_ITERS,
             # the integrator differentiates each problem's rhs analytically; a
             # linear problem's step reuses one frozen inverse of I - k*theta*J
             "jacobian": "analytic",

@@ -49,13 +49,13 @@ import functools
 import math
 import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from . import problems as _problems
-from .linalg import MaxItersExceeded, NewtonSettings, NumericBreakdown, newton_solve
+from .linalg import DEFAULT_TOL, MaxItersExceeded, NumericBreakdown, newton_solve
 from .state import State
 
 
@@ -77,19 +77,23 @@ _OPERATOR_CACHE_SIZE = 64
 
 @dataclass(frozen=True)
 class ThetaSettings:
-    """Step size, implicitness shift, and Newton settings for theta stepping.
+    """Step size, implicitness shift, and Newton tolerance for theta stepping.
 
     The effective implicitness is ``theta = 1/2 + theta0 * step``, clamped
     to [1/2, 1]; configurations more than 1e-12 outside it are rejected.
+    Each step's Newton solve stops once the residual norm is at most
+    ``newton_tol``.
     """
 
     step: float
     theta0: float = 0.0
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
+    newton_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:  # NaN too
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
         theta = 0.5 + self.theta0 * self.step
         if not 0.5 - 1e-12 <= theta <= 1.0 + 1e-12:
             raise ValueError(f"effective theta {theta} at step {self.step!r} outside [1/2, 1]; adjust theta0")
@@ -238,9 +242,9 @@ class ThetaPropagator:
                 # f(y0, t1) is f(y0, t0) when the rhs does not depend on time
                 y_last, f_last = y0, f0
             if problem.linear:
-                y1, iters = newton_solve(residual, y0, self.settings.newton, jacobian_inverse=self.operator)
+                y1, iters = newton_solve(residual, y0, self.settings.newton_tol, jacobian_inverse=self.operator)
             else:
-                y1, iters = newton_solve(residual, y0, self.settings.newton, jacobian=iteration_matrix)
+                y1, iters = newton_solve(residual, y0, self.settings.newton_tol, jacobian=iteration_matrix)
             return y1, rhs1(y1), iters
         except (_problems.MeshDegenerate, NumericBreakdown, MaxItersExceeded) as exc:
             raise TimeStepError(f"implicit step failed at t_n={t1!r}, k={k!r}: {exc}") from exc
@@ -318,7 +322,7 @@ def convergence_order(
     theta0: float = 0.0,
     fixed_theta: float | None = None,
     t_final: float = 1.0,
-    newton: NewtonSettings | None = None,
+    newton_tol: float = DEFAULT_TOL,
     fine_factor: int = 8,
 ) -> float:
     """Observed order of the theta scheme on ``problem``.
@@ -331,14 +335,13 @@ def convergence_order(
     """
     if len(steps) < 3:
         raise ValueError("need at least 3 step sizes to fit an order")
-    newton_cfg = newton if newton is not None else NewtonSettings()
     ref = reference_solution(
         problem, t_final, fine_factor=fine_factor, base_step=min(steps), theta0=theta0
     )
     errors = []
     for k in steps:
         shift = (fixed_theta - 0.5) / k if fixed_theta is not None else theta0
-        settings = ThetaSettings(step=k, theta0=shift, newton=newton_cfg)
+        settings = ThetaSettings(step=k, theta0=shift, newton_tol=newton_tol)
         end = make_propagator(problem, settings).advance(_problems.initial_state(problem), t_final)
         errors.append(max(float(np.linalg.norm(end.values - ref.values)), 1e-300))
     slope = np.polyfit(np.log(np.asarray(steps, dtype=float)), np.log(np.asarray(errors)), 1)[0]

@@ -18,10 +18,15 @@ NaN or Inf entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+# the default residual tolerance, and the iteration budget and smallest
+# damping factor, which no caller varies
+DEFAULT_TOL = 1e-10
+MAX_ITERS = 25
+DAMPING_MIN = 1.0 / 64.0
 
 
 class NumericBreakdown(ArithmeticError):
@@ -44,27 +49,10 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class NewtonSettings:
-    """Tolerances and safeguards for the damped Newton iteration."""
-
-    abs_tol: float = 1e-10
-    max_iters: int = 25
-    damping_min: float = 1.0 / 64.0
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.damping_min <= 1.0:
-            raise ValueError("damping_min must lie in (0, 1]")
-
-
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     x0,
-    settings: Optional[NewtonSettings] = None,
+    tol: float = DEFAULT_TOL,
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     jacobian_inverse: Optional[np.ndarray] = None,
 ):
@@ -75,7 +63,7 @@ def newton_solve(
     ``J dx = -r`` with ``J`` from the ``jacobian`` callable. The residual
     test, the line search and the breakdown checks are the same on both
     paths. Each step is halved until the residual norm decreases or the
-    damping factor reaches ``damping_min``, at which point the damped step
+    damping factor reaches ``DAMPING_MIN``, at which point the damped step
     is taken anyway.
 
     Parameters
@@ -86,7 +74,8 @@ def newton_solve(
         Starting guess; the residual must be finite here. It is never
         written, and it is not copied: a float64 vector whose residual
         already meets the tolerance is returned as the object itself.
-    settings : NewtonSettings, optional
+    tol : float, optional
+        Positive bound on the residual's Euclidean norm.
     jacobian : callable, optional
         Maps x to the dense Jacobian matrix at x.
     jacobian_inverse : ndarray, optional
@@ -96,7 +85,7 @@ def newton_solve(
     Returns
     -------
     (x, iterations)
-        Solution with ``||residual(x)||_2 <= abs_tol`` and the number of
+        Solution with ``||residual(x)||_2 <= tol`` and the number of
         accepted Newton steps. ``x`` is the last argument ``residual`` was
         called with, so a caller can keep what it computed there (the
         integrator keeps the rhs).
@@ -105,15 +94,17 @@ def newton_solve(
     ------
     TypeError
         Neither or both of ``jacobian`` and ``jacobian_inverse`` given.
+    ValueError
+        ``tol`` is not positive (NaN included).
     MaxItersExceeded
-        No convergence within ``max_iters`` steps.
+        No convergence within ``MAX_ITERS`` steps.
     NumericBreakdown
         NaN/Inf encountered or the linearization is singular.
     """
     if (jacobian is None) == (jacobian_inverse is None):
         raise TypeError("newton_solve takes exactly one of jacobian and jacobian_inverse")
-    cfg = settings if settings is not None else NewtonSettings()
-    tol = cfg.abs_tol
+    if not tol > 0.0:  # NaN too
+        raise ValueError(f"tol must be positive, got {tol!r}")
     x = as_vector(x0, "x0")
     r = np.asarray(residual(x), dtype=np.float64)
     rr = r @ r
@@ -123,7 +114,7 @@ def newton_solve(
         raise ValueError(f"residual length {r.size} does not match unknowns {x.size}")
     rnorm = math.sqrt(rr)
 
-    for it in range(cfg.max_iters):
+    for it in range(MAX_ITERS):
         if rnorm <= tol:
             return x, it
         if jacobian_inverse is not None:
@@ -146,15 +137,15 @@ def newton_solve(
             rr = r_trial @ r_trial
             # a non-finite entry and an overflowing norm both read as infinite
             trial_norm = math.sqrt(rr) if math.isfinite(rr) else math.inf
-            if trial_norm < rnorm or lam <= cfg.damping_min:
+            if trial_norm < rnorm or lam <= DAMPING_MIN:
                 break
-            lam = max(lam / 2.0, cfg.damping_min)
+            lam = max(lam / 2.0, DAMPING_MIN)
         if trial_norm == math.inf:
             raise NumericBreakdown(f"residual not finite after damping to {lam}")
         x, r, rnorm = x_trial, r_trial, trial_norm
 
     if rnorm <= tol:
-        return x, cfg.max_iters
+        return x, MAX_ITERS
     raise MaxItersExceeded(
-        f"no convergence in {cfg.max_iters} iterations (||r|| = {rnorm:.3e}, target {tol:.3e})"
+        f"no convergence in {MAX_ITERS} iterations (||r|| = {rnorm:.3e}, target {tol:.3e})"
     )

@@ -11,7 +11,7 @@ with ``theta = 1`` for the classic update. The weighted variants pick
 ``theta`` from the inner products of the fine value and the new coarse
 prediction per layout block (least-squares projection, or the same
 projection further divided by the fine norm to damp mismatched pairs),
-average over blocks, and clamp to a configured interval.
+average over blocks, and clamp to [0, 1].
 
 One executor runs the task graph. A window's fine propagation for
 iteration ``i`` starts as soon as the iteration ``i-1`` corrector has
@@ -25,7 +25,6 @@ other task touches, so results are bit-identical across worker counts.
 from __future__ import annotations
 
 import heapq
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,14 +51,14 @@ class PararealConfig:
     """Interval count, iteration budget, stopping rule, and scheduling.
 
     ``scheduler="serial"`` runs the task graph on one worker, the calling
-    thread, whatever ``workers`` says; ``"pipelined"`` uses ``workers``.
+    thread: construction sets ``workers`` to 1 whatever was given.
+    ``"pipelined"`` uses ``workers``.
     """
 
     intervals: int
     max_iters: int
     tol: float = 1e-10
     variant: str = "classic"
-    theta_clamp: tuple = (0.0, 1.0)
     scheduler: str = "serial"
     workers: int = 1
 
@@ -72,13 +71,12 @@ class PararealConfig:
             raise ValueError("tol must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        lo, hi = self.theta_clamp
-        if not -math.inf < lo <= hi < math.inf:
-            raise ValueError("theta_clamp must be a finite non-empty interval")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}, expected one of {SCHEDULERS}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.scheduler == "serial":
+            object.__setattr__(self, "workers", 1)
 
 
 @dataclass
@@ -105,28 +103,18 @@ class RunTrace:
     fine_propagations: int = 0
 
 
-@dataclass(frozen=True)
-class SpeedupModel:
-    """Inputs of the analytic speedup estimate.
+def theoretical_speedup(r: float, iters: int, intervals: int) -> float:
+    """Best-case speedup ``1 / (r + (K/N) * (1 + r))`` of the pipelined run.
 
     ``r`` is the fine/coarse step-size ratio, ``iters`` the iteration
-    count and ``intervals`` the number of windows (one worker each).
+    count ``K`` and ``intervals`` the number ``N`` of windows (one worker
+    each).
     """
-
-    r: float
-    iters: int
-    intervals: int
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError("step ratio r must be positive")
-        if not 0 < self.iters <= self.intervals:
-            raise ValueError("iteration count must lie in (0, intervals]")
-
-
-def theoretical_speedup(model: SpeedupModel) -> float:
-    """Best-case speedup ``1 / (r + (K/N) * (1 + r))`` of the pipelined run."""
-    return 1.0 / (model.r + (model.iters / model.intervals) * (1.0 + model.r))
+    if r <= 0.0:
+        raise ValueError("step ratio r must be positive")
+    if not 0 < iters <= intervals:
+        raise ValueError("iteration count must lie in (0, intervals]")
+    return 1.0 / (r + (iters / intervals) * (1.0 + r))
 
 
 def sequential_solve(F: Propagator, s0: State, t_grid: Sequence[float]) -> list:
@@ -157,14 +145,14 @@ def parareal_update(coarse_new: State, fine_old: State, coarse_old: State, theta
     return fine_old.with_values(values, time=t)
 
 
-def theta_weight(fine: State, coarse: State, variant: str, clamp: tuple = (0.0, 1.0)) -> float:
+def theta_weight(fine: State, coarse: State, variant: str) -> float:
     """Data-dependent coarse weight, averaged over layout blocks.
 
     Per block, ``least_squares`` uses <F,C>/<C,C> (the scalar minimizing
     ||F - theta*C||) and ``angle_penalized`` divides that projection by
     <F,F> as well, shrinking the weight whenever fine and coarse carry
     different mass. Blocks with negligible coarse mass fall back to the
-    classic weight 1. The block average is clamped to ``clamp``.
+    classic weight 1. The block average is clamped to [0, 1].
     """
     if variant == "classic":
         return 1.0
@@ -187,8 +175,7 @@ def theta_weight(fine: State, coarse: State, variant: str, clamp: tuple = (0.0, 
             denom = cc * float(np.dot(f, f))
             w = fc / denom if denom > _DEGENERATE_MASS**2 else 1.0
         weights.append(w if np.isfinite(w) else 1.0)
-    lo, hi = clamp
-    return float(min(max(sum(weights) / len(weights), lo), hi))
+    return float(min(max(sum(weights) / len(weights), 0.0), 1.0))
 
 
 def boundary_error(parareal_states: Sequence[State], sequential_states: Sequence[State]) -> list:
@@ -408,7 +395,7 @@ def run_parareal(
                 return None
             coarse_new = C.advance(X[i][l], t_grid[l + 1])
             fine_old = fine_vals[i][l + 1]
-            th = theta_weight(fine_old, coarse_new, cfg.variant, cfg.theta_clamp)
+            th = theta_weight(fine_old, coarse_new, cfg.variant)
             new = parareal_update(coarse_new, fine_old, coarse_vals[i - 1][l + 1], th)
             X[i][l + 1] = new
             coarse_vals[i][l + 1] = coarse_new
@@ -426,8 +413,7 @@ def run_parareal(
         except Exception as exc:
             raise PararealError(f"{task.kind} failed at iteration {i}, interval {l}: {exc}") from exc
 
-    workers = 1 if cfg.scheduler == "serial" else cfg.workers
-    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, workers).run()
+    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, cfg.workers).run()
 
     iters_run = stop_at if stop_at is not None else max_iters
     trace = RunTrace()

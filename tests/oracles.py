@@ -10,7 +10,7 @@ import heapq
 import numpy as np
 
 
-def textbook_parareal(coarse, fine, s0, t_grid, iterations, variant="classic", clamp=(0.0, 1.0)):
+def textbook_parareal(coarse, fine, s0, t_grid, iterations, variant="classic"):
     """Plain triple-loop Parareal over the given boundary grid.
 
     Returns a list of per-iteration boundary value arrays,
@@ -38,7 +38,7 @@ def textbook_parareal(coarse, fine, s0, t_grid, iterations, variant="classic", c
             if variant == "classic":
                 theta = 1.0
             else:
-                theta = _oracle_weight(f, cn, variant, clamp)
+                theta = _oracle_weight(f, cn, variant)
             merged = theta * cn.values + f.values - theta * coarse_state[i - 1][l + 1].values
             X[i][l + 1] = f.with_values(merged, time=f.time)
             coarse_state[i][l + 1] = cn
@@ -46,7 +46,7 @@ def textbook_parareal(coarse, fine, s0, t_grid, iterations, variant="classic", c
     return [[X[i][l].values.copy() for l in range(L + 1)] for i in range(iterations + 1)]
 
 
-def _oracle_weight(fine_state, coarse_state, variant, clamp):
+def _oracle_weight(fine_state, coarse_state, variant):
     weights = []
     for name, (off, length) in fine_state.layout.items():
         f = fine_state.values[off:off + length]
@@ -62,7 +62,7 @@ def _oracle_weight(fine_state, coarse_state, variant, clamp):
             denom = cc * ff
             weights.append(float(np.dot(f, c)) / denom if denom > 1e-56 else 1.0)
     w = sum(weights) / len(weights)
-    return min(max(w, clamp[0]), clamp[1])
+    return min(max(w, 0.0), 1.0)
 
 
 def fd_jacobian(f, x):

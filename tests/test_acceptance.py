@@ -14,10 +14,8 @@ import pytest
 
 from pintbench.cli import ExperimentConfig, run_experiment
 from pintbench.integrators import SleepPropagator, ThetaSettings, convergence_order, make_propagator
-from pintbench.linalg import NewtonSettings
 from pintbench.parareal import (
     PararealConfig,
-    SpeedupModel,
     boundary_error,
     run_parareal,
     sequential_solve,
@@ -37,7 +35,7 @@ from pintbench.state import State
 
 from oracles import textbook_parareal
 
-TIGHT = NewtonSettings(abs_tol=1e-13)
+TIGHT = 1e-13  # Newton tolerance
 
 
 def report(number, name, ok, seconds, budget):
@@ -84,8 +82,8 @@ def test_criterion_1_exactness_all_problems():
     ok = True
     for problem in problems:
         s0 = initial_state(problem)
-        C = make_propagator(problem, ThetaSettings(step=K, newton=TIGHT))
-        F = make_propagator(problem, ThetaSettings(step=k, newton=TIGHT))
+        C = make_propagator(problem, ThetaSettings(step=K, newton_tol=TIGHT))
+        F = make_propagator(problem, ThetaSettings(step=k, newton_tol=TIGHT))
         seq = sequential_solve(F, s0, t_grid)
         for variant in ("classic", "least_squares", "angle_penalized"):
             for scheduler, workers in (("serial", 1), ("pipelined", 4)):
@@ -103,15 +101,15 @@ def test_criterion_1_exactness_all_problems():
 def test_criterion_2_theta_scheme_orders():
     t0 = time.perf_counter()
     steps = (0.1, 0.05, 0.025, 0.0125)
-    cn = convergence_order(dahlquist(), steps, newton=TIGHT)
-    be = convergence_order(dahlquist(), steps, fixed_theta=1.0, newton=TIGHT)
+    cn = convergence_order(dahlquist(), steps, newton_tol=TIGHT)
+    be = convergence_order(dahlquist(), steps, fixed_theta=1.0, newton_tol=TIGHT)
     ok = abs(cn - 2.0) <= 0.15 and abs(be - 1.0) <= 0.15
     report(2, f"theta-scheme orders (CN {cn:.3f}, BE {be:.3f})", ok, time.perf_counter() - t0, 1.0)
 
 
 def test_criterion_3_speedup_formula():
     t0 = time.perf_counter()
-    value = theoretical_speedup(SpeedupModel(r=0.02, iters=3, intervals=20))
+    value = theoretical_speedup(0.02, 3, 20)
     ok = abs(value - 5.78) <= 0.005
     report(3, f"speedup formula value ({value:.4f})", ok, time.perf_counter() - t0, 1.0)
 
@@ -131,7 +129,7 @@ def test_criterion_4_scheduler_speedup():
     run_parareal(C, F, s0, L * window, cfg)
     t_par = time.perf_counter() - t_par_start
     measured = t_seq / t_par
-    theory = theoretical_speedup(SpeedupModel(r=0.02, iters=3, intervals=L))
+    theory = theoretical_speedup(0.02, 3, L)
     ok = measured >= 0.6 * theory
     report(
         4, f"pipelined speedup (measured {measured:.2f} vs theory {theory:.2f})",
@@ -198,7 +196,7 @@ def test_criterion_7_piston_sanity():
         return (0.5 * problem.m_s * w**2 + 0.5 * problem.kappa * u**2
                 + 0.5 * problem.rho_f * (problem.L0 + u) * h * float(np.sum(v**2)))
 
-    prop = make_propagator(problem, ThetaSettings(step=0.005, newton=NewtonSettings(abs_tol=1e-12)))
+    prop = make_propagator(problem, ThetaSettings(step=0.005, newton_tol=1e-12))
     s = perturbed
     e0 = energy(s)
     dissipative = True
@@ -269,8 +267,8 @@ def test_criterion_10_oracle_equivalence():
         T = 8.0
         t_grid = [T * l / L for l in range(L + 1)]
         s0 = initial_state(problem)
-        C = make_propagator(problem, ThetaSettings(step=K, newton=TIGHT))
-        F = make_propagator(problem, ThetaSettings(step=k, newton=TIGHT))
+        C = make_propagator(problem, ThetaSettings(step=K, newton_tol=TIGHT))
+        F = make_propagator(problem, ThetaSettings(step=k, newton_tol=TIGHT))
         oracle_iterates = textbook_parareal(C, F, s0, t_grid, 3)
         for scheduler, workers in (("serial", 1), ("pipelined", 4)):
             cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, scheduler=scheduler, workers=workers)

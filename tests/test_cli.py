@@ -22,7 +22,7 @@ from pintbench.cli import (
     run_experiment,
     speedup_report,
 )
-from pintbench.parareal import SpeedupModel, theoretical_speedup
+from pintbench.parareal import theoretical_speedup
 from pintbench.problems import PROBLEMS, GaussianBump, SineMode, Zero, dahlquist
 
 CSV_HEADER = "problem,K,k,variant,iter,boundary,rel_err,theta,t_seq_s,t_par_s,speedup_meas,speedup_theory"
@@ -126,20 +126,6 @@ fine_step = 0.01
                 coarse_steps=(0.1,), fine_step=0.1,
             )
 
-    def test_env_default_workers(self, tmp_path, monkeypatch):
-        body = """
-[experiment]
-problem = dahlquist
-horizon = 2.0
-intervals = 4
-coarse_steps = 0.1
-fine_step = 0.01
-"""
-        monkeypatch.setenv("PINT_BENCH_WORKERS", "7")
-        path = write_config(tmp_path / "a.ini", body)
-        assert load_config(path).workers == 7
-        assert load_config(path, ["--workers=3"]).workers == 3
-
     def test_experiment_section_defaults(self, tmp_path):
         path = write_config(tmp_path / "e.ini", "[experiment]\nproblem = dahlquist\n")
         assert load_config(path) == ExperimentConfig(problem=dahlquist())
@@ -218,8 +204,7 @@ class TestRunExperiment:
     def test_summary_speedup_theory_consistent(self, tmp_path):
         rows = run_experiment(self.smoke_config(tmp_path))
         summary = [r for r in rows if r.speedup_meas is not None][0]
-        model = SpeedupModel(r=0.01 / 0.1, iters=summary.iter, intervals=4)
-        assert abs(summary.speedup_theory - theoretical_speedup(model)) <= 1e-12
+        assert abs(summary.speedup_theory - theoretical_speedup(0.01 / 0.1, summary.iter, 4)) <= 1e-12
         assert summary.speedup_meas > 0
 
     def test_reproducible_numerical_columns(self, tmp_path):
@@ -350,13 +335,24 @@ class TestMainEntryPoint:
         payload = json.loads(out.read_text())
         assert payload["metadata"]["config"]["problem"] == "dahlquist"
 
+    @pytest.mark.parametrize("scheduler, workers", [("pipelined", 2), ("serial", 1)])
+    def test_json_metadata_records_the_workers_run(self, tmp_path, scheduler, workers):
+        out = tmp_path / "res.json"
+        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
+        assert main(["run", path, f"--scheduler={scheduler}"]) == EXIT_OK
+        assert json.loads(out.read_text())["metadata"]["workers"] == workers
+
     def test_invalid_config_exits_two_without_output(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
+        # checked first: a config past the step ceiling that loaded would start a run that never ends
+        with pytest.raises(ConfigError, match=r"would take 4e\+15 steps, more than 1000000;"):
+            load_config(path, ["--horizon=1e6", "--fine_step=1e-9", "--coarse_steps=1e-8"])
         bad = ["--coarse_steps=0.3", "--fine_step=nan", "--horizon=inf", "--tol=nan",
                "--theta0=20", "--theta0=-1", "--dahlquist.lam=nan", "--dahlquist.y0=inf",
                "--problem=heat1d --heat1d.init=gaussian:0.3",
-               "--horizon=1e300 --fine_step=1e-300 --coarse_steps=1e-299"]
+               "--horizon=1e300 --fine_step=1e-300 --coarse_steps=1e-299",
+               "--horizon=1e6 --fine_step=1e-9 --coarse_steps=1e-8"]
         for override in bad:
             assert main(["run", path, *override.split()]) == EXIT_CONFIG, override
             assert not out.exists()

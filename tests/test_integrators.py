@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from pintbench.integrators import (
     frozen_inverse,
     make_propagator,
 )
-from pintbench.linalg import NewtonSettings
 from pintbench.problems import (
     SineMode,
     Zero,
@@ -23,9 +24,10 @@ from pintbench.problems import (
     heat1d,
     initial_state,
 )
+from pintbench.linalg import MaxItersExceeded
 from pintbench.state import State
 
-TIGHT = NewtonSettings(abs_tol=1e-13)
+TIGHT = 1e-13  # Newton tolerance
 
 # one case per problem class, with non-zero heat boundary values and both advection grids
 STEP_CASES = pytest.mark.parametrize("problem", [
@@ -42,20 +44,20 @@ def scalar_theta_factor(lam: float, k: float, theta: float) -> float:
 class TestThetaStep:
     def test_backward_euler_step(self):
         problem = dahlquist(lam=-1.0, y0=1.0)
-        settings = ThetaSettings(step=0.1, theta0=5.0, newton=TIGHT)  # theta = 1
+        settings = ThetaSettings(step=0.1, theta0=5.0, newton_tol=TIGHT)  # theta = 1
         out = make_propagator(problem, settings).advance(initial_state(problem), 0.1)
         assert out.time == pytest.approx(0.1, abs=0)
         assert out.values[0] == pytest.approx(1.0 / 1.1, rel=1e-12)
 
     def test_crank_nicolson_step(self):
         problem = dahlquist(lam=-1.0, y0=1.0)
-        out = make_propagator(problem, ThetaSettings(step=0.1, newton=TIGHT)).advance(initial_state(problem), 0.1)
+        out = make_propagator(problem, ThetaSettings(step=0.1, newton_tol=TIGHT)).advance(initial_state(problem), 0.1)
         assert out.values[0] == pytest.approx(0.95 / 1.05, rel=1e-12)
 
     def test_steady_state_advances_time_only(self):
         problem = heat1d(mesh_n=7, init=Zero())
         s0 = initial_state(problem)
-        out = make_propagator(problem, ThetaSettings(step=0.25, newton=TIGHT)).advance(s0, 0.25)
+        out = make_propagator(problem, ThetaSettings(step=0.25, newton_tol=TIGHT)).advance(s0, 0.25)
         assert out.time == 0.25
         assert np.array_equal(out.values, s0.values)
 
@@ -66,6 +68,33 @@ class TestThetaStep:
         broken.values[7] = 0.95  # beyond the mesh-degeneracy guard
         with pytest.raises(TimeStepError, match=r"t_n=.*k="):
             make_propagator(problem, ThetaSettings(step=0.01)).advance(broken, 0.01)
+
+
+    def test_newton_non_convergence_raises_located_step_error(self):
+        @dataclass(frozen=True)
+        class Riccati:
+            """y' = y^2 + 200: from y = 1 the step y - 1 - 0.05 * (f(y) + f(1)) = 0 has no real root."""
+
+            kind: ClassVar[str] = "riccati"
+            linear: ClassVar[bool] = False
+            autonomous: ClassVar[bool] = True
+
+            def layout(self):
+                return {"y": (0, 1)}
+
+            def initial_values(self):
+                return np.array([1.0])
+
+            def rhs(self, values, t):
+                return values**2 + 200.0
+
+            def jacobian(self, values, t):
+                return np.array([[2.0 * values[0]]])
+
+        problem = Riccati()
+        with pytest.raises(TimeStepError, match=r"t_n=0\.1, k=0\.1: no convergence in 25 iterations") as info:
+            make_propagator(problem, ThetaSettings(step=0.1)).advance(initial_state(problem), 0.1)
+        assert isinstance(info.value.__cause__, MaxItersExceeded)
 
 
 class TestThetaSettings:
@@ -81,6 +110,11 @@ class TestThetaSettings:
         for step in (0.0, -0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="step must be positive and finite"):
                 ThetaSettings(step=step)
+
+    def test_newton_tol_positive(self):
+        for tol in (0.0, -1e-10, np.nan, np.inf):
+            with pytest.raises(ValueError, match="newton_tol must be positive and finite"):
+                ThetaSettings(step=0.1, newton_tol=tol)
 
 
 # both propagators over the same problem: the window rule is shared
@@ -98,7 +132,7 @@ class TestPropagator:
 
     def test_backward_euler_composition(self):
         problem = dahlquist(lam=-1.0, y0=1.0)
-        prop = make_propagator(problem, ThetaSettings(step=0.1, theta0=5.0, newton=TIGHT))
+        prop = make_propagator(problem, ThetaSettings(step=0.1, theta0=5.0, newton_tol=TIGHT))
         out = prop.advance(initial_state(problem), 0.4)
         assert out.values[0] == pytest.approx(1.0 / 1.1**4, rel=1e-11)
         assert out.time == 0.4
@@ -140,7 +174,7 @@ class TestPropagator:
         mu = -(2.0 * nu / h**2) * (1.0 - math.cos(mode * math.pi * h / length))
         k = 0.002
         steps = 10
-        prop = make_propagator(problem, ThetaSettings(step=k, newton=TIGHT))
+        prop = make_propagator(problem, ThetaSettings(step=k, newton_tol=TIGHT))
         s0 = initial_state(problem)
         out = prop.advance(s0, steps * k)
         factor = scalar_theta_factor(mu, k, 0.5) ** steps
@@ -150,7 +184,7 @@ class TestPropagator:
         for theta0_scale in (0.0, 0.25, 0.5):  # theta = 1/2, 3/4, 1 at k=1
             for lam_k in (0.1, 1.0, 10.0, 100.0, 1e4):
                 problem = dahlquist(lam=-lam_k, y0=1.0)
-                settings = ThetaSettings(step=1.0, theta0=theta0_scale, newton=TIGHT)
+                settings = ThetaSettings(step=1.0, theta0=theta0_scale, newton_tol=TIGHT)
                 out = make_propagator(problem, settings).advance(initial_state(problem), 1.0)
                 assert abs(out.values[0]) <= 1.0 + 1e-9
 
@@ -315,15 +349,15 @@ class TestConvergenceOrder:
     STEPS = (0.1, 0.05, 0.025, 0.0125)
 
     def test_crank_nicolson_second_order(self):
-        order = convergence_order(dahlquist(), self.STEPS, newton=TIGHT)
+        order = convergence_order(dahlquist(), self.STEPS, newton_tol=TIGHT)
         assert order == pytest.approx(2.0, abs=0.15)
 
     def test_backward_euler_first_order(self):
-        order = convergence_order(dahlquist(), self.STEPS, fixed_theta=1.0, newton=TIGHT)
+        order = convergence_order(dahlquist(), self.STEPS, fixed_theta=1.0, newton_tol=TIGHT)
         assert order == pytest.approx(1.0, abs=0.15)
 
     def test_shift_preserves_second_order(self):
-        order = convergence_order(dahlquist(), self.STEPS, theta0=0.5, newton=TIGHT)
+        order = convergence_order(dahlquist(), self.STEPS, theta0=0.5, newton_tol=TIGHT)
         assert order == pytest.approx(2.0, abs=0.2)
 
     def test_needs_three_step_sizes(self):
@@ -332,5 +366,5 @@ class TestConvergenceOrder:
 
     def test_heat_second_order_against_refined_reference(self):
         problem = heat1d(mesh_n=7, nu=0.1)
-        order = convergence_order(problem, (0.2, 0.1, 0.05, 0.025), newton=TIGHT, t_final=1.0)
+        order = convergence_order(problem, (0.2, 0.1, 0.05, 0.025), newton_tol=TIGHT, t_final=1.0)
         assert order == pytest.approx(2.0, abs=0.25)

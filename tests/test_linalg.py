@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pintbench.linalg import (
+    MAX_ITERS,
     MaxItersExceeded,
-    NewtonSettings,
     NumericBreakdown,
     as_vector,
     newton_solve,
@@ -25,8 +25,7 @@ class TestNewton:
         assert abs(x[0] - 5.0) < 1e-12
 
     def test_quadratic_root(self):
-        settings = NewtonSettings(abs_tol=1e-12)
-        x, iters = newton_solve(lambda v: v**2 - 4.0, [3.0], settings, jacobian=square_jacobian)
+        x, iters = newton_solve(lambda v: v**2 - 4.0, [3.0], 1e-12, jacobian=square_jacobian)
         assert iters <= 8
         assert abs(x[0] - 2.0) < 1e-10
 
@@ -40,7 +39,7 @@ class TestNewton:
             norms.append(float(np.linalg.norm(r)))
             return r
 
-        _, iters = newton_solve(recording, [3.0], NewtonSettings(abs_tol=1e-14), jacobian=square_jacobian)
+        _, iters = newton_solve(recording, [3.0], 1e-14, jacobian=square_jacobian)
         history = norms[1:]
         assert len(history) == iters
         tail = [r for r in history if 0.0 < r <= 1e-3]
@@ -59,7 +58,7 @@ class TestNewton:
         x, iters = newton_solve(
             lambda v: v**2 - 4.0,
             [3.0],
-            NewtonSettings(abs_tol=1e-12),
+            1e-12,
             jacobian=square_jacobian,
         )
         assert abs(x[0] - 2.0) < 1e-12
@@ -84,20 +83,25 @@ class TestNewton:
         def jacobian(v):
             return np.array([[2.0 * v[0], 2.0 * v[1]], [1.0, -1.0]])
 
-        x, _ = newton_solve(residual, [2.0, 0.5], NewtonSettings(abs_tol=1e-13), jacobian=jacobian)
+        x, _ = newton_solve(residual, [2.0, 0.5], 1e-13, jacobian=jacobian)
         assert np.allclose(x, [1.0, 1.0], atol=1e-10)
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            NewtonSettings(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            NewtonSettings(abs_tol=np.nan)
-        with pytest.raises(ValueError):
-            NewtonSettings(max_iters=0)
-        with pytest.raises(ValueError):
-            NewtonSettings(damping_min=0.0)
-        with pytest.raises(ValueError):
-            NewtonSettings(damping_min=2.0)
+        for tol in (0.0, np.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                newton_solve(lambda v: v - 5.0, [0.0], tol, jacobian=identity)
+
+    def test_budget_exhausted_raises_max_iters_exceeded(self):
+        # the Jacobian is ten times too steep, so each full step closes a tenth of the gap
+        residual_calls = []
+
+        def residual(v):
+            residual_calls.append(1)
+            return v - 5.0
+
+        with pytest.raises(MaxItersExceeded, match=r"^no convergence in 25 iterations"):
+            newton_solve(residual, [0.0], 1e-10, jacobian=lambda v: np.array([[10.0]]))
+        assert MAX_ITERS == 25 and len(residual_calls) == 1 + MAX_ITERS
 
     def test_exactly_one_linearization(self):
         with pytest.raises(TypeError, match="exactly one"):

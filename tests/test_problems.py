@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pintbench.integrators import ThetaSettings, make_propagator, reference_solution
-from pintbench.linalg import NewtonSettings
 from pintbench.problems import (
     PROBLEMS,
     GaussianBump,
@@ -23,7 +22,7 @@ from pintbench.problems import (
 )
 from pintbench.state import State
 
-TIGHT = NewtonSettings(abs_tol=1e-13)
+TIGHT = 1e-13  # Newton tolerance
 
 
 class TestForcing:
@@ -183,7 +182,7 @@ class TestRhs:
 class TestInvariants:
     def test_heat_l2_norm_non_increasing(self):
         problem = heat1d(mesh_n=15, nu=0.1, init=SineMode(3))
-        prop = make_propagator(problem, ThetaSettings(step=0.05, newton=TIGHT))
+        prop = make_propagator(problem, ThetaSettings(step=0.05, newton_tol=TIGHT))
         s = initial_state(problem)
         norm = float(np.linalg.norm(s.values))
         for _ in range(20):
@@ -216,7 +215,7 @@ class TestInvariants:
             return (0.5 * problem.m_s * w**2 + 0.5 * problem.kappa * u**2
                     + 0.5 * problem.rho_f * (problem.L0 + u) * h * float(np.sum(v**2)))
 
-        prop = make_propagator(problem, ThetaSettings(step=0.005, newton=NewtonSettings(abs_tol=1e-12)))
+        prop = make_propagator(problem, ThetaSettings(step=0.005, newton_tol=1e-12))
         e0 = energy(s)
         for _ in range(100):
             s = prop.advance(s, s.time + 0.005)

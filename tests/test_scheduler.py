@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pintbench.integrators import SleepPropagator, ThetaSettings, make_propagator
-from pintbench.linalg import NewtonSettings
 from pintbench.parareal import (
     PararealConfig,
     PararealError,
@@ -19,7 +18,7 @@ from pintbench.state import State
 
 from oracles import simulate_makespan
 
-TIGHT = NewtonSettings(abs_tol=1e-13)
+TIGHT = 1e-13  # Newton tolerance
 
 
 class TestSchedulePlan:
@@ -89,8 +88,8 @@ class TestSchedulerEquivalence:
 
     def test_fine_propagation_count_matches_serial(self):
         problem = heat1d(mesh_n=7, nu=0.1)
-        C = make_propagator(problem, ThetaSettings(step=0.25, newton=TIGHT))
-        F = make_propagator(problem, ThetaSettings(step=0.05, newton=TIGHT))
+        C = make_propagator(problem, ThetaSettings(step=0.25, newton_tol=TIGHT))
+        F = make_propagator(problem, ThetaSettings(step=0.05, newton_tol=TIGHT))
         s0 = initial_state(problem)
         counts = {}
         for scheduler, workers in (("serial", 1), ("pipelined", 4)):
@@ -122,8 +121,8 @@ class TestSchedulerEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_pipelined_bitwise_equals_serial(self, workers):
         problem = heat1d(mesh_n=15, nu=0.1, init=SineMode(1))
-        C = make_propagator(problem, ThetaSettings(step=0.1, newton=TIGHT))
-        F = make_propagator(problem, ThetaSettings(step=0.02, newton=TIGHT))
+        C = make_propagator(problem, ThetaSettings(step=0.1, newton_tol=TIGHT))
+        F = make_propagator(problem, ThetaSettings(step=0.02, newton_tol=TIGHT))
         s0 = initial_state(problem)
         results = {}
         for scheduler, w in (("serial", 1), ("pipelined", workers)):
