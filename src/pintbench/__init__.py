@@ -56,7 +56,6 @@ from .problems import (
     forcing_s,
     heat1d,
     initial_state,
-    rhs,
 )
 from .state import State
 
@@ -71,7 +70,7 @@ __all__ = [
     "Problem", "PROBLEMS", "Dahlquist", "Heat1D", "Advection1D", "AlePiston",
     "SineMode", "Zero", "GaussianBump", "MeshDegenerate",
     "dahlquist", "heat1d", "advection1d", "ale_piston",
-    "forcing_s", "rhs", "initial_state",
+    "forcing_s", "initial_state",
     "PararealConfig", "RunTrace", "Task", "PararealError",
     "run_parareal", "sequential_solve", "parareal_update", "theta_weight",
     "boundary_error", "theoretical_speedup", "pipelined_schedule",

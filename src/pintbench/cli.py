@@ -81,6 +81,7 @@ class ResultRow:
     """One results row: the fields, in order, are the CSV columns and the JSON keys.
 
     A summary row carries all four timing fields, every other row none.
+    Every float field that is set must be finite.
     """
 
     problem: str
@@ -97,6 +98,10 @@ class ResultRow:
     speedup_theory: Optional[float] = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.rel_err < 0.0:
             raise ValueError("errors cannot be negative")
         timing = [self.t_seq_s, self.t_par_s, self.speedup_meas, self.speedup_theory]

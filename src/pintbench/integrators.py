@@ -7,22 +7,23 @@ The integrator solves, per step of size ``k``,
 with a damped Newton iteration on the iteration matrix
 ``I - k * theta * J``, where ``J`` is the problem's analytic Jacobian.
 For a nonlinear problem that matrix is formed afresh at every Newton
-iterate. For a linear problem ``J`` is constant, so the step uses a
-frozen inverse of the matrix (simplified Newton, exact here): one
-read-only operator per (problem, step size, theta), kept in one bounded
-module-level cache that every propagator shares. Newton still
-evaluates the residual and confirms convergence on every step, and
-every failure is reported as a ``TimeStepError`` naming the step's
-``(t_n, k)``. ``theta = 1/2`` is the Crank-Nicolson scheme
-(second order), ``theta = 1`` backward Euler (first order), and the
-shifted variant ``theta = 1/2 + theta0 * k`` trades a step-size
-proportional amount of damping for retained second-order accuracy.
+iterate. A linear problem's rhs is ``A y + b`` (``problem.linear``), so
+``J = A`` is constant and the step uses a frozen inverse of the matrix
+(simplified Newton, exact here): one read-only operator per (problem,
+step size, theta), kept in one bounded module-level cache that every
+propagator shares. Newton still evaluates the residual and confirms
+convergence on every step, and every failure is reported as a
+``TimeStepError`` naming the step's ``(t_n, k)``. ``theta = 1/2`` is the
+Crank-Nicolson scheme (second order), ``theta = 1`` backward Euler
+(first order), and the shifted variant ``theta = 1/2 + theta0 * k``
+trades a step-size proportional amount of damping for retained
+second-order accuracy.
 
 Newton returns the last iterate it evaluated the residual at, so a step
 ends holding ``f(y_n, t_n)``, and that vector is the next step's
 ``f(y_{n-1}, t_{n-1})``: a window evaluates the rhs once at its start and
-then only inside Newton. For an autonomous problem (``problem.autonomous``)
-the residual at the start values reuses that vector too, since
+then only inside Newton. A linear problem's rhs does not depend on the
+time, so the residual at the start values reuses that vector too, since
 ``f(y_{n-1}, t_n)`` is the same. Both reuse the result of the same call
 on the same arguments, so the output is bit-identical to evaluating
 afresh. ``ThetaPropagator.advance`` is the only path to a step; it
@@ -238,10 +239,9 @@ class ThetaPropagator:
             if f0 is None:
                 f0 = _problems.rhs_values(problem, y0, t0)
             base = y0 + (k * (1.0 - theta)) * f0
-            if problem.autonomous:
-                # f(y0, t1) is f(y0, t0) when the rhs does not depend on time
-                y_last, f_last = y0, f0
             if problem.linear:
+                # f(y0, t1) is f(y0, t0): an affine rhs does not depend on time
+                y_last, f_last = y0, f0
                 y1, iters = newton_solve(residual, y0, self.settings.newton_tol, jacobian_inverse=self.operator)
             else:
                 y1, iters = newton_solve(residual, y0, self.settings.newton_tol, jacobian=iteration_matrix)

@@ -25,6 +25,7 @@ other task touches, so results are bit-identical across worker counts.
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -110,8 +111,8 @@ def theoretical_speedup(r: float, iters: int, intervals: int) -> float:
     count ``K`` and ``intervals`` the number ``N`` of windows (one worker
     each).
     """
-    if r <= 0.0:
-        raise ValueError("step ratio r must be positive")
+    if not 0.0 < r < math.inf:  # NaN too
+        raise ValueError("step ratio r must be positive and finite")
     if not 0 < iters <= intervals:
         raise ValueError("iteration count must lie in (0, intervals]")
     return 1.0 / (r + (iters / intervals) * (1.0 + r))

@@ -4,13 +4,16 @@ Each problem is one frozen dataclass that owns its parameters and its
 behaviour: ``layout()``, ``initial_values()``, ``rhs(values, t)`` and the
 analytic ``jacobian(values, t)`` of that rhs as a dense matrix, the
 interface a single implicit integrator drives. The class flag ``linear``
-says the rhs is affine in the unknowns, so its Jacobian depends on
-neither the values nor the time; the flag ``autonomous`` says the rhs
-does not depend on the time, so ``rhs(values, t)`` gives the same bits
-at every ``t`` and the integrator reuses the rhs at a step's start
-values for its end time. Every float parameter must be finite; NaN or
-infinity is rejected with ``ValueError`` at construction. ``PROBLEMS``
-maps each class's ``kind`` to the class:
+says the rhs is ``A @ values + b`` with a constant matrix ``A`` and
+vector ``b``: the linear problems build that pair once, their ``rhs``
+and ``jacobian`` both read it, and the rhs does not depend on the time.
+The dense product costs ``Theta(n^2)`` where a stencil costs
+``Theta(n)``. At the mesh sizes used here (n <= 64) it is the cheaper
+of the two; near n = 1000 it costs as much as the frozen-inverse
+product of every Newton iteration, so a linear step there costs up to
+twice what a stencil rhs would. Every float parameter must be finite;
+NaN or infinity is rejected with ``ValueError`` at construction.
+``PROBLEMS`` maps each class's ``kind`` to the class:
 
 * ``dahlquist``    scalar linear test equation y' = lambda * y
 * ``heat1d``       diffusion on a fixed interval, Dirichlet boundaries,
@@ -32,13 +35,14 @@ the periodic transport grid, all nodes), ``h`` is the grid spacing and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .state import Layout, State, validate_layout
+from .state import Layout, State
 
 
 class MeshDegenerate(RuntimeError):
@@ -104,13 +108,36 @@ def _tridiagonal(n: int, lower, diag, upper) -> np.ndarray:
     return out
 
 
+class _Affine:
+    """A linear problem: ``rhs(values, t) = A @ values + b`` with constant ``A`` and ``b``.
+
+    Each class builds the pair once in ``_affine()``; it is cached on the
+    instance with both arrays read-only, so ``jacobian`` hands every
+    caller the same ``A``.
+    """
+
+    linear: ClassVar[bool] = True
+
+    @functools.cached_property
+    def _operator(self) -> tuple[np.ndarray, np.ndarray]:
+        pair = self._affine()
+        for array in pair:
+            array.setflags(write=False)
+        return pair
+
+    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
+        a, b = self._operator
+        return a @ values + b
+
+    def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
+        return self._operator[0]
+
+
 @dataclass(frozen=True)
-class Dahlquist:
+class Dahlquist(_Affine):
     """Scalar linear test equation y' = lam * y."""
 
     kind: ClassVar[str] = "dahlquist"
-    linear: ClassVar[bool] = True
-    autonomous: ClassVar[bool] = True
     lam: float = -1.0
     y0: float = 1.0
 
@@ -123,11 +150,8 @@ class Dahlquist:
     def initial_values(self) -> np.ndarray:
         return np.array([self.y0])
 
-    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
-        return self.lam * values
-
-    def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
-        return np.array([[self.lam]])
+    def _affine(self):
+        return np.array([[self.lam]]), np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -150,12 +174,10 @@ class _Mesh1D:
 
 
 @dataclass(frozen=True)
-class Heat1D(_Mesh1D):
+class Heat1D(_Affine, _Mesh1D):
     """Diffusion on (0, length) with Dirichlet boundary values."""
 
     kind: ClassVar[str] = "heat1d"
-    linear: ClassVar[bool] = True
-    autonomous: ClassVar[bool] = True
     nu: float = 2e-2
     length: float = 1.0
     left_bc: float = 0.0
@@ -176,28 +198,19 @@ class Heat1D(_Mesh1D):
     def initial_values(self) -> np.ndarray:
         return self.init.profile(self.grid(), self.length)
 
-    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
-        n = self.mesh_n
-        h = self.h
-        padded = np.empty(n + 2)
-        padded[0] = self.left_bc
-        padded[1:-1] = values
-        padded[-1] = self.right_bc
-        return (self.nu / h**2) * (padded[2:] - 2.0 * padded[1:-1] + padded[:-2])
-
-    def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
-        # the boundary values only shift the rhs
+    def _affine(self):
+        # the boundary values enter the first and last stencil as a shift
         c = self.nu / self.h**2
-        return _tridiagonal(self.mesh_n, c, -2.0 * c, c)
+        b = np.zeros(self.mesh_n)
+        b[0], b[-1] = c * self.left_bc, c * self.right_bc
+        return _tridiagonal(self.mesh_n, c, -2.0 * c, c), b
 
 
 @dataclass(frozen=True)
-class Advection1D(_Mesh1D):
+class Advection1D(_Affine, _Mesh1D):
     """Transport at constant speed on (0, length), zero values at both ends unless periodic."""
 
     kind: ClassVar[str] = "advection1d"
-    linear: ClassVar[bool] = True
-    autonomous: ClassVar[bool] = True
     mesh_n: int = 64
     speed: float = 1.0
     length: float = 1.0
@@ -225,28 +238,15 @@ class Advection1D(_Mesh1D):
     def initial_values(self) -> np.ndarray:
         return self.init.profile(self.grid(), self.length, self.periodic)
 
-    def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
-        n = self.mesh_n
-        h = self.h
-        if self.periodic:
-            dv = np.roll(values, -1) - np.roll(values, 1)
-        else:
-            padded = np.empty(n + 2)
-            padded[0] = 0.0
-            padded[1:-1] = values
-            padded[-1] = 0.0
-            dv = padded[2:] - padded[:-2]
-        return -self.speed * dv / (2.0 * h)
-
-    def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
+    def _affine(self):
         n = self.mesh_n
         c = self.speed / (2.0 * self.h)
-        jac = _tridiagonal(n, c, 0.0, -c)
+        a = _tridiagonal(n, c, 0.0, -c)
         if self.periodic:
             # the stencil wraps around: v_{-1} = v_{n-1} and v_n = v_0
-            jac[0, n - 1] = c
-            jac[n - 1, 0] = -c
-        return jac
+            a[0, n - 1] = c
+            a[n - 1, 0] = -c
+        return a, np.zeros(n)
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,6 @@ class AlePiston(_Mesh1D):
 
     kind: ClassVar[str] = "ale_piston"
     linear: ClassVar[bool] = False
-    autonomous: ClassVar[bool] = False
     rho_f: float = 1e3     # fluid density, kg/m^3
     nu: float = 2e-2       # kinematic viscosity, m^2/s
     L0: float = 1.0        # rest length of the fluid interval, m
@@ -387,16 +386,10 @@ def initial_state(problem: Problem) -> State:
 def rhs_values(problem: Problem, values: np.ndarray, t: float) -> np.ndarray:
     """Time derivative of every unknown, on raw value vectors.
 
-    Hot-path variant of :func:`rhs` that skips State wrapping; the
-    integrator calls this once per window start and once per Newton
-    residual evaluation at a new iterate (for an autonomous problem not
-    at a step's start values, whose rhs it already holds).
+    The integrator's one path to ``problem.rhs``: it calls this once per
+    window start and once per Newton residual evaluation at a new iterate
+    (for a linear problem not at a step's start values, whose rhs it
+    already holds).
     """
     return problem.rhs(values, t)
-
-
-def rhs(problem: Problem, s: State, t: float) -> np.ndarray:
-    """Time derivative of the state vector at time ``t``."""
-    validate_layout(problem.layout(), s.size)
-    return rhs_values(problem, s.values, t)
 

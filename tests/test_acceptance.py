@@ -29,7 +29,6 @@ from pintbench.problems import (
     dahlquist,
     heat1d,
     initial_state,
-    rhs,
 )
 from pintbench.state import State
 
@@ -174,7 +173,7 @@ def test_criterion_7_piston_sanity():
     t0 = time.perf_counter()
     rest_problem = ale_piston(mesh_n=31, v_in=0.0)
     rest = initial_state(rest_problem)
-    fixed_point = float(np.max(np.abs(rhs(rest_problem, rest, 0.0)))) == 0.0
+    fixed_point = float(np.max(np.abs(rest_problem.rhs(rest.values, 0.0)))) == 0.0
 
     problem = ale_piston(mesh_n=31, rho_f=1.0, nu=0.05, L0=1.0, adv=0.0, m_s=2.0, kappa=1.0, v_in=0.0)
     n = problem.mesh_n

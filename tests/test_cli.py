@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -183,6 +184,14 @@ fine_step = 0.01
         (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
         cfg = load_config(write_config(tmp_path / "readme.ini", block))
         assert cfg.problem.kind == "heat1d"
+
+    def test_readme_library_example_runs(self):
+        # the README's Python example must run as written and converge within its budget
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+        namespace = {}
+        exec(block, namespace)
+        assert namespace["trace"].iterations_run <= 4
 
 
 class TestRunExperiment:
@@ -466,8 +475,17 @@ adv = 5.0
                                   for key, value in rec.items()}, "row 3"),
         (".json", 1, lambda rec: {**rec, "iter": 2.7}, "row 2"),
         (".json", 0, lambda rec: list(rec.values()), "row 1"),
+        (".csv", 2, lambda line: ",".join(
+            {6: "nan", 10: "nan", 11: "inf"}.get(i, v) for i, v in enumerate(line.split(","))), "line 4"),
+        (".csv", 1, lambda line: ",".join("-inf" if i == 7 else v for i, v in enumerate(line.split(","))),
+         "line 3"),
+        (".json", 0, lambda rec: {**rec, "K": math.inf}, "row 1"),
+        (".json", 1, lambda rec: {**rec, "k": math.nan}, "row 2"),
+        (".json", 2, lambda rec: {**rec, "t_seq_s": math.nan}, "row 3"),
+        (".json", 2, lambda rec: {**rec, "t_par_s": -math.inf}, "row 3"),
     ], ids=["extra_field", "summary_missing_two_fields", "summary_empty_speedup_theory",
-            "misspelled_key", "fractional_iter", "row_not_an_object"])
+            "misspelled_key", "fractional_iter", "row_not_an_object", "summary_nan_inf",
+            "theta_minus_inf", "K_inf", "k_nan", "t_seq_s_nan", "t_par_s_minus_inf"])
     def test_malformed_results_exit_two(self, tmp_path, capsys, suffix, index, edit, where):
         rows = [
             ResultRow("heat1d", 0.0, 0.005, DISCRETIZATION_VARIANT, 0, 4, 1e-6, None),

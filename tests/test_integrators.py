@@ -77,7 +77,6 @@ class TestThetaStep:
 
             kind: ClassVar[str] = "riccati"
             linear: ClassVar[bool] = False
-            autonomous: ClassVar[bool] = True
 
             def layout(self):
                 return {"y": (0, 1)}
@@ -291,7 +290,7 @@ class TestStepOperator:
     @STEP_CASES
     def test_window_evaluates_the_rhs_once_outside_newton(self, problem, monkeypatch):
         # every step ends holding the rhs at its solution, which the next
-        # step starts from; an autonomous problem's start residual reuses it
+        # step starts from; a linear problem's start residual reuses it
         rhs_calls, residual_calls = [], []
         rhs_values, newton_solve = problems.rhs_values, integrators.newton_solve
 
@@ -310,7 +309,7 @@ class TestStepOperator:
         n = 12
         make_propagator(problem, ThetaSettings(step=0.02)).advance(initial_state(problem), n * 0.02)
         assert rhs_calls[0] == 0.0
-        if problem.autonomous:
+        if problem.linear:
             assert len(rhs_calls) == n + 1
         else:
             assert len(residual_calls) >= 2 * n

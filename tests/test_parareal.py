@@ -141,6 +141,10 @@ class TestTheoreticalSpeedup:
         with pytest.raises(ValueError):
             theoretical_speedup(0.0, 1, 4)
         with pytest.raises(ValueError):
+            theoretical_speedup(np.nan, 1, 4)
+        with pytest.raises(ValueError):
+            theoretical_speedup(np.inf, 1, 4)
+        with pytest.raises(ValueError):
             theoretical_speedup(0.1, 5, 4)
         with pytest.raises(ValueError):
             theoretical_speedup(0.1, 0, 4)

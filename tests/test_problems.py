@@ -17,7 +17,6 @@ from pintbench.problems import (
     forcing_s,
     heat1d,
     initial_state,
-    rhs,
     rhs_values,
 )
 from pintbench.state import State
@@ -101,7 +100,7 @@ class TestRhs:
     def test_heat_zero_state_is_steady(self):
         problem = heat1d(mesh_n=9, init=Zero())
         s = initial_state(problem)
-        assert not rhs(problem, s, 0.0).any()
+        assert not problem.rhs(s.values, 0.0).any()
 
     def test_heat_sine_is_discrete_eigenvector(self):
         # verified against explicit multiplication by the stencil matrix
@@ -111,7 +110,7 @@ class TestRhs:
         h = 1.0 / (n + 1)
         stencil = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) * nu / h**2
         matvec = stencil @ s.values
-        out = rhs(problem, s, 0.0)
+        out = problem.rhs(s.values, 0.0)
         assert np.allclose(out, matvec, rtol=1e-13, atol=1e-12)
         mu = -(2.0 * nu / h**2) * (1.0 - math.cos(math.pi * h))
         assert np.allclose(out, mu * s.values, rtol=1e-10, atol=1e-10)
@@ -119,33 +118,49 @@ class TestRhs:
     def test_heat_dirichlet_injection(self):
         problem = heat1d(mesh_n=3, nu=1.0, length=1.0, left_bc=2.0, right_bc=-1.0, init=Zero())
         s = initial_state(problem)
-        out = rhs(problem, s, 0.0)
+        out = problem.rhs(s.values, 0.0)
         h2 = (1.0 / 4.0) ** 2
         assert out[0] == pytest.approx(2.0 / h2)
         assert out[1] == 0.0
         assert out[2] == pytest.approx(-1.0 / h2)
 
-    def test_advection_periodic_matches_loop_oracle(self):
-        problem = advection1d(mesh_n=8, speed=2.0, length=1.0)
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "walls"])
+    def test_advection_matches_loop_oracle(self, periodic):
+        # the only check of the advection matrix that does not come from it
+        n = 8
+        problem = advection1d(mesh_n=n, speed=2.0, length=1.0, periodic=periodic)
         rng = np.random.default_rng(3)
-        v = rng.standard_normal(8)
-        s = State(v, 0.0, problem.layout())
-        out = rhs(problem, s, 0.0)
-        h = 1.0 / 8.0
-        expected = np.array([
-            -2.0 * (v[(i + 1) % 8] - v[(i - 1) % 8]) / (2.0 * h) for i in range(8)
-        ])
+        v = rng.standard_normal(n)
+        out = problem.rhs(v, 0.0)
+        h = 1.0 / n if periodic else 1.0 / (n + 1)
+
+        def node(i):
+            # the walls hold zero values beyond both ends
+            if periodic:
+                return v[i % n]
+            return v[i] if 0 <= i < n else 0.0
+
+        expected = np.array([-2.0 * (node(i + 1) - node(i - 1)) / (2.0 * h) for i in range(n)])
         assert np.allclose(out, expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("problem", [dahlquist(), heat1d(mesh_n=7, left_bc=1.0), advection1d(mesh_n=8)],
+                             ids=["dahlquist", "heat1d", "advection1d"])
+    def test_linear_jacobian_is_one_shared_read_only_array(self, problem):
+        values = problem.initial_values()
+        jac = problem.jacobian(values, 0.0)
+        assert problem.jacobian(2.0 * values, 5.0) is jac
+        with pytest.raises(ValueError):
+            jac[0, 0] = 1.0
 
     def test_piston_rest_is_exact_fixed_point(self):
         problem = ale_piston(mesh_n=9, v_in=0.0)
         s = initial_state(problem)
-        assert np.max(np.abs(rhs(problem, s, 0.0))) == 0.0
+        assert np.max(np.abs(problem.rhs(s.values, 0.0))) == 0.0
 
     def test_piston_rest_with_forcing_off_at_any_time(self):
         problem = ale_piston(mesh_n=9, v_in=0.0)
         s = initial_state(problem)
-        assert np.max(np.abs(rhs(problem, s, 3.7))) == 0.0
+        assert np.max(np.abs(problem.rhs(s.values, 3.7))) == 0.0
 
     def test_piston_traction_exact_on_linear_profile(self):
         # one-sided second-order stencil differentiates a linear profile
@@ -194,7 +209,7 @@ class TestInvariants:
     def test_advection_spatial_operator_conserves_l2(self):
         problem = advection1d(mesh_n=64, init=GaussianBump(0.5, 0.1))
         s = initial_state(problem)
-        deriv = rhs(problem, s, 0.0)
+        deriv = problem.rhs(s.values, 0.0)
         assert abs(2.0 * float(np.dot(s.values, deriv))) <= 1e-12
 
     def test_piston_energy_dissipative_at_rest_forcing(self):

@@ -4,9 +4,9 @@ Each executor example runs the same Parareal problem at one worker and
 at ``k`` workers, then injects a failure into the fine or the coarse
 propagator and runs both worker counts again. Each Jacobian example
 checks a problem's analytic ``jacobian`` against forward differences of
-its ``rhs`` at a random admissible state and time, and each autonomy
-example checks a problem's ``autonomous`` flag against its ``rhs`` at
-two random times. Each window example advances over a window a hair off
+its ``rhs`` at a random admissible state and time, and each time
+example checks a problem's ``linear`` flag against its ``rhs`` at two
+random times. Each window example advances over a window a hair off
 a whole number of steps and checks that it takes exactly that many
 steps of the nominal size and lands on the requested end. Each split
 example counts the steps of one window and step drawn from the whole
@@ -172,9 +172,9 @@ def test_analytic_jacobian_matches_finite_differences(kind, data):
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_autonomous_flag_matches_the_rhs(kind, data):
+def test_rhs_is_time_independent_exactly_when_linear(kind, data):
     # the integrator reuses the rhs at a step's start values for its end
-    # time when the class says autonomous, so the flag must never be wrong
+    # time when the class says linear, so the flag must never be wrong
     problem = _draw_problem(data, kind)
     values = _draw_values(data, problem)
     if isinstance(problem, AlePiston):
@@ -185,7 +185,7 @@ def test_autonomous_flag_matches_the_rhs(kind, data):
     else:
         t0, t1 = (data.draw(st.floats(-10.0, 10.0), label=label) for label in ("t0", "t1"))
     same = problem.rhs(values, t0).tobytes() == problem.rhs(values, t1).tobytes()
-    assert same == problem.autonomous
+    assert same == problem.linear
 
 
 WINDOW_PROBLEMS = [dahlquist(), heat1d(15, left_bc=1.0), advection1d(16), advection1d(15, periodic=False),
