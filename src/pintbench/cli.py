@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .integrators import ThetaSettings, TimeStepError, _split_window, make_propagator
-from .linalg import MAX_ITERS, MaxItersExceeded, NumericBreakdown
+from .linalg import MAX_ITERS, TOL, MaxItersExceeded, NumericBreakdown
 from .parareal import (
     PararealConfig,
     PararealError,
@@ -81,7 +81,8 @@ class ResultRow:
     """One results row: the fields, in order, are the CSV columns and the JSON keys.
 
     A summary row carries all four timing fields, every other row none.
-    Every float field that is set must be finite.
+    Every float field that is set must be finite, and every number in
+    range: a discretization row has ``K = 0`` and ``iter = 0``.
     """
 
     problem: str
@@ -102,13 +103,17 @@ class ResultRow:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.rel_err < 0.0:
-            raise ValueError("errors cannot be negative")
+        in_range = {"K": self.K >= 0.0, "k": self.k > 0.0, "iter": self.iter >= 0, "rel_err": self.rel_err >= 0.0,
+                    "boundary": self.boundary is None or self.boundary >= 1,
+                    "theta": self.theta is None or 0.0 <= self.theta <= 1.0}
+        for name, ok in in_range.items():
+            if not ok:
+                raise ValueError(f"{name} out of range, got {getattr(self, name)!r}")
         timing = [self.t_seq_s, self.t_par_s, self.speedup_meas, self.speedup_theory]
         if timing.count(None) not in (0, len(timing)):
             raise ValueError("a summary row needs all of t_seq_s, t_par_s, speedup_meas and speedup_theory")
-        if self.speedup_meas is not None and self.speedup_meas <= 0.0:
-            raise ValueError("measured speedup must be positive")
+        if any(value is not None and value <= 0.0 for value in timing):
+            raise ValueError("timings and speedups must be positive")
 
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
@@ -141,15 +146,11 @@ class ExperimentConfig:
     scheduler: str = "pipelined"
 
     def __post_init__(self):
-        # scheduler names are case-insensitive: Serial selects serial
+        # scheduler names are case-insensitive: Pipelined selects pipelined
         object.__setattr__(self, "scheduler", self.scheduler.lower())
-        numbers = [("horizon", self.horizon), ("fine_step", self.fine_step), ("theta0", self.theta0),
-                   ("tol", self.tol)] + [("coarse_steps", K) for K in self.coarse_steps]
-        for name, value in numbers:
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} {value} must be finite")
-        if self.horizon <= 0.0:
-            raise ConfigError("horizon must be positive")
+        # the steps, theta0 and tol are checked by the library objects built below
+        if not 0.0 < self.horizon < math.inf:  # NaN too
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not self.coarse_steps or not self.variants:
             raise ConfigError("need at least one coarse step and one variant")
         if self.reference_fine_factor < 2:
@@ -157,8 +158,7 @@ class ExperimentConfig:
         try:
             for variant in self.variants:
                 self.parareal(variant)
-            # every step a run takes, the refined reference's too; ThetaSettings rejects a
-            # nonpositive step before _split_window would divide by it
+            # every step a run takes, the refined reference's too
             for step in (*self.coarse_steps, self.fine_step, self.fine_step / self.reference_fine_factor):
                 self.theta_settings(step)
             for step in (*self.coarse_steps, self.fine_step):
@@ -485,7 +485,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "workers": parareal.workers,
         "newton": {
-            "abs_tol": cfg.theta_settings(cfg.fine_step).newton_tol,
+            "abs_tol": TOL,
             "max_iters": MAX_ITERS,
             # the integrator differentiates each problem's rhs analytically; a
             # linear problem's step reuses one frozen inverse of I - k*theta*J

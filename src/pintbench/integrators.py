@@ -56,7 +56,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import problems as _problems
-from .linalg import DEFAULT_TOL, MaxItersExceeded, NumericBreakdown, newton_solve
+from .linalg import MaxItersExceeded, NumericBreakdown, newton_solve
 from .state import State
 
 
@@ -78,23 +78,20 @@ _OPERATOR_CACHE_SIZE = 64
 
 @dataclass(frozen=True)
 class ThetaSettings:
-    """Step size, implicitness shift, and Newton tolerance for theta stepping.
+    """Step size and implicitness shift for theta stepping.
 
     The effective implicitness is ``theta = 1/2 + theta0 * step``, clamped
     to [1/2, 1]; configurations more than 1e-12 outside it are rejected.
     Each step's Newton solve stops once the residual norm is at most
-    ``newton_tol``.
+    ``linalg.TOL``.
     """
 
     step: float
     theta0: float = 0.0
-    newton_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:  # NaN too
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
-        if not 0.0 < self.newton_tol < math.inf:
-            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
         theta = 0.5 + self.theta0 * self.step
         if not 0.5 - 1e-12 <= theta <= 1.0 + 1e-12:
             raise ValueError(f"effective theta {theta} at step {self.step!r} outside [1/2, 1]; adjust theta0")
@@ -133,6 +130,8 @@ class Propagator(Protocol):
 
 def _split_window(window: float, step: float) -> int:
     """Number of internal steps for ``window``, validating divisibility."""
+    if not 0.0 < step < math.inf:  # NaN too
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     if not math.isfinite(window):
         raise ValueError(f"window {window!r} is not finite")
     ratio = window / step
@@ -176,7 +175,6 @@ class ThetaPropagator:
 
     def __init__(self, problem: _problems.Problem, settings: ThetaSettings):
         self.problem = problem
-        self.settings = settings
         self.step = settings.step
         self.cost_hint = 0.0
         self.theta = settings.theta
@@ -242,9 +240,9 @@ class ThetaPropagator:
             if problem.linear:
                 # f(y0, t1) is f(y0, t0): an affine rhs does not depend on time
                 y_last, f_last = y0, f0
-                y1, iters = newton_solve(residual, y0, self.settings.newton_tol, jacobian_inverse=self.operator)
+                y1, iters = newton_solve(residual, y0, jacobian_inverse=self.operator)
             else:
-                y1, iters = newton_solve(residual, y0, self.settings.newton_tol, jacobian=iteration_matrix)
+                y1, iters = newton_solve(residual, y0, jacobian=iteration_matrix)
             return y1, rhs1(y1), iters
         except (_problems.MeshDegenerate, NumericBreakdown, MaxItersExceeded) as exc:
             raise TimeStepError(f"implicit step failed at t_n={t1!r}, k={k!r}: {exc}") from exc
@@ -268,8 +266,8 @@ class SleepPropagator:
 
     def __init__(self, step: float, cost_per_step: float, decay_rate: float = 1.0):
         # written so that NaN fails both checks
-        if not step > 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < step < math.inf:
+            raise ValueError("step must be positive and finite")
         if not 0.0 <= cost_per_step < math.inf:
             raise ValueError("cost_per_step must be finite and non-negative")
         # the decay factor 1 / (1 + decay_rate * step) must exist and stay positive
@@ -322,7 +320,6 @@ def convergence_order(
     theta0: float = 0.0,
     fixed_theta: float | None = None,
     t_final: float = 1.0,
-    newton_tol: float = DEFAULT_TOL,
     fine_factor: int = 8,
 ) -> float:
     """Observed order of the theta scheme on ``problem``.
@@ -341,7 +338,7 @@ def convergence_order(
     errors = []
     for k in steps:
         shift = (fixed_theta - 0.5) / k if fixed_theta is not None else theta0
-        settings = ThetaSettings(step=k, theta0=shift, newton_tol=newton_tol)
+        settings = ThetaSettings(step=k, theta0=shift)
         end = make_propagator(problem, settings).advance(_problems.initial_state(problem), t_final)
         errors.append(max(float(np.linalg.norm(end.values - ref.values)), 1e-300))
     slope = np.polyfit(np.log(np.asarray(steps, dtype=float)), np.log(np.asarray(errors)), 1)[0]

@@ -22,9 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# the default residual tolerance, and the iteration budget and smallest
-# damping factor, which no caller varies
-DEFAULT_TOL = 1e-10
+# the residual tolerance, the iteration budget and the smallest damping
+# factor, which no caller varies
+TOL = 1e-10
 MAX_ITERS = 25
 DAMPING_MIN = 1.0 / 64.0
 
@@ -52,7 +52,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     x0,
-    tol: float = DEFAULT_TOL,
+    *,
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     jacobian_inverse: Optional[np.ndarray] = None,
 ):
@@ -62,9 +62,10 @@ def newton_solve(
     ``-jacobian_inverse @ r`` for a fixed inverse, else the solution of
     ``J dx = -r`` with ``J`` from the ``jacobian`` callable. The residual
     test, the line search and the breakdown checks are the same on both
-    paths. Each step is halved until the residual norm decreases or the
-    damping factor reaches ``DAMPING_MIN``, at which point the damped step
-    is taken anyway.
+    paths. The iteration stops once the residual's Euclidean norm is at
+    most ``TOL``. Each step is halved until the residual norm decreases
+    or the damping factor reaches ``DAMPING_MIN``, at which point the
+    damped step is taken anyway.
 
     Parameters
     ----------
@@ -74,8 +75,6 @@ def newton_solve(
         Starting guess; the residual must be finite here. It is never
         written, and it is not copied: a float64 vector whose residual
         already meets the tolerance is returned as the object itself.
-    tol : float, optional
-        Positive bound on the residual's Euclidean norm.
     jacobian : callable, optional
         Maps x to the dense Jacobian matrix at x.
     jacobian_inverse : ndarray, optional
@@ -85,7 +84,7 @@ def newton_solve(
     Returns
     -------
     (x, iterations)
-        Solution with ``||residual(x)||_2 <= tol`` and the number of
+        Solution with ``||residual(x)||_2 <= TOL`` and the number of
         accepted Newton steps. ``x`` is the last argument ``residual`` was
         called with, so a caller can keep what it computed there (the
         integrator keeps the rhs).
@@ -94,8 +93,6 @@ def newton_solve(
     ------
     TypeError
         Neither or both of ``jacobian`` and ``jacobian_inverse`` given.
-    ValueError
-        ``tol`` is not positive (NaN included).
     MaxItersExceeded
         No convergence within ``MAX_ITERS`` steps.
     NumericBreakdown
@@ -103,8 +100,6 @@ def newton_solve(
     """
     if (jacobian is None) == (jacobian_inverse is None):
         raise TypeError("newton_solve takes exactly one of jacobian and jacobian_inverse")
-    if not tol > 0.0:  # NaN too
-        raise ValueError(f"tol must be positive, got {tol!r}")
     x = as_vector(x0, "x0")
     r = np.asarray(residual(x), dtype=np.float64)
     rr = r @ r
@@ -115,7 +110,7 @@ def newton_solve(
     rnorm = math.sqrt(rr)
 
     for it in range(MAX_ITERS):
-        if rnorm <= tol:
+        if rnorm <= TOL:
             return x, it
         if jacobian_inverse is not None:
             dx = -(jacobian_inverse @ r)
@@ -144,8 +139,8 @@ def newton_solve(
             raise NumericBreakdown(f"residual not finite after damping to {lam}")
         x, r, rnorm = x_trial, r_trial, trial_norm
 
-    if rnorm <= tol:
+    if rnorm <= TOL:
         return x, MAX_ITERS
     raise MaxItersExceeded(
-        f"no convergence in {MAX_ITERS} iterations (||r|| = {rnorm:.3e}, target {tol:.3e})"
+        f"no convergence in {MAX_ITERS} iterations (||r|| = {rnorm:.3e}, target {TOL:.3e})"
     )

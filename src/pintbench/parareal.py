@@ -16,9 +16,9 @@ average over blocks, and clamp to [0, 1].
 One executor runs the task graph. A window's fine propagation for
 iteration ``i`` starts as soon as the iteration ``i-1`` corrector has
 published that window's left boundary, so successive iterations overlap
-on a worker pool. With one worker, which is what ``scheduler="serial"``
-selects, the executor runs inline on the calling thread and executes the
-tasks in the deterministic serial order. Every task writes a slot no
+on a worker pool. With one worker the executor runs inline on the
+calling thread and executes the tasks in the deterministic serial order,
+so ``workers=1`` is the serial run. Every task writes a slot no
 other task touches, so results are bit-identical across worker counts.
 """
 
@@ -37,7 +37,7 @@ from .integrators import Propagator, _split_window
 from .state import State
 
 VARIANTS = ("classic", "least_squares", "angle_penalized")
-SCHEDULERS = ("serial", "pipelined")
+SCHEDULERS = ("pipelined",)
 
 # blocks with coarse mass below this are skipped by the weighting (theta 1)
 _DEGENERATE_MASS = 1e-28
@@ -51,16 +51,16 @@ class PararealError(RuntimeError):
 class PararealConfig:
     """Interval count, iteration budget, stopping rule, and scheduling.
 
-    ``scheduler="serial"`` runs the task graph on one worker, the calling
-    thread: construction sets ``workers`` to 1 whatever was given.
-    ``"pipelined"`` uses ``workers``.
+    ``scheduler`` names the executor backend; ``"pipelined"`` is the only
+    one. ``workers`` threads run it, and one worker is the calling thread
+    running the tasks in the serial order.
     """
 
     intervals: int
     max_iters: int
     tol: float = 1e-10
     variant: str = "classic"
-    scheduler: str = "serial"
+    scheduler: str = "pipelined"
     workers: int = 1
 
     def __post_init__(self):
@@ -68,16 +68,15 @@ class PararealConfig:
             raise ValueError("need at least 2 intervals")
         if not 1 <= self.max_iters <= self.intervals:
             raise ValueError("max_iters must lie in [1, intervals]; further iterations cannot improve")
-        if not self.tol > 0.0:  # NaN too: it would never stop a run
-            raise ValueError("tol must be positive")
+        # NaN would never stop a run, and inf would stop every run after iteration 1
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}, expected one of {SCHEDULERS}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.scheduler == "serial":
-            object.__setattr__(self, "workers", 1)
 
 
 @dataclass
@@ -118,12 +117,17 @@ def theoretical_speedup(r: float, iters: int, intervals: int) -> float:
     return 1.0 / (r + (iters / intervals) * (1.0 + r))
 
 
+def _same_time(t: float, grid_t: float) -> bool:
+    """Whether ``t`` is the grid time ``grid_t`` up to 1e-12 relative rounding slack."""
+    return abs(t - grid_t) <= 1e-12 * max(1.0, abs(grid_t))
+
+
 def sequential_solve(F: Propagator, s0: State, t_grid: Sequence[float]) -> list:
     """Propagate ``s0`` through every grid point in one uninterrupted run."""
     grid = [float(t) for t in t_grid]
     if len(grid) < 2:
         raise ValueError("time grid needs at least two points")
-    if abs(grid[0] - s0.time) > 1e-12 * max(1.0, abs(s0.time)):
+    if not _same_time(grid[0], s0.time):
         raise ValueError(f"grid starts at {grid[0]} but the state is at {s0.time}")
     for a, b in zip(grid, grid[1:]):
         if b <= a:
@@ -139,8 +143,7 @@ def parareal_update(coarse_new: State, fine_old: State, coarse_old: State, theta
     if not (fine_old.same_layout(coarse_new) and fine_old.same_layout(coarse_old)):
         raise ValueError("states in the update must share one layout")
     t = fine_old.time
-    tol = 1e-12 * max(1.0, abs(t))
-    if abs(coarse_new.time - t) > tol or abs(coarse_old.time - t) > tol:
+    if not (_same_time(coarse_new.time, t) and _same_time(coarse_old.time, t)):
         raise ValueError("states in the update must sit at the same time")
     values = theta * coarse_new.values + fine_old.values - theta * coarse_old.values
     return fine_old.with_values(values, time=t)
@@ -367,8 +370,12 @@ def run_parareal(
         _split_window(window, prop.step)  # raises NonDivisibleWindow on misfit
     t_grid = [s0.time + (t_end - s0.time) * l / L for l in range(L + 1)]
     t_grid[-1] = t_end
-    if oracle is not None and len(oracle) != L + 1:
-        raise ValueError(f"oracle must hold {L + 1} states, got {len(oracle)}")
+    if oracle is not None:
+        if len(oracle) != L + 1:
+            raise ValueError(f"oracle must hold {L + 1} states, got {len(oracle)}")
+        for l, (state, t) in enumerate(zip(oracle, t_grid)):
+            if not _same_time(state.time, t):
+                raise ValueError(f"oracle state {l} is at time {state.time}, not at the grid time {t}")
 
     max_iters = cfg.max_iters
     X = [[None] * (L + 1) for _ in range(max_iters + 1)]

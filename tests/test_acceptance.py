@@ -34,8 +34,6 @@ from pintbench.state import State
 
 from oracles import textbook_parareal
 
-TIGHT = 1e-13  # Newton tolerance
-
 
 def report(number, name, ok, seconds, budget):
     status = "PASS" if ok and seconds < budget else "FAIL"
@@ -57,7 +55,7 @@ def heat_benchmark():
     seq = sequential_solve(fine, s0, t_grid)
     reference = sequential_solve(make_propagator(problem, ThetaSettings(step=k / 4.0)), s0, t_grid)
     disc_final = boundary_error(seq, reference)[L]
-    cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, scheduler="serial")
+    cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30)
     _, trace = run_parareal(coarse, fine, s0, T, cfg, oracle=seq)
     elapsed = time.perf_counter() - t0
     return {
@@ -81,27 +79,24 @@ def test_criterion_1_exactness_all_problems():
     ok = True
     for problem in problems:
         s0 = initial_state(problem)
-        C = make_propagator(problem, ThetaSettings(step=K, newton_tol=TIGHT))
-        F = make_propagator(problem, ThetaSettings(step=k, newton_tol=TIGHT))
+        C = make_propagator(problem, ThetaSettings(step=K))
+        F = make_propagator(problem, ThetaSettings(step=k))
         seq = sequential_solve(F, s0, t_grid)
         for variant in ("classic", "least_squares", "angle_penalized"):
-            for scheduler, workers in (("serial", 1), ("pipelined", 4)):
-                cfg = PararealConfig(
-                    intervals=L, max_iters=3, tol=1e-30,
-                    variant=variant, scheduler=scheduler, workers=workers,
-                )
+            for workers in (1, 4):
+                cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, variant=variant, workers=workers)
                 _, trace = run_parareal(C, F, s0, T, cfg, oracle=seq)
                 for i in range(1, trace.iterations_run + 1):
                     for l in range(1, i + 1):
                         ok = ok and trace.boundary_errors[i - 1][l - 1] <= 1e-12
-    report(1, "exactness across problems/variants/schedulers", ok, time.perf_counter() - t0, 30.0)
+    report(1, "exactness across problems/variants/worker counts", ok, time.perf_counter() - t0, 30.0)
 
 
 def test_criterion_2_theta_scheme_orders():
     t0 = time.perf_counter()
     steps = (0.1, 0.05, 0.025, 0.0125)
-    cn = convergence_order(dahlquist(), steps, newton_tol=TIGHT)
-    be = convergence_order(dahlquist(), steps, fixed_theta=1.0, newton_tol=TIGHT)
+    cn = convergence_order(dahlquist(), steps)
+    be = convergence_order(dahlquist(), steps, fixed_theta=1.0)
     ok = abs(cn - 2.0) <= 0.15 and abs(be - 1.0) <= 0.15
     report(2, f"theta-scheme orders (CN {cn:.3f}, BE {be:.3f})", ok, time.perf_counter() - t0, 1.0)
 
@@ -123,7 +118,7 @@ def test_criterion_4_scheduler_speedup():
     t_seq_start = time.perf_counter()
     sequential_solve(F, s0, t_grid)
     t_seq = time.perf_counter() - t_seq_start
-    cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, scheduler="pipelined", workers=L)
+    cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, workers=L)
     t_par_start = time.perf_counter()
     run_parareal(C, F, s0, L * window, cfg)
     t_par = time.perf_counter() - t_par_start
@@ -155,7 +150,7 @@ def test_criterion_6_hyperbolic_degradation(heat_benchmark):
     fine = make_propagator(problem, ThetaSettings(step=k))
     coarse = make_propagator(problem, ThetaSettings(step=K))
     seq = sequential_solve(fine, s0, t_grid)
-    cfg = PararealConfig(intervals=L, max_iters=5, tol=1e-30, scheduler="serial")
+    cfg = PararealConfig(intervals=L, max_iters=5, tol=1e-30)
     _, trace = run_parareal(coarse, fine, s0, T, cfg, oracle=seq)
     adv_errors = [row[-1] for row in trace.boundary_errors]
     heat_after_three = heat_benchmark["final_errors"][2]
@@ -195,7 +190,7 @@ def test_criterion_7_piston_sanity():
         return (0.5 * problem.m_s * w**2 + 0.5 * problem.kappa * u**2
                 + 0.5 * problem.rho_f * (problem.L0 + u) * h * float(np.sum(v**2)))
 
-    prop = make_propagator(problem, ThetaSettings(step=0.005, newton_tol=1e-12))
+    prop = make_propagator(problem, ThetaSettings(step=0.005))
     s = perturbed
     e0 = energy(s)
     dissipative = True
@@ -224,7 +219,6 @@ def test_criterion_8_worker_count_determinism():
         reference_fine_factor=4,
         max_iters=4,
         tol=1e-30,
-        scheduler="pipelined",
     )
     runs = []
     for workers in (2, 8):
@@ -266,11 +260,11 @@ def test_criterion_10_oracle_equivalence():
         T = 8.0
         t_grid = [T * l / L for l in range(L + 1)]
         s0 = initial_state(problem)
-        C = make_propagator(problem, ThetaSettings(step=K, newton_tol=TIGHT))
-        F = make_propagator(problem, ThetaSettings(step=k, newton_tol=TIGHT))
+        C = make_propagator(problem, ThetaSettings(step=K))
+        F = make_propagator(problem, ThetaSettings(step=k))
         oracle_iterates = textbook_parareal(C, F, s0, t_grid, 3)
-        for scheduler, workers in (("serial", 1), ("pipelined", 4)):
-            cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, scheduler=scheduler, workers=workers)
+        for workers in (1, 4):
+            cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, workers=workers)
             _, trace = run_parareal(C, F, s0, T, cfg)
             for i in range(len(trace.iterate_values)):
                 for l in range(L + 1):

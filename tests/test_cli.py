@@ -26,6 +26,7 @@ from pintbench.cli import (
 from pintbench.parareal import theoretical_speedup
 from pintbench.problems import PROBLEMS, GaussianBump, SineMode, Zero, dahlquist
 
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 CSV_HEADER = "problem,K,k,variant,iter,boundary,rel_err,theta,t_seq_s,t_par_s,speedup_meas,speedup_theory"
 
 
@@ -144,7 +145,7 @@ fine_step = 0.01
             "theta0": ("1.0", 1.0),
             "max_iters": ("3", 3),
             "tol": ("1e-6", 1e-6),
-            "scheduler": ("Serial", "serial"),
+            "scheduler": ("Pipelined", "pipelined"),  # the one backend, so only the case differs
         }
         assert set(cases) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"problem"}
         cfg = load_config(path, [f"--{name}={text}" for name, (text, _) in cases.items()])
@@ -184,6 +185,12 @@ fine_step = 0.01
         (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
         cfg = load_config(write_config(tmp_path / "readme.ini", block))
         assert cfg.problem.kind == "heat1d"
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_loads(self, path):
+        # the README states that the refined reference of a shipped config takes 3200-6400 steps
+        cfg = load_config(str(path))
+        assert 3200 <= cfg.horizon * cfg.reference_fine_factor / cfg.fine_step <= 6400
 
     def test_readme_library_example_runs(self):
         # the README's Python example must run as written and converge within its budget
@@ -344,11 +351,11 @@ class TestMainEntryPoint:
         payload = json.loads(out.read_text())
         assert payload["metadata"]["config"]["problem"] == "dahlquist"
 
-    @pytest.mark.parametrize("scheduler, workers", [("pipelined", 2), ("serial", 1)])
-    def test_json_metadata_records_the_workers_run(self, tmp_path, scheduler, workers):
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_json_metadata_records_the_workers_run(self, tmp_path, workers):
         out = tmp_path / "res.json"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
-        assert main(["run", path, f"--scheduler={scheduler}"]) == EXIT_OK
+        assert main(["run", path, f"--workers={workers}"]) == EXIT_OK
         assert json.loads(out.read_text())["metadata"]["workers"] == workers
 
     def test_invalid_config_exits_two_without_output(self, tmp_path, capsys):
@@ -483,9 +490,20 @@ adv = 5.0
         (".json", 1, lambda rec: {**rec, "k": math.nan}, "row 2"),
         (".json", 2, lambda rec: {**rec, "t_seq_s": math.nan}, "row 3"),
         (".json", 2, lambda rec: {**rec, "t_par_s": -math.inf}, "row 3"),
+        (".csv", 2, lambda line: ",".join(
+            {1: "-0.1", 2: "-0.005", 4: "-2", 11: "-4"}.get(i, v) for i, v in enumerate(line.split(","))), "line 4"),
+        (".json", 0, lambda rec: {**rec, "k": 0.0}, "row 1"),
+        (".json", 1, lambda rec: {**rec, "iter": -1}, "row 2"),
+        (".json", 0, lambda rec: {**rec, "boundary": 0}, "row 1"),
+        (".json", 1, lambda rec: {**rec, "theta": 7.5}, "row 2"),
+        (".json", 2, lambda rec: {**rec, "t_seq_s": 0.0}, "row 3"),
+        (".json", 2, lambda rec: {**rec, "t_par_s": -2.0}, "row 3"),
+        (".json", 2, lambda rec: {**rec, "speedup_theory": 0.0}, "row 3"),
     ], ids=["extra_field", "summary_missing_two_fields", "summary_empty_speedup_theory",
             "misspelled_key", "fractional_iter", "row_not_an_object", "summary_nan_inf",
-            "theta_minus_inf", "K_inf", "k_nan", "t_seq_s_nan", "t_par_s_minus_inf"])
+            "theta_minus_inf", "K_inf", "k_nan", "t_seq_s_nan", "t_par_s_minus_inf", "summary_negative_K",
+            "k_zero", "iter_negative", "boundary_zero", "theta_7_5", "t_seq_s_zero", "t_par_s_negative",
+            "speedup_theory_zero"])
     def test_malformed_results_exit_two(self, tmp_path, capsys, suffix, index, edit, where):
         rows = [
             ResultRow("heat1d", 0.0, 0.005, DISCRETIZATION_VARIANT, 0, 4, 1e-6, None),

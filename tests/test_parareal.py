@@ -18,7 +18,6 @@ from pintbench.state import State
 
 from oracles import textbook_parareal
 
-TIGHT = 1e-13  # Newton tolerance
 LAYOUT = {"v": (0, 2)}
 
 
@@ -95,7 +94,7 @@ class TestThetaWeight:
 class TestSequentialSolve:
     def test_single_interval(self):
         problem = dahlquist()
-        F = make_propagator(problem, ThetaSettings(step=0.1, newton_tol=TIGHT))
+        F = make_propagator(problem, ThetaSettings(step=0.1))
         s0 = initial_state(problem)
         states = sequential_solve(F, s0, [0.0, 0.5])
         assert len(states) == 2
@@ -107,7 +106,7 @@ class TestSequentialSolve:
         # backward Euler composition has the closed form (1 + k)^-n
         problem = dahlquist(lam=-1.0, y0=1.0)
         k = 0.1
-        F = make_propagator(problem, ThetaSettings(step=k, theta0=0.5 / k, newton_tol=TIGHT))
+        F = make_propagator(problem, ThetaSettings(step=k, theta0=0.5 / k))
         s0 = initial_state(problem)
         grid = [0.0, 0.5, 1.0, 1.5, 2.0]
         states = sequential_solve(F, s0, grid)
@@ -179,8 +178,9 @@ class TestPararealConfig:
             PararealConfig(intervals=4, max_iters=5)
         with pytest.raises(ValueError):
             PararealConfig(intervals=4, max_iters=2, tol=0.0)
-        with pytest.raises(ValueError):
-            PararealConfig(intervals=4, max_iters=2, tol=np.nan)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                PararealConfig(intervals=4, max_iters=2, tol=tol)
         with pytest.raises(ValueError):
             PararealConfig(intervals=4, max_iters=2, variant="bogus")
         with pytest.raises(ValueError):
@@ -191,8 +191,8 @@ class TestPararealConfig:
 
 def _dahlquist_setup(L=4, T=2.0, K=0.1, k=0.01):
     problem = dahlquist(lam=-1.0, y0=1.0)
-    C = make_propagator(problem, ThetaSettings(step=K, newton_tol=TIGHT))
-    F = make_propagator(problem, ThetaSettings(step=k, newton_tol=TIGHT))
+    C = make_propagator(problem, ThetaSettings(step=K))
+    F = make_propagator(problem, ThetaSettings(step=k))
     s0 = initial_state(problem)
     grid = [T * l / L for l in range(L + 1)]
     return problem, C, F, s0, grid, T
@@ -218,6 +218,14 @@ class TestRunParareal:
         for i in range(1, trace.iterations_run + 1):
             for l in range(1, i + 1):
                 assert trace.boundary_errors[i - 1][l - 1] <= 1e-12
+
+    def test_oracle_off_the_grid_rejected(self):
+        # states of a 4-window solve over [0, 1] are no oracle for a run over [0, 2]
+        problem, C, F, s0, grid, T = _dahlquist_setup()
+        wrong = sequential_solve(F, s0, [0.25 * l for l in range(5)])
+        cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30)
+        with pytest.raises(ValueError, match=r"^oracle state 1 is at time 0\.25, not at the grid time 0\.5$"):
+            run_parareal(C, F, s0, T, cfg, oracle=wrong)
 
     def test_full_iteration_count_reproduces_fine_solution(self):
         # with as many iterations as intervals the iterate telescopes to the
@@ -265,8 +273,8 @@ class TestRunParareal:
         # Newton floor for the first iterations
         problem = heat1d(mesh_n=15, nu=0.2, init=SineMode(1))
         T, L, K, k = 2.0, 10, 0.2, 0.01
-        C = make_propagator(problem, ThetaSettings(step=K, newton_tol=TIGHT))
-        F = make_propagator(problem, ThetaSettings(step=k, newton_tol=TIGHT))
+        C = make_propagator(problem, ThetaSettings(step=K))
+        F = make_propagator(problem, ThetaSettings(step=k))
         s0 = initial_state(problem)
         grid = [T * l / L for l in range(L + 1)]
         seq = sequential_solve(F, s0, grid)
@@ -285,14 +293,14 @@ class TestRunParareal:
 
         heat = heat1d(mesh_n=15, nu=0.2, init=SineMode(1))
         sh = initial_state(heat)
-        Ch = make_propagator(heat, ThetaSettings(step=K, newton_tol=TIGHT))
-        Fh = make_propagator(heat, ThetaSettings(step=k, newton_tol=TIGHT))
+        Ch = make_propagator(heat, ThetaSettings(step=K))
+        Fh = make_propagator(heat, ThetaSettings(step=k))
         _, trace_h = run_parareal(Ch, Fh, sh, T, cfg, oracle=sequential_solve(Fh, sh, grid))
 
         adv = advection1d(mesh_n=32, init=GaussianBump(0.5, 0.12))
         sa = initial_state(adv)
-        Ca = make_propagator(adv, ThetaSettings(step=K, newton_tol=TIGHT))
-        Fa = make_propagator(adv, ThetaSettings(step=k, newton_tol=TIGHT))
+        Ca = make_propagator(adv, ThetaSettings(step=K))
+        Fa = make_propagator(adv, ThetaSettings(step=k))
         _, trace_a = run_parareal(Ca, Fa, sa, T, cfg, oracle=sequential_solve(Fa, sa, grid))
 
         assert trace_a.boundary_errors[2][-1] >= 10.0 * trace_h.boundary_errors[2][-1]

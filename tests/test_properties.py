@@ -1,8 +1,10 @@
 """Properties of the task executor and of the problems' Jacobians.
 
 Each executor example runs the same Parareal problem at one worker and
-at ``k`` workers, then injects a failure into the fine or the coarse
-propagator and runs both worker counts again. Each Jacobian example
+at ``k`` workers, checks the exactness frontier (boundary ``l`` after
+``i >= l`` iterations is the sequential fine state), then injects a
+failure into the fine or the coarse propagator and runs both worker
+counts again. Each Jacobian example
 checks a problem's analytic ``jacobian`` against forward differences of
 its ``rhs`` at a random admissible state and time, and each time
 example checks a problem's ``linear`` flag against its ``rhs`` at two
@@ -24,7 +26,7 @@ import numpy as np  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pintbench.integrators import SleepPropagator, ThetaSettings, _split_window, make_propagator  # noqa: E402
-from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal  # noqa: E402
+from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal, sequential_solve  # noqa: E402
 from pintbench.problems import (  # noqa: E402
     PROBLEMS,
     AlePiston,
@@ -50,8 +52,7 @@ def _coarse():
 
 
 def _run(L, iterations, workers, variant, fine, coarse):
-    cfg = PararealConfig(intervals=L, max_iters=iterations, tol=1e-30, variant=variant,
-                         scheduler="pipelined", workers=workers)
+    cfg = PararealConfig(intervals=L, max_iters=iterations, tol=1e-30, variant=variant, workers=workers)
     return run_parareal(coarse, fine, initial_state(PROBLEM), L * WINDOW, cfg)[1]
 
 
@@ -87,6 +88,10 @@ def test_worker_count_changes_nothing_and_failures_stay_located(data):
     many = _run(L, iterations, workers, variant, _fine(), _coarse())
     assert _bytes(many) == _bytes(one)
     assert many.fine_propagations == one.fine_propagations
+    seq = sequential_solve(_fine(), initial_state(PROBLEM), [WINDOW * l for l in range(L + 1)])
+    for i, row in enumerate(one.iterate_values):
+        for l in range(i + 1):
+            assert np.linalg.norm(row[l] - seq[l].values) <= 1e-12 * np.linalg.norm(seq[l].values)
 
     # task key (iteration, phase, interval) -> the boundary state it advances:
     # fine task (i, l) starts from iterate i-1, the coarse sweep (i = 0) and

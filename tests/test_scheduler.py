@@ -18,8 +18,6 @@ from pintbench.state import State
 
 from oracles import simulate_makespan
 
-TIGHT = 1e-13  # Newton tolerance
-
 
 class TestSchedulePlan:
     def test_task_counts(self):
@@ -56,50 +54,45 @@ class TestSchedulePlan:
 
 
 class _RecordingPropagator:
-    """Identity-dynamics propagator that logs every advance call."""
+    """Logs every advance; coarse and fine decay at different rates, so a run takes every iteration."""
 
-    def __init__(self, step, label, log, lock=None):
+    def __init__(self, step, label, log):
         self.step = step
         self.cost_hint = 0.0
         self.label = label
         self.log = log
-        self.lock = lock or threading.Lock()
 
     def advance(self, state, t_end):
-        with self.lock:
-            self.log.append((self.label, round(state.time, 10), round(t_end, 10)))
-        return state.with_values(state.values * 0.5, time=t_end)
-
-
-def _recorded_run(scheduler, workers):
-    log = []
-    lock = threading.Lock()
-    C = _RecordingPropagator(0.5, "C", log, lock)
-    F = _RecordingPropagator(0.1, "F", log, lock)
-    s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
-    cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, scheduler=scheduler, workers=workers)
-    run_parareal(C, F, s0, 2.0, cfg)
-    return log
+        self.log.append((self.label, round(state.time, 10), round(t_end, 10)))
+        return state.with_values(state.values / (1.0 + self.step), time=t_end)
 
 
 class TestSchedulerEquivalence:
     def test_single_worker_matches_serial_event_order(self):
-        assert _recorded_run("pipelined", 1) == _recorded_run("serial", 1)
+        log = []
+        s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
+        cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, workers=1)
+        run_parareal(_RecordingPropagator(0.5, "C", log), _RecordingPropagator(0.1, "F", log), s0, 2.0, cfg)
+        # the serial order is ascending key order; coarse_init and correct
+        # tasks advance C over their window, fine tasks F
+        grid = [0.5 * l for l in range(5)]
+        expected = [("F" if t.kind == "fine" else "C", grid[t.interval], grid[t.interval + 1])
+                    for t in sorted(pipelined_schedule(4, 2), key=lambda t: t.key)]
+        assert log == expected
 
     def test_fine_propagation_count_matches_serial(self):
         problem = heat1d(mesh_n=7, nu=0.1)
-        C = make_propagator(problem, ThetaSettings(step=0.25, newton_tol=TIGHT))
-        F = make_propagator(problem, ThetaSettings(step=0.05, newton_tol=TIGHT))
+        C = make_propagator(problem, ThetaSettings(step=0.25))
+        F = make_propagator(problem, ThetaSettings(step=0.05))
         s0 = initial_state(problem)
         counts = {}
-        for scheduler, workers in (("serial", 1), ("pipelined", 4)):
-            cfg = PararealConfig(intervals=4, max_iters=3, tol=1e-30, scheduler=scheduler, workers=workers)
+        for workers in (1, 4):
+            cfg = PararealConfig(intervals=4, max_iters=3, tol=1e-30, workers=workers)
             _, trace = run_parareal(C, F, s0, 2.0, cfg)
-            counts[scheduler] = trace.fine_propagations
-        assert counts["serial"] == counts["pipelined"] == 4 * 3
+            counts[workers] = trace.fine_propagations
+        assert counts[1] == counts[4] == 4 * 3
 
-    @pytest.mark.parametrize("scheduler, workers", [("pipelined", 1), ("serial", 4)])
-    def test_single_worker_runs_on_calling_thread(self, scheduler, workers):
+    def test_single_worker_runs_on_calling_thread(self):
         seen = []
 
         class Probe:
@@ -114,23 +107,20 @@ class TestSchedulerEquivalence:
 
         caller, threads_before = threading.get_ident(), threading.active_count()
         s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
-        cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, scheduler=scheduler, workers=workers)
+        cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, workers=1)
         run_parareal(Probe(0.5), Probe(0.1), s0, 2.0, cfg)
         assert seen and set(seen) == {(caller, threads_before)}
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_pipelined_bitwise_equals_serial(self, workers):
         problem = heat1d(mesh_n=15, nu=0.1, init=SineMode(1))
-        C = make_propagator(problem, ThetaSettings(step=0.1, newton_tol=TIGHT))
-        F = make_propagator(problem, ThetaSettings(step=0.02, newton_tol=TIGHT))
+        C = make_propagator(problem, ThetaSettings(step=0.1))
+        F = make_propagator(problem, ThetaSettings(step=0.02))
         s0 = initial_state(problem)
-        results = {}
-        for scheduler, w in (("serial", 1), ("pipelined", workers)):
-            cfg = PararealConfig(intervals=5, max_iters=4, tol=1e-30, scheduler=scheduler, workers=w)
-            states, trace = run_parareal(C, F, s0, 2.0, cfg)
-            results[scheduler] = (states, trace)
-        serial_states, serial_trace = results["serial"]
-        pipe_states, pipe_trace = results["pipelined"]
+        (serial_states, serial_trace), (pipe_states, pipe_trace) = (
+            run_parareal(C, F, s0, 2.0, PararealConfig(intervals=5, max_iters=4, tol=1e-30, workers=w))
+            for w in (1, workers)
+        )
         for a, b in zip(serial_states, pipe_states):
             assert a.values.tobytes() == b.values.tobytes()
         for row_a, row_b in zip(serial_trace.iterate_values, pipe_trace.iterate_values):
@@ -143,7 +133,7 @@ class TestSchedulerEquivalence:
             C = SleepPropagator(step=0.5, cost_per_step=0.001)
             F = SleepPropagator(step=0.05, cost_per_step=0.001)
             s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
-            cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, scheduler="pipelined", workers=workers)
+            cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, workers=workers)
             states, _ = run_parareal(C, F, s0, 2.0, cfg)
             return [s.values.tobytes() for s in states]
 
@@ -158,7 +148,7 @@ class TestSchedulerPerformance:
         C = SleepPropagator(step=window, cost_per_step=cost)
         F = SleepPropagator(step=window / 10.0, cost_per_step=cost)
         s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
-        cfg = PararealConfig(intervals=L, max_iters=iterations, tol=1e-30, scheduler="pipelined", workers=L)
+        cfg = PararealConfig(intervals=L, max_iters=iterations, tol=1e-30, workers=L)
         t0 = time.perf_counter()
         run_parareal(C, F, s0, L * window, cfg)
         measured = time.perf_counter() - t0
@@ -175,12 +165,12 @@ class TestSchedulerPerformance:
         F = SleepPropagator(step=0.1, cost_per_step=cost)
         s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
         times = {}
-        for scheduler, workers in (("serial", 1), ("pipelined", L)):
-            cfg = PararealConfig(intervals=L, max_iters=2, tol=1e-30, scheduler=scheduler, workers=workers)
+        for workers in (1, L):
+            cfg = PararealConfig(intervals=L, max_iters=2, tol=1e-30, workers=workers)
             t0 = time.perf_counter()
             run_parareal(C, F, s0, float(L), cfg)
-            times[scheduler] = time.perf_counter() - t0
-        assert times["pipelined"] < 0.6 * times["serial"]
+            times[workers] = time.perf_counter() - t0
+        assert times[L] < 0.6 * times[1]
 
 
 class TestExecutorDefense:
@@ -211,7 +201,7 @@ class TestFailureLocation:
 
         def message(workers):
             s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
-            cfg = PararealConfig(intervals=4, max_iters=1, tol=1e-30, scheduler="pipelined", workers=workers)
+            cfg = PararealConfig(intervals=4, max_iters=1, tol=1e-30, workers=workers)
             with pytest.raises(PararealError) as info:
                 run_parareal(SleepPropagator(step=0.5, cost_per_step=0.0), SlowFailure(), s0, 2.0, cfg)
             return str(info.value)
@@ -242,7 +232,7 @@ class TestFailureLocation:
         def run(workers):
             C = SleepPropagator(step=0.5, cost_per_step=0.02)
             s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
-            cfg = PararealConfig(intervals=2, max_iters=2, tol=1.0, scheduler="pipelined", workers=workers)
+            cfg = PararealConfig(intervals=2, max_iters=2, tol=1.0, workers=workers)
             return run_parareal(C, FailsOnSecondStartAtOne(), s0, 2.0, cfg)[1]
 
         one, two = run(1), run(2)
