@@ -19,7 +19,6 @@ from .integrators import (
     TimeStepError,
     convergence_order,
     make_propagator,
-    reference_solution,
 )
 from .linalg import (
     MaxItersExceeded,
@@ -65,7 +64,7 @@ __all__ = [
     "newton_solve",
     "NumericBreakdown", "MaxItersExceeded",
     "ThetaSettings", "ThetaPropagator", "SleepPropagator", "Propagator",
-    "make_propagator", "convergence_order", "reference_solution",
+    "make_propagator", "convergence_order",
     "NonDivisibleWindow", "TimeStepError",
     "Problem", "PROBLEMS", "Dahlquist", "Heat1D", "Advection1D", "AlePiston",
     "SineMode", "Zero", "GaussianBump", "MeshDegenerate",

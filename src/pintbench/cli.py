@@ -12,8 +12,9 @@ Results go to the ``output`` path, as JSON when it ends in ``.json``
 and as CSV otherwise. The harness times the sequential fine solve, runs
 the parallel-in-time iteration per coarse step and variant, and emits
 one row per (iteration, boundary), per-boundary discretization error
-rows (against a refined reference), and one summary row per (coarse
-step, variant) with measured and modelled speedup.
+rows (against a reference refined ``REFERENCE_REFINEMENT`` times), and
+one summary row per (coarse step, variant) with measured and modelled
+speedup.
 
 Exit codes: 0 success, 2 config error or malformed results file, 3
 numerical failure (a partial results file is written), 4 I/O error.
@@ -53,6 +54,7 @@ from .problems import (
     Problem,
     SineMode,
     Zero,
+    _require_finite,
     initial_state,
 )
 
@@ -61,8 +63,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# the discretization floor is measured against a sequential solve at
+# fine_step / REFERENCE_REFINEMENT on the same mesh
+REFERENCE_REFINEMENT = 4
+
 # the most steps one solve of a run may take; the longest is the refined
-# reference, horizon * reference_fine_factor / fine_step, and the shipped
+# reference, horizon * REFERENCE_REFINEMENT / fine_step, and the shipped
 # configs take 3200-6400, so a config past this would not finish
 MAX_STEPS = 10**6
 
@@ -99,10 +105,7 @@ class ResultRow:
     speedup_theory: Optional[float] = None
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        _require_finite(self)
         in_range = {"K": self.K >= 0.0, "k": self.k > 0.0, "iter": self.iter >= 0, "rel_err": self.rel_err >= 0.0,
                     "boundary": self.boundary is None or self.boundary >= 1,
                     "theta": self.theta is None or 0.0 <= self.theta <= 1.0}
@@ -138,7 +141,6 @@ class ExperimentConfig:
     fine_step: float = 0.005
     variants: tuple[str, ...] = ("classic",)
     workers: int = 1
-    reference_fine_factor: int = 4
     output: str = "results.csv"
     theta0: float = 0.0
     max_iters: int = 0
@@ -153,22 +155,20 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not self.coarse_steps or not self.variants:
             raise ConfigError("need at least one coarse step and one variant")
-        if self.reference_fine_factor < 2:
-            raise ConfigError("reference_fine_factor must be at least 2")
         try:
             for variant in self.variants:
                 self.parareal(variant)
             # every step a run takes, the refined reference's too
-            for step in (*self.coarse_steps, self.fine_step, self.fine_step / self.reference_fine_factor):
+            for step in (*self.coarse_steps, self.fine_step, self.fine_step / REFERENCE_REFINEMENT):
                 self.theta_settings(step)
             for step in (*self.coarse_steps, self.fine_step):
                 _split_window(self.horizon / self.intervals, step)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        steps = self.horizon * self.reference_fine_factor / self.fine_step
+        steps = self.horizon * REFERENCE_REFINEMENT / self.fine_step
         if steps > MAX_STEPS:
             raise ConfigError(f"the reference solve would take {steps:.3g} steps, more than {MAX_STEPS}; "
-                              "raise fine_step or lower horizon or reference_fine_factor")
+                              "raise fine_step or lower horizon")
         if self.fine_step >= min(self.coarse_steps):
             raise ConfigError("fine_step must be smaller than every coarse step")
 
@@ -264,11 +264,12 @@ _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.\-]+)=(.*)$")
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Read an experiment config file and apply ``--key=value`` overrides."""
-    parser = configparser.ConfigParser()
+    # no config interpolates, so a % in a value (an output path, say) is literal
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
@@ -323,7 +324,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
             f"({per_newton * 1e3:.3f} ms each)"
         )
 
-    ref_prop = make_propagator(problem, cfg.theta_settings(k / cfg.reference_fine_factor))
+    ref_prop = make_propagator(problem, cfg.theta_settings(k / REFERENCE_REFINEMENT))
     reference = sequential_solve(ref_prop, s0, t_grid)
     disc = boundary_error(seq, reference)
     disc_final = disc[L]
@@ -448,7 +449,7 @@ def speedup_report(rows: Sequence[ResultRow]) -> str:
     lines = []
     best = None
     for row in summaries:
-        efficiency = row.speedup_meas / row.speedup_theory if row.speedup_theory else float("nan")
+        efficiency = row.speedup_meas / row.speedup_theory
         accurate = disc_final is not None and row.rel_err <= disc_final[1]
         marker = "accurate" if accurate else "above discretization error"
         lines.append(
@@ -484,6 +485,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "workers": parareal.workers,
+        "reference_refinement": REFERENCE_REFINEMENT,
         "newton": {
             "abs_tol": TOL,
             "max_iters": MAX_ITERS,

@@ -184,11 +184,13 @@ def theta_weight(fine: State, coarse: State, variant: str) -> float:
 
 def boundary_error(parareal_states: Sequence[State], sequential_states: Sequence[State]) -> list:
     """Relative Euclidean error per boundary; the absolute one where the
-    sequential norm vanishes."""
+    sequential norm vanishes. Paired states must share one layout."""
     if len(parareal_states) != len(sequential_states):
         raise ValueError("state lists must have equal length")
     errors = []
     for vp, vs in zip(parareal_states, sequential_states):
+        if not vp.same_layout(vs):
+            raise ValueError("paired states must share one layout")
         diff = float(np.linalg.norm(vp.values - vs.values))
         ref = float(np.linalg.norm(vs.values))
         errors.append(diff / ref if ref > 0.0 else diff)
@@ -376,6 +378,8 @@ def run_parareal(
         for l, (state, t) in enumerate(zip(oracle, t_grid)):
             if not _same_time(state.time, t):
                 raise ValueError(f"oracle state {l} is at time {state.time}, not at the grid time {t}")
+            if not state.same_layout(s0):
+                raise ValueError(f"oracle state {l} does not share the initial state's layout")
 
     max_iters = cfg.max_iters
     X = [[None] * (L + 1) for _ in range(max_iters + 1)]

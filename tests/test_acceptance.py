@@ -216,7 +216,6 @@ def test_criterion_8_worker_count_determinism():
         fine_step=0.01,
         variants=("classic",),
         workers=2,
-        reference_fine_factor=4,
         max_iters=4,
         tol=1e-30,
     )

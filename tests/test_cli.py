@@ -13,6 +13,7 @@ from pintbench.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    REFERENCE_REFINEMENT,
     ExperimentConfig,
     ResultRow,
     emit_csv,
@@ -140,7 +141,6 @@ fine_step = 0.01
             "fine_step": ("0.01", 0.01),
             "variants": ("least_squares, angle_penalized", ("least_squares", "angle_penalized")),
             "workers": ("3", 3),
-            "reference_fine_factor": ("2", 2),
             "output": ("out.json", "out.json"),
             "theta0": ("1.0", 1.0),
             "max_iters": ("3", 3),
@@ -190,7 +190,7 @@ fine_step = 0.01
     def test_shipped_config_loads(self, path):
         # the README states that the refined reference of a shipped config takes 3200-6400 steps
         cfg = load_config(str(path))
-        assert 3200 <= cfg.horizon * cfg.reference_fine_factor / cfg.fine_step <= 6400
+        assert 3200 <= cfg.horizon * REFERENCE_REFINEMENT / cfg.fine_step <= 6400
 
     def test_readme_library_example_runs(self):
         # the README's Python example must run as written and converge within its budget
@@ -356,7 +356,27 @@ class TestMainEntryPoint:
         out = tmp_path / "res.json"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
         assert main(["run", path, f"--workers={workers}"]) == EXIT_OK
-        assert json.loads(out.read_text())["metadata"]["workers"] == workers
+        metadata = json.loads(out.read_text())["metadata"]
+        assert metadata["workers"] == workers
+        assert metadata["reference_refinement"] == REFERENCE_REFINEMENT == 4
+        # the refinement is no experiment field, so the config records none
+        assert set(metadata["config"]) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"workers", "output"}
+
+    def test_percent_in_output_path_is_written(self, tmp_path):
+        # no config interpolates, so a % in a value, in the file or an override, is the character itself
+        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=tmp_path / "a%b.csv"))
+        for override, out in (([], "a%b.csv"), ([f"--output={tmp_path / '100%.csv'}"], "100%.csv")):
+            assert main(["run", path, *override]) == EXIT_OK
+            assert (tmp_path / out).read_text().startswith(CSV_HEADER + "\n")
+
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(SMOKE_INI.format(out=tmp_path / "r.csv").encode("utf-8") + b"# caf\xe9\n")
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: cannot read config" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
 
     def test_invalid_config_exits_two_without_output(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
@@ -398,7 +418,9 @@ output = {out}
 mesh_n = 15
 """.format(out=out)
         path = write_config(tmp_path / "h.ini", body)
-        for override, unknown, valid in (("--heat1d.nuu=5", "nuu", "nu"), ("--horizn=1.0", "horizn", "horizon")):
+        # the reference refinement is the constant REFERENCE_REFINEMENT, not a key
+        for override, unknown, valid in (("--heat1d.nuu=5", "nuu", "nu"), ("--horizn=1.0", "horizn", "horizon"),
+                                         ("--reference_fine_factor=4", "reference_fine_factor", "horizon")):
             assert main(["run", path, override]) == EXIT_CONFIG, override
             assert not out.exists()
             captured = capsys.readouterr()

@@ -362,5 +362,5 @@ class TestConvergenceOrder:
 
     def test_heat_second_order_against_refined_reference(self):
         problem = heat1d(mesh_n=7, nu=0.1)
-        order = convergence_order(problem, (0.2, 0.1, 0.05, 0.025), t_final=1.0)
+        order = convergence_order(problem, (0.2, 0.1, 0.05, 0.025))
         assert order == pytest.approx(2.0, abs=0.25)

@@ -169,6 +169,11 @@ class TestBoundaryError:
         with pytest.raises(ValueError):
             boundary_error([vec_state([1.0, 1.0])], [])
 
+    def test_layout_mismatch(self):
+        # a one-entry state would broadcast against the two-entry one
+        with pytest.raises(ValueError, match="share one layout"):
+            boundary_error([vec_state([3.0, 4.0])], [State(np.array([1.0]), 0.0, {"y": (0, 1)})])
+
 
 class TestPararealConfig:
     def test_validation(self):
@@ -226,6 +231,21 @@ class TestRunParareal:
         cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30)
         with pytest.raises(ValueError, match=r"^oracle state 1 is at time 0\.25, not at the grid time 0\.5$"):
             run_parareal(C, F, s0, T, cfg, oracle=wrong)
+
+    def test_oracle_of_another_problem_rejected_before_any_solve(self):
+        # the scalar decay's states would broadcast against the heat states
+        _, _, F_scalar, s_scalar, grid, T = _dahlquist_setup()
+        scalar = sequential_solve(F_scalar, s_scalar, grid)
+        problem = heat1d(mesh_n=15)
+        C = make_propagator(problem, ThetaSettings(step=0.1))
+        F = make_propagator(problem, ThetaSettings(step=0.01))
+        s0 = initial_state(problem)
+        cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30)
+        for oracle, first_bad in ((scalar, 0), ([s0, *scalar[1:]], 1)):
+            message = rf"^oracle state {first_bad} does not share the initial state's layout$"
+            with pytest.raises(ValueError, match=message):
+                run_parareal(C, F, s0, T, cfg, oracle=oracle)
+        assert C.newton_iterations == F.newton_iterations == 0
 
     def test_full_iteration_count_reproduces_fine_solution(self):
         # with as many iterations as intervals the iterate telescopes to the

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pintbench.integrators import ThetaSettings, make_propagator, reference_solution
+from pintbench.integrators import ThetaSettings, make_propagator
 from pintbench.problems import (
     PROBLEMS,
     GaussianBump,
@@ -236,16 +236,6 @@ class TestInvariants:
 
 
 class TestReferenceSolution:
-    def test_dahlquist_analytic(self):
-        ref = reference_solution(dahlquist(lam=-1.0, y0=1.0), 1.0)
-        assert ref.values[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert ref.time == 1.0
-
-    def test_time_zero_returns_initial_state(self):
-        problem = heat1d(mesh_n=7)
-        ref = reference_solution(problem, 0.0, base_step=0.1)
-        assert np.array_equal(ref.values, initial_state(problem).values)
-
     def test_heat_reference_matches_semidiscrete_decay(self):
         # independent oracle: the semi-discrete solution of the sine mode is
         # exp(mu_h * t) times the initial data
@@ -253,14 +243,7 @@ class TestReferenceSolution:
         problem = heat1d(mesh_n=n, nu=nu, init=SineMode(1))
         h = 1.0 / (n + 1)
         mu = -(2.0 * nu / h**2) * (1.0 - math.cos(math.pi * h))
-        ref = reference_solution(problem, t, fine_factor=8, base_step=0.02)
+        # the run convergence_order compares a heat sweep with: an eighth of its smallest step
+        ref = make_propagator(problem, ThetaSettings(step=0.02 / 8)).advance(initial_state(problem), t)
         exact = math.exp(mu * t) * initial_state(problem).values
         assert np.allclose(ref.values, exact, rtol=5e-6, atol=1e-12)
-
-    def test_pde_requires_base_step(self):
-        with pytest.raises(ValueError):
-            reference_solution(heat1d(mesh_n=7), 1.0)
-
-    def test_fine_factor_minimum(self):
-        with pytest.raises(ValueError):
-            reference_solution(dahlquist(), 1.0, fine_factor=1)
