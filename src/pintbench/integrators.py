@@ -26,15 +26,29 @@ then only inside Newton. A linear problem's rhs does not depend on the
 time, so the residual at the start values reuses that vector too, since
 ``f(y_{n-1}, t_n)`` is the same. Both reuse the result of the same call
 on the same arguments, so the output is bit-identical to evaluating
-afresh. ``ThetaPropagator.advance`` is the only path to a step; it
-steps raw arrays and builds one ``State`` per window. A step whose start
-values already solve it returns that array itself, so a result may
-share its values with its input; states are never written, so this is
-safe.
+afresh. ``ThetaPropagator._step`` is the only theta step on one window;
+``advance`` steps raw arrays through it and builds one ``State`` per
+window. A step whose start values already solve it returns that array
+itself, so a result may share its values with its input; states are
+never written, so this is safe.
+
+``ThetaPropagator.advance_many(states, t_ends)`` returns, for every
+window, exactly the array ``advance`` returns. For a linear problem it
+steps windows of equal step count as one ``(m, size, 1)`` stack of
+columns: a stacked ``matmul`` makes the same BLAS call per column that
+``A @ y`` makes (a plain ``A @ Y.T`` does not: its columns change with
+the block width), so the block is bit-identical to the windows stepped
+one by one, whichever windows share it. A step that does not pass as
+one block Newton pass on every column is redone column by column by
+``_step``, which keeps its line search, its breakdown checks and its
+``TimeStepError``. A nonlinear problem loops over its windows.
 
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
-propagator and an expensive fine one over the same windows. A window
+propagator and an expensive fine one over the same windows. A fine
+propagator that also has ``advance_many`` is handed each iteration's
+ready windows together (``SleepPropagator`` has none, so its windows
+keep running in parallel on the engine's workers). A window
 of ``n`` steps takes ``n`` steps of exactly the propagator's step and
 is stamped ``t_end``: rounding slack of at most 1e-9 relative between
 the window and ``n`` steps is stamped, not integrated. Propagators are
@@ -56,7 +70,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import problems as _problems
-from .linalg import MaxItersExceeded, NumericBreakdown, newton_solve
+from .linalg import MAX_ITERS, TOL, MaxItersExceeded, NumericBreakdown, newton_solve
 from .state import State
 
 
@@ -164,10 +178,11 @@ class ThetaPropagator:
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. For a linear problem every
     step uses ``operator``, the shared frozen inverse of ``I - k*theta*J``
-    (None for a nonlinear problem). ``advance`` is the only path to a
-    step, so one step is ``advance(state, state.time + step)``. The steps
-    of a window run on raw arrays and carry the rhs from one step to the
-    next, so the window's first rhs is its only one outside Newton.
+    (None for a nonlinear problem). ``advance`` and ``advance_many`` are
+    the only paths to a step, so one step is ``advance(state, state.time
+    + step)``. The steps of a window run on raw arrays and carry the rhs
+    from one step to the next, so the window's first rhs is its only one
+    outside Newton.
     Newton iterations and steps are accumulated in ``newton_iterations``
     and ``steps_taken`` for cost diagnostics; these counters change under
     a lock, everything else is fixed at construction.
@@ -187,16 +202,97 @@ class ThetaPropagator:
         n = _window_steps(state, t_end, self.step)
         if n == 0:
             return state
-        y, f, t = state.values, None, state.time
-        iters = 0
+        y, iters = self._window(state.values, state.time, n)
+        self._count(iters, n)
+        return state.with_values(y, time=t_end)
+
+    def advance_many(self, states: Sequence[State], t_ends: Sequence[float]) -> list:
+        """``[advance(s, t) for s, t in zip(states, t_ends)]``, bit for bit.
+
+        A linear problem's windows that all take the same number of steps
+        are stepped as one block (``_block``); any other call loops over
+        the windows. The counters grow by the same totals as the loop's,
+        and only once every window has succeeded.
+        """
+        counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
+        if self.operator is not None and len(set(counts)) == 1 and counts[0] > 0:
+            block, iters = self._block(states, counts[0])
+            values = [column[:, 0] for column in block]
+        else:
+            values, iters = [], 0
+            for s, n in zip(states, counts):
+                y, it = self._window(s.values, s.time, n)
+                values.append(y)
+                iters += it
+        self._count(iters, sum(counts))
+        return [s.with_values(y, time=t) if n else s for s, t, n, y in zip(states, t_ends, counts, values)]
+
+    def _count(self, iters: int, steps: int) -> None:
+        with self._stats_lock:
+            self.newton_iterations += iters
+            self.steps_taken += steps
+
+    def _window(self, y: np.ndarray, t: float, n: int):
+        """``n`` steps from ``y`` at ``t``; returns (values, Newton iterations)."""
+        f, iters = None, 0
         for _ in range(n):
             y, f, it = self._step(y, f, t)
             t += self.step
             iters += it
-        with self._stats_lock:
-            self.newton_iterations += iters
-            self.steps_taken += n
-        return state.with_values(y, time=t_end)
+        return y, iters
+
+    def _block(self, states: Sequence[State], n: int):
+        """``n`` steps of every window of a linear problem as one ``(m, size, 1)`` stack.
+
+        The stacked product ``A @ Y`` makes one BLAS call per column, the
+        call ``A @ y`` makes, and ``R.mT @ R`` one dot per column, the
+        call ``r @ r`` makes, so every column is ``_step``'s arithmetic bit
+        for bit whichever windows share the block. A step passes as one
+        block when Newton takes the full step on every column and every
+        column converges after the same number of iterations. Any other
+        step (uneven convergence, damping, a non-finite value, the
+        iteration budget) is redone column by column by ``_step`` in
+        window order, which also raises its ``TimeStepError``. Returns the
+        final stack and the Newton iterations of all columns.
+        """
+        a, b = self.problem.affine
+        b = b[:, None]
+        inverse, k = self.operator, self.step
+        k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
+        y = np.stack([s.values for s in states])[:, :, None]
+        f = a @ y + b
+        iters = 0
+        for done in range(n):
+            base = y + k_expl * f
+            r = y - base - k_impl * f
+            x, fx = y, f
+            norm = np.sqrt((r.mT @ r)[:, 0, 0])
+            for it in range(MAX_ITERS + 1):
+                converged = norm <= TOL
+                if converged.any() or it == MAX_ITERS:
+                    break
+                # x + 1.0 * dx of the full Newton step, dx = -(inverse @ r)
+                x_trial = x - inverse @ r
+                f_trial = a @ x_trial + b
+                r = x_trial - base - k_impl * f_trial
+                trial = np.sqrt((r.mT @ r)[:, 0, 0])
+                if not (trial < norm).all():
+                    break
+                x, fx, norm = x_trial, f_trial, trial
+            if converged.all():
+                y, f = x, fx
+                iters += it * len(states)
+                continue
+            columns = []
+            for j, s in enumerate(states):
+                t = s.time
+                for _ in range(done):
+                    t += k
+                columns.append(self._step(y[j, :, 0], f[j, :, 0], t))
+            y = np.stack([c[0] for c in columns])[:, :, None]
+            f = np.stack([c[1] for c in columns])[:, :, None]
+            iters += sum(c[2] for c in columns)
+        return y, iters
 
     def _step(self, y0: np.ndarray, f0, t0: float):
         """One implicit step on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).

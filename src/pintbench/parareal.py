@@ -20,6 +20,15 @@ on a worker pool. With one worker the executor runs inline on the
 calling thread and executes the tasks in the deterministic serial order,
 so ``workers=1`` is the serial run. Every task writes a slot no
 other task touches, so results are bit-identical across worker counts.
+
+When the fine propagator has ``advance_many``, a worker that takes a
+fine task also takes every other ready fine task of the same iteration
+and advances them in one call (for a linear problem, one block step of
+all those windows). The block returns each window's ``advance`` result
+bit for bit, so coalescing changes neither the results nor the serial
+order in which tasks complete and fail: which windows share a block
+depends on timing, the results do not. With one worker each iteration's
+fine sweep is one block of all ``L`` windows.
 """
 
 from __future__ import annotations
@@ -83,19 +92,23 @@ class PararealConfig:
 class RunTrace:
     """Per-iteration records collected by :func:`run_parareal`.
 
-    Lists are indexed by iteration (starting at 1); inner lists by
-    interval boundary 1..L. ``iterate_values`` additionally keeps the raw
-    boundary vectors of every iteration, including the coarse
-    initialization at index 0; they are the states' own arrays, not
-    copies. ``iteration_seconds`` are cumulative wall times from the start
-    of the run to the completion of each iteration's corrector sweep.
+    ``theta_values``, ``correction_norms`` and ``boundary_errors`` are
+    ``(iterations, L)`` arrays: row ``i - 1`` holds iteration ``i``, column
+    ``l - 1`` boundary ``l`` (no rows without an oracle for the errors).
+    ``iterate_values`` is a list of ``(L + 1, size)`` arrays, the boundary
+    vectors of every iteration including the coarse initialization at
+    index 0. They are rows of one array copied once at the end of the
+    run, and the returned states' values are views of its last row, so
+    the trace holds no second copy. ``iteration_seconds`` are cumulative
+    wall times from the start of the run to the completion of each
+    iteration's corrector sweep.
     """
 
     iterations_run: int = 0
     converged: bool = False
-    theta_values: list = field(default_factory=list)
-    correction_norms: list = field(default_factory=list)
-    boundary_errors: list = field(default_factory=list)
+    theta_values: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    correction_norms: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    boundary_errors: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     iterate_values: list = field(default_factory=list)
     init_seconds: float = 0.0
     iteration_seconds: list = field(default_factory=list)
@@ -255,7 +268,12 @@ class _PipelinedExecutor:
     """Priority-ordered worker pool over the task graph.
 
     Each worker pops the smallest ready key, so one worker degenerates to
-    the serial order; a single worker is the calling thread itself. Once
+    the serial order; a single worker is the calling thread itself. With
+    ``run_batch`` given, a worker that pops a fine task also pops every
+    ready fine task of the same iteration, which sorts directly behind
+    it, and runs them in one ``run_batch`` call. A batch that raises is
+    run again task by task through ``run_task``, stopping at the first
+    failure, so failures are recorded exactly as without batching. Once
     ``run_task`` reports convergence at iteration ``i``, tasks of later
     iterations are skipped. A failing task stops only tasks with larger
     keys: the failure with the smallest key is raised, which is the one
@@ -266,8 +284,10 @@ class _PipelinedExecutor:
     swallowed.
     """
 
-    def __init__(self, tasks: Sequence[Task], run_task: Callable, workers: int):
+    def __init__(self, tasks: Sequence[Task], run_task: Callable, workers: int,
+                 run_batch: Optional[Callable] = None):
         self.run_task = run_task
+        self.run_batch = run_batch
         self.tasks = {t.key: t for t in tasks}
         self.indegree = {t.key: len(t.depends) for t in tasks}
         self.dependents: dict = {}
@@ -311,21 +331,50 @@ class _PipelinedExecutor:
                 if self.stop_at is not None and task.iteration > self.stop_at:
                     self._complete(key)
                     continue
+                batch = [task]
+                if self.run_batch is not None and task.kind == "fine":
+                    while (self.ready and self.ready[0][:2] == key[:2]
+                           and (self.failure is None or self.ready[0] < self.failure[0])):
+                        batch.append(self.tasks[heapq.heappop(self.ready)])
                 self.running += 1
-            try:
-                outcome = self.run_task(task)
-            except BaseException as exc:
-                with self.cond:
-                    if self.failure is None or key < self.failure[0]:
-                        self.failure = (key, exc)
-                    self.running -= 1
-                    self.cond.notify_all()
-                continue
+            if len(batch) > 1:
+                try:
+                    self.run_batch(batch)
+                except Exception:
+                    pass  # rerun below, task by task, to locate the failure
+                except BaseException as exc:  # an interrupt is raised by run(), not rerun
+                    self._fail(key, exc)
+                    batch = []
+                else:
+                    with self.cond:
+                        self.running -= 1
+                        for t in batch:
+                            self._complete(t.key)
+                    continue
+            for task in batch:
+                if not self._run_one(task):
+                    break
             with self.cond:
                 self.running -= 1
-                if outcome is not None:
-                    self.stop_at = outcome if self.stop_at is None else min(self.stop_at, outcome)
-                self._complete(key)
+                self.cond.notify_all()
+
+    def _fail(self, key, exc: BaseException) -> None:
+        with self.cond:
+            if self.failure is None or key < self.failure[0]:
+                self.failure = (key, exc)
+
+    def _run_one(self, task: Task) -> bool:
+        """Run one popped task and record its outcome; False if it failed."""
+        try:
+            outcome = self.run_task(task)
+        except BaseException as exc:
+            self._fail(task.key, exc)
+            return False
+        with self.cond:
+            if outcome is not None:
+                self.stop_at = outcome if self.stop_at is None else min(self.stop_at, outcome)
+            self._complete(task.key)
+        return True
 
     def run(self) -> Optional[int]:
         if self.workers == 1:
@@ -425,23 +474,29 @@ def run_parareal(
         except Exception as exc:
             raise PararealError(f"{task.kind} failed at iteration {i}, interval {l}: {exc}") from exc
 
-    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, cfg.workers).run()
+    def run_fine_batch(tasks: Sequence[Task]) -> None:
+        # one iteration's windows; a failure is located by the executor's rerun
+        starts = [X[t.iteration - 1][t.interval] for t in tasks]
+        ends = F.advance_many(starts, [t_grid[t.interval + 1] for t in tasks])
+        for t, end in zip(tasks, ends):
+            fine_vals[t.iteration][t.interval + 1] = end
+
+    run_batch = run_fine_batch if hasattr(F, "advance_many") else None
+    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, cfg.workers, run_batch).run()
 
     iters_run = stop_at if stop_at is not None else max_iters
     trace = RunTrace()
     trace.iterations_run = iters_run
     trace.converged = stop_at is not None
-    trace.theta_values = [list(theta_rows[i]) for i in range(1, iters_run + 1)]
-    trace.correction_norms = [list(corr_rows[i]) for i in range(1, iters_run + 1)]
-    # states are never written, so the trace shares their arrays; the last
-    # row is the returned states' own values
-    trace.iterate_values = [[X[i][l].values for l in range(L + 1)] for i in range(iters_run + 1)]
+    trace.theta_values = np.array(theta_rows[1:iters_run + 1])
+    trace.correction_norms = np.array(corr_rows[1:iters_run + 1])
     trace.init_seconds = timing["init"]
     trace.iteration_seconds = [timing["iterations"][i] for i in range(1, iters_run + 1)]
     trace.total_seconds = time.perf_counter() - t_start
     # a slot is filled only by a fine task that succeeded
     trace.fine_propagations = sum(v is not None for row in fine_vals for v in row)
-    if oracle is not None:
-        for i in range(1, iters_run + 1):
-            trace.boundary_errors.append(boundary_error(X[i][1:], oracle[1:]))
-    return X[iters_run], trace
+    errors = [boundary_error(X[i][1:], oracle[1:]) for i in range(1, iters_run + 1)] if oracle is not None else []
+    trace.boundary_errors = np.array(errors).reshape(len(errors), L)
+    iterates = np.stack([x.values for row in X[:iters_run + 1] for x in row]).reshape(iters_run + 1, L + 1, -1)
+    trace.iterate_values = list(iterates)
+    return [x.with_values(v) for x, v in zip(X[iters_run], iterates[iters_run])], trace

@@ -112,25 +112,26 @@ class _Affine:
     """A linear problem: ``rhs(values, t) = A @ values + b`` with constant ``A`` and ``b``.
 
     Each class builds the pair once in ``_affine()``; it is cached on the
-    instance with both arrays read-only, so ``jacobian`` hands every
-    caller the same ``A``.
+    instance as ``affine`` with both arrays read-only, so ``jacobian``
+    hands every caller the same ``A`` and the integrator's block step
+    reads the same pair.
     """
 
     linear: ClassVar[bool] = True
 
     @functools.cached_property
-    def _operator(self) -> tuple[np.ndarray, np.ndarray]:
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
         pair = self._affine()
         for array in pair:
             array.setflags(write=False)
         return pair
 
     def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
-        a, b = self._operator
+        a, b = self.affine
         return a @ values + b
 
     def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
-        return self._operator[0]
+        return self.affine[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ def validate_layout(layout: Layout, size: int) -> None:
         raise ValueError(f"layout covers {covered} entries but the vector has {size}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class State:
     """Solution vector ``values`` at time ``time`` with block ``layout``.
 

@@ -310,6 +310,74 @@ class TestStepOperator:
             assert len(rhs_calls) == len(residual_calls) + 1
 
 
+class TestAdvanceMany:
+    """``advance_many`` is ``advance`` on each window, bit for bit; a linear problem's windows step as one block."""
+
+    @staticmethod
+    def _windows(problem, values, step, n):
+        base = initial_state(problem)
+        states = [base.with_values(v, time=0.3 * j) for j, v in enumerate(values)]
+        return states, [s.time + n * step for s in states]
+
+    def test_uneven_convergence_falls_back_to_the_per_column_step(self):
+        # a zero state solves every step at once while its neighbours need a
+        # Newton iteration, so no step passes as one block
+        problem = heat1d(mesh_n=15)
+        sine = initial_state(problem).values
+        values = [sine, np.zeros_like(sine), -0.5 * sine]
+        states, ends = self._windows(problem, values, 0.01, 6)
+        block, loop = (make_propagator(problem, ThetaSettings(step=0.01)) for _ in range(2))
+        calls = []
+        step = block._step
+        block._step = lambda *args: calls.append(args[2]) or step(*args)
+
+        outs = block.advance_many(states, ends)
+        assert len(calls) == 3 * 6
+        for s, t, out in zip(states, ends, outs):
+            assert out.values.tobytes() == loop.advance(s, t).values.tobytes()
+        assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken) == (12, 18)
+
+    def test_even_convergence_passes_as_one_block(self):
+        problem = heat1d(mesh_n=15)
+        sine = initial_state(problem).values
+        states, ends = self._windows(problem, [sine, 2.0 * sine, -sine], 0.01, 6)
+        prop = make_propagator(problem, ThetaSettings(step=0.01))
+        prop._step = None  # the block never needs the per-column step here
+        outs = prop.advance_many(states, ends)
+        assert [out.time for out in outs] == ends
+        assert (prop.newton_iterations, prop.steps_taken) == (18, 18)
+
+    def test_failing_column_raises_the_step_error_of_its_window(self):
+        problem = heat1d(mesh_n=15)
+        sine = initial_state(problem).values
+        broken = sine.copy()
+        broken[3] = np.nan
+        states, ends = self._windows(problem, [sine, broken, sine], 0.01, 4)
+        prop = make_propagator(problem, ThetaSettings(step=0.01))
+        with pytest.raises(TimeStepError) as alone:
+            make_propagator(problem, ThetaSettings(step=0.01)).advance(states[1], ends[1])
+        with pytest.raises(TimeStepError) as block:
+            prop.advance_many(states, ends)
+        assert str(block.value) == str(alone.value)
+        assert "t_n=0.31" in str(block.value)
+        assert (prop.newton_iterations, prop.steps_taken) == (0, 0)
+
+    def test_nonlinear_problem_loops_over_its_windows(self):
+        problem = ale_piston(mesh_n=7)
+        states, ends = self._windows(problem, [initial_state(problem).values] * 2, 0.02, 3)
+        block, loop = (make_propagator(problem, ThetaSettings(step=0.02)) for _ in range(2))
+        outs = block.advance_many(states, ends)
+        for s, t, out in zip(states, ends, outs):
+            assert out.values.tobytes() == loop.advance(s, t).values.tobytes()
+        assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken)
+
+    def test_empty_windows_return_their_states(self):
+        problem = heat1d(mesh_n=15)
+        states, ends = self._windows(problem, [initial_state(problem).values] * 2, 0.01, 0)
+        outs = make_propagator(problem, ThetaSettings(step=0.01)).advance_many(states, ends)
+        assert all(out is s for out, s in zip(outs, states))
+
+
 class TestSleepPropagator:
     def test_decay_map_deterministic(self):
         prop = SleepPropagator(step=0.5, cost_per_step=0.0)

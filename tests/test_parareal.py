@@ -275,7 +275,7 @@ class TestRunParareal:
         _, classic = run_parareal(C, F, s0, T, PararealConfig(**base, variant="classic"))
         monkeypatch.setattr(parareal, "theta_weight", lambda fine, coarse, variant: 1.0)
         _, forced = run_parareal(C, F, s0, T, PararealConfig(**base, variant="least_squares"))
-        assert forced.theta_values == [[1.0] * 4] * 3
+        assert forced.theta_values.tolist() == [[1.0] * 4] * 3
         for a, b in zip(classic.iterate_values, forced.iterate_values):
             for va, vb in zip(a, b):
                 assert np.array_equal(va, vb)
@@ -388,7 +388,7 @@ class TestRunParareal:
         _, trace = run_parareal(C, F, s0, T, cfg)
         assert trace.iterations_run == 3
         assert trace.fine_propagations == 12
-        assert trace.theta_values == [[1.0] * 4] * 3
+        assert trace.theta_values.tolist() == [[1.0] * 4] * 3
         assert len(trace.iteration_seconds) == 3
         assert trace.iteration_seconds == sorted(trace.iteration_seconds)
         assert trace.total_seconds >= trace.iteration_seconds[-1]
@@ -398,5 +398,5 @@ class TestRunParareal:
         # the trace keeps no second copy of the states the run returns
         problem, C, F, s0, grid, T = _dahlquist_setup()
         states, trace = run_parareal(C, F, s0, T, PararealConfig(intervals=4, max_iters=3, tol=1e-30))
-        assert all(v is s.values for v, s in zip(trace.iterate_values[-1], states))
-        assert all(row[0] is s0.values for row in trace.iterate_values)
+        assert all(np.shares_memory(v, s.values) for v, s in zip(trace.iterate_values[-1], states))
+        assert all(np.array_equal(row[0], s0.values) for row in trace.iterate_values)

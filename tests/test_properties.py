@@ -4,7 +4,7 @@ Each executor example runs the same Parareal problem at one worker and
 at ``k`` workers, checks the exactness frontier (boundary ``l`` after
 ``i >= l`` iterations is the sequential fine state), then injects a
 failure into the fine or the coarse propagator and runs both worker
-counts again. Each Jacobian example
+counts again; a failing fine propagator may take its windows in blocks. Each Jacobian example
 checks a problem's analytic ``jacobian`` against forward differences of
 its ``rhs`` at a random admissible state and time, and each time
 example checks a problem's ``linear`` flag against its ``rhs`` at two
@@ -13,7 +13,9 @@ a whole number of steps and checks that it takes exactly that many
 steps of the nominal size and lands on the requested end. Each split
 example counts the steps of one window and step drawn from the whole
 float range: the count fits the window or the split raises
-``ValueError``.
+``ValueError``. Each block example advances random windows of a linear
+problem with one ``advance_many`` call and checks it against
+``advance`` on each window, bit for bit and counter for counter.
 """
 
 import pytest
@@ -66,10 +68,22 @@ class _FailOnInput:
         self.time = time
         self.values = values
 
-    def advance(self, state, t_end):
+    def _check(self, state):
         if state.time == self.time and state.values.tobytes() == self.values:
             raise RuntimeError("injected failure")
+
+    def advance(self, state, t_end):
+        self._check(state)
         return self.inner.advance(state, t_end)
+
+
+class _FailOnInputInBlock(_FailOnInput):
+    """The same, handed an iteration's fine windows together, as ``ThetaPropagator`` is."""
+
+    def advance_many(self, states, t_ends):
+        for state in states:
+            self._check(state)
+        return self.inner.advance_many(states, t_ends)
 
 
 def _bytes(trace):
@@ -103,7 +117,9 @@ def test_worker_count_changes_nothing_and_failures_stay_located(data):
     _, phase, l = key
     values = starts[key].tobytes()
     first = min(key for key, v in starts.items() if key[1:] == (phase, l) and v.tobytes() == values)
-    failing = _FailOnInput(_fine() if phase == 0 else _coarse(), L * WINDOW * l / L, values)
+    in_block = phase == 0 and data.draw(st.booleans(), label="fine windows in blocks")
+    failing = (_FailOnInputInBlock if in_block else _FailOnInput)(
+        _fine() if phase == 0 else _coarse(), L * WINDOW * l / L, values)
     fine, coarse = (failing, _coarse()) if phase == 0 else (_fine(), failing)
     kind = "fine" if phase == 0 else ("coarse_init" if first[0] == 0 else "correct")
 
@@ -235,3 +251,33 @@ def test_split_window_counts_whole_steps_or_raises_value_error(window, step):
         return
     assert n >= 1
     assert abs(window - n * step) <= 1e-9 * max(window, step)
+
+
+BLOCK_KINDS = ["dahlquist", "heat1d", "advection1d-periodic", "advection1d"]
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_advance_many_equals_advance_per_window_bit_for_bit(kind, data):
+    problem = _draw_problem(data, kind)
+    k = data.draw(st.floats(1e-3, 0.05), label="k")
+    settings_ = ThetaSettings(step=k, theta0=data.draw(st.sampled_from([0.0, 0.5, 5.0]), label="theta0"))
+    width = data.draw(st.integers(1, 10), label="width")
+    same_length = data.draw(st.booleans(), label="same length")
+    n = data.draw(st.integers(0, 12), label="n")
+    base = initial_state(problem)
+    states, ends = [], []
+    for j in range(width):
+        t0 = data.draw(st.floats(0.0, 10.0), label=f"t0[{j}]")
+        steps = n if same_length else data.draw(st.integers(0, 12), label=f"n[{j}]")
+        states.append(base.with_values(_draw_values(data, problem), time=t0))
+        ends.append(t0 + steps * k)
+
+    block, loop = make_propagator(problem, settings_), make_propagator(problem, settings_)
+    outs = block.advance_many(states, ends)
+    for s, t, out in zip(states, ends, outs):
+        one = loop.advance(s, t)
+        assert out.time == one.time
+        assert out.values.tobytes() == one.values.tobytes()
+    assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken)

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -126,7 +127,7 @@ class TestSchedulerEquivalence:
         for row_a, row_b in zip(serial_trace.iterate_values, pipe_trace.iterate_values):
             for va, vb in zip(row_a, row_b):
                 assert va.tobytes() == vb.tobytes()
-        assert serial_trace.theta_values == pipe_trace.theta_values
+        assert np.array_equal(serial_trace.theta_values, pipe_trace.theta_values)
 
     def test_sleep_propagators_identical_output_across_worker_counts(self):
         def run(workers):
@@ -171,6 +172,101 @@ class TestSchedulerPerformance:
             run_parareal(C, F, s0, float(L), cfg)
             times[workers] = time.perf_counter() - t0
         assert times[L] < 0.6 * times[1]
+
+
+class _Recorder:
+    """Theta propagator that records the width of every call."""
+
+    def __init__(self, inner, fail_at=None):
+        self.inner = inner
+        self.step = inner.step
+        self.cost_hint = inner.cost_hint
+        self.fail_at = fail_at  # the start time of a window that fails
+        self.widths = []
+        self.lock = threading.Lock()
+
+    def _check(self, states):
+        if any(s.time == self.fail_at for s in states):
+            raise RuntimeError("injected failure")
+
+    def advance(self, state, t_end):
+        with self.lock:
+            self.widths.append(1)
+        self._check([state])
+        return self.inner.advance(state, t_end)
+
+
+class _BlockRecorder(_Recorder):
+    def advance_many(self, states, t_ends):
+        with self.lock:
+            self.widths.append(len(states))
+        self._check(states)
+        return self.inner.advance_many(states, t_ends)
+
+
+class TestCoalescing:
+    L = 6
+
+    def _run(self, fine, workers):
+        problem = heat1d(mesh_n=15, nu=0.1, init=SineMode(1))
+        C = make_propagator(problem, ThetaSettings(step=0.1))
+        cfg = PararealConfig(intervals=self.L, max_iters=3, tol=1e-30, workers=workers)
+        return run_parareal(C, fine, initial_state(problem), 1.2, cfg)
+
+    @staticmethod
+    def _fine(cls=_BlockRecorder, fail_at=None):
+        problem = heat1d(mesh_n=15, nu=0.1, init=SineMode(1))
+        return cls(make_propagator(problem, ThetaSettings(step=0.02)), fail_at)
+
+    def test_one_worker_steps_each_iteration_as_one_block(self):
+        fine = self._fine()
+        _, trace = self._run(fine, workers=1)
+        assert fine.widths == [self.L] * 3
+        assert trace.fine_propagations == 3 * self.L
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_blocks_change_nothing_across_worker_counts(self, workers):
+        plain, one, many = self._fine(_Recorder), self._fine(), self._fine()
+        expected = [row.tobytes() for row in self._run(plain, workers=1)[1].iterate_values]
+        assert [row.tobytes() for row in self._run(one, workers=1)[1].iterate_values] == expected
+        assert [row.tobytes() for row in self._run(many, workers=workers)[1].iterate_values] == expected
+        assert sum(many.widths) == 3 * self.L
+        assert plain.widths == [1] * (3 * self.L)  # no advance_many, no block
+
+    def test_blocks_under_frequent_thread_switches(self):
+        # 8 workers switching every microsecond: each window is stepped once,
+        # so a lost update of the ready heap or of the counters shows here
+        expected = [row.tobytes() for row in self._run(self._fine(), workers=1)[1].iterate_values]
+        fine, result = self._fine(), {}
+        runner = threading.Thread(target=lambda: result.update(run=self._run(fine, workers=8)))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not runner.is_alive()
+        _, trace = result["run"]
+        assert [row.tobytes() for row in trace.iterate_values] == expected
+        assert sum(fine.widths) == trace.fine_propagations == 3 * self.L
+        assert fine.inner.steps_taken == 3 * self.L * 10
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failing_column_named_as_without_blocks(self, workers):
+        # the window starting at 0.6 fails in every iteration; the block that
+        # holds it is rerun task by task, so the first failing task is named
+        def message(fine, w):
+            with pytest.raises(PararealError) as info:
+                self._run(fine, workers=w)
+            return str(info.value)
+
+        expected = message(self._fine(_Recorder, fail_at=0.6), 1)
+        assert expected == "fine failed at iteration 1, interval 3: injected failure"
+        fine = self._fine(fail_at=0.6)
+        assert message(fine, workers) == expected
+        if workers == 1:
+            assert fine.widths[0] == self.L  # the failing window was stepped in a block first
 
 
 class TestExecutorDefense:
