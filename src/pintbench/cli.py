@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
-from .integrators import ThetaSettings, TimeStepError, _split_window, make_propagator
+from .integrators import ThetaPropagator, ThetaSettings, TimeStepError, _split_window, make_propagator
 from .linalg import MAX_ITERS, TOL, MaxItersExceeded, NumericBreakdown
 from .parareal import (
     PararealConfig,
@@ -46,6 +46,7 @@ from .parareal import (
     run_parareal,
     sequential_solve,
     theoretical_speedup,
+    worker_threads,
 )
 from .problems import (
     PROBLEMS,
@@ -364,7 +365,8 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
                 print(
                     f"[pint-bench]   {trace.iterations_run} iterations, "
                     f"coarse Newton {coarse.newton_iterations}, fine Newton {fine_run.newton_iterations}, "
-                    f"t_par(to iter {qualifying}) {t_par:.3f} s"
+                    f"t_par(to iter {qualifying}) {t_par:.3f} s, "
+                    f"{trace.workers} thread(s) of {cfg.workers} workers"
                 )
     return rows
 
@@ -485,6 +487,8 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "workers": parareal.workers,
+        # every run's fine propagator is a ThetaPropagator (make_propagator)
+        "workers_run": worker_threads(ThetaPropagator, parareal.workers),
         "reference_refinement": REFERENCE_REFINEMENT,
         "newton": {
             "abs_tol": TOL,

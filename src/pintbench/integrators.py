@@ -47,11 +47,14 @@ Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
 propagator and an expensive fine one over the same windows. A fine
 propagator that also has ``advance_many`` is handed each iteration's
-ready windows together (``SleepPropagator`` has none, so its windows
-keep running in parallel on the engine's workers). A window
-of ``n`` steps takes ``n`` steps of exactly the propagator's step and
-is stamped ``t_end``: rounding slack of at most 1e-9 relative between
-the window and ``n`` steps is stamped, not integrated. Propagators are
+windows as one call on the calling thread, whatever the engine's worker
+count, since a second thread only competes with the block for the
+interpreter lock. ``SleepPropagator`` has none, so its windows, whose
+sleeps release the lock, keep running in parallel on the engine's
+workers. A window of ``n`` steps takes ``n`` steps of exactly the
+propagator's step and is stamped ``t_end``: rounding slack of at most
+1e-9 relative between the window and ``n`` steps is stamped, not
+integrated. Propagators are
 safe to share across workers: their settings do not change after
 construction, and the only state ``advance`` writes is a pair of cost
 counters updated under a lock. Each ``advance`` is deterministic, so

@@ -21,14 +21,21 @@ calling thread and executes the tasks in the deterministic serial order,
 so ``workers=1`` is the serial run. Every task writes a slot no
 other task touches, so results are bit-identical across worker counts.
 
-When the fine propagator has ``advance_many``, a worker that takes a
-fine task also takes every other ready fine task of the same iteration
-and advances them in one call (for a linear problem, one block step of
-all those windows). The block returns each window's ``advance`` result
-bit for bit, so coalescing changes neither the results nor the serial
-order in which tasks complete and fail: which windows share a block
-depends on timing, the results do not. With one worker each iteration's
-fine sweep is one block of all ``L`` windows.
+When the fine propagator has ``advance_many``, the run takes that
+one-worker path whatever ``workers`` says, and each iteration's fine
+sweep is one call on all ``L`` windows (for a linear problem, one block
+step). The block returns each window's ``advance`` result bit for bit,
+and the serial order fixes which windows share it, so batching changes
+neither the results nor the order in which tasks complete and fail. On
+an interpreter with a global lock a second thread adds no compute to the
+block; it only competes for the lock. Given two threads, a 20-window
+heat run on a 2-vCPU host made fine calls of widths 20, 1, 1, 1, 19, 1,
+1, 18, 1, 17: the second thread stepped the windows whose start state
+had not changed since the last iteration one at a time, and meanwhile
+the first block took 16.6 ms against about 8 ms alone. Worker threads
+therefore serve fine propagators without ``advance_many``, such as
+``SleepPropagator``, whose sleeps release the lock, and
+:func:`worker_threads` states the rule.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ from .state import State
 
 VARIANTS = ("classic", "least_squares", "angle_penalized")
 SCHEDULERS = ("pipelined",)
+# the most worker threads a run may ask for; validation rejects more before any thread starts
+MAX_WORKERS = 64
 
 # blocks with coarse mass below this are skipped by the weighting (theta 1)
 _DEGENERATE_MASS = 1e-28
@@ -61,8 +70,12 @@ class PararealConfig:
     """Interval count, iteration budget, stopping rule, and scheduling.
 
     ``scheduler`` names the executor backend; ``"pipelined"`` is the only
-    one. ``workers`` threads run it, and one worker is the calling thread
-    running the tasks in the serial order.
+    one. ``workers`` threads run it, at most ``MAX_WORKERS``, and one
+    worker is the calling thread running the tasks in the serial order.
+    ``workers`` serves fine propagators without ``advance_many``: a
+    batching one steps each iteration as one block on the calling thread,
+    since a second thread only competes with it for the interpreter lock
+    (:func:`worker_threads`).
     """
 
     intervals: int
@@ -84,8 +97,8 @@ class PararealConfig:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}, expected one of {SCHEDULERS}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must lie in [1, {MAX_WORKERS}]")
 
 
 @dataclass
@@ -101,7 +114,8 @@ class RunTrace:
     run, and the returned states' values are views of its last row, so
     the trace holds no second copy. ``iteration_seconds`` are cumulative
     wall times from the start of the run to the completion of each
-    iteration's corrector sweep.
+    iteration's corrector sweep. ``workers`` is the number of threads that
+    ran the task graph (:func:`worker_threads`).
     """
 
     iterations_run: int = 0
@@ -114,6 +128,17 @@ class RunTrace:
     iteration_seconds: list = field(default_factory=list)
     total_seconds: float = 0.0
     fine_propagations: int = 0
+    workers: int = 1
+
+
+def worker_threads(F: Propagator, workers: int) -> int:
+    """Threads that run :func:`run_parareal` with fine propagator ``F``.
+
+    One, the calling thread, when ``F`` has ``advance_many``: each
+    iteration's fine sweep is then one block, and a second thread would
+    only compete with it for the interpreter lock. ``workers`` otherwise.
+    """
+    return 1 if hasattr(F, "advance_many") else workers
 
 
 def theoretical_speedup(r: float, iters: int, intervals: int) -> float:
@@ -271,17 +296,20 @@ class _PipelinedExecutor:
     the serial order; a single worker is the calling thread itself. With
     ``run_batch`` given, a worker that pops a fine task also pops every
     ready fine task of the same iteration, which sorts directly behind
-    it, and runs them in one ``run_batch`` call. A batch that raises is
-    run again task by task through ``run_task``, stopping at the first
-    failure, so failures are recorded exactly as without batching. Once
-    ``run_task`` reports convergence at iteration ``i``, tasks of later
-    iterations are skipped. A failing task stops only tasks with larger
-    keys: the failure with the smallest key is raised, which is the one
-    the serial order meets first, and a failure in an iteration after
-    the converged one is dropped because the serial order never runs
-    it. A stall (tasks left but nothing ready or running) cannot happen
-    on a well-formed graph and is reported as a defect rather than
-    swallowed.
+    it, and runs them in one ``run_batch`` call. :func:`run_parareal`
+    gives ``run_batch`` to one worker only; the serial order finishes an
+    iteration's correctors before it pops the next iteration's first fine
+    task, so each batch is that iteration's ``L`` windows. A batch that
+    raises is run again task by task through ``run_task``, stopping at
+    the first failure, so failures are recorded exactly as without
+    batching. Once ``run_task`` reports convergence at iteration ``i``,
+    tasks of later iterations are skipped. A failing task stops only
+    tasks with larger keys: the failure with the smallest key is raised,
+    which is the one the serial order meets first, and a failure in an
+    iteration after the converged one is dropped because the serial order
+    never runs it. A stall (tasks left but nothing ready or running)
+    cannot happen on a well-formed graph and is reported as a defect
+    rather than swallowed.
     """
 
     def __init__(self, tasks: Sequence[Task], run_task: Callable, workers: int,
@@ -333,8 +361,7 @@ class _PipelinedExecutor:
                     continue
                 batch = [task]
                 if self.run_batch is not None and task.kind == "fine":
-                    while (self.ready and self.ready[0][:2] == key[:2]
-                           and (self.failure is None or self.ready[0] < self.failure[0])):
+                    while self.ready and self.ready[0][:2] == key[:2]:
                         batch.append(self.tasks[heapq.heappop(self.ready)])
                 self.running += 1
             if len(batch) > 1:
@@ -481,13 +508,15 @@ def run_parareal(
         for t, end in zip(tasks, ends):
             fine_vals[t.iteration][t.interval + 1] = end
 
+    workers = worker_threads(F, cfg.workers)
     run_batch = run_fine_batch if hasattr(F, "advance_many") else None
-    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, cfg.workers, run_batch).run()
+    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, workers, run_batch).run()
 
     iters_run = stop_at if stop_at is not None else max_iters
     trace = RunTrace()
     trace.iterations_run = iters_run
     trace.converged = stop_at is not None
+    trace.workers = workers
     trace.theta_values = np.array(theta_rows[1:iters_run + 1])
     trace.correction_norms = np.array(corr_rows[1:iters_run + 1])
     trace.init_seconds = timing["init"]

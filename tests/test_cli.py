@@ -358,6 +358,7 @@ class TestMainEntryPoint:
         assert main(["run", path, f"--workers={workers}"]) == EXIT_OK
         metadata = json.loads(out.read_text())["metadata"]
         assert metadata["workers"] == workers
+        assert metadata["workers_run"] == 1  # the theta fine propagator batches on the calling thread
         assert metadata["reference_refinement"] == REFERENCE_REFINEMENT == 4
         # the refinement is no experiment field, so the config records none
         assert set(metadata["config"]) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"workers", "output"}
@@ -436,6 +437,7 @@ mesh_n = 15
         ["--problem=heat1d", "--heat1d.init=gaussian:0.3:0.2:1"],
         ["--problem=heat1d", "--heat1d.init=cosine:1"],
         ["--workers", "3"],
+        ["--workers=100000"],  # above MAX_WORKERS, rejected before any thread starts
     ])
     def test_bad_value_exits_two_without_output(self, tmp_path, capsys, overrides):
         out = tmp_path / "res.csv"
@@ -453,6 +455,7 @@ mesh_n = 15
         text = capsys.readouterr().out
         sequential = re.search(r"s, (\d+) Newton iterations \([\d.]+ ms each\)", text)
         parareal = re.search(r"2 iterations, coarse Newton (\d+), fine Newton (\d+), t_par\(to iter \d\)", text)
+        assert re.search(r"t_par\(to iter \d\) [\d.]+ s, 1 thread\(s\) of 2 workers", text), text
         assert sequential and parareal, text
         assert all(int(n) > 0 for n in sequential.groups() + parareal.groups())
         assert f"wrote 13 rows to {out}" in text

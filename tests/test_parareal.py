@@ -4,6 +4,7 @@ import pytest
 from pintbench import parareal
 from pintbench.integrators import ThetaSettings, make_propagator
 from pintbench.parareal import (
+    MAX_WORKERS,
     PararealConfig,
     PararealError,
     boundary_error,
@@ -192,6 +193,10 @@ class TestPararealConfig:
             PararealConfig(intervals=4, max_iters=2, scheduler="bogus")
         with pytest.raises(ValueError):
             PararealConfig(intervals=4, max_iters=2, workers=0)
+        # validation only: a config starts no thread
+        assert PararealConfig(intervals=4, max_iters=2, workers=MAX_WORKERS).workers == MAX_WORKERS == 64
+        with pytest.raises(ValueError, match=r"workers must lie in \[1, 64\]"):
+            PararealConfig(intervals=4, max_iters=2, workers=MAX_WORKERS + 1)
 
 
 def _dahlquist_setup(L=4, T=2.0, K=0.1, k=0.01):

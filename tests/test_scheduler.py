@@ -68,6 +68,36 @@ class _RecordingPropagator:
         return state.with_values(state.values / (1.0 + self.step), time=t_end)
 
 
+class _Recorder:
+    """Wraps a propagator without ``advance_many`` and records the width and the thread of every call."""
+
+    def __init__(self, inner, fail_at=None):
+        self.inner = inner
+        self.step = inner.step
+        self.cost_hint = inner.cost_hint
+        self.fail_at = fail_at  # the start time of a window that fails
+        self.widths = []
+        self.threads = []  # (thread ident, live thread count) per call
+        self.lock = threading.Lock()
+
+    def _record(self, states):
+        with self.lock:
+            self.widths.append(len(states))
+            self.threads.append((threading.get_ident(), threading.active_count()))
+        if any(s.time == self.fail_at for s in states):
+            raise RuntimeError("injected failure")
+
+    def advance(self, state, t_end):
+        self._record([state])
+        return self.inner.advance(state, t_end)
+
+
+class _BlockRecorder(_Recorder):
+    def advance_many(self, states, t_ends):
+        self._record(states)
+        return self.inner.advance_many(states, t_ends)
+
+
 class TestSchedulerEquivalence:
     def test_single_worker_matches_serial_event_order(self):
         log = []
@@ -112,22 +142,37 @@ class TestSchedulerEquivalence:
         run_parareal(Probe(0.5), Probe(0.1), s0, 2.0, cfg)
         assert seen and set(seen) == {(caller, threads_before)}
 
+    # a bare ThetaPropagator batches and runs inline at any worker count; the
+    # wrapper without advance_many runs its windows one by one on the worker threads
+    @pytest.mark.parametrize("wrap", [None, _Recorder], ids=["block", "per_window"])
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
-    def test_pipelined_bitwise_equals_serial(self, workers):
+    def test_pipelined_bitwise_equals_serial(self, workers, wrap):
         problem = heat1d(mesh_n=15, nu=0.1, init=SineMode(1))
         C = make_propagator(problem, ThetaSettings(step=0.1))
         F = make_propagator(problem, ThetaSettings(step=0.02))
         s0 = initial_state(problem)
         (serial_states, serial_trace), (pipe_states, pipe_trace) = (
-            run_parareal(C, F, s0, 2.0, PararealConfig(intervals=5, max_iters=4, tol=1e-30, workers=w))
-            for w in (1, workers)
+            run_parareal(C, fine, s0, 2.0, PararealConfig(intervals=5, max_iters=4, tol=1e-30, workers=w))
+            for fine, w in ((F, 1), (wrap(F) if wrap else F, workers))
         )
+        assert pipe_trace.workers == (workers if wrap else 1)
         for a, b in zip(serial_states, pipe_states):
             assert a.values.tobytes() == b.values.tobytes()
         for row_a, row_b in zip(serial_trace.iterate_values, pipe_trace.iterate_values):
             for va, vb in zip(row_a, row_b):
                 assert va.tobytes() == vb.tobytes()
         assert np.array_equal(serial_trace.theta_values, pipe_trace.theta_values)
+
+    def test_sleep_fine_tasks_run_on_the_worker_threads(self):
+        # sleeps release the interpreter lock, so a fine propagator without
+        # advance_many keeps its worker threads
+        fine = _Recorder(SleepPropagator(step=0.05, cost_per_step=0.001))
+        s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
+        cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, workers=2)
+        _, trace = run_parareal(SleepPropagator(step=0.5, cost_per_step=0.001), fine, s0, 2.0, cfg)
+        threads = {ident for ident, _ in fine.threads}
+        assert trace.workers == 2
+        assert len(threads) == 2 and threading.get_ident() not in threads
 
     def test_sleep_propagators_identical_output_across_worker_counts(self):
         def run(workers):
@@ -174,36 +219,6 @@ class TestSchedulerPerformance:
         assert times[L] < 0.6 * times[1]
 
 
-class _Recorder:
-    """Theta propagator that records the width of every call."""
-
-    def __init__(self, inner, fail_at=None):
-        self.inner = inner
-        self.step = inner.step
-        self.cost_hint = inner.cost_hint
-        self.fail_at = fail_at  # the start time of a window that fails
-        self.widths = []
-        self.lock = threading.Lock()
-
-    def _check(self, states):
-        if any(s.time == self.fail_at for s in states):
-            raise RuntimeError("injected failure")
-
-    def advance(self, state, t_end):
-        with self.lock:
-            self.widths.append(1)
-        self._check([state])
-        return self.inner.advance(state, t_end)
-
-
-class _BlockRecorder(_Recorder):
-    def advance_many(self, states, t_ends):
-        with self.lock:
-            self.widths.append(len(states))
-        self._check(states)
-        return self.inner.advance_many(states, t_ends)
-
-
 class TestCoalescing:
     L = 6
 
@@ -224,20 +239,27 @@ class TestCoalescing:
         assert fine.widths == [self.L] * 3
         assert trace.fine_propagations == 3 * self.L
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_blocks_change_nothing_across_worker_counts(self, workers):
+        # a batching fine propagator takes the one-worker path: one block per
+        # iteration, on the calling thread, with no thread started
         plain, one, many = self._fine(_Recorder), self._fine(), self._fine()
         expected = [row.tobytes() for row in self._run(plain, workers=1)[1].iterate_values]
         assert [row.tobytes() for row in self._run(one, workers=1)[1].iterate_values] == expected
-        assert [row.tobytes() for row in self._run(many, workers=workers)[1].iterate_values] == expected
-        assert sum(many.widths) == 3 * self.L
+        caller, threads_before = threading.get_ident(), threading.active_count()
+        _, trace = self._run(many, workers=workers)
+        assert [row.tobytes() for row in trace.iterate_values] == expected
+        assert many.widths == [self.L] * 3
+        assert set(many.threads) == {(caller, threads_before)}
+        assert trace.workers == 1
         assert plain.widths == [1] * (3 * self.L)  # no advance_many, no block
 
-    def test_blocks_under_frequent_thread_switches(self):
-        # 8 workers switching every microsecond: each window is stepped once,
-        # so a lost update of the ready heap or of the counters shows here
+    def test_windows_under_frequent_thread_switches(self):
+        # 8 workers switching every microsecond on numeric windows: each window
+        # is stepped once, so a lost update of the ready heap or of the
+        # propagator's counters shows here
         expected = [row.tobytes() for row in self._run(self._fine(), workers=1)[1].iterate_values]
-        fine, result = self._fine(), {}
+        fine, result = self._fine(_Recorder), {}
         runner = threading.Thread(target=lambda: result.update(run=self._run(fine, workers=8)))
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -249,10 +271,11 @@ class TestCoalescing:
         assert not runner.is_alive()
         _, trace = result["run"]
         assert [row.tobytes() for row in trace.iterate_values] == expected
-        assert sum(fine.widths) == trace.fine_propagations == 3 * self.L
+        assert fine.widths == [1] * trace.fine_propagations
+        assert trace.fine_propagations == 3 * self.L
         assert fine.inner.steps_taken == 3 * self.L * 10
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_failing_column_named_as_without_blocks(self, workers):
         # the window starting at 0.6 fails in every iteration; the block that
         # holds it is rerun task by task, so the first failing task is named
@@ -265,8 +288,7 @@ class TestCoalescing:
         assert expected == "fine failed at iteration 1, interval 3: injected failure"
         fine = self._fine(fail_at=0.6)
         assert message(fine, workers) == expected
-        if workers == 1:
-            assert fine.widths[0] == self.L  # the failing window was stepped in a block first
+        assert fine.widths[0] == self.L  # the failing window was stepped in a block first
 
 
 class TestExecutorDefense:
