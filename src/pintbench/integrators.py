@@ -11,9 +11,9 @@ iterate. A linear problem's rhs is ``A y + b`` (``problem.linear``), so
 ``J = A`` is constant and the step uses a frozen inverse of the matrix
 (simplified Newton, exact here): one read-only operator per (problem,
 step size, theta), kept in one bounded module-level cache that every
-propagator shares. Newton still evaluates the residual and confirms
-convergence on every step, and every failure is reported as a
-``TimeStepError`` naming the step's ``(t_n, k)``. ``theta = 1/2`` is the
+propagator shares. Every step evaluates the residual and confirms
+convergence, and every failure is reported as a ``TimeStepError``
+naming the step's ``(t_n, k)``. ``theta = 1/2`` is the
 Crank-Nicolson scheme (second order), ``theta = 1`` backward Euler
 (first order), and the shifted variant ``theta = 1/2 + theta0 * k``
 trades a step-size proportional amount of damping for retained
@@ -26,22 +26,27 @@ then only inside Newton. A linear problem's rhs does not depend on the
 time, so the residual at the start values reuses that vector too, since
 ``f(y_{n-1}, t_n)`` is the same. Both reuse the result of the same call
 on the same arguments, so the output is bit-identical to evaluating
-afresh. ``ThetaPropagator._step`` is the only theta step on one window;
-``advance`` steps raw arrays through it and builds one ``State`` per
-window. A step whose start values already solve it returns that array
-itself, so a result may share its values with its input; states are
-never written, so this is safe.
+afresh. Steps run on raw arrays, and a window builds one ``State``. A
+step whose start values already solve it returns that array itself, so
+a result may share its values with its input; states are never
+written, so this is safe.
 
-``ThetaPropagator.advance_many(states, t_ends)`` returns, for every
-window, exactly the array ``advance`` returns. For a linear problem it
-steps windows of equal step count as one ``(m, size, 1)`` stack of
-columns: a stacked ``matmul`` makes the same BLAS call per column that
-``A @ y`` makes (a plain ``A @ Y.T`` does not: its columns change with
-the block width), so the block is bit-identical to the windows stepped
-one by one, whichever windows share it. A step that does not pass as
-one block Newton pass on every column is redone column by column by
-``_step``, which keeps its line search, its breakdown checks and its
-``TimeStepError``. A nonlinear problem loops over its windows.
+A nonlinear problem's step is ``ThetaPropagator._step``, one
+``newton_solve`` call. A linear problem's windows step in one loop,
+``ThetaPropagator._linear``, on one window's vector (``advance``, and so
+the sequential solve and every coarse window) or on an ``(m, size, 1)``
+stack of windows of equal step count (``advance_many``). On a linear
+problem Newton's first, full step solves the step up to rounding, so
+the loop takes that step inline, with ``newton_solve``'s arithmetic in
+its order, and keeps it when the residual falls from above the
+tolerance to at most it, which is where ``newton_solve`` stops. Any
+other step is redone column by column by ``_step``, which keeps the line
+search, the breakdown checks and the ``TimeStepError``. A stacked
+``matmul`` makes the same BLAS call per column that ``A @ y`` makes (a
+plain ``A @ Y.T`` does not: its columns change with the block width),
+so ``advance_many`` returns, for every window, exactly the array
+``advance`` returns, whichever windows share the stack. A nonlinear
+problem loops over its windows.
 
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
@@ -73,7 +78,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import problems as _problems
-from .linalg import MAX_ITERS, TOL, MaxItersExceeded, NumericBreakdown, newton_solve
+from .linalg import TOL, MaxItersExceeded, NumericBreakdown, newton_solve
 from .state import State
 
 
@@ -181,11 +186,11 @@ class ThetaPropagator:
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. For a linear problem every
     step uses ``operator``, the shared frozen inverse of ``I - k*theta*J``
-    (None for a nonlinear problem). ``advance`` and ``advance_many`` are
-    the only paths to a step, so one step is ``advance(state, state.time
-    + step)``. The steps of a window run on raw arrays and carry the rhs
-    from one step to the next, so the window's first rhs is its only one
-    outside Newton.
+    (None for a nonlinear problem), and its windows step in ``_linear``.
+    ``advance`` and ``advance_many`` are the only paths to a step, so one
+    step is ``advance(state, state.time + step)``. The steps of a window
+    run on raw arrays and carry the rhs from one step to the next, so the
+    window's first rhs is its only one outside the steps' solves.
     Newton iterations and steps are accumulated in ``newton_iterations``
     and ``steps_taken`` for cost diagnostics; these counters change under
     a lock, everything else is fixed at construction.
@@ -212,15 +217,17 @@ class ThetaPropagator:
     def advance_many(self, states: Sequence[State], t_ends: Sequence[float]) -> list:
         """``[advance(s, t) for s, t in zip(states, t_ends)]``, bit for bit.
 
-        A linear problem's windows that all take the same number of steps
-        are stepped as one block (``_block``); any other call loops over
-        the windows. The counters grow by the same totals as the loop's,
-        and only once every window has succeeded.
+        Two or more windows of a linear problem that all take the same
+        number of steps are stepped as one ``(m, size, 1)`` stack by
+        ``_linear``; any other call loops over the windows. The counters
+        grow by the same totals as the loop's, and only once every window
+        has succeeded.
         """
         counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
-        if self.operator is not None and len(set(counts)) == 1 and counts[0] > 0:
-            block, iters = self._block(states, counts[0])
-            values = [column[:, 0] for column in block]
+        if self.operator is not None and len(states) > 1 and len(set(counts)) == 1 and counts[0] > 0:
+            stack = np.stack([s.values for s in states])[:, :, None]
+            block, iters = self._linear(stack, counts[0], [s.time for s in states])
+            values = list(block[:, :, 0])
         else:
             values, iters = [], 0
             for s, n in zip(states, counts):
@@ -237,6 +244,8 @@ class ThetaPropagator:
 
     def _window(self, y: np.ndarray, t: float, n: int):
         """``n`` steps from ``y`` at ``t``; returns (values, Newton iterations)."""
+        if self.operator is not None and n:
+            return self._linear(y, n, [t])
         f, iters = None, 0
         for _ in range(n):
             y, f, it = self._step(y, f, t)
@@ -244,57 +253,72 @@ class ThetaPropagator:
             iters += it
         return y, iters
 
-    def _block(self, states: Sequence[State], n: int):
-        """``n`` steps of every window of a linear problem as one ``(m, size, 1)`` stack.
+    def _linear(self, y: np.ndarray, n: int, starts: Sequence[float]):
+        """``n`` steps of a linear problem from one window's vector ``y`` or an ``(m, size, 1)`` stack.
 
-        The stacked product ``A @ Y`` makes one BLAS call per column, the
-        call ``A @ y`` makes, and ``R.mT @ R`` one dot per column, the
-        call ``r @ r`` makes, so every column is ``_step``'s arithmetic bit
-        for bit whichever windows share the block. A step passes as one
-        block when Newton takes the full step on every column and every
-        column converges after the same number of iterations. Any other
-        step (uneven convergence, damping, a non-finite value, the
-        iteration budget) is redone column by column by ``_step`` in
-        window order, which also raises its ``TimeStepError``. Returns the
-        final stack and the Newton iterations of all columns.
+        ``starts`` holds each column's start time. A step is Newton's
+        first, full step with the frozen inverse, ``x = y - operator @ r``
+        for the residual ``r`` at the start values, followed by the rhs and
+        the residual at ``x``: ``newton_solve``'s arithmetic in its order.
+        It is taken when every column's residual starts above ``TOL`` and
+        ends at or below it, which is where ``newton_solve`` returns ``x``
+        after one iteration. Any other step (a start that already solves
+        it, no decrease, a residual still above ``TOL``, a non-finite
+        value) is redone column by column by ``_step`` in window order,
+        which also raises its ``TimeStepError``. Only the norm, the rhs and
+        the test differ by shape. A vector's rhs is ``rhs_values`` and its
+        test compares plain floats. A stack's rhs is ``A @ Y + b``: the
+        stacked products ``A @ Y`` and ``R.mT @ R`` make one BLAS call per
+        column, the calls ``A @ y`` and ``r @ r`` make, so each column is
+        the vector's step bit for bit whichever windows share the stack.
+        Returns the final values and the Newton iterations of all columns.
         """
-        a, b = self.problem.affine
-        b = b[:, None]
-        inverse, k = self.operator, self.step
+        problem, inverse, k = self.problem, self.operator, self.step
         k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
-        y = np.stack([s.values for s in states])[:, :, None]
-        f = a @ y + b
+        if y.ndim == 1:
+            def rhs(x, t):
+                return _problems.rhs_values(problem, x, t)
+
+            def norm(r):
+                return math.sqrt(r @ r)
+
+            def passes(before, after):
+                return after <= TOL < before
+        else:
+            a, b = problem.affine
+            b = b[:, None]
+
+            def rhs(x, t):
+                return a @ x + b
+
+            def norm(r):
+                return np.sqrt((r.mT @ r)[:, 0, 0])
+
+            def passes(before, after):
+                return bool(((after <= TOL) & (TOL < before)).all())
+
+        m, clock = len(starts), list(starts)  # clock: each column's time at the start of the step
+        f = rhs(y, clock[0])
+        kf = k_impl * f  # the step's implicit rhs term at its start, the last step's at its end
         iters = 0
-        for done in range(n):
+        for _ in range(n):
+            ends = [t + k for t in clock]
             base = y + k_expl * f
-            r = y - base - k_impl * f
-            x, fx = y, f
-            norm = np.sqrt((r.mT @ r)[:, 0, 0])
-            for it in range(MAX_ITERS + 1):
-                converged = norm <= TOL
-                if converged.any() or it == MAX_ITERS:
-                    break
-                # x + 1.0 * dx of the full Newton step, dx = -(inverse @ r)
-                x_trial = x - inverse @ r
-                f_trial = a @ x_trial + b
-                r = x_trial - base - k_impl * f_trial
-                trial = np.sqrt((r.mT @ r)[:, 0, 0])
-                if not (trial < norm).all():
-                    break
-                x, fx, norm = x_trial, f_trial, trial
-            if converged.all():
-                y, f = x, fx
-                iters += it * len(states)
-                continue
-            columns = []
-            for j, s in enumerate(states):
-                t = s.time
-                for _ in range(done):
-                    t += k
-                columns.append(self._step(y[j, :, 0], f[j, :, 0], t))
-            y = np.stack([c[0] for c in columns])[:, :, None]
-            f = np.stack([c[1] for c in columns])[:, :, None]
-            iters += sum(c[2] for c in columns)
+            r = y - base - kf
+            before = norm(r)
+            x = y - inverse @ r  # newton_solve's x + 1.0 * dx, dx = -(inverse @ r)
+            fx = rhs(x, ends[0])
+            kfx = k_impl * fx
+            if passes(before, norm(x - base - kfx)):
+                y, f, kf = x, fx, kfx
+                iters += m
+            else:
+                steps = [self._step(y0, f0, t0) for y0, f0, t0 in zip(y.reshape(m, -1), f.reshape(m, -1), clock)]
+                y = np.stack([s[0] for s in steps]).reshape(y.shape)
+                f = np.stack([s[1] for s in steps]).reshape(f.shape)
+                kf = k_impl * f
+                iters += sum(s[2] for s in steps)
+            clock = ends
         return y, iters
 
     def _step(self, y0: np.ndarray, f0, t0: float):

@@ -16,9 +16,12 @@ average over blocks, and clamp to [0, 1].
 One executor runs the task graph. A window's fine propagation for
 iteration ``i`` starts as soon as the iteration ``i-1`` corrector has
 published that window's left boundary, so successive iterations overlap
-on a worker pool. With one worker the executor runs inline on the
-calling thread and executes the tasks in the deterministic serial order,
-so ``workers=1`` is the serial run. Every task writes a slot no
+on a worker pool. Window 0 starts from the initial state in every
+iteration, so its fine and coarse values are computed once, and
+``RunTrace.fine_propagations`` counts the fine propagations that ran.
+With one worker the executor runs inline on the calling thread and
+executes the tasks in the deterministic serial order, so ``workers=1``
+is the serial run. Every task writes a slot no
 other task touches, so results are bit-identical across worker counts.
 
 When the fine propagator has ``advance_many``, the run takes that
@@ -262,12 +265,16 @@ class Task:
 
 def pipelined_schedule(intervals: int, iterations: int) -> list:
     """Dependency graph of one full run: init sweep, then per iteration
-    ``intervals`` fine propagations plus the sequential corrector sweep.
+    the fine propagations plus the sequential corrector sweep.
 
     A fine task of iteration ``i`` waits only for the iteration ``i-1``
     corrector of its left boundary, so successive iterations overlap; a
     corrector waits for its predecessor in the sweep, its own fine value,
     and the previous iteration's coarse prediction it has to subtract.
+    Window 0 starts from the initial state in every iteration, so its
+    fine value is propagated once, in iteration 1: there is no fine task
+    ``(i, 0)`` for ``i >= 2``, and every corrector of window 0 reads
+    iteration 1's.
     """
     if intervals < 1:
         raise ValueError("need at least one interval")
@@ -278,11 +285,11 @@ def pipelined_schedule(intervals: int, iterations: int) -> list:
         deps = ((0, 1, l - 1),) if l > 0 else ()
         tasks.append(Task("coarse_init", 0, l, deps))
     for i in range(1, iterations + 1):
-        for l in range(intervals):
+        for l in range(0 if i == 1 else 1, intervals):
             deps = ((i - 1, 1, l - 1),) if l > 0 else ()
             tasks.append(Task("fine", i, l, deps))
         for l in range(intervals):
-            deps = [(i, 0, l), (i - 1, 1, l)]
+            deps = [(i if l > 0 else 1, 0, l), (i - 1, 1, l)]
             if l > 0:
                 deps.append((i, 1, l - 1))
             tasks.append(Task("correct", i, l, tuple(deps)))
@@ -431,9 +438,9 @@ def run_parareal(
     """Run the parallel-in-time iteration over ``[s0.time, t_end]``.
 
     Iteration 0 seeds all boundaries with a sequential coarse sweep; each
-    following iteration runs ``intervals`` fine propagations and the
-    corrector sweep, stopping once the largest relative boundary
-    correction drops to ``cfg.tol`` or the budget is exhausted. With an
+    following iteration runs the fine propagations and the corrector
+    sweep, stopping once the largest relative boundary correction drops
+    to ``cfg.tol`` or the budget is exhausted. With an
     ``oracle`` (the sequential fine states at the same grid), relative
     boundary errors are recorded per iteration.
 
@@ -481,8 +488,11 @@ def run_parareal(
             if task.kind == "fine":
                 fine_vals[i][l + 1] = F.advance(X[i - 1][l], t_grid[l + 1])
                 return None
-            coarse_new = C.advance(X[i][l], t_grid[l + 1])
-            fine_old = fine_vals[i][l + 1]
+            if l == 0:
+                # X[i][0] is s0 in every row: C(s0) is the init sweep's, F(s0) iteration 1's
+                coarse_new, fine_old = coarse_vals[0][1], fine_vals[1][1]
+            else:
+                coarse_new, fine_old = C.advance(X[i][l], t_grid[l + 1]), fine_vals[i][l + 1]
             th = theta_weight(fine_old, coarse_new, cfg.variant)
             new = parareal_update(coarse_new, fine_old, coarse_vals[i - 1][l + 1], th)
             X[i][l + 1] = new

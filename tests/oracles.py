@@ -2,12 +2,18 @@
 
 Everything in here is deliberately written in the most straightforward
 way possible (plain loops, numpy only) and does not reuse any engine
-internals beyond the propagator ``advance`` contract.
+internals beyond the propagator ``advance`` contract, except that
+:func:`newton_theta_window` solves each step with ``linalg.newton_solve``
+and the shared ``frozen_inverse``: it is the arithmetic a linear step
+must reproduce bit for bit.
 """
 
 import heapq
 
 import numpy as np
+
+from pintbench.integrators import frozen_inverse
+from pintbench.linalg import MaxItersExceeded, NumericBreakdown, newton_solve
 
 
 def textbook_parareal(coarse, fine, s0, t_grid, iterations, variant="classic"):
@@ -79,6 +85,36 @@ def fd_jacobian(f, x):
         xp[j] += h
         jac[:, j] = (np.asarray(f(xp), dtype=np.float64) - f0) / h
     return jac
+
+
+def newton_theta_window(problem, k, theta, values, t, n):
+    """``n`` theta steps of a linear problem from ``values`` at time ``t``, one ``newton_solve`` call each.
+
+    Step ``j`` solves ``y - base - k*theta*f(y) = 0`` with ``base = y0 +
+    k*(1-theta)*f(y0)`` from the frozen inverse of ``I - k*theta*A``.
+    Returns ``(values, Newton iterations, failure)``: ``failure`` is None,
+    or ``(j, text)`` for the first step that fails, ``text`` naming its end
+    time, the step size and Newton's error, with ``values`` and the
+    iterations of the steps before it.
+    """
+    inverse = frozen_inverse(problem, k, theta)
+    f = problem.rhs(values, t)
+    iterations = 0
+    for j in range(n):
+        t1 = t + k
+        base = values + (k * (1.0 - theta)) * f
+
+        def residual(y, base=base, t1=t1):
+            return y - base - (k * theta) * problem.rhs(y, t1)
+
+        try:
+            values, it = newton_solve(residual, values, jacobian_inverse=inverse)
+        except (NumericBreakdown, MaxItersExceeded) as exc:
+            return values, iterations, (j, f"t_n={t1!r}, k={k!r}: {exc}")
+        f = problem.rhs(values, t1)
+        iterations += it
+        t = t1
+    return values, iterations, None
 
 
 def simulate_makespan(tasks, durations, workers):

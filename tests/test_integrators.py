@@ -27,6 +27,8 @@ from pintbench.problems import (
 from pintbench.linalg import MaxItersExceeded
 from pintbench.state import State
 
+from oracles import newton_theta_window
+
 
 # one case per problem class, with non-zero heat boundary values and both advection grids
 STEP_CASES = pytest.mark.parametrize("problem", [
@@ -308,6 +310,66 @@ class TestStepOperator:
         else:
             assert len(residual_calls) >= 2 * n
             assert len(rhs_calls) == len(residual_calls) + 1
+
+
+class TestLinearStep:
+    """A linear step is Newton's first step inline; any other step is redone through ``newton_solve``."""
+
+    @staticmethod
+    def _count_newton(monkeypatch):
+        calls = []
+        newton_solve = integrators.newton_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return newton_solve(*args, **kwargs)
+
+        monkeypatch.setattr(integrators, "newton_solve", counted)
+        return calls
+
+    def test_clean_heat_steps_make_no_newton_call(self, monkeypatch):
+        calls = self._count_newton(monkeypatch)
+        problem = heat1d(mesh_n=15)
+        s0 = initial_state(problem)
+        prop = make_propagator(problem, ThetaSettings(step=0.01))
+        prop.advance(s0, 0.2)
+        prop.advance_many([s0, s0.with_values(-2.0 * s0.values)], [0.2, 0.2])
+        assert calls == []
+        assert (prop.newton_iterations, prop.steps_taken) == (60, 60)
+
+    def test_forced_fallback_calls_newton_and_keeps_its_bits(self, monkeypatch):
+        # a zero state solves every step at once (zero boundary values), so
+        # no step is Newton's first; a block holding it redoes every column
+        calls = self._count_newton(monkeypatch)
+        problem = heat1d(mesh_n=15)
+        sine = initial_state(problem).values
+        states = [initial_state(problem).with_values(v, time=0.1) for v in (sine, np.zeros_like(sine))]
+        expected = [newton_theta_window(problem, 0.01, 0.5, s.values, 0.1, 5) for s in states]
+        one = make_propagator(problem, ThetaSettings(step=0.01))
+        out = one.advance(states[1], 0.15)
+        assert len(calls) == 5
+        assert out.values.tobytes() == expected[1][0].tobytes()
+        assert (one.newton_iterations, one.steps_taken) == (0, 5)
+        block = make_propagator(problem, ThetaSettings(step=0.01))
+        outs = block.advance_many(states, [0.15, 0.15])
+        assert len(calls) == 5 + 2 * 5
+        assert [o.values.tobytes() for o in outs] == [e[0].tobytes() for e in expected]
+        assert (block.newton_iterations, block.steps_taken) == (5, 10)
+
+    def test_failing_window_raises_the_located_step_error(self):
+        # from a state this large the first step's residual stalls above the tolerance
+        problem = heat1d(mesh_n=15)
+        s0 = initial_state(problem)
+        start = s0.with_values(1e7 * s0.values, time=0.3)
+        _, _, failure = newton_theta_window(problem, 0.01, 0.5, start.values, 0.3, 4)
+        assert failure[0] == 0
+        for advance in (lambda p: p.advance(start, 0.34), lambda p: p.advance_many([start], [0.34])[0]):
+            prop = make_propagator(problem, ThetaSettings(step=0.01))
+            with pytest.raises(TimeStepError, match=r"^implicit step failed at t_n=0\.31, k=0\.01: no convergence") as info:
+                advance(prop)
+            assert str(info.value) == f"implicit step failed at {failure[1]}"
+            assert isinstance(info.value.__cause__, MaxItersExceeded)
+            assert (prop.newton_iterations, prop.steps_taken) == (0, 0)
 
 
 class TestAdvanceMany:

@@ -392,7 +392,7 @@ class TestRunParareal:
         cfg = PararealConfig(intervals=4, max_iters=3, tol=1e-30)
         _, trace = run_parareal(C, F, s0, T, cfg)
         assert trace.iterations_run == 3
-        assert trace.fine_propagations == 12
+        assert trace.fine_propagations == 4 + 2 * 3  # window 0 once
         assert trace.theta_values.tolist() == [[1.0] * 4] * 3
         assert len(trace.iteration_seconds) == 3
         assert trace.iteration_seconds == sorted(trace.iteration_seconds)

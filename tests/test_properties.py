@@ -15,7 +15,12 @@ example counts the steps of one window and step drawn from the whole
 float range: the count fits the window or the split raises
 ``ValueError``. Each block example advances random windows of a linear
 problem with one ``advance_many`` call and checks it against
-``advance`` on each window, bit for bit and counter for counter.
+``advance`` on each window, bit for bit and counter for counter. Each
+Newton example steps random windows of a linear problem, some of them
+zero or large enough that a step needs more than Newton's first
+iteration, and checks ``advance`` and ``advance_many`` against one
+``newton_solve`` call per step with the frozen inverse: the same bits,
+counters and step errors.
 """
 
 import pytest
@@ -27,7 +32,13 @@ from dataclasses import replace  # noqa: E402
 import numpy as np  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pintbench.integrators import SleepPropagator, ThetaSettings, _split_window, make_propagator  # noqa: E402
+from pintbench.integrators import (  # noqa: E402
+    SleepPropagator,
+    ThetaSettings,
+    TimeStepError,
+    _split_window,
+    make_propagator,
+)
 from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal, sequential_solve  # noqa: E402
 from pintbench.problems import (  # noqa: E402
     PROBLEMS,
@@ -39,7 +50,7 @@ from pintbench.problems import (  # noqa: E402
     initial_state,
 )
 
-from oracles import fd_jacobian  # noqa: E402
+from oracles import fd_jacobian, newton_theta_window  # noqa: E402
 
 WINDOW = 0.25
 PROBLEM = dahlquist(lam=-1.0)
@@ -281,3 +292,52 @@ def test_advance_many_equals_advance_per_window_bit_for_bit(kind, data):
         assert out.time == one.time
         assert out.values.tobytes() == one.values.tobytes()
     assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken)
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_linear_steps_equal_newton_solve_with_the_frozen_inverse(kind, data):
+    problem = _draw_problem(data, kind)
+    if kind == "heat1d" and data.draw(st.booleans(), label="zero forcing"):
+        problem = replace(problem, left_bc=0.0, right_bc=0.0)  # a zero column then solves every step
+    k = data.draw(st.floats(1e-3, 0.05), label="k")
+    settings_ = ThetaSettings(step=k, theta0=data.draw(st.sampled_from([0.0, 0.5, 5.0]), label="theta0"))
+    width = data.draw(st.integers(1, 8), label="width")
+    n = data.draw(st.integers(1, 12), label="n")
+    base = initial_state(problem)
+    states = []
+    for j in range(width):
+        values = _draw_values(data, problem)
+        column = data.draw(st.sampled_from(["drawn", "zero", "large"]), label=f"column[{j}]")
+        if column == "zero":
+            values = np.zeros_like(values)
+        elif column == "large":
+            # one step's residual is left above the tolerance, and Newton may not reach it
+            values *= data.draw(st.sampled_from([1e5, 3e5, 1e6, 3e6]), label=f"scale[{j}]")
+        states.append(base.with_values(values, time=data.draw(st.floats(0.0, 10.0), label=f"t0[{j}]")))
+    ends = [s.time + n * k for s in states]
+    expected = [newton_theta_window(problem, k, settings_.theta, s.values, s.time, n) for s in states]
+
+    for s, t, (values, iterations, failure) in zip(states, ends, expected):
+        one = make_propagator(problem, settings_)
+        if failure is None:
+            assert one.advance(s, t).values.tobytes() == values.tobytes()
+            assert (one.newton_iterations, one.steps_taken) == (iterations, n)
+        else:
+            with pytest.raises(TimeStepError) as info:
+                one.advance(s, t)
+            assert str(info.value) == f"implicit step failed at {failure[1]}"
+
+    block = make_propagator(problem, settings_)
+    failures = [(failure[0], j, failure[1]) for j, (_, _, failure) in enumerate(expected) if failure]
+    if failures:
+        # the columns step together, so the earliest failing step of the first such window is raised
+        with pytest.raises(TimeStepError) as info:
+            block.advance_many(states, ends)
+        assert str(info.value) == f"implicit step failed at {min(failures)[2]}"
+        assert (block.newton_iterations, block.steps_taken) == (0, 0)
+        return
+    outs = block.advance_many(states, ends)
+    assert [out.values.tobytes() for out in outs] == [values.tobytes() for values, _, _ in expected]
+    assert (block.newton_iterations, block.steps_taken) == (sum(e[1] for e in expected), width * n)

@@ -22,10 +22,11 @@ from oracles import simulate_makespan
 
 class TestSchedulePlan:
     def test_task_counts(self):
+        # window 0's fine value is propagated once, in iteration 1
         tasks = pipelined_schedule(5, 3)
-        assert len(tasks) == 5 + 2 * 5 * 3
+        assert len(tasks) == 5 + (5 + 2 * 4) + 5 * 3
         assert sum(1 for t in tasks if t.kind == "coarse_init") == 5
-        assert sum(1 for t in tasks if t.kind == "fine") == 15
+        assert sum(1 for t in tasks if t.kind == "fine") == 13
         assert sum(1 for t in tasks if t.kind == "correct") == 15
 
     def test_keys_unique_and_deps_resolvable(self):
@@ -44,8 +45,10 @@ class TestSchedulePlan:
         fine = tasks[(2, 0, 3)]
         assert fine.kind == "fine"
         assert fine.depends == ((1, 1, 2),)
-        first_fine = tasks[(2, 0, 0)]
-        assert first_fine.depends == ()
+        assert tasks[(1, 0, 0)].depends == ()
+        # window 0 starts from s0 in every iteration: its later correctors read iteration 1's fine value
+        assert (2, 0, 0) not in tasks
+        assert tasks[(2, 1, 0)].depends == ((1, 0, 0), (1, 1, 0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -105,10 +108,12 @@ class TestSchedulerEquivalence:
         cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, workers=1)
         run_parareal(_RecordingPropagator(0.5, "C", log), _RecordingPropagator(0.1, "F", log), s0, 2.0, cfg)
         # the serial order is ascending key order; coarse_init and correct
-        # tasks advance C over their window, fine tasks F
+        # tasks advance C over their window, fine tasks F, except that the
+        # correctors of window 0 reuse C(s0) from the init sweep
         grid = [0.5 * l for l in range(5)]
         expected = [("F" if t.kind == "fine" else "C", grid[t.interval], grid[t.interval + 1])
-                    for t in sorted(pipelined_schedule(4, 2), key=lambda t: t.key)]
+                    for t in sorted(pipelined_schedule(4, 2), key=lambda t: t.key)
+                    if not (t.kind == "correct" and t.interval == 0)]
         assert log == expected
 
     def test_fine_propagation_count_matches_serial(self):
@@ -121,7 +126,7 @@ class TestSchedulerEquivalence:
             cfg = PararealConfig(intervals=4, max_iters=3, tol=1e-30, workers=workers)
             _, trace = run_parareal(C, F, s0, 2.0, cfg)
             counts[workers] = trace.fine_propagations
-        assert counts[1] == counts[4] == 4 * 3
+        assert counts[1] == counts[4] == 4 + 2 * 3  # window 0 once
 
     def test_single_worker_runs_on_calling_thread(self):
         seen = []
@@ -236,8 +241,8 @@ class TestCoalescing:
     def test_one_worker_steps_each_iteration_as_one_block(self):
         fine = self._fine()
         _, trace = self._run(fine, workers=1)
-        assert fine.widths == [self.L] * 3
-        assert trace.fine_propagations == 3 * self.L
+        assert fine.widths == [self.L, self.L - 1, self.L - 1]  # window 0 once
+        assert trace.fine_propagations == 3 * self.L - 2
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_blocks_change_nothing_across_worker_counts(self, workers):
@@ -249,10 +254,10 @@ class TestCoalescing:
         caller, threads_before = threading.get_ident(), threading.active_count()
         _, trace = self._run(many, workers=workers)
         assert [row.tobytes() for row in trace.iterate_values] == expected
-        assert many.widths == [self.L] * 3
+        assert many.widths == [self.L, self.L - 1, self.L - 1]
         assert set(many.threads) == {(caller, threads_before)}
         assert trace.workers == 1
-        assert plain.widths == [1] * (3 * self.L)  # no advance_many, no block
+        assert plain.widths == [1] * (3 * self.L - 2)  # no advance_many, no block
 
     def test_windows_under_frequent_thread_switches(self):
         # 8 workers switching every microsecond on numeric windows: each window
@@ -272,8 +277,8 @@ class TestCoalescing:
         _, trace = result["run"]
         assert [row.tobytes() for row in trace.iterate_values] == expected
         assert fine.widths == [1] * trace.fine_propagations
-        assert trace.fine_propagations == 3 * self.L
-        assert fine.inner.steps_taken == 3 * self.L * 10
+        assert trace.fine_propagations == 3 * self.L - 2
+        assert fine.inner.steps_taken == (3 * self.L - 2) * 10
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_failing_column_named_as_without_blocks(self, workers):
