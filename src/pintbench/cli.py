@@ -6,8 +6,9 @@ section whose keys are the fields of ``ExperimentConfig``, and a
 class. Every key can be overridden on the command line with
 ``--key=value`` or ``--section.key=value``. The dataclasses are the one
 schema: a value is converted by its field's declared type, a key left
-out keeps the field's default, and a key that names no field is a
-config error, so a misspelled override never runs with the defaults.
+out keeps the field's default, and a key that names no field, or a
+section other than these two, is a config error, so a misspelled
+override never runs with the defaults.
 Results go to the ``output`` path, as JSON when it ends in ``.json``
 and as CSV otherwise. The harness times the sequential fine solve, runs
 the parallel-in-time iteration per coarse step and variant, and emits
@@ -146,11 +147,8 @@ class ExperimentConfig:
     theta0: float = 0.0
     max_iters: int = 0
     tol: float = 1e-12
-    scheduler: str = "pipelined"
 
     def __post_init__(self):
-        # scheduler names are case-insensitive: Pipelined selects pipelined
-        object.__setattr__(self, "scheduler", self.scheduler.lower())
         # the steps, theta0 and tol are checked by the library objects built below
         if not 0.0 < self.horizon < math.inf:  # NaN too
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
@@ -179,7 +177,6 @@ class ExperimentConfig:
             max_iters=self.max_iters or min(8, self.intervals),
             tol=self.tol,
             variant=variant,
-            scheduler=self.scheduler,
             workers=self.workers,
         )
 
@@ -290,6 +287,10 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
     kind = experiment.get("problem", "").strip().lower()
     if kind not in PROBLEMS:
         raise ConfigError(f"[experiment] problem must be one of {', '.join(PROBLEMS)}, got {kind!r}")
+    stray = [name for name in parser.sections() if name not in ("experiment", kind)]
+    if stray:
+        raise ConfigError(f"unknown section(s) {', '.join(f'[{name}]' for name in stray)}; "
+                          f"valid sections: [experiment], [{kind}]")
     problem = _build(PROBLEMS[kind], kind, parser[kind] if parser.has_section(kind) else {})
     return _build(ExperimentConfig, "experiment", experiment, problem=problem)
 

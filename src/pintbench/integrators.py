@@ -51,10 +51,14 @@ problem loops over its windows.
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
 propagator and an expensive fine one over the same windows. A fine
-propagator that also has ``advance_many`` is handed each iteration's
-windows as one call on the calling thread, whatever the engine's worker
-count, since a second thread only competes with the block for the
-interpreter lock. ``SleepPropagator`` has none, so its windows, whose
+propagator may also have ``advance_many(states, t_ends)``, and the
+engine then hands it each iteration's windows as one call on the
+calling thread, whatever its worker count, since a second thread only
+competes with the block for the interpreter lock. The engine relies on
+its contract: the call returns one state per window, each exactly what
+``advance`` returns for that window, and it may raise as a whole, in
+which case the engine steps each window through ``advance`` to name the
+failing one. ``SleepPropagator`` has none, so its windows, whose
 sleeps release the lock, keep running in parallel on the engine's
 workers. A window of ``n`` steps takes ``n`` steps of exactly the
 propagator's step and is stamped ``t_end``: rounding slack of at most
@@ -141,7 +145,15 @@ def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.nda
 
 
 class Propagator(Protocol):
-    """Advances a state over a time window with a fixed internal step."""
+    """Advances a state over a time window with a fixed internal step.
+
+    A fine propagator may also have the optional
+    ``advance_many(states, t_ends) -> list``, which the engine calls on
+    an iteration's windows at once. It returns, for every window, exactly
+    the state ``advance`` returns for it, and it may raise for the call
+    as a whole: the engine then does not retry it and steps each window
+    through ``advance``, so the first failing window is named.
+    """
 
     step: float
     cost_hint: float

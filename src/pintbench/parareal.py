@@ -13,32 +13,35 @@ prediction per layout block (least-squares projection, or the same
 projection further divided by the fine norm to damp mismatched pairs),
 average over blocks, and clamp to [0, 1].
 
-One executor runs the task graph. A window's fine propagation for
-iteration ``i`` starts as soon as the iteration ``i-1`` corrector has
-published that window's left boundary, so successive iterations overlap
-on a worker pool. Window 0 starts from the initial state in every
-iteration, so its fine and coarse values are computed once, and
-``RunTrace.fine_propagations`` counts the fine propagations that ran.
-With one worker the executor runs inline on the calling thread and
-executes the tasks in the deterministic serial order, so ``workers=1``
-is the serial run. Every task writes a slot no
-other task touches, so results are bit-identical across worker counts.
+One executor runs the task graph and knows nothing of the algorithm: it
+pops the ready task with the smallest key, runs it and records its
+outcome. A window's fine propagation for iteration ``i`` starts as soon
+as the iteration ``i-1`` corrector has published that window's left
+boundary, so successive iterations overlap on a worker pool. Window 0
+starts from the initial state in every iteration, so its fine and
+coarse values are computed once, and ``RunTrace.fine_propagations``
+counts the fine propagations that ran. With one worker the executor
+runs inline on the calling thread and executes the tasks in the
+deterministic serial order, so ``workers=1`` is the serial run. Every
+task writes a slot no other task touches (a block, below, fills the
+slots of the fine tasks it covers, which then write nothing), so
+results are bit-identical across worker counts.
 
-When the fine propagator has ``advance_many``, the run takes that
-one-worker path whatever ``workers`` says, and each iteration's fine
-sweep is one call on all ``L`` windows (for a linear problem, one block
-step). The block returns each window's ``advance`` result bit for bit,
-and the serial order fixes which windows share it, so batching changes
-neither the results nor the order in which tasks complete and fail. On
-an interpreter with a global lock a second thread adds no compute to the
-block; it only competes for the lock. Given two threads, a 20-window
-heat run on a 2-vCPU host made fine calls of widths 20, 1, 1, 1, 19, 1,
-1, 18, 1, 17: the second thread stepped the windows whose start state
-had not changed since the last iteration one at a time, and meanwhile
-the first block took 16.6 ms against about 8 ms alone. Worker threads
-therefore serve fine propagators without ``advance_many``, such as
-``SleepPropagator``, whose sleeps release the lock, and
-:func:`worker_threads` states the rule.
+When the fine propagator has ``advance_many``, the fine tasks group
+the windows themselves. The run has one worker (:func:`worker_threads`),
+and the first fine task of an iteration to run makes one
+``advance_many`` call on every window of that iteration (for a linear
+problem, one block step). Each later fine task finds its slot filled
+and returns. The block returns each window's ``advance`` result bit for
+bit, so batching changes no result. If the block raises, it is not
+retried: each fine task steps its own window, and the first failing
+window is named as without the block. One worker, because on an
+interpreter with a global lock a second thread adds no compute to the
+block; it only competes with it for the lock. The serial order then
+also guarantees that the previous iteration has published every start
+the block reads. Worker threads serve fine propagators without
+``advance_many``, such as ``SleepPropagator``, whose sleeps release the
+lock.
 """
 
 from __future__ import annotations
@@ -75,10 +78,10 @@ class PararealConfig:
     ``scheduler`` names the executor backend; ``"pipelined"`` is the only
     one. ``workers`` threads run it, at most ``MAX_WORKERS``, and one
     worker is the calling thread running the tasks in the serial order.
-    ``workers`` serves fine propagators without ``advance_many``: a
-    batching one steps each iteration as one block on the calling thread,
-    since a second thread only competes with it for the interpreter lock
-    (:func:`worker_threads`).
+    A fine propagator with ``advance_many`` runs at one worker whatever
+    ``workers`` says, since its fine tasks step each iteration as one
+    block and a second thread would only compete with the block for the
+    interpreter lock (:func:`worker_threads`).
     """
 
     intervals: int
@@ -299,30 +302,21 @@ def pipelined_schedule(intervals: int, iterations: int) -> list:
 class _PipelinedExecutor:
     """Priority-ordered worker pool over the task graph.
 
-    Each worker pops the smallest ready key, so one worker degenerates to
-    the serial order; a single worker is the calling thread itself. With
-    ``run_batch`` given, a worker that pops a fine task also pops every
-    ready fine task of the same iteration, which sorts directly behind
-    it, and runs them in one ``run_batch`` call. :func:`run_parareal`
-    gives ``run_batch`` to one worker only; the serial order finishes an
-    iteration's correctors before it pops the next iteration's first fine
-    task, so each batch is that iteration's ``L`` windows. A batch that
-    raises is run again task by task through ``run_task``, stopping at
-    the first failure, so failures are recorded exactly as without
-    batching. Once ``run_task`` reports convergence at iteration ``i``,
-    tasks of later iterations are skipped. A failing task stops only
-    tasks with larger keys: the failure with the smallest key is raised,
-    which is the one the serial order meets first, and a failure in an
-    iteration after the converged one is dropped because the serial order
-    never runs it. A stall (tasks left but nothing ready or running)
-    cannot happen on a well-formed graph and is reported as a defect
-    rather than swallowed.
+    A plain task runner: each worker pops the smallest ready key, runs
+    that one task through ``run_task`` and records its outcome, so one
+    worker degenerates to the serial order; a single worker is the
+    calling thread itself. Once ``run_task`` reports convergence at
+    iteration ``i``, tasks of later iterations are skipped. A failing
+    task stops only tasks with larger keys: the failure with the
+    smallest key is raised, which is the one the serial order meets
+    first, and a failure in an iteration after the converged one is
+    dropped because the serial order never runs it. A stall (tasks left
+    but nothing ready or running) cannot happen on a well-formed graph
+    and is reported as a defect rather than swallowed.
     """
 
-    def __init__(self, tasks: Sequence[Task], run_task: Callable, workers: int,
-                 run_batch: Optional[Callable] = None):
+    def __init__(self, tasks: Sequence[Task], run_task: Callable, workers: int):
         self.run_task = run_task
-        self.run_batch = run_batch
         self.tasks = {t.key: t for t in tasks}
         self.indegree = {t.key: len(t.depends) for t in tasks}
         self.dependents: dict = {}
@@ -366,49 +360,21 @@ class _PipelinedExecutor:
                 if self.stop_at is not None and task.iteration > self.stop_at:
                     self._complete(key)
                     continue
-                batch = [task]
-                if self.run_batch is not None and task.kind == "fine":
-                    while self.ready and self.ready[0][:2] == key[:2]:
-                        batch.append(self.tasks[heapq.heappop(self.ready)])
                 self.running += 1
-            if len(batch) > 1:
-                try:
-                    self.run_batch(batch)
-                except Exception:
-                    pass  # rerun below, task by task, to locate the failure
-                except BaseException as exc:  # an interrupt is raised by run(), not rerun
-                    self._fail(key, exc)
-                    batch = []
-                else:
-                    with self.cond:
-                        self.running -= 1
-                        for t in batch:
-                            self._complete(t.key)
-                    continue
-            for task in batch:
-                if not self._run_one(task):
-                    break
+            try:
+                outcome = self.run_task(task)
+            except BaseException as exc:
+                with self.cond:
+                    if self.failure is None or key < self.failure[0]:
+                        self.failure = (key, exc)
+                    self.running -= 1
+                    self.cond.notify_all()
+                continue
             with self.cond:
                 self.running -= 1
-                self.cond.notify_all()
-
-    def _fail(self, key, exc: BaseException) -> None:
-        with self.cond:
-            if self.failure is None or key < self.failure[0]:
-                self.failure = (key, exc)
-
-    def _run_one(self, task: Task) -> bool:
-        """Run one popped task and record its outcome; False if it failed."""
-        try:
-            outcome = self.run_task(task)
-        except BaseException as exc:
-            self._fail(task.key, exc)
-            return False
-        with self.cond:
-            if outcome is not None:
-                self.stop_at = outcome if self.stop_at is None else min(self.stop_at, outcome)
-            self._complete(task.key)
-        return True
+                if outcome is not None:
+                    self.stop_at = outcome if self.stop_at is None else min(self.stop_at, outcome)
+                self._complete(key)
 
     def run(self) -> Optional[int]:
         if self.workers == 1:
@@ -473,6 +439,7 @@ def run_parareal(
     theta_rows = [[1.0] * L for _ in range(max_iters + 1)]
     corr_rows = [[0.0] * L for _ in range(max_iters + 1)]
     timing = {"init": 0.0, "iterations": [0.0] * (max_iters + 1)}
+    advance_many = getattr(F, "advance_many", None)
     t_start = time.perf_counter()
 
     def run_task(task: Task) -> Optional[int]:
@@ -486,6 +453,16 @@ def run_parareal(
                     timing["init"] = time.perf_counter() - t_start
                 return None
             if task.kind == "fine":
+                if fine_vals[i][l + 1] is not None:
+                    return None  # stepped by this iteration's block
+                if advance_many is not None and l == (0 if i == 1 else 1):
+                    # the iteration's first fine task (window 0 steps in iteration 1 only); the
+                    # run has one worker, so the serial order has published every start
+                    try:
+                        fine_vals[i][l + 1:] = advance_many(X[i - 1][l:L], t_grid[l + 1:])
+                        return None
+                    except Exception:
+                        pass  # not retried: each window steps alone, so the first failing one is named
                 fine_vals[i][l + 1] = F.advance(X[i - 1][l], t_grid[l + 1])
                 return None
             if l == 0:
@@ -511,16 +488,8 @@ def run_parareal(
         except Exception as exc:
             raise PararealError(f"{task.kind} failed at iteration {i}, interval {l}: {exc}") from exc
 
-    def run_fine_batch(tasks: Sequence[Task]) -> None:
-        # one iteration's windows; a failure is located by the executor's rerun
-        starts = [X[t.iteration - 1][t.interval] for t in tasks]
-        ends = F.advance_many(starts, [t_grid[t.interval + 1] for t in tasks])
-        for t, end in zip(tasks, ends):
-            fine_vals[t.iteration][t.interval + 1] = end
-
     workers = worker_threads(F, cfg.workers)
-    run_batch = run_fine_batch if hasattr(F, "advance_many") else None
-    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, workers, run_batch).run()
+    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, workers).run()
 
     iters_run = stop_at if stop_at is not None else max_iters
     trace = RunTrace()

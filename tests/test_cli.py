@@ -36,7 +36,8 @@ def write_config(path, body):
     return str(path)
 
 
-SMOKE_INI = """
+# no problem section, so a --problem override may switch the kind
+EXPERIMENT_INI = """
 [experiment]
 problem = dahlquist
 horizon = 2.0
@@ -47,7 +48,9 @@ variants = classic
 workers = 2
 max_iters = 2
 output = {out}
+"""
 
+SMOKE_INI = EXPERIMENT_INI + """
 [dahlquist]
 lam = -1.0
 y0 = 1.0
@@ -103,7 +106,7 @@ fine_step = 0.01
         assert load_config(path, overrides).problem == cls(**expected)
 
     def test_problem_keys_fill_params_fields(self, tmp_path):
-        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=tmp_path / "r.csv"))
+        path = write_config(tmp_path / "a.ini", EXPERIMENT_INI.format(out=tmp_path / "r.csv"))
         cfg = load_config(path, ["--problem=ale_piston", "--ale_piston.L0=2.0", "--ale_piston.mesh_n=15"])
         assert cfg.problem.L0 == 2.0
         assert cfg.problem.mesh_n == 15
@@ -145,7 +148,6 @@ fine_step = 0.01
             "theta0": ("1.0", 1.0),
             "max_iters": ("3", 3),
             "tol": ("1e-6", 1e-6),
-            "scheduler": ("Pipelined", "pipelined"),  # the one backend, so only the case differs
         }
         assert set(cases) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"problem"}
         cfg = load_config(path, [f"--{name}={text}" for name, (text, _) in cases.items()])
@@ -381,7 +383,7 @@ class TestMainEntryPoint:
 
     def test_invalid_config_exits_two_without_output(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
-        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
+        path = write_config(tmp_path / "a.ini", EXPERIMENT_INI.format(out=out))
         # checked first: a config past the step ceiling that loaded would start a run that never ends
         with pytest.raises(ConfigError, match=r"would take 4e\+15 steps, more than 1000000;"):
             load_config(path, ["--horizon=1e6", "--fine_step=1e-9", "--coarse_steps=1e-8"])
@@ -430,6 +432,26 @@ mesh_n = 15
             assert valid in listed.split(", ")
             assert captured.out == ""
 
+    @pytest.mark.parametrize("override, stray", [
+        ("--heatld.mesh_n=7", "[heatld]"),
+        ("--Heat1D.mesh_n=7", "[Heat1D]"),  # section names are case-sensitive
+        ("--advection1d.periodic=false", "[advection1d]"),  # another problem's section
+    ])
+    def test_unknown_section_exits_two(self, capsys, override, stray):
+        heat = next(path for path in CONFIGS if path.name == "heat1d.ini")
+        with pytest.raises(ConfigError, match=re.escape(f"unknown section(s) {stray}; "
+                                                        "valid sections: [experiment], [heat1d]")):
+            load_config(str(heat), [override])
+        assert main(["run", str(heat), override]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and stray in captured.err
+        assert captured.out == ""
+
+    def test_unknown_section_in_file_rejected(self, tmp_path):
+        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=tmp_path / "r.csv") + "[dahlquist2]\nlam = -2.0\n")
+        with pytest.raises(ConfigError, match=r"unknown section\(s\) \[dahlquist2\]"):
+            load_config(path)
+
     @pytest.mark.parametrize("overrides", [
         ["--problem=advection1d", "--advection1d.periodic=ture"],
         ["--problem=heat1d", "--heat1d.init=sine:2:junk"],
@@ -441,7 +463,7 @@ mesh_n = 15
     ])
     def test_bad_value_exits_two_without_output(self, tmp_path, capsys, overrides):
         out = tmp_path / "res.csv"
-        path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
+        path = write_config(tmp_path / "a.ini", EXPERIMENT_INI.format(out=out))
         assert main(["run", path, *overrides]) == EXIT_CONFIG
         assert not out.exists()
         captured = capsys.readouterr()

@@ -296,6 +296,23 @@ class TestCoalescing:
         assert fine.widths[0] == self.L  # the failing window was stepped in a block first
 
 
+class _InterruptedBlock(_Recorder):
+    """Its block is interrupted, as by Ctrl-C."""
+
+    def advance_many(self, states, t_ends):
+        self._record(states)
+        raise KeyboardInterrupt
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_interrupted_block_propagates_and_is_not_rerun(self, workers):
+        fine = TestCoalescing._fine(_InterruptedBlock)
+        with pytest.raises(KeyboardInterrupt):  # itself, not wrapped in a PararealError
+            TestCoalescing()._run(fine, workers)
+        assert fine.widths == [TestCoalescing.L]  # one block call and no advance
+
+
 class TestExecutorDefense:
     def test_cycle_reported_as_stall(self):
         a = Task("fine", 1, 0, depends=((1, 1, 1),))
