@@ -262,8 +262,9 @@ _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.\-]+)=(.*)$")
 
 def load_config(path: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Read an experiment config file and apply ``--key=value`` overrides."""
-    # no config interpolates, so a % in a value (an output path, say) is literal
-    parser = configparser.ConfigParser(interpolation=None)
+    # no config interpolates, so a % in a value (an output path, say) is literal; no header
+    # can name the section "", so [DEFAULT] is a plain section that the stray check names
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

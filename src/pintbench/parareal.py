@@ -13,19 +13,20 @@ prediction per layout block (least-squares projection, or the same
 projection further divided by the fine norm to damp mismatched pairs),
 average over blocks, and clamp to [0, 1].
 
-One executor runs the task graph and knows nothing of the algorithm: it
-pops the ready task with the smallest key, runs it and records its
-outcome. A window's fine propagation for iteration ``i`` starts as soon
-as the iteration ``i-1`` corrector has published that window's left
-boundary, so successive iterations overlap on a worker pool. Window 0
-starts from the initial state in every iteration, so its fine and
-coarse values are computed once, and ``RunTrace.fine_propagations``
-counts the fine propagations that ran. With one worker the executor
-runs inline on the calling thread and executes the tasks in the
-deterministic serial order, so ``workers=1`` is the serial run. Every
-task writes a slot no other task touches (a block, below, fills the
-slots of the fine tasks it covers, which then write nothing), so
-results are bit-identical across worker counts.
+One executor runs the task graph and knows nothing of the algorithm:
+one loop on the calling thread pops the ready task with the smallest
+key, has it run and records its outcome. A window's fine propagation
+for iteration ``i`` starts as soon as the iteration ``i-1`` corrector
+has published that window's left boundary, so successive iterations
+overlap when the loop hands its tasks to a pool of ``workers`` threads.
+Window 0 starts from the initial state in every iteration, so its fine
+and coarse values are computed once, and ``RunTrace.fine_propagations``
+counts the fine propagations that ran. With one worker the loop runs
+each task itself, on the calling thread, in the deterministic serial
+order, so ``workers=1`` is the serial run. Every task writes a slot no
+other task touches (a block, below, fills the slots of the fine tasks
+it covers, which then write nothing), so results are bit-identical
+across worker counts.
 
 When the fine propagator has ``advance_many``, the fine tasks group
 the windows themselves. The run has one worker (:func:`worker_threads`),
@@ -39,7 +40,7 @@ window is named as without the block. One worker, because on an
 interpreter with a global lock a second thread adds no compute to the
 block; it only competes with it for the lock. The serial order then
 also guarantees that the previous iteration has published every start
-the block reads. Worker threads serve fine propagators without
+the block reads. Pool threads serve fine propagators without
 ``advance_many``, such as ``SleepPropagator``, whose sleeps release the
 lock.
 """
@@ -48,8 +49,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -76,8 +78,9 @@ class PararealConfig:
     """Interval count, iteration budget, stopping rule, and scheduling.
 
     ``scheduler`` names the executor backend; ``"pipelined"`` is the only
-    one. ``workers`` threads run it, at most ``MAX_WORKERS``, and one
-    worker is the calling thread running the tasks in the serial order.
+    one. The calling thread dispatches the tasks and ``workers`` pool
+    threads run them, at most ``MAX_WORKERS``; one worker is the calling
+    thread itself running the tasks in the serial order.
     A fine propagator with ``advance_many`` runs at one worker whatever
     ``workers`` says, since its fine tasks step each iteration as one
     block and a second thread would only compete with the block for the
@@ -121,7 +124,8 @@ class RunTrace:
     the trace holds no second copy. ``iteration_seconds`` are cumulative
     wall times from the start of the run to the completion of each
     iteration's corrector sweep. ``workers`` is the number of threads that
-    ran the task graph (:func:`worker_threads`).
+    ran the tasks: the calling thread alone at one, otherwise pool threads
+    while the calling thread dispatches (:func:`worker_threads`).
     """
 
     iterations_run: int = 0
@@ -138,11 +142,12 @@ class RunTrace:
 
 
 def worker_threads(F: Propagator, workers: int) -> int:
-    """Threads that run :func:`run_parareal` with fine propagator ``F``.
+    """Threads that run the tasks of :func:`run_parareal` with fine propagator ``F``.
 
     One, the calling thread, when ``F`` has ``advance_many``: each
     iteration's fine sweep is then one block, and a second thread would
-    only compete with it for the interpreter lock. ``workers`` otherwise.
+    only compete with it for the interpreter lock. ``workers`` pool
+    threads otherwise.
     """
     return 1 if hasattr(F, "advance_many") else workers
 
@@ -299,98 +304,82 @@ def pipelined_schedule(intervals: int, iterations: int) -> list:
     return tasks
 
 
-class _PipelinedExecutor:
-    """Priority-ordered worker pool over the task graph.
+def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optional[int]:
+    """Run the task graph in priority order; return the converged iteration, if any.
 
-    A plain task runner: each worker pops the smallest ready key, runs
-    that one task through ``run_task`` and records its outcome, so one
-    worker degenerates to the serial order; a single worker is the
-    calling thread itself. Once ``run_task`` reports convergence at
-    iteration ``i``, tasks of later iterations are skipped. A failing
-    task stops only tasks with larger keys: the failure with the
-    smallest key is raised, which is the one the serial order meets
-    first, and a failure in an iteration after the converged one is
-    dropped because the serial order never runs it. A stall (tasks left
-    but nothing ready or running) cannot happen on a well-formed graph
-    and is reported as a defect rather than swallowed.
+    A plain task runner whose one loop, on the calling thread, owns every
+    piece of scheduling state, so nothing is shared and nothing locked.
+    It pops the smallest ready key and runs that one task through
+    ``run_task``: itself at one worker, so one worker is the serial
+    order, and otherwise on a pool of ``workers`` threads with at most
+    ``workers`` tasks in flight, recording each outcome as it arrives.
+    Once ``run_task`` reports convergence at iteration ``i``, tasks of
+    later iterations are skipped. A failing task stops only tasks with
+    larger keys: the failure with the smallest key is raised, which is
+    the one the serial order meets first, and a failure in an iteration
+    after the converged one is dropped because the serial order never
+    runs it. A stall (tasks left but nothing ready or running) cannot
+    happen on a well-formed graph and is reported as a defect rather
+    than swallowed. The pool is joined before this returns or raises.
     """
+    by_key = {t.key: t for t in tasks}
+    indegree = {t.key: len(t.depends) for t in tasks}
+    dependents: dict = {}
+    for t in tasks:
+        for dep in t.depends:
+            if dep not in by_key:
+                raise ValueError(f"task {t.key} depends on unknown task {dep}")
+            dependents.setdefault(dep, []).append(t.key)
+    ready = [key for key, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
+    stop_at: Optional[int] = None
+    failure: Optional[tuple] = None  # (task key, exception)
+    in_flight: dict = {}  # future -> task key
 
-    def __init__(self, tasks: Sequence[Task], run_task: Callable, workers: int):
-        self.run_task = run_task
-        self.tasks = {t.key: t for t in tasks}
-        self.indegree = {t.key: len(t.depends) for t in tasks}
-        self.dependents: dict = {}
-        for t in tasks:
-            for dep in t.depends:
-                if dep not in self.tasks:
-                    raise ValueError(f"task {t.key} depends on unknown task {dep}")
-                self.dependents.setdefault(dep, []).append(t.key)
-        self.ready = [key for key, deg in self.indegree.items() if deg == 0]
-        heapq.heapify(self.ready)
-        self.cond = threading.Condition()
-        self.unfinished = len(tasks)
-        self.running = 0
-        self.stop_at: Optional[int] = None
-        self.failure: Optional[tuple] = None  # (task key, exception)
-        self.workers = workers
+    def record(key, outcome: Optional[int], exc: Optional[BaseException]) -> None:
+        nonlocal stop_at, failure
+        if exc is not None:
+            if failure is None or key < failure[0]:
+                failure = (key, exc)
+            return
+        if outcome is not None:
+            stop_at = outcome if stop_at is None else min(stop_at, outcome)
+        for dep_key in dependents.get(key, ()):
+            indegree[dep_key] -= 1
+            if indegree[dep_key] == 0:
+                heapq.heappush(ready, dep_key)
 
-    def _complete(self, key) -> None:
-        # caller holds self.cond
-        self.unfinished -= 1
-        for dep_key in self.dependents.get(key, ()):
-            self.indegree[dep_key] -= 1
-            if self.indegree[dep_key] == 0:
-                heapq.heappush(self.ready, dep_key)
-        self.cond.notify_all()
-
-    def _worker(self) -> None:
+    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         while True:
-            with self.cond:
-                while not self.ready or (self.failure is not None and self.ready[0] > self.failure[0]):
-                    if self.running == 0:
-                        if self.failure is None and self.unfinished > 0:
-                            # the empty key sorts below every task key, so nothing else starts
-                            self.failure = ((), RuntimeError(
-                                "scheduler stalled: tasks remain but none are ready or running"
-                            ))
-                        return
-                    self.cond.wait()
-                key = heapq.heappop(self.ready)
-                task = self.tasks[key]
-                if self.stop_at is not None and task.iteration > self.stop_at:
-                    self._complete(key)
-                    continue
-                self.running += 1
-            try:
-                outcome = self.run_task(task)
-            except BaseException as exc:
-                with self.cond:
-                    if self.failure is None or key < self.failure[0]:
-                        self.failure = (key, exc)
-                    self.running -= 1
-                    self.cond.notify_all()
-                continue
-            with self.cond:
-                self.running -= 1
-                if outcome is not None:
-                    self.stop_at = outcome if self.stop_at is None else min(self.stop_at, outcome)
-                self._complete(key)
-
-    def run(self) -> Optional[int]:
-        if self.workers == 1:
-            self._worker()
-        else:
-            threads = [threading.Thread(target=self._worker, daemon=True) for _ in range(self.workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        # convergence at iteration i needs every task up to i to succeed, so a
-        # task failure beside it comes from a later iteration, which the serial
-        # order never runs; a stall is raised regardless
-        if self.failure is not None and (self.stop_at is None or self.failure[0] == ()):
-            raise self.failure[1]
-        return self.stop_at
+            while ready and len(in_flight) < workers and (failure is None or ready[0] < failure[0]):
+                key = heapq.heappop(ready)
+                task = by_key[key]
+                if stop_at is not None and task.iteration > stop_at:
+                    record(key, None, None)
+                elif pool is not None:
+                    in_flight[pool.submit(run_task, task)] = key
+                else:
+                    try:
+                        outcome = run_task(task)
+                    except BaseException as exc:
+                        record(key, None, exc)
+                    else:
+                        record(key, outcome, None)
+            if not in_flight:
+                break
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                key, exc = in_flight.pop(future), future.exception()
+                record(key, None if exc is not None else future.result(), exc)
+    # without a failure every task whose dependencies all finished has run
+    if failure is None and any(indegree.values()):
+        raise RuntimeError("scheduler stalled: tasks remain but none are ready or running")
+    # convergence at iteration i needs every task up to i to succeed, so a
+    # task failure beside it comes from a later iteration, which the serial
+    # order never runs
+    if failure is not None and stop_at is None:
+        raise failure[1]
+    return stop_at
 
 
 def run_parareal(
@@ -489,7 +478,7 @@ def run_parareal(
             raise PararealError(f"{task.kind} failed at iteration {i}, interval {l}: {exc}") from exc
 
     workers = worker_threads(F, cfg.workers)
-    stop_at = _PipelinedExecutor(pipelined_schedule(L, max_iters), run_task, workers).run()
+    stop_at = _execute(pipelined_schedule(L, max_iters), run_task, workers)
 
     iters_run = stop_at if stop_at is not None else max_iters
     trace = RunTrace()

@@ -447,6 +447,22 @@ mesh_n = 15
         assert "config error" in captured.err and stray in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("entry", ["mesh_n = 7", "variants = classic"])
+    def test_default_section_in_file_named(self, tmp_path, entry):
+        # configparser would copy its keys into every section and blame one of those
+        heat = next(path for path in CONFIGS if path.name == "heat1d.ini")
+        path = write_config(tmp_path / "d.ini", f"[DEFAULT]\n{entry}\n\n" + heat.read_text())
+        with pytest.raises(ConfigError, match=re.escape("unknown section(s) [DEFAULT]; "
+                                                        "valid sections: [experiment], [heat1d]")):
+            load_config(path)
+
+    def test_default_section_override_exits_two(self, capsys):
+        heat = next(path for path in CONFIGS if path.name == "heat1d.ini")
+        assert main(["run", str(heat), "--DEFAULT.mesh_n=7"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: unknown section(s) [DEFAULT]" in captured.err
+        assert captured.out == ""
+
     def test_unknown_section_in_file_rejected(self, tmp_path):
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=tmp_path / "r.csv") + "[dahlquist2]\nlam = -2.0\n")
         with pytest.raises(ConfigError, match=r"unknown section\(s\) \[dahlquist2\]"):

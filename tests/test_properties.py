@@ -4,7 +4,12 @@ Each executor example runs the same Parareal problem at one worker and
 at ``k`` workers, checks the exactness frontier (boundary ``l`` after
 ``i >= l`` iterations is the sequential fine state), then injects a
 failure into the fine or the coarse propagator and runs both worker
-counts again; a failing fine propagator may take its windows in blocks. Each Jacobian example
+counts again; a failing fine propagator may take its windows in blocks.
+Each graph example runs the executor on a random task graph whose stub
+tasks fail, lag or report convergence at random, and checks that one
+worker runs the serial order's tasks in its order, that 2 and 4 workers
+return or raise what one worker and the serial order do, and that no
+thread outlives the call. Each Jacobian example
 checks a problem's analytic ``jacobian`` against forward differences of
 its ``rhs`` at a random admissible state and time, and each time
 example checks a problem's ``linear`` flag against its ``rhs`` at two
@@ -23,6 +28,9 @@ iteration, and checks ``advance`` and ``advance_many`` against one
 counters and step errors.
 """
 
+import threading
+import time
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -39,7 +47,15 @@ from pintbench.integrators import (  # noqa: E402
     _split_window,
     make_propagator,
 )
-from pintbench.parareal import VARIANTS, PararealConfig, PararealError, run_parareal, sequential_solve  # noqa: E402
+from pintbench.parareal import (  # noqa: E402
+    VARIANTS,
+    PararealConfig,
+    PararealError,
+    _execute,
+    pipelined_schedule,
+    run_parareal,
+    sequential_solve,
+)
 from pintbench.problems import (  # noqa: E402
     PROBLEMS,
     AlePiston,
@@ -141,6 +157,56 @@ def test_worker_count_changes_nothing_and_failures_stay_located(data):
         messages.append(str(info.value))
     assert messages[0].startswith(f"{kind} failed at iteration {first[0]}, interval {l}:")
     assert messages[1] == messages[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_execute_outcome_and_threads_do_not_depend_on_workers(data):
+    L = data.draw(st.integers(1, 6), label="L")
+    iterations = data.draw(st.integers(0, 4), label="iterations")
+    tasks = pipelined_schedule(L, iterations)
+    keys = sorted(t.key for t in tasks)
+    errors = {key: data.draw(st.sampled_from([RuntimeError, KeyboardInterrupt]), label="raises")(key)
+              for key in data.draw(st.sets(st.sampled_from(keys), max_size=3), label="failing keys")}
+    slow = data.draw(st.sets(st.sampled_from(keys), max_size=4), label="slow keys")
+    converges = data.draw(st.none() | st.integers(1, max(iterations, 1)), label="converges at")
+
+    ran = []
+
+    def run_task(task):
+        ran.append(task.key)
+        if task.key in slow:
+            time.sleep(0.001)
+        if task.key in errors:
+            raise errors[task.key]
+        last = task.kind == "correct" and task.interval == L - 1
+        return task.iteration if last and converges is not None and task.iteration >= converges else None
+
+    def serial():
+        # the converging corrector has its iteration's largest key, so the serial run ends there
+        for task in sorted(tasks, key=lambda t: t.key):
+            try:
+                if run_task(task) is not None:
+                    return "returned", task.iteration
+            except (RuntimeError, KeyboardInterrupt) as exc:
+                return "raised", exc
+        return "returned", None
+
+    def outcome(workers):
+        threads = threading.active_count()
+        try:
+            result = "returned", _execute(tasks, run_task, workers)
+        except (RuntimeError, KeyboardInterrupt) as exc:
+            result = "raised", exc
+        assert threading.active_count() == threads
+        return result
+
+    expected, serial_order = serial(), list(ran)
+    ran.clear()
+    assert outcome(1) == expected
+    assert ran == serial_order  # one worker runs exactly the serial order's tasks, in its order
+    assert outcome(2) == expected
+    assert outcome(4) == expected
 
 
 KINDS = ["dahlquist", "heat1d", "advection1d-periodic", "advection1d", "ale_piston"]

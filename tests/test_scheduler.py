@@ -10,7 +10,7 @@ from pintbench.parareal import (
     PararealConfig,
     PararealError,
     Task,
-    _PipelinedExecutor,
+    _execute,
     pipelined_schedule,
     run_parareal,
 )
@@ -304,6 +304,14 @@ class _InterruptedBlock(_Recorder):
         raise KeyboardInterrupt
 
 
+class _InterruptedWindow(_Recorder):
+    """Each of its windows is interrupted, as by Ctrl-C."""
+
+    def advance(self, state, t_end):
+        self._record([state])
+        raise KeyboardInterrupt
+
+
 class TestInterrupt:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_interrupted_block_propagates_and_is_not_rerun(self, workers):
@@ -312,19 +320,27 @@ class TestInterrupt:
             TestCoalescing()._run(fine, workers)
         assert fine.widths == [TestCoalescing.L]  # one block call and no advance
 
+    def test_interrupted_window_on_a_pool_thread_propagates(self):
+        # without advance_many each window steps alone, on a pool thread
+        fine = TestCoalescing._fine(_InterruptedWindow)
+        threads_before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):  # itself, not wrapped in a PararealError
+            TestCoalescing()._run(fine, workers=4)
+        assert threading.active_count() == threads_before
+        assert fine.widths and threading.get_ident() not in {ident for ident, _ in fine.threads}
+
 
 class TestExecutorDefense:
     def test_cycle_reported_as_stall(self):
         a = Task("fine", 1, 0, depends=((1, 1, 1),))
         b = Task("correct", 1, 1, depends=((1, 0, 0),))
-        executor = _PipelinedExecutor([a, b], lambda task: None, workers=2)
         with pytest.raises(RuntimeError, match="stalled"):
-            executor.run()
+            _execute([a, b], lambda task: None, workers=2)
 
     def test_unknown_dependency_rejected(self):
         orphan = Task("fine", 1, 0, depends=((9, 9, 9),))
         with pytest.raises(ValueError):
-            _PipelinedExecutor([orphan], lambda task: None, workers=1)
+            _execute([orphan], lambda task: None, workers=1)
 
 
 class TestFailureLocation:
