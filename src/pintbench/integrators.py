@@ -44,27 +44,24 @@ other step is redone column by column by ``_step``, which keeps the line
 search, the breakdown checks and the ``TimeStepError``. A stacked
 ``matmul`` makes the same BLAS call per column that ``A @ y`` makes (a
 plain ``A @ Y.T`` does not: its columns change with the block width),
-so ``advance_many`` returns, for every window, exactly the array
-``advance`` returns, whichever windows share the stack. A nonlinear
-problem loops over its windows.
+so the stack returns, for every window, exactly the array ``advance``
+returns, whichever windows share it. Every other ``advance_many`` call
+is the loop of ``advance`` over its windows.
 
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
 propagator and an expensive fine one over the same windows. A fine
 propagator may also have ``advance_many(states, t_ends)``, and the
-engine then hands it each iteration's windows as one call on the
-calling thread, whatever its worker count, since a second thread only
-competes with the block for the interpreter lock. The engine relies on
-its contract: the call returns one state per window, each exactly what
-``advance`` returns for that window, and it may raise as a whole, in
-which case the engine steps each window through ``advance`` to name the
-failing one. ``SleepPropagator`` has none, so its windows, whose
-sleeps release the lock, keep running in parallel on the engine's
-workers. A window of ``n`` steps takes ``n`` steps of exactly the
-propagator's step and is stamped ``t_end``: rounding slack of at most
-1e-9 relative between the window and ``n`` steps is stamped, not
-integrated. Propagators are
-safe to share across workers: their settings do not change after
+engine then hands it each iteration's windows as one call
+(``parareal.worker_threads`` says on which thread and why). The engine
+relies on its contract: the call returns one state per window, each
+exactly what ``advance`` returns for that window, and it may raise as a
+whole, in which case the engine steps each window through ``advance``
+to name the failing one. ``SleepPropagator`` has none. A window of
+``n`` steps takes ``n`` steps of exactly the propagator's step and is
+stamped ``t_end``: rounding slack of at most 1e-9 relative between the
+window and ``n`` steps is stamped, not integrated. Propagators are safe
+to share across workers: their settings do not change after
 construction, and the only state ``advance`` writes is a pair of cost
 counters updated under a lock. Each ``advance`` is deterministic, so
 identical inputs give bit-identical outputs regardless of scheduling.
@@ -135,9 +132,9 @@ def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.nda
     serves every propagator, so propagators on the same problem and step
     size share one operator instead of each holding a copy.
     """
-    jac = problem.jacobian(problem.initial_values(), 0.0)
+    a = problem.affine[0]
     try:
-        inverse = np.linalg.inv(np.eye(jac.shape[0]) - (k * theta) * jac)
+        inverse = np.linalg.inv(np.eye(a.shape[0]) - (k * theta) * a)
     except np.linalg.LinAlgError as exc:
         raise NumericBreakdown(f"singular iteration matrix at k={k!r}") from exc
     inverse.setflags(write=False)
@@ -145,18 +142,20 @@ def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.nda
 
 
 class Propagator(Protocol):
-    """Advances a state over a time window with a fixed internal step.
+    """What the engine needs of a propagator: ``step`` and ``advance``.
 
-    A fine propagator may also have the optional
-    ``advance_many(states, t_ends) -> list``, which the engine calls on
-    an iteration's windows at once. It returns, for every window, exactly
+    ``step`` is the fixed internal step, and ``advance(state, t_end)``
+    takes the window's whole number of steps from ``state`` and returns
+    the state stamped ``t_end``. A fine propagator may also have the
+    optional ``advance_many(states, t_ends) -> list``, which the engine
+    calls on an iteration's windows at once (see
+    ``parareal.worker_threads``). It returns, for every window, exactly
     the state ``advance`` returns for it, and it may raise for the call
     as a whole: the engine then does not retry it and steps each window
     through ``advance``, so the first failing window is named.
     """
 
     step: float
-    cost_hint: float
 
     def advance(self, state: State, t_end: float) -> State:
         ...
@@ -211,6 +210,9 @@ class ThetaPropagator:
     def __init__(self, problem: _problems.Problem, settings: ThetaSettings):
         self.problem = problem
         self.step = settings.step
+        # not part of the Propagator contract: only perfbench/spans.py's proxy
+        # copies it, here and as SleepPropagator's sleep, and it goes with
+        # that proxy (ROADMAP item 2)
         self.cost_hint = 0.0
         self.theta = settings.theta
         self.operator = frozen_inverse(problem, self.step, self.theta) if problem.linear else None
@@ -222,48 +224,40 @@ class ThetaPropagator:
         n = _window_steps(state, t_end, self.step)
         if n == 0:
             return state
-        y, iters = self._window(state.values, state.time, n)
+        y, t, iters = state.values, state.time, 0
+        if self.operator is not None:
+            y, iters = self._linear(y, n, [t])
+        else:
+            f = None
+            for _ in range(n):
+                y, f, it = self._step(y, f, t)
+                t += self.step
+                iters += it
         self._count(iters, n)
         return state.with_values(y, time=t_end)
 
     def advance_many(self, states: Sequence[State], t_ends: Sequence[float]) -> list:
         """``[advance(s, t) for s, t in zip(states, t_ends)]``, bit for bit.
 
-        Two or more windows of a linear problem that all take the same
-        number of steps are stepped as one ``(m, size, 1)`` stack by
-        ``_linear``; any other call loops over the windows. The counters
-        grow by the same totals as the loop's, and only once every window
-        has succeeded.
+        Every window is validated before any of them steps. Two or more
+        windows of a linear problem that all take the same nonzero number
+        of steps are stepped as one ``(m, size, 1)`` stack by ``_linear``,
+        and the counters grow by the loop's totals only once every window
+        has succeeded. Any other call is that loop of ``advance``, so a
+        window that fails leaves the windows before it counted.
         """
         counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
-        if self.operator is not None and len(states) > 1 and len(set(counts)) == 1 and counts[0] > 0:
-            stack = np.stack([s.values for s in states])[:, :, None]
-            block, iters = self._linear(stack, counts[0], [s.time for s in states])
-            values = list(block[:, :, 0])
-        else:
-            values, iters = [], 0
-            for s, n in zip(states, counts):
-                y, it = self._window(s.values, s.time, n)
-                values.append(y)
-                iters += it
+        if self.operator is None or len(states) < 2 or len(set(counts)) > 1 or counts[0] == 0:
+            return [self.advance(s, t) for s, t in zip(states, t_ends)]
+        stack = np.stack([s.values for s in states])[:, :, None]
+        block, iters = self._linear(stack, counts[0], [s.time for s in states])
         self._count(iters, sum(counts))
-        return [s.with_values(y, time=t) if n else s for s, t, n, y in zip(states, t_ends, counts, values)]
+        return [s.with_values(y, time=t) for s, t, y in zip(states, t_ends, block[:, :, 0])]
 
     def _count(self, iters: int, steps: int) -> None:
         with self._stats_lock:
             self.newton_iterations += iters
             self.steps_taken += steps
-
-    def _window(self, y: np.ndarray, t: float, n: int):
-        """``n`` steps from ``y`` at ``t``; returns (values, Newton iterations)."""
-        if self.operator is not None and n:
-            return self._linear(y, n, [t])
-        f, iters = None, 0
-        for _ in range(n):
-            y, f, it = self._step(y, f, t)
-            t += self.step
-            iters += it
-        return y, iters
 
     def _linear(self, y: np.ndarray, n: int, starts: Sequence[float]):
         """``n`` steps of a linear problem from one window's vector ``y`` or an ``(m, size, 1)`` stack.

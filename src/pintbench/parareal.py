@@ -36,13 +36,10 @@ problem, one block step). Each later fine task finds its slot filled
 and returns. The block returns each window's ``advance`` result bit for
 bit, so batching changes no result. If the block raises, it is not
 retried: each fine task steps its own window, and the first failing
-window is named as without the block. One worker, because on an
-interpreter with a global lock a second thread adds no compute to the
-block; it only competes with it for the lock. The serial order then
-also guarantees that the previous iteration has published every start
-the block reads. Pool threads serve fine propagators without
-``advance_many``, such as ``SleepPropagator``, whose sleeps release the
-lock.
+window is named as without the block. The serial order of the one
+worker also guarantees that the previous iteration has published every
+start the block reads. Pool threads serve only fine propagators without
+``advance_many``, such as ``SleepPropagator``.
 """
 
 from __future__ import annotations
@@ -81,10 +78,7 @@ class PararealConfig:
     one. The calling thread dispatches the tasks and ``workers`` pool
     threads run them, at most ``MAX_WORKERS``; one worker is the calling
     thread itself running the tasks in the serial order.
-    A fine propagator with ``advance_many`` runs at one worker whatever
-    ``workers`` says, since its fine tasks step each iteration as one
-    block and a second thread would only compete with the block for the
-    interpreter lock (:func:`worker_threads`).
+    :func:`worker_threads` says how many threads a run uses.
     """
 
     intervals: int
@@ -123,9 +117,9 @@ class RunTrace:
     run, and the returned states' values are views of its last row, so
     the trace holds no second copy. ``iteration_seconds`` are cumulative
     wall times from the start of the run to the completion of each
-    iteration's corrector sweep. ``workers`` is the number of threads that
-    ran the tasks: the calling thread alone at one, otherwise pool threads
-    while the calling thread dispatches (:func:`worker_threads`).
+    iteration's corrector sweep. ``workers`` is the run's
+    :func:`worker_threads`: the calling thread alone at one, otherwise
+    pool threads while the calling thread dispatches.
     """
 
     iterations_run: int = 0
@@ -144,10 +138,12 @@ class RunTrace:
 def worker_threads(F: Propagator, workers: int) -> int:
     """Threads that run the tasks of :func:`run_parareal` with fine propagator ``F``.
 
-    One, the calling thread, when ``F`` has ``advance_many``: each
-    iteration's fine sweep is then one block, and a second thread would
-    only compete with it for the interpreter lock. ``workers`` pool
-    threads otherwise.
+    One, the calling thread, when ``F`` has ``advance_many``, whatever
+    ``workers`` says: each iteration's fine sweep is then one block, and
+    on an interpreter with a global lock a second thread adds no compute
+    to the block; it only competes with it for the lock. ``workers`` pool
+    threads otherwise, for fine propagators such as ``SleepPropagator``,
+    whose sleeps release the lock.
     """
     return 1 if hasattr(F, "advance_many") else workers
 

@@ -426,12 +426,28 @@ class TestAdvanceMany:
 
     def test_nonlinear_problem_loops_over_its_windows(self):
         problem = ale_piston(mesh_n=7)
-        states, ends = self._windows(problem, [initial_state(problem).values] * 2, 0.02, 3)
+        rest = initial_state(problem).values
+        states, ends = self._windows(problem, [rest] * 2, 0.02, 3)
         block, loop = (make_propagator(problem, ThetaSettings(step=0.02)) for _ in range(2))
         outs = block.advance_many(states, ends)
         for s, t, out in zip(states, ends, outs):
             assert out.values.tobytes() == loop.advance(s, t).values.tobytes()
         assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken)
+
+        # the second window's interface displacement collapses the mesh: the
+        # call raises what advance raises there, with the first window counted
+        collapsed = rest.copy()
+        collapsed[problem.layout()["u"][0]] = 0.95 * problem.L0
+        states, ends = self._windows(problem, [rest, collapsed], 0.02, 3)
+        block, loop = (make_propagator(problem, ThetaSettings(step=0.02)) for _ in range(2))
+        with pytest.raises(TimeStepError) as alone:
+            loop.advance(states[1], ends[1])
+        with pytest.raises(TimeStepError) as many:
+            block.advance_many(states, ends)
+        assert str(many.value) == str(alone.value)
+        loop.advance(states[0], ends[0])
+        assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken)
+        assert block.steps_taken == 3
 
     def test_empty_windows_return_their_states(self):
         problem = heat1d(mesh_n=15)

@@ -357,7 +357,6 @@ class TestRunParareal:
     def test_propagator_failure_annotated(self):
         class Exploding:
             step = 0.1
-            cost_hint = 0.0
 
             def advance(self, state, t_end):
                 if t_end > 1.2:

@@ -91,7 +91,6 @@ class _FailOnInput:
     def __init__(self, inner, time, values):
         self.inner = inner
         self.step = inner.step
-        self.cost_hint = inner.cost_hint
         self.time = time
         self.values = values
 

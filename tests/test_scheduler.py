@@ -62,7 +62,6 @@ class _RecordingPropagator:
 
     def __init__(self, step, label, log):
         self.step = step
-        self.cost_hint = 0.0
         self.label = label
         self.log = log
 
@@ -77,7 +76,6 @@ class _Recorder:
     def __init__(self, inner, fail_at=None):
         self.inner = inner
         self.step = inner.step
-        self.cost_hint = inner.cost_hint
         self.fail_at = fail_at  # the start time of a window that fails
         self.widths = []
         self.threads = []  # (thread ident, live thread count) per call
@@ -132,7 +130,6 @@ class TestSchedulerEquivalence:
         seen = []
 
         class Probe:
-            cost_hint = 0.0
 
             def __init__(self, step):
                 self.step = step
@@ -349,7 +346,6 @@ class TestFailureLocation:
         # window the order in which the failures land is a matter of timing
         class SlowFailure:
             step = 0.05
-            cost_hint = 0.0
 
             def advance(self, state, t_end):
                 time.sleep(0.01)
@@ -372,7 +368,6 @@ class TestFailureLocation:
         # serial order never runs; its failure must not fail the run
         class FailsOnSecondStartAtOne:
             step = 0.1
-            cost_hint = 0.0
 
             def __init__(self):
                 self.inner = SleepPropagator(step=0.1, cost_per_step=0.0)
