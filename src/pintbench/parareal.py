@@ -18,15 +18,17 @@ one loop on the calling thread pops the ready task with the smallest
 key, has it run and records its outcome. A window's fine propagation
 for iteration ``i`` starts as soon as the iteration ``i-1`` corrector
 has published that window's left boundary, so successive iterations
-overlap when the loop hands its tasks to a pool of ``workers`` threads.
-Window 0 starts from the initial state in every iteration, so its fine
-and coarse values are computed once, and ``RunTrace.fine_propagations``
-counts the fine propagations that ran. With one worker the loop runs
-each task itself, on the calling thread, in the deterministic serial
-order, so ``workers=1`` is the serial run. Every task writes a slot no
-other task touches (a block, below, fills the slots of the fine tasks
-it covers, which then write nothing), so results are bit-identical
-across worker counts.
+overlap. The threads have fixed roles. At ``workers = k > 1`` there are
+``k`` fine threads, one chain thread that runs the serial coarse chain
+(the init sweep and the correctors) and the calling thread, which only
+dispatches. At ``workers = 1`` the calling thread runs every task
+itself, in the deterministic serial order, so ``workers=1`` is the
+serial run. Window 0 starts from the initial state in every iteration,
+so its fine and coarse values are computed once, and
+``RunTrace.fine_propagations`` counts the fine propagations that ran.
+Every task writes a slot no other task touches (a block, below, fills
+the slots of the fine tasks it covers, which then write nothing), so
+results are bit-identical across worker counts.
 
 When the fine propagator has ``advance_many``, the fine tasks group
 the windows themselves. The run has one worker (:func:`worker_threads`),
@@ -38,8 +40,8 @@ bit, so batching changes no result. If the block raises, it is not
 retried: each fine task steps its own window, and the first failing
 window is named as without the block. The serial order of the one
 worker also guarantees that the previous iteration has published every
-start the block reads. Pool threads serve only fine propagators without
-``advance_many``, such as ``SleepPropagator``.
+start the block reads. The fine and chain threads serve only fine
+propagators without ``advance_many``, such as ``SleepPropagator``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -75,10 +78,11 @@ class PararealConfig:
     """Interval count, iteration budget, stopping rule, and scheduling.
 
     ``scheduler`` names the executor backend; ``"pipelined"`` is the only
-    one. The calling thread dispatches the tasks and ``workers`` pool
-    threads run them, at most ``MAX_WORKERS``; one worker is the calling
-    thread itself running the tasks in the serial order.
-    :func:`worker_threads` says how many threads a run uses.
+    one. ``workers`` is at most ``MAX_WORKERS``. At ``workers = k > 1``
+    the calling thread dispatches, ``k`` fine threads run the fine tasks
+    and one chain thread runs the init sweep and the correctors; one
+    worker is the calling thread itself running every task in the serial
+    order. :func:`worker_threads` says which of the two a run takes.
     """
 
     intervals: int
@@ -118,8 +122,9 @@ class RunTrace:
     the trace holds no second copy. ``iteration_seconds`` are cumulative
     wall times from the start of the run to the completion of each
     iteration's corrector sweep. ``workers`` is the run's
-    :func:`worker_threads`: the calling thread alone at one, otherwise
-    pool threads while the calling thread dispatches.
+    :func:`worker_threads`: the calling thread alone at one; at ``k > 1``,
+    ``k`` fine threads and one chain thread while the calling thread
+    dispatches.
     """
 
     iterations_run: int = 0
@@ -136,14 +141,15 @@ class RunTrace:
 
 
 def worker_threads(F: Propagator, workers: int) -> int:
-    """Threads that run the tasks of :func:`run_parareal` with fine propagator ``F``.
+    """Worker count of :func:`run_parareal` with fine propagator ``F``.
 
-    One, the calling thread, when ``F`` has ``advance_many``, whatever
-    ``workers`` says: each iteration's fine sweep is then one block, and
-    on an interpreter with a global lock a second thread adds no compute
-    to the block; it only competes with it for the lock. ``workers`` pool
-    threads otherwise, for fine propagators such as ``SleepPropagator``,
-    whose sleeps release the lock.
+    One, the calling thread running every task, when ``F`` has
+    ``advance_many``, whatever ``workers`` says: each iteration's fine
+    sweep is then one block, and on an interpreter with a global lock a
+    second thread adds no compute to the block; it only competes with it
+    for the lock. ``workers`` otherwise, for fine propagators such as
+    ``SleepPropagator``, whose sleeps release the lock: ``workers`` fine
+    threads and one chain thread, with the calling thread dispatching.
     """
     return 1 if hasattr(F, "advance_many") else workers
 
@@ -262,12 +268,17 @@ class Task:
     depends: tuple
 
     @property
+    def chain(self) -> bool:
+        """Whether the task is a link of the serial coarse chain (init sweep and correctors)."""
+        return self.kind != "fine"
+
+    @property
     def key(self):
-        phase = 0 if self.kind == "fine" else 1
-        return (self.iteration, phase, self.interval)
+        return (self.iteration, 0 if self.kind == "fine" else 1, self.interval)
 
 
-def pipelined_schedule(intervals: int, iterations: int) -> list:
+@lru_cache(maxsize=8)
+def pipelined_schedule(intervals: int, iterations: int) -> tuple:
     """Dependency graph of one full run: init sweep, then per iteration
     the fine propagations plus the sequential corrector sweep.
 
@@ -278,7 +289,8 @@ def pipelined_schedule(intervals: int, iterations: int) -> list:
     Window 0 starts from the initial state in every iteration, so its
     fine value is propagated once, in iteration 1: there is no fine task
     ``(i, 0)`` for ``i >= 2``, and every corrector of window 0 reads
-    iteration 1's.
+    iteration 1's. The graph is built once per shape and shared, so it
+    is a tuple of frozen tasks.
     """
     if intervals < 1:
         raise ValueError("need at least one interval")
@@ -297,7 +309,7 @@ def pipelined_schedule(intervals: int, iterations: int) -> list:
             if l > 0:
                 deps.append((i, 1, l - 1))
             tasks.append(Task("correct", i, l, tuple(deps)))
-    return tasks
+    return tuple(tasks)
 
 
 def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optional[int]:
@@ -305,29 +317,43 @@ def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optiona
 
     A plain task runner whose one loop, on the calling thread, owns every
     piece of scheduling state, so nothing is shared and nothing locked.
-    It pops the smallest ready key and runs that one task through
-    ``run_task``: itself at one worker, so one worker is the serial
-    order, and otherwise on a pool of ``workers`` threads with at most
-    ``workers`` tasks in flight, recording each outcome as it arrives.
-    Once ``run_task`` reports convergence at iteration ``i``, tasks of
-    later iterations are skipped. A failing task stops only tasks with
-    larger keys: the failure with the smallest key is raised, which is
-    the one the serial order meets first, and a failure in an iteration
-    after the converged one is dropped because the serial order never
-    runs it. A stall (tasks left but nothing ready or running) cannot
-    happen on a well-formed graph and is reported as a defect rather
-    than swallowed. The pool is joined before this returns or raises.
+    At one worker the loop pops the smallest ready key and runs that task
+    through ``run_task`` itself, so one worker is the serial order and
+    starts no thread. Otherwise the tasks run on two lanes, each with its
+    own ready heap and pool: the fine tasks on ``workers`` threads, at
+    most ``workers`` in flight, and the serial chain (``Task.chain``) on
+    one thread of its own, one task in flight, since each link waits for
+    the one before it. A ready link thus never waits for a fine slot, and
+    a ready fine task never waits behind the chain. The loop pops the
+    smallest ready key of each lane that has room and records each
+    outcome as it arrives. Once ``run_task`` reports convergence at
+    iteration ``i``, tasks of later iterations are skipped. A failing
+    task stops only tasks with larger keys, on either lane: the failure
+    with the smallest key is raised, which is the one the serial order
+    meets first, and a failure in an iteration after the converged one
+    is dropped because the serial order never runs it. A stall (tasks
+    left but nothing ready or running) cannot happen on a well-formed
+    graph and is reported as a defect rather than swallowed. Both pools
+    are joined before this returns or raises.
     """
     by_key = {t.key: t for t in tasks}
     indegree = {t.key: len(t.depends) for t in tasks}
+    # lane 0 runs the fine tasks and lane 1 the chain; one worker runs every task inline, as lane 0
+    if workers > 1:
+        lane_of = {key: int(t.chain) for key, t in by_key.items()}
+    else:
+        lane_of = dict.fromkeys(by_key, 0)
     dependents: dict = {}
     for t in tasks:
         for dep in t.depends:
             if dep not in by_key:
                 raise ValueError(f"task {t.key} depends on unknown task {dep}")
             dependents.setdefault(dep, []).append(t.key)
-    ready = [key for key, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
+    ready: tuple = ([], [])  # a heap of ready keys per lane
+    for key, deg in indegree.items():
+        if deg == 0:
+            heapq.heappush(ready[lane_of[key]], key)
+    room = [workers, 1]  # tasks each lane may still start
     stop_at: Optional[int] = None
     failure: Optional[tuple] = None  # (task key, exception)
     in_flight: dict = {}  # future -> task key
@@ -343,29 +369,41 @@ def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optiona
         for dep_key in dependents.get(key, ()):
             indegree[dep_key] -= 1
             if indegree[dep_key] == 0:
-                heapq.heappush(ready, dep_key)
+                heapq.heappush(ready[lane_of[dep_key]], dep_key)
 
-    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+    with (
+        (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as fine_pool,
+        (ThreadPoolExecutor(1) if workers > 1 else nullcontext()) as chain_pool,
+    ):
+        pools = (fine_pool, chain_pool)
         while True:
-            while ready and len(in_flight) < workers and (failure is None or ready[0] < failure[0]):
-                key = heapq.heappop(ready)
-                task = by_key[key]
-                if stop_at is not None and task.iteration > stop_at:
-                    record(key, None, None)
-                elif pool is not None:
-                    in_flight[pool.submit(run_task, task)] = key
-                else:
-                    try:
-                        outcome = run_task(task)
-                    except BaseException as exc:
-                        record(key, None, exc)
-                    else:
-                        record(key, outcome, None)
+            skipped = True
+            while skipped:  # a skipped task can make a task of the other lane ready
+                skipped = False
+                for lane in (1, 0):  # the chain first, since it holds up both lanes
+                    heap = ready[lane]
+                    while heap and room[lane] and (failure is None or heap[0] < failure[0]):
+                        key = heapq.heappop(heap)
+                        task = by_key[key]
+                        if stop_at is not None and task.iteration > stop_at:
+                            record(key, None, None)
+                            skipped = True
+                        elif fine_pool is not None:
+                            in_flight[pools[lane].submit(run_task, task)] = key
+                            room[lane] -= 1
+                        else:
+                            try:
+                                outcome = run_task(task)
+                            except BaseException as exc:
+                                record(key, None, exc)
+                            else:
+                                record(key, outcome, None)
             if not in_flight:
                 break
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
                 key, exc = in_flight.pop(future), future.exception()
+                room[lane_of[key]] += 1
                 record(key, None if exc is not None else future.result(), exc)
     # without a failure every task whose dependencies all finished has run
     if failure is None and any(indegree.values()):

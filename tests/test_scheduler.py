@@ -327,6 +327,44 @@ class TestInterrupt:
         assert fine.widths and threading.get_ident() not in {ident for ident, _ in fine.threads}
 
 
+class TestChainLane:
+    """At ``workers > 1`` the coarse init sweep and the correctors run on one thread of their own."""
+
+    def test_chain_never_waits_for_a_fine_slot(self):
+        # fine tasks of windows 2 and up wait for corrector (1, 1, 1); were the
+        # chain to share the two fine slots, fine (1, 0, 2) and (1, 0, 3) would
+        # hold both and the corrector could start only once their waits timed out
+        released, waits = threading.Event(), []
+
+        def run_task(task):
+            if task.kind == "fine" and task.iteration == 1 and task.interval >= 2:
+                waits.append(released.wait(timeout=5.0))
+            elif task.key == (1, 1, 1):
+                released.set()
+
+        _execute(pipelined_schedule(6, 2), run_task, workers=2)
+        assert len(waits) == 4 and all(waits)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_chain_runs_on_its_own_thread(self, workers):
+        tasks = pipelined_schedule(6, 2)
+        caller, threads_before = threading.get_ident(), threading.active_count()
+        ran = {}  # task key -> thread ident
+
+        def run_task(task):
+            ran[task.key] = threading.get_ident()
+            if task.kind == "fine":
+                time.sleep(0.002)
+
+        _execute(tasks, run_task, workers)
+        assert len(ran) == len(tasks)
+        chain = {ran[t.key] for t in tasks if t.kind in ("coarse_init", "correct")}
+        fine = {ran[t.key] for t in tasks if t.kind == "fine"}
+        assert len(chain) == 1 and chain.isdisjoint(fine | {caller})
+        assert caller not in fine and len(fine) <= workers
+        assert threading.active_count() == threads_before
+
+
 class TestExecutorDefense:
     def test_cycle_reported_as_stall(self):
         a = Task("fine", 1, 0, depends=((1, 1, 1),))
