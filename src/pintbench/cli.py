@@ -479,6 +479,16 @@ def speedup_report(rows: Sequence[ResultRow]) -> str:
 # entry point
 
 
+def _config_text(value) -> str:
+    """A problem field's value as the text its config key takes, so ``load_config`` reads it back."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if dataclasses.is_dataclass(value):  # initial data, ``<name>[:<field>...]``
+        name = next(name for name, cls in _INITIAL_DATA.items() if cls is type(value))
+        return ":".join([name, *(_config_text(getattr(value, f.name)) for f in dataclasses.fields(value))])
+    return str(value)
+
+
 def _metadata(cfg: ExperimentConfig) -> dict:
     parareal = cfg.parareal(cfg.variants[0])
     # the experiment fields, less the run-local ones, with the problem by kind and max_iters as run
@@ -501,6 +511,9 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             "frozen": cfg.problem.linear,
         },
         "config": config,
+        # the [<kind>] section that rebuilds the run's problem
+        "problem": {f.name.lower(): _config_text(getattr(cfg.problem, f.name))
+                    for f in dataclasses.fields(cfg.problem)},
     }
 
 

@@ -212,7 +212,7 @@ class ThetaPropagator:
         self.step = settings.step
         # not part of the Propagator contract: only perfbench/spans.py's proxy
         # copies it, here and as SleepPropagator's sleep, and it goes with
-        # that proxy (ROADMAP item 2)
+        # that proxy (ROADMAP item 3)
         self.cost_hint = 0.0
         self.theta = settings.theta
         self.operator = frozen_inverse(problem, self.step, self.theta) if problem.linear else None

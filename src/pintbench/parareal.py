@@ -13,22 +13,18 @@ prediction per layout block (least-squares projection, or the same
 projection further divided by the fine norm to damp mismatched pairs),
 average over blocks, and clamp to [0, 1].
 
-One executor runs the task graph and knows nothing of the algorithm:
-one loop on the calling thread pops the ready task with the smallest
-key, has it run and records its outcome. A window's fine propagation
-for iteration ``i`` starts as soon as the iteration ``i-1`` corrector
-has published that window's left boundary, so successive iterations
-overlap. The threads have fixed roles. At ``workers = k > 1`` there are
-``k`` fine threads, one chain thread that runs the serial coarse chain
-(the init sweep and the correctors) and the calling thread, which only
-dispatches. At ``workers = 1`` the calling thread runs every task
-itself, in the deterministic serial order, so ``workers=1`` is the
-serial run. Window 0 starts from the initial state in every iteration,
-so its fine and coarse values are computed once, and
-``RunTrace.fine_propagations`` counts the fine propagations that ran.
-Every task writes a slot no other task touches (a block, below, fills
-the slots of the fine tasks it covers, which then write nothing), so
-results are bit-identical across worker counts.
+One executor, :func:`_execute`, runs the task graph and knows nothing
+of the algorithm beyond each key's phase, which is its lane; its
+docstring gives the threads, the lanes and where a run stops. A
+window's fine propagation for iteration ``i`` starts as soon as the
+iteration ``i-1`` corrector has published that window's left boundary,
+so successive iterations overlap, and ``workers=1`` is the serial run.
+Window 0 starts from the initial state in every iteration, so its fine
+and coarse values are computed once, and ``RunTrace.fine_propagations``
+counts the fine propagations that ran. Every task writes a slot no
+other task touches (a block, below, fills the slots of the fine tasks
+it covers, which then write nothing), so results are bit-identical
+across worker counts.
 
 When the fine propagator has ``advance_many``, the fine tasks group
 the windows themselves. The run has one worker (:func:`worker_threads`),
@@ -48,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
@@ -65,7 +62,7 @@ SCHEDULERS = ("pipelined",)
 # the most worker threads a run may ask for; validation rejects more before any thread starts
 MAX_WORKERS = 64
 
-# blocks with coarse mass below this are skipped by the weighting (theta 1)
+# blocks with coarse mass below this take the classic weight, theta 1
 _DEGENERATE_MASS = 1e-28
 
 
@@ -78,11 +75,10 @@ class PararealConfig:
     """Interval count, iteration budget, stopping rule, and scheduling.
 
     ``scheduler`` names the executor backend; ``"pipelined"`` is the only
-    one. ``workers`` is at most ``MAX_WORKERS``. At ``workers = k > 1``
-    the calling thread dispatches, ``k`` fine threads run the fine tasks
-    and one chain thread runs the init sweep and the correctors; one
-    worker is the calling thread itself running every task in the serial
-    order. :func:`worker_threads` says which of the two a run takes.
+    one. ``intervals``, ``max_iters`` and ``workers`` are integers, bools
+    excluded, and ``workers`` is at most ``MAX_WORKERS``.
+    :func:`worker_threads` says how many workers a run takes, and
+    :func:`_execute` what its threads run.
     """
 
     intervals: int
@@ -93,6 +89,10 @@ class PararealConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("intervals", "max_iters", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.intervals < 2:
             raise ValueError("need at least 2 intervals")
         if not 1 <= self.max_iters <= self.intervals:
@@ -122,9 +122,7 @@ class RunTrace:
     the trace holds no second copy. ``iteration_seconds`` are cumulative
     wall times from the start of the run to the completion of each
     iteration's corrector sweep. ``workers`` is the run's
-    :func:`worker_threads`: the calling thread alone at one; at ``k > 1``,
-    ``k`` fine threads and one chain thread while the calling thread
-    dispatches.
+    :func:`worker_threads`, the worker count :func:`_execute` ran with.
     """
 
     iterations_run: int = 0
@@ -148,8 +146,8 @@ def worker_threads(F: Propagator, workers: int) -> int:
     sweep is then one block, and on an interpreter with a global lock a
     second thread adds no compute to the block; it only competes with it
     for the lock. ``workers`` otherwise, for fine propagators such as
-    ``SleepPropagator``, whose sleeps release the lock: ``workers`` fine
-    threads and one chain thread, with the calling thread dispatching.
+    ``SleepPropagator``, whose sleeps release the lock. :func:`_execute`
+    says what the threads of each count run.
     """
     return 1 if hasattr(F, "advance_many") else workers
 
@@ -254,13 +252,7 @@ def boundary_error(parareal_states: Sequence[State], sequential_states: Sequence
 
 @dataclass(frozen=True)
 class Task:
-    """One unit of the execution plan.
-
-    ``key`` orders tasks so that running them in ascending key order on a
-    single worker reproduces the serial algorithm exactly: all keys of
-    iteration ``i`` sort below iteration ``i+1``, and within an iteration
-    the fine phase (0) sorts below the corrector phase (1).
-    """
+    """One unit of the execution plan."""
 
     kind: str            # "coarse_init" | "fine" | "correct"
     iteration: int       # 0 for the initialization sweep
@@ -268,12 +260,16 @@ class Task:
     depends: tuple
 
     @property
-    def chain(self) -> bool:
-        """Whether the task is a link of the serial coarse chain (init sweep and correctors)."""
-        return self.kind != "fine"
-
-    @property
     def key(self):
+        """``(iteration, phase, interval)``; phase 0 is a fine task, 1 a link of the serial chain.
+
+        Running tasks in ascending key order on a single worker reproduces
+        the serial algorithm exactly: all keys of iteration ``i`` sort below
+        iteration ``i+1``, and within an iteration the fine phase sorts
+        below the corrector phase. The phase is also the task's lane in
+        :func:`_execute`: the chain is the init sweep (``coarse_init``, at
+        iteration 0) and the correctors.
+        """
         return (self.iteration, 0 if self.kind == "fine" else 1, self.interval)
 
 
@@ -317,42 +313,46 @@ def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optiona
 
     A plain task runner whose one loop, on the calling thread, owns every
     piece of scheduling state, so nothing is shared and nothing locked.
-    At one worker the loop pops the smallest ready key and runs that task
-    through ``run_task`` itself, so one worker is the serial order and
-    starts no thread. Otherwise the tasks run on two lanes, each with its
-    own ready heap and pool: the fine tasks on ``workers`` threads, at
-    most ``workers`` in flight, and the serial chain (``Task.chain``) on
-    one thread of its own, one task in flight, since each link waits for
-    the one before it. A ready link thus never waits for a fine slot, and
-    a ready fine task never waits behind the chain. The loop pops the
-    smallest ready key of each lane that has room and records each
-    outcome as it arrives. Once ``run_task`` reports convergence at
-    iteration ``i``, tasks of later iterations are skipped. A failing
-    task stops only tasks with larger keys, on either lane: the failure
-    with the smallest key is raised, which is the one the serial order
-    meets first, and a failure in an iteration after the converged one
-    is dropped because the serial order never runs it. A stall (tasks
-    left but nothing ready or running) cannot happen on a well-formed
-    graph and is reported as a defect rather than swallowed. Both pools
-    are joined before this returns or raises.
+    The lane of a task is its key's phase. At one worker there is one
+    lane: the loop pops the smallest ready key and runs that task through
+    ``run_task`` itself, so one worker is the serial order and starts no
+    thread. Otherwise each lane has its own ready heap and pool: phase 0,
+    the fine tasks, runs on ``workers`` threads, at most ``workers`` in
+    flight, and phase 1, the serial chain (the init sweep and the
+    correctors), on one thread of its own, one task in flight, since each
+    link waits for the one before it. A ready link thus never waits for a
+    fine slot, and a ready fine task never waits behind the chain. The
+    loop pops the smallest ready key of each lane that has room, the
+    chain first, and records each outcome as it arrives.
+
+    Once ``run_task`` reports convergence at iteration ``i``, nothing more
+    starts; tasks still in flight finish before this returns and their
+    outcomes are dropped. This stops exactly where the serial order stops
+    as long as the task that converges depends, directly or through other
+    tasks, on every task of iterations up to ``i``, as the last corrector
+    of :func:`pipelined_schedule` does: every task left then belongs to a
+    later iteration. A failing task stops only tasks with larger keys, on
+    either lane: the failure with the smallest key is raised, which is the
+    one the serial order meets first, and a failure beside convergence is
+    dropped, since it comes from a later iteration. A stall (neither
+    failure nor convergence, and tasks left but nothing ready or running)
+    cannot happen on a well-formed graph and is reported as a defect
+    rather than swallowed. Both pools are joined before this returns or
+    raises.
     """
     by_key = {t.key: t for t in tasks}
     indegree = {t.key: len(t.depends) for t in tasks}
-    # lane 0 runs the fine tasks and lane 1 the chain; one worker runs every task inline, as lane 0
-    if workers > 1:
-        lane_of = {key: int(t.chain) for key, t in by_key.items()}
-    else:
-        lane_of = dict.fromkeys(by_key, 0)
     dependents: dict = {}
     for t in tasks:
         for dep in t.depends:
             if dep not in by_key:
                 raise ValueError(f"task {t.key} depends on unknown task {dep}")
             dependents.setdefault(dep, []).append(t.key)
-    ready: tuple = ([], [])  # a heap of ready keys per lane
+    # a heap of ready keys per lane, indexed by the phase key[1]; one worker's lanes share one heap
+    ready: tuple = ([], []) if workers > 1 else ([],) * 2
     for key, deg in indegree.items():
         if deg == 0:
-            heapq.heappush(ready[lane_of[key]], key)
+            heapq.heappush(ready[key[1]], key)
     room = [workers, 1]  # tasks each lane may still start
     stop_at: Optional[int] = None
     failure: Optional[tuple] = None  # (task key, exception)
@@ -365,54 +365,45 @@ def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optiona
                 failure = (key, exc)
             return
         if outcome is not None:
-            stop_at = outcome if stop_at is None else min(stop_at, outcome)
+            stop_at = outcome
         for dep_key in dependents.get(key, ()):
             indegree[dep_key] -= 1
             if indegree[dep_key] == 0:
-                heapq.heappush(ready[lane_of[dep_key]], dep_key)
+                heapq.heappush(ready[dep_key[1]], dep_key)
 
     with (
         (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as fine_pool,
         (ThreadPoolExecutor(1) if workers > 1 else nullcontext()) as chain_pool,
     ):
         pools = (fine_pool, chain_pool)
-        while True:
-            skipped = True
-            while skipped:  # a skipped task can make a task of the other lane ready
-                skipped = False
-                for lane in (1, 0):  # the chain first, since it holds up both lanes
-                    heap = ready[lane]
-                    while heap and room[lane] and (failure is None or heap[0] < failure[0]):
-                        key = heapq.heappop(heap)
-                        task = by_key[key]
-                        if stop_at is not None and task.iteration > stop_at:
-                            record(key, None, None)
-                            skipped = True
-                        elif fine_pool is not None:
-                            in_flight[pools[lane].submit(run_task, task)] = key
-                            room[lane] -= 1
-                        else:
-                            try:
-                                outcome = run_task(task)
-                            except BaseException as exc:
-                                record(key, None, exc)
-                            else:
-                                record(key, outcome, None)
+        while stop_at is None:
+            for lane in (1, 0):  # the chain first, since it holds up both lanes
+                heap = ready[lane]
+                while heap and room[lane] and stop_at is None and (failure is None or heap[0] < failure[0]):
+                    key = heapq.heappop(heap)
+                    if fine_pool is not None:
+                        in_flight[pools[lane].submit(run_task, by_key[key])] = key
+                        room[lane] -= 1
+                        continue
+                    try:
+                        outcome = run_task(by_key[key])
+                    except BaseException as exc:
+                        record(key, None, exc)
+                    else:
+                        record(key, outcome, None)
             if not in_flight:
                 break
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
                 key, exc = in_flight.pop(future), future.exception()
-                room[lane_of[key]] += 1
+                room[key[1]] += 1
                 record(key, None if exc is not None else future.result(), exc)
-    # without a failure every task whose dependencies all finished has run
-    if failure is None and any(indegree.values()):
-        raise RuntimeError("scheduler stalled: tasks remain but none are ready or running")
-    # convergence at iteration i needs every task up to i to succeed, so a
-    # task failure beside it comes from a later iteration, which the serial
-    # order never runs
-    if failure is not None and stop_at is None:
-        raise failure[1]
+    if stop_at is None:
+        if failure is not None:
+            raise failure[1]
+        # without a failure every task whose dependencies all finished has run
+        if any(indegree.values()):
+            raise RuntimeError("scheduler stalled: tasks remain but none are ready or running")
     return stop_at
 
 

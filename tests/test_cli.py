@@ -16,6 +16,7 @@ from pintbench.cli import (
     REFERENCE_REFINEMENT,
     ExperimentConfig,
     ResultRow,
+    _metadata,
     emit_csv,
     emit_json,
     load_config,
@@ -364,6 +365,18 @@ class TestMainEntryPoint:
         assert metadata["reference_refinement"] == REFERENCE_REFINEMENT == 4
         # the refinement is no experiment field, so the config records none
         assert set(metadata["config"]) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"workers", "output"}
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_json_metadata_problem_section_rebuilds_the_problem(self, tmp_path, path):
+        cfg = load_config(str(path))
+        metadata = json.loads(json.dumps(_metadata(cfg)))
+        kind = metadata["config"]["problem"]
+        # every field, defaults too, so the section alone rebuilds the problem
+        assert set(metadata["problem"]) == {f.name.lower() for f in dataclasses.fields(PROBLEMS[kind])}
+        section = "".join(f"{key} = {value}\n" for key, value in metadata["problem"].items())
+        body = f"[experiment]\nproblem = {kind}\n[{kind}]\n{section}"
+        rebuilt = load_config(write_config(tmp_path / "rebuilt.ini", body))
+        assert rebuilt.problem == cfg.problem
 
     def test_percent_in_output_path_is_written(self, tmp_path):
         # no config interpolates, so a % in a value, in the file or an override, is the character itself

@@ -197,6 +197,14 @@ class TestPararealConfig:
         assert PararealConfig(intervals=4, max_iters=2, workers=MAX_WORKERS).workers == MAX_WORKERS == 64
         with pytest.raises(ValueError, match=r"workers must lie in \[1, 64\]"):
             PararealConfig(intervals=4, max_iters=2, workers=MAX_WORKERS + 1)
+        # a count is an integer: no bool, no float, not even an integral one
+        counts = dict(intervals=4, max_iters=2, workers=2)
+        for name in counts:
+            for bad in (2.5, 4.0, True, np.float64(2.0)):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    PararealConfig(**{**counts, name: bad})
+        cfg = PararealConfig(intervals=np.int64(4), max_iters=np.int32(2), workers=np.int64(2))
+        assert (cfg.intervals, cfg.max_iters, cfg.workers) == (4, 2, 2)
 
 
 def _dahlquist_setup(L=4, T=2.0, K=0.1, k=0.01):

@@ -50,6 +50,22 @@ class TestSchedulePlan:
         assert (2, 0, 0) not in tasks
         assert tasks[(2, 1, 0)].depends == ((1, 0, 0), (1, 1, 0))
 
+    def test_last_corrector_depends_on_every_task_up_to_its_iteration(self):
+        # _execute stops starting tasks once this corrector converges, which is the
+        # serial order's stop only if every task left belongs to a later iteration
+        for L in range(1, 7):
+            for iterations in range(5):
+                tasks = {t.key: t for t in pipelined_schedule(L, iterations)}
+                for i in range(1, iterations + 1):
+                    last = (i, 1, L - 1)
+                    ancestors, stack = set(), list(tasks[last].depends)
+                    while stack:
+                        key = stack.pop()
+                        if key not in ancestors:
+                            ancestors.add(key)
+                            stack.extend(tasks[key].depends)
+                    assert ancestors == {key for key in tasks if key[0] <= i} - {last}, (L, iterations, i)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             pipelined_schedule(0, 1)
