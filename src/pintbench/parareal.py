@@ -15,10 +15,10 @@ average over blocks, and clamp to [0, 1].
 
 One executor, :func:`_execute`, runs the task graph and knows nothing
 of the algorithm beyond each key's phase, which is its lane; its
-docstring gives the threads, the lanes and where a run stops. A
-window's fine propagation for iteration ``i`` starts as soon as the
-iteration ``i-1`` corrector has published that window's left boundary,
-so successive iterations overlap, and ``workers=1`` is the serial run.
+docstring gives the order at one worker, the threads and lanes at
+more, and where a run stops. A window's fine propagation for iteration
+``i`` starts as soon as the iteration ``i-1`` corrector has published
+that window's left boundary, so successive iterations overlap.
 Window 0 starts from the initial state in every iteration, so its fine
 and coarse values are computed once, and ``RunTrace.fine_propagations``
 counts the fine propagations that ran. Every task writes a slot no
@@ -47,7 +47,6 @@ import math
 import numbers
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -75,8 +74,9 @@ class PararealConfig:
     """Interval count, iteration budget, stopping rule, and scheduling.
 
     ``scheduler`` names the executor backend; ``"pipelined"`` is the only
-    one. ``intervals``, ``max_iters`` and ``workers`` are integers, bools
-    excluded, and ``workers`` is at most ``MAX_WORKERS``.
+    one. ``intervals``, ``max_iters`` and ``workers`` are integers and
+    ``tol`` a real number, bools excluded, and ``workers`` is at most
+    ``MAX_WORKERS``.
     :func:`worker_threads` says how many workers a run takes, and
     :func:`_execute` what its threads run.
     """
@@ -97,6 +97,8 @@ class PararealConfig:
             raise ValueError("need at least 2 intervals")
         if not 1 <= self.max_iters <= self.intervals:
             raise ValueError("max_iters must lie in [1, intervals]; further iterations cannot improve")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         # NaN would never stop a run, and inf would stop every run after iteration 1
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
@@ -263,12 +265,10 @@ class Task:
     def key(self):
         """``(iteration, phase, interval)``; phase 0 is a fine task, 1 a link of the serial chain.
 
-        Running tasks in ascending key order on a single worker reproduces
-        the serial algorithm exactly: all keys of iteration ``i`` sort below
-        iteration ``i+1``, and within an iteration the fine phase sorts
-        below the corrector phase. The phase is also the task's lane in
-        :func:`_execute`: the chain is the init sweep (``coarse_init``, at
-        iteration 0) and the correctors.
+        The chain is the init sweep (``coarse_init``, at iteration 0) and
+        the correctors. :func:`_execute` requires every dependency to have
+        a smaller key, and its docstring says how key order and the phase
+        (the task's lane) schedule a run.
         """
         return (self.iteration, 0 if self.kind == "fine" else 1, self.interval)
 
@@ -309,21 +309,29 @@ def pipelined_schedule(intervals: int, iterations: int) -> tuple:
 
 
 def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optional[int]:
-    """Run the task graph in priority order; return the converged iteration, if any.
+    """Run the task graph in key order; return the converged iteration, if any.
 
-    A plain task runner whose one loop, on the calling thread, owns every
-    piece of scheduling state, so nothing is shared and nothing locked.
-    The lane of a task is its key's phase. At one worker there is one
-    lane: the loop pops the smallest ready key and runs that task through
-    ``run_task`` itself, so one worker is the serial order and starts no
-    thread. Otherwise each lane has its own ready heap and pool: phase 0,
-    the fine tasks, runs on ``workers`` threads, at most ``workers`` in
-    flight, and phase 1, the serial chain (the init sweep and the
-    correctors), on one thread of its own, one task in flight, since each
-    link waits for the one before it. A ready link thus never waits for a
-    fine slot, and a ready fine task never waits behind the chain. The
-    loop pops the smallest ready key of each lane that has room, the
-    chain first, and records each outcome as it arrives.
+    Every dependency must be a task with a smaller key; a graph where one
+    is not (an unknown task, a later one, a cycle) raises ``ValueError``
+    naming both before any task runs. Each task then sorts after every
+    task it waits for, so ascending key order is a topological order: the
+    serial order of the run. At one worker that is the whole executor:
+    the calling thread runs the tasks through ``run_task`` in ascending
+    key order and starts no thread. It returns at the first task that
+    reports convergence, and an exception from a task propagates
+    unchanged, so nothing after it runs.
+
+    At more workers a plain task runner, whose one loop on the calling
+    thread owns every piece of scheduling state, so nothing is shared
+    and nothing locked. The lane of a task is its key's phase, and each
+    lane has its own ready heap and pool: phase 0, the fine tasks, runs
+    on ``workers`` threads, at most ``workers`` in flight, and phase 1,
+    the serial chain (the init sweep and the correctors), on one thread
+    of its own, one task in flight, since each link waits for the one
+    before it. A ready link thus never waits for a fine slot, and a
+    ready fine task never waits behind the chain. The loop pops the
+    smallest ready key of each lane that has room, the chain first, and
+    records each outcome as it arrives.
 
     Once ``run_task`` reports convergence at iteration ``i``, nothing more
     starts; tasks still in flight finish before this returns and their
@@ -334,76 +342,58 @@ def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optiona
     later iteration. A failing task stops only tasks with larger keys, on
     either lane: the failure with the smallest key is raised, which is the
     one the serial order meets first, and a failure beside convergence is
-    dropped, since it comes from a later iteration. A stall (neither
-    failure nor convergence, and tasks left but nothing ready or running)
-    cannot happen on a well-formed graph and is reported as a defect
-    rather than swallowed. Both pools are joined before this returns or
-    raises.
+    dropped, since it comes from a later iteration. Both pools are joined
+    before this returns or raises.
     """
     by_key = {t.key: t for t in tasks}
-    indegree = {t.key: len(t.depends) for t in tasks}
-    dependents: dict = {}
     for t in tasks:
         for dep in t.depends:
-            if dep not in by_key:
-                raise ValueError(f"task {t.key} depends on unknown task {dep}")
-            dependents.setdefault(dep, []).append(t.key)
-    # a heap of ready keys per lane, indexed by the phase key[1]; one worker's lanes share one heap
-    ready: tuple = ([], []) if workers > 1 else ([],) * 2
-    for key, deg in indegree.items():
-        if deg == 0:
+            if dep not in by_key or dep >= t.key:
+                raise ValueError(f"task {t.key} depends on {dep}, which is not a task with a smaller key")
+    if workers == 1:
+        for key in sorted(by_key):
+            if (outcome := run_task(by_key[key])) is not None:
+                return outcome
+        return None
+    indegree = {key: len(t.depends) for key, t in by_key.items()}
+    dependents: dict = {}
+    ready: tuple = ([], [])  # a heap of ready keys per lane, indexed by the phase key[1]
+    for key, t in by_key.items():
+        if not t.depends:
             heapq.heappush(ready[key[1]], key)
+        for dep in t.depends:
+            dependents.setdefault(dep, []).append(key)
     room = [workers, 1]  # tasks each lane may still start
     stop_at: Optional[int] = None
     failure: Optional[tuple] = None  # (task key, exception)
     in_flight: dict = {}  # future -> task key
-
-    def record(key, outcome: Optional[int], exc: Optional[BaseException]) -> None:
-        nonlocal stop_at, failure
-        if exc is not None:
-            if failure is None or key < failure[0]:
-                failure = (key, exc)
-            return
-        if outcome is not None:
-            stop_at = outcome
-        for dep_key in dependents.get(key, ()):
-            indegree[dep_key] -= 1
-            if indegree[dep_key] == 0:
-                heapq.heappush(ready[dep_key[1]], dep_key)
-
-    with (
-        (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as fine_pool,
-        (ThreadPoolExecutor(1) if workers > 1 else nullcontext()) as chain_pool,
-    ):
+    with ThreadPoolExecutor(workers) as fine_pool, ThreadPoolExecutor(1) as chain_pool:
         pools = (fine_pool, chain_pool)
         while stop_at is None:
             for lane in (1, 0):  # the chain first, since it holds up both lanes
                 heap = ready[lane]
-                while heap and room[lane] and stop_at is None and (failure is None or heap[0] < failure[0]):
+                while heap and room[lane] and (failure is None or heap[0] < failure[0]):
                     key = heapq.heappop(heap)
-                    if fine_pool is not None:
-                        in_flight[pools[lane].submit(run_task, by_key[key])] = key
-                        room[lane] -= 1
-                        continue
-                    try:
-                        outcome = run_task(by_key[key])
-                    except BaseException as exc:
-                        record(key, None, exc)
-                    else:
-                        record(key, outcome, None)
+                    in_flight[pools[lane].submit(run_task, by_key[key])] = key
+                    room[lane] -= 1
             if not in_flight:
                 break
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
                 key, exc = in_flight.pop(future), future.exception()
                 room[key[1]] += 1
-                record(key, None if exc is not None else future.result(), exc)
-    if stop_at is None:
-        if failure is not None:
-            raise failure[1]
-        # without a failure every task whose dependencies all finished has run
-        if any(indegree.values()):
-            raise RuntimeError("scheduler stalled: tasks remain but none are ready or running")
+                if exc is not None:
+                    if failure is None or key < failure[0]:
+                        failure = (key, exc)
+                    continue
+                if (outcome := future.result()) is not None:
+                    stop_at = outcome
+                for dep_key in dependents.get(key, ()):
+                    indegree[dep_key] -= 1
+                    if indegree[dep_key] == 0:
+                        heapq.heappush(ready[dep_key[1]], dep_key)
+    if stop_at is None and failure is not None:
+        raise failure[1]
     return stop_at
 
 

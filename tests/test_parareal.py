@@ -205,6 +205,12 @@ class TestPararealConfig:
                     PararealConfig(**{**counts, name: bad})
         cfg = PararealConfig(intervals=np.int64(4), max_iters=np.int32(2), workers=np.int64(2))
         assert (cfg.intervals, cfg.max_iters, cfg.workers) == (4, 2, 2)
+        # tol is a real number: no bool, no text
+        for bad in (True, "1e-3", None, 1e-3 + 0j):
+            with pytest.raises(ValueError, match="tol must be a real number"):
+                PararealConfig(intervals=4, max_iters=2, tol=bad)
+        for tol in (1e-3, np.float64(1e-3), np.float32(1e-3)):
+            assert PararealConfig(intervals=4, max_iters=2, tol=tol).tol == tol
 
 
 def _dahlquist_setup(L=4, T=2.0, K=0.1, k=0.01):

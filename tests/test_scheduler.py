@@ -30,13 +30,16 @@ class TestSchedulePlan:
         assert sum(1 for t in tasks if t.kind == "correct") == 15
 
     def test_keys_unique_and_deps_resolvable(self):
-        tasks = pipelined_schedule(6, 4)
-        keys = {t.key for t in tasks}
-        assert len(keys) == len(tasks)
-        for t in tasks:
-            for dep in t.depends:
-                assert dep in keys
-                assert dep < t.key  # key order is a topological order
+        # every shape the executor property test draws
+        for L in range(1, 7):
+            for iterations in range(5):
+                tasks = pipelined_schedule(L, iterations)
+                keys = {t.key for t in tasks}
+                assert len(keys) == len(tasks)
+                for t in tasks:
+                    for dep in t.depends:
+                        assert dep in keys
+                        assert dep < t.key  # key order is a topological order
 
     def test_cross_iteration_pipelining_dependency(self):
         # the fine task of iteration i for interval l waits only for the
@@ -129,6 +132,13 @@ class TestSchedulerEquivalence:
                     for t in sorted(pipelined_schedule(4, 2), key=lambda t: t.key)
                     if not (t.kind == "correct" and t.interval == 0)]
         assert log == expected
+
+    def test_single_worker_runs_key_order_whatever_the_task_order(self):
+        # pipelined_schedule lists its tasks in key order; the executor must not rely on that
+        tasks = pipelined_schedule(4, 3)
+        ran = []
+        _execute(tasks[::-1], lambda task: ran.append(task.key), workers=1)
+        assert ran == sorted(t.key for t in tasks)
 
     def test_fine_propagation_count_matches_serial(self):
         problem = heat1d(mesh_n=7, nu=0.1)
@@ -382,16 +392,24 @@ class TestChainLane:
 
 
 class TestExecutorDefense:
-    def test_cycle_reported_as_stall(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cycle_rejected_before_any_task_runs(self, workers):
+        # (1, 1, 1) does not sort before (1, 0, 0)
         a = Task("fine", 1, 0, depends=((1, 1, 1),))
         b = Task("correct", 1, 1, depends=((1, 0, 0),))
-        with pytest.raises(RuntimeError, match="stalled"):
-            _execute([a, b], lambda task: None, workers=2)
+        ran = []
+        with pytest.raises(ValueError, match=r"task \(1, 0, 0\) depends on \(1, 1, 1\)"):
+            _execute([a, b], lambda task: ran.append(task.key), workers=workers)
+        assert ran == []
 
-    def test_unknown_dependency_rejected(self):
-        orphan = Task("fine", 1, 0, depends=((9, 9, 9),))
-        with pytest.raises(ValueError):
-            _execute([orphan], lambda task: None, workers=1)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_dependency_rejected(self, workers):
+        first = Task("coarse_init", 0, 0, depends=())
+        orphan = Task("fine", 1, 0, depends=((0, 9, 9),))
+        ran = []
+        with pytest.raises(ValueError, match=r"task \(1, 0, 0\) depends on \(0, 9, 9\)"):
+            _execute([first, orphan], lambda task: ran.append(task.key), workers=workers)
+        assert ran == []
 
 
 class TestFailureLocation:
