@@ -14,11 +14,12 @@ projection further divided by the fine norm to damp mismatched pairs),
 average over blocks, and clamp to [0, 1].
 
 One executor, :func:`_execute`, runs the task graph and knows nothing
-of the algorithm beyond each key's phase, which is its lane; its
-docstring gives the order at one worker, the threads and lanes at
-more, and where a run stops. A window's fine propagation for iteration
-``i`` starts as soon as the iteration ``i-1`` corrector has published
-that window's left boundary, so successive iterations overlap.
+of the algorithm beyond each key's phase (0 a fine task, 1 a link of
+the serial chain); its docstring gives the order at one worker, the
+chain and fine threads at more, and where a run stops. A window's fine
+propagation for iteration ``i`` starts as soon as the iteration
+``i-1`` corrector has published that window's left boundary, so
+successive iterations overlap.
 Window 0 starts from the initial state in every iteration, so its fine
 and coarse values are computed once, and ``RunTrace.fine_propagations``
 counts the fine propagations that ran. Every task writes a slot no
@@ -42,11 +43,10 @@ propagators without ``advance_many``, such as ``SleepPropagator``.
 
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -267,8 +267,8 @@ class Task:
 
         The chain is the init sweep (``coarse_init``, at iteration 0) and
         the correctors. :func:`_execute` requires every dependency to have
-        a smaller key, and its docstring says how key order and the phase
-        (the task's lane) schedule a run.
+        a smaller key and a fine task to depend only on links, and its
+        docstring says how key order and the phase schedule a run.
         """
         return (self.iteration, 0 if self.kind == "fine" else 1, self.interval)
 
@@ -311,90 +311,101 @@ def pipelined_schedule(intervals: int, iterations: int) -> tuple:
 def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optional[int]:
     """Run the task graph in key order; return the converged iteration, if any.
 
-    Every dependency must be a task with a smaller key; a graph where one
-    is not (an unknown task, a later one, a cycle) raises ``ValueError``
-    naming both before any task runs. Each task then sorts after every
-    task it waits for, so ascending key order is a topological order: the
-    serial order of the run. At one worker that is the whole executor:
-    the calling thread runs the tasks through ``run_task`` in ascending
-    key order and starts no thread. It returns at the first task that
-    reports convergence, and an exception from a task propagates
-    unchanged, so nothing after it runs.
+    Every dependency must be a task with a smaller key, and a fine task
+    (phase 0) may depend only on links of the chain (phase 1); a graph
+    that breaks either rule (an unknown task, a later one, a cycle, a
+    fine task waiting for a fine task) raises ``ValueError`` naming both
+    before any task runs. Each task then sorts after every task it waits
+    for, so ascending key order is a topological order: the serial order
+    of the run. At one worker that is the whole executor: the calling
+    thread runs the tasks through ``run_task`` in ascending key order and
+    starts no thread. It returns at the first task that reports
+    convergence, and an exception from a task propagates unchanged, so
+    nothing after it runs.
 
-    At more workers a plain task runner, whose one loop on the calling
-    thread owns every piece of scheduling state, so nothing is shared
-    and nothing locked. The lane of a task is its key's phase, and each
-    lane has its own ready heap and pool: phase 0, the fine tasks, runs
-    on ``workers`` threads, at most ``workers`` in flight, and phase 1,
-    the serial chain (the init sweep and the correctors), on one thread
-    of its own, one task in flight, since each link waits for the one
-    before it. A ready link thus never waits for a fine slot, and a
-    ready fine task never waits behind the chain. The loop pops the
-    smallest ready key of each lane that has room, the chain first, and
-    records each outcome as it arrives.
+    At more workers the executor is the chain. One chain thread runs the
+    links (the init sweep and the correctors) in ascending key order, one
+    at a time, since each waits for the one before it; it waits before
+    each link for that link's fine dependencies, and after each link
+    submits every fine task whose largest dependency that link was to a
+    pool of ``workers`` fine threads (the fine tasks with no dependency
+    are submitted at the start). So at most ``workers`` fine tasks and
+    one link are in flight, a link never waits for a fine slot, and a
+    fine task starts as soon as the one link it waits for has run. The
+    calling thread only waits for the chain.
 
-    Once ``run_task`` reports convergence at iteration ``i``, nothing more
-    starts; tasks still in flight finish before this returns and their
-    outcomes are dropped. This stops exactly where the serial order stops
-    as long as the task that converges depends, directly or through other
-    tasks, on every task of iterations up to ``i``, as the last corrector
-    of :func:`pipelined_schedule` does: every task left then belongs to a
-    later iteration. A failing task stops only tasks with larger keys, on
-    either lane: the failure with the smallest key is raised, which is the
-    one the serial order meets first, and a failure beside convergence is
-    dropped, since it comes from a later iteration. Both pools are joined
-    before this returns or raises.
+    The chain stops at the first link that reports convergence, that
+    raises, or whose fine dependency failed. The calling thread then
+    cancels the queued fine tasks that sort after that link (fine tasks
+    that have started finish, and their outcomes are dropped), awaits the
+    fine tasks that sort before it in key order and raises the first
+    failure, and otherwise raises the link's exception or returns its
+    outcome. The failure raised is thus the one with the smallest key, the one the serial order meets first, and a failure beside
+    convergence is dropped, since it comes from a later iteration, as
+    long as the link that converges depends, directly or through other
+    tasks, on every task of its iteration and the ones before, as the
+    last corrector of :func:`pipelined_schedule` does. A fine failure is
+    noticed only when the chain reaches a link that waits for it, so a
+    few links with larger keys may run first; their results are dropped.
+    An interrupt of the calling thread cancels the queued fine tasks and
+    stops the chain at the first link that waits for one of them or
+    releases one. Both pools are joined before this returns or raises.
     """
     by_key = {t.key: t for t in tasks}
     for t in tasks:
         for dep in t.depends:
             if dep not in by_key or dep >= t.key:
                 raise ValueError(f"task {t.key} depends on {dep}, which is not a task with a smaller key")
+            if dep[1] == 0 == t.key[1]:
+                raise ValueError(f"fine task {t.key} depends on fine task {dep}, not on a link of the chain")
     if workers == 1:
         for key in sorted(by_key):
             if (outcome := run_task(by_key[key])) is not None:
                 return outcome
         return None
-    indegree = {key: len(t.depends) for key, t in by_key.items()}
-    dependents: dict = {}
-    ready: tuple = ([], [])  # a heap of ready keys per lane, indexed by the phase key[1]
-    for key, t in by_key.items():
-        if not t.depends:
-            heapq.heappush(ready[key[1]], key)
-        for dep in t.depends:
-            dependents.setdefault(dep, []).append(key)
-    room = [workers, 1]  # tasks each lane may still start
-    stop_at: Optional[int] = None
-    failure: Optional[tuple] = None  # (task key, exception)
-    in_flight: dict = {}  # future -> task key
+    links = sorted(key for key in by_key if key[1] == 1)
+    released: dict = {}  # link key, or None for the start -> the fine keys it releases, in key order
+    for key in sorted(by_key):
+        if key[1] == 0:
+            released.setdefault(max(by_key[key].depends, default=None), []).append(key)
+    fine: dict = {}  # fine key -> future, written only by the chain once it runs
+
+    def release(link) -> None:
+        for key in released.get(link, ()):
+            fine[key] = fine_pool.submit(run_task, by_key[key])
+
+    def chain() -> tuple:
+        """Run the links up to the one the run stops at; return its key and its outcome or exception."""
+        for key in links:
+            if any(fine[dep].exception() is not None for dep in by_key[key].depends if dep[1] == 0):
+                return key, None
+            try:
+                outcome = run_task(by_key[key])
+            except BaseException as exc:  # re-raised on the calling thread
+                return key, exc
+            if outcome is not None:
+                return key, outcome
+            release(key)
+        return None, None
+
     with ThreadPoolExecutor(workers) as fine_pool, ThreadPoolExecutor(1) as chain_pool:
-        pools = (fine_pool, chain_pool)
-        while stop_at is None:
-            for lane in (1, 0):  # the chain first, since it holds up both lanes
-                heap = ready[lane]
-                while heap and room[lane] and (failure is None or heap[0] < failure[0]):
-                    key = heapq.heappop(heap)
-                    in_flight[pools[lane].submit(run_task, by_key[key])] = key
-                    room[lane] -= 1
-            if not in_flight:
-                break
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                key, exc = in_flight.pop(future), future.exception()
-                room[key[1]] += 1
-                if exc is not None:
-                    if failure is None or key < failure[0]:
-                        failure = (key, exc)
-                    continue
-                if (outcome := future.result()) is not None:
-                    stop_at = outcome
-                for dep_key in dependents.get(key, ()):
-                    indegree[dep_key] -= 1
-                    if indegree[dep_key] == 0:
-                        heapq.heappush(ready[dep_key[1]], dep_key)
-    if stop_at is None and failure is not None:
-        raise failure[1]
-    return stop_at
+        release(None)
+        try:
+            stop, outcome = chain_pool.submit(chain).result()
+        except BaseException:
+            # an interrupt: cancel every queued fine task; the chain stops at the first link
+            # that waits for a cancelled task or releases one into the shut pool
+            fine_pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        for key, future in fine.items():
+            if stop is not None and key > stop:
+                future.cancel()
+        for key in sorted(fine):
+            if (stop is None or key < stop) and (exc := fine[key].exception()) is not None:
+                raise exc
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
 
 
 def run_parareal(

@@ -8,18 +8,19 @@ counts again; a failing fine propagator may take its windows in blocks.
 Each graph example runs the executor on a random task graph whose stub
 tasks fail, lag or report convergence at random, and checks that one
 worker runs the serial order's tasks in its order, that 2 and 4 workers
-return or raise what one worker and the serial order do, and that no
-thread outlives the call. Each Jacobian example
-checks a problem's analytic ``jacobian`` against forward differences of
-its ``rhs`` at a random admissible state and time, and each time
-example checks a problem's ``linear`` flag against its ``rhs`` at two
-random times. Each window example advances over a window a hair off
-a whole number of steps and checks that it takes exactly that many
-steps of the nominal size and lands on the requested end. Each split
-example counts the steps of one window and step drawn from the whole
-float range: the count fits the window or the split raises
-``ValueError``. Each block example advances random windows of a linear
-problem with one ``advance_many`` call and checks it against
+return or raise what one worker and the serial order do, run each task
+at most once, every task the serial order ran and otherwise only tasks
+that sort after its stop, and that no thread outlives the call. Each
+Jacobian example checks a problem's analytic ``jacobian`` against
+forward differences of its ``rhs`` at a random admissible state and
+time, and each time example checks a problem's ``linear`` flag against
+its ``rhs`` at two random times. Each window example advances over a
+window a hair off a whole number of steps and checks that it takes
+exactly that many steps of the nominal size and lands on the requested
+end. Each split example counts the steps of one window and step drawn
+from the whole float range: the count fits the window or the split
+raises ``ValueError``. Each block example advances random windows of a
+linear problem with one ``advance_many`` call and checks it against
 ``advance`` on each window, bit for bit and counter for counter. Each
 Newton example steps random windows of a linear problem, some of them
 zero or large enough that a step needs more than Newton's first
@@ -204,8 +205,12 @@ def test_execute_outcome_and_threads_do_not_depend_on_workers(data):
     ran.clear()
     assert outcome(1) == expected
     assert ran == serial_order  # one worker runs exactly the serial order's tasks, in its order
-    assert outcome(2) == expected
-    assert outcome(4) == expected
+    for workers in (2, 4):
+        ran.clear()
+        assert outcome(workers) == expected
+        assert len(ran) == len(set(ran))  # no task runs twice
+        assert set(serial_order) <= set(ran)  # every task the serial order ran
+        assert all(key > serial_order[-1] for key in set(ran) - set(serial_order))  # the rest sort after its stop
 
 
 KINDS = ["dahlquist", "heat1d", "advection1d-periodic", "advection1d", "ale_piston"]

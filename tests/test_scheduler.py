@@ -1,3 +1,4 @@
+import signal
 import sys
 import threading
 import time
@@ -352,6 +353,25 @@ class TestInterrupt:
         assert threading.active_count() == threads_before
         assert fine.widths and threading.get_ident() not in {ident for ident, _ in fine.threads}
 
+    def test_interrupted_calling_thread_cancels_the_queued_fine_tasks(self):
+        # the last link of the init sweep interrupts the calling thread, as Ctrl-C
+        # would, while all six iteration-1 fine tasks are queued on two fine threads
+        caller, threads_before = threading.get_ident(), threading.active_count()
+        ran = []
+
+        def run_task(task):
+            ran.append(task.key)
+            if task.key == (0, 1, 5):
+                signal.pthread_kill(caller, signal.SIGINT)
+            if task.kind == "fine":
+                time.sleep(0.05)
+
+        with pytest.raises(KeyboardInterrupt):
+            _execute(pipelined_schedule(6, 3), run_task, workers=2)
+        assert threading.active_count() == threads_before
+        assert sum(key[1] == 0 for key in ran) <= 2  # only the fine tasks already in flight
+        assert max(ran) < (2, 0, 0)
+
 
 class TestChainLane:
     """At ``workers > 1`` the coarse init sweep and the correctors run on one thread of their own."""
@@ -411,6 +431,16 @@ class TestExecutorDefense:
             _execute([first, orphan], lambda task: ran.append(task.key), workers=workers)
         assert ran == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fine_task_depending_on_a_fine_task_rejected(self, workers):
+        # a fine task is released by the link of the chain it waits for last
+        first = Task("fine", 1, 0, depends=())
+        second = Task("fine", 1, 1, depends=((1, 0, 0),))
+        ran = []
+        with pytest.raises(ValueError, match=r"fine task \(1, 0, 1\) depends on fine task \(1, 0, 0\)"):
+            _execute([first, second], lambda task: ran.append(task.key), workers=workers)
+        assert ran == []
+
 
 class TestFailureLocation:
     def test_failure_named_as_with_one_worker(self):
@@ -461,3 +491,21 @@ class TestFailureLocation:
         one, two = run(1), run(2)
         assert one.iterations_run == two.iterations_run == 1
         assert [v.tobytes() for v in two.iterate_values[-1]] == [v.tobytes() for v in one.iterate_values[-1]]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_fine_failure_before_a_failing_link_is_raised(self, workers):
+        # corrector (1, 1, 0) fails at once, while fine (1, 0, 3), whose key is
+        # smaller, fails only 50 ms later: the fine failure is the one raised
+        class Failure(Exception):
+            pass
+
+        def run_task(task):
+            if task.key == (1, 1, 0):
+                raise Failure(task.key)
+            if task.key == (1, 0, 3):
+                time.sleep(0.05)
+                raise Failure(task.key)
+
+        with pytest.raises(Failure) as info:
+            _execute(pipelined_schedule(6, 2), run_task, workers)
+        assert info.value.args == ((1, 0, 3),)
