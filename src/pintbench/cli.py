@@ -505,10 +505,11 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "newton": {
             "abs_tol": TOL,
             "max_iters": MAX_ITERS,
-            # the integrator differentiates each problem's rhs analytically; a
-            # linear problem's step reuses one frozen inverse of I - k*theta*J
+            # the integrator differentiates each problem's rhs analytically, and
+            # every step iterates with one inverse of I - k*theta*J, formed once
+            # per run for a linear problem and at each step's start otherwise
             "jacobian": "analytic",
-            "frozen": cfg.problem.linear,
+            "frozen": "run" if cfg.problem.linear else "step",
         },
         "config": config,
         # the [<kind>] section that rebuilds the run's problem

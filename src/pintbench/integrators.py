@@ -4,20 +4,23 @@ The integrator solves, per step of size ``k``,
 
     y_n - y_{n-1} - k * [theta * f(y_n, t_n) + (1 - theta) * f(y_{n-1}, t_{n-1})] = 0
 
-with a damped Newton iteration on the iteration matrix
-``I - k * theta * J``, where ``J`` is the problem's analytic Jacobian.
-For a nonlinear problem that matrix is formed afresh at every Newton
-iterate. A linear problem's rhs is ``A y + b`` (``problem.linear``), so
-``J = A`` is constant and the step uses a frozen inverse of the matrix
-(simplified Newton, exact here): one read-only operator per (problem,
+with a damped Newton iteration whose every direction is a product with
+one inverse of the iteration matrix ``I - k * theta * J``, where ``J``
+is the problem's analytic Jacobian (simplified Newton). A linear
+problem's rhs is ``A y + b`` (``problem.linear``), so ``J = A`` is
+constant and the inverse is exact: one read-only operator per (problem,
 step size, theta), kept in one bounded module-level cache that every
-propagator shares. Every step evaluates the residual and confirms
-convergence, and every failure is reported as a ``TimeStepError``
-naming the step's ``(t_n, k)``. ``theta = 1/2`` is the
-Crank-Nicolson scheme (second order), ``theta = 1`` backward Euler
-(first order), and the shifted variant ``theta = 1/2 + theta0 * k``
-trades a step-size proportional amount of damping for retained
-second-order accuracy.
+propagator shares. A nonlinear problem's step forms its own inverse
+once, from ``J`` at the step's start values and end time, and keeps it
+for every Newton iterate and line-search trial of that step. The matrix
+is frozen per step, not per window, so a window is its steps chained
+one at a time. Every step evaluates the residual and confirms
+convergence, and every failure, a singular iteration matrix too, is
+reported as a ``TimeStepError`` naming the step's ``(t_n, k)``.
+``theta = 1/2`` is the Crank-Nicolson scheme (second order),
+``theta = 1`` backward Euler (first order), and the shifted variant
+``theta = 1/2 + theta0 * k`` trades a step-size proportional amount of
+damping for retained second-order accuracy.
 
 Newton returns the last iterate it evaluated the residual at, so a step
 ends holding ``f(y_n, t_n)``, and that vector is the next step's
@@ -124,6 +127,14 @@ class ThetaSettings:
         return min(max(0.5 + self.theta0 * self.step, 0.5), 1.0)
 
 
+def _iteration_inverse(jacobian: np.ndarray, k: float, theta: float) -> np.ndarray:
+    """Inverse of ``I - k*theta*jacobian``; ``NumericBreakdown`` when it is singular."""
+    try:
+        return np.linalg.inv(np.eye(jacobian.shape[0]) - (k * theta) * jacobian)
+    except np.linalg.LinAlgError as exc:
+        raise NumericBreakdown(f"singular iteration matrix at k={k!r}") from exc
+
+
 @functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
 def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.ndarray:
     """Read-only inverse of the iteration matrix ``I - k*theta*J`` of a linear problem.
@@ -132,11 +143,7 @@ def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.nda
     serves every propagator, so propagators on the same problem and step
     size share one operator instead of each holding a copy.
     """
-    a = problem.affine[0]
-    try:
-        inverse = np.linalg.inv(np.eye(a.shape[0]) - (k * theta) * a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericBreakdown(f"singular iteration matrix at k={k!r}") from exc
+    inverse = _iteration_inverse(problem.affine[0], k, theta)
     inverse.setflags(write=False)
     return inverse
 
@@ -196,8 +203,10 @@ class ThetaPropagator:
     holds and stamps the result ``t_end``; the rounding slack between the
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. For a linear problem every
-    step uses ``operator``, the shared frozen inverse of ``I - k*theta*J``
-    (None for a nonlinear problem), and its windows step in ``_linear``.
+    step uses ``operator``, the shared frozen inverse of ``I - k*theta*J``,
+    and its windows step in ``_linear``. A nonlinear problem has no
+    ``operator`` (None): each of its steps forms the inverse at its own
+    start in ``_step``.
     ``advance`` and ``advance_many`` are the only paths to a step, so one
     step is ``advance(state, state.time + step)``. The steps of a window
     run on raw arrays and carry the rhs from one step to the next, so the
@@ -212,7 +221,7 @@ class ThetaPropagator:
         self.step = settings.step
         # not part of the Propagator contract: only perfbench/spans.py's proxy
         # copies it, here and as SleepPropagator's sleep, and it goes with
-        # that proxy (ROADMAP item 3)
+        # that proxy (ROADMAP item 4)
         self.cost_hint = 0.0
         self.theta = settings.theta
         self.operator = frozen_inverse(problem, self.step, self.theta) if problem.linear else None
@@ -331,10 +340,12 @@ class ThetaPropagator:
         """One implicit step on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).
 
         ``f0`` is ``f(y0, t0)`` when the caller holds it (the previous step's
-        returned rhs), else None and evaluated here. A linear problem's
-        Newton direction is a product with ``operator``; a nonlinear
-        problem forms ``I - k*theta*J`` afresh from its analytic Jacobian
-        at every Newton iterate.
+        returned rhs), else None and evaluated here. Every Newton direction
+        is a product with one inverse of ``I - k*theta*J``: ``operator`` for
+        a linear problem, and for a nonlinear one the inverse formed here,
+        once, from the analytic Jacobian at ``(y0, t0 + k)``, the point of
+        Newton's first residual. A singular matrix is a ``TimeStepError``
+        like any other failure of the step.
         """
         problem, k, theta = self.problem, self.step, self.theta
         t1 = t0 + k
@@ -359,9 +370,6 @@ class ThetaPropagator:
             except _problems.MeshDegenerate:
                 return np.full_like(y, np.inf)
 
-        def iteration_matrix(y):
-            return np.eye(y.size) - k_impl * problem.jacobian(y, t1)
-
         try:
             if f0 is None:
                 f0 = _problems.rhs_values(problem, y0, t0)
@@ -369,9 +377,10 @@ class ThetaPropagator:
             if problem.linear:
                 # f(y0, t1) is f(y0, t0): an affine rhs does not depend on time
                 y_last, f_last = y0, f0
-                y1, iters = newton_solve(residual, y0, jacobian_inverse=self.operator)
+                inverse = self.operator
             else:
-                y1, iters = newton_solve(residual, y0, jacobian=iteration_matrix)
+                inverse = _iteration_inverse(problem.jacobian(y0, t1), k, theta)
+            y1, iters = newton_solve(residual, y0, jacobian_inverse=inverse)
             return y1, rhs1(y1), iters
         except (_problems.MeshDegenerate, NumericBreakdown, MaxItersExceeded) as exc:
             raise TimeStepError(f"implicit step failed at t_n={t1!r}, k={k!r}: {exc}") from exc

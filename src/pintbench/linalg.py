@@ -1,11 +1,12 @@
 """Dense nonlinear solve.
 
-A damped Newton iteration. The caller supplies the linearization as an
-analytic Jacobian callable, evaluated afresh at every iterate, or as a
-fixed inverse, which turns each direction into a matrix-vector product
-(simplified Newton with a frozen Jacobian). Everything here operates on
-plain 1-d float64 numpy arrays and is free of shared mutable state, so
-all functions are safe to call concurrently.
+A damped Newton iteration. The caller supplies the linearization as a
+fixed inverse of the Jacobian, so each direction is one matrix-vector
+product (simplified Newton with a frozen Jacobian: exact for an affine
+residual, and for a nonlinear one the inverse at the caller's chosen
+point). Everything here operates on plain 1-d float64 numpy arrays and
+is free of shared mutable state, so all functions are safe to call
+concurrently.
 
 Finiteness comes from the dot products behind the norms: ``v @ v`` is a
 sum of squares, so it is finite exactly when every entry is finite and
@@ -18,7 +19,7 @@ NaN or Inf entry.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -53,19 +54,15 @@ def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     x0,
     *,
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    jacobian_inverse: Optional[np.ndarray] = None,
+    jacobian_inverse: np.ndarray,
 ):
     """Solve ``residual(x) = 0`` by damped Newton iteration.
 
-    Exactly one linearization is given. The direction is
-    ``-jacobian_inverse @ r`` for a fixed inverse, else the solution of
-    ``J dx = -r`` with ``J`` from the ``jacobian`` callable. The residual
-    test, the line search and the breakdown checks are the same on both
-    paths. The iteration stops once the residual's Euclidean norm is at
-    most ``TOL``. Each step is halved until the residual norm decreases
-    or the damping factor reaches ``DAMPING_MIN``, at which point the
-    damped step is taken anyway.
+    The direction at every iterate is ``-jacobian_inverse @ r``. The
+    iteration stops once the residual's Euclidean norm is at most
+    ``TOL``. Each step is halved until the residual norm decreases or
+    the damping factor reaches ``DAMPING_MIN``, at which point the damped
+    step is taken anyway.
 
     Parameters
     ----------
@@ -75,11 +72,10 @@ def newton_solve(
         Starting guess; the residual must be finite here. It is never
         written, and it is not copied: a float64 vector whose residual
         already meets the tolerance is returned as the object itself.
-    jacobian : callable, optional
-        Maps x to the dense Jacobian matrix at x.
-    jacobian_inverse : ndarray, optional
-        A fixed inverse of the Jacobian, used at every iterate; exact for
-        an affine residual, a frozen approximation otherwise.
+    jacobian_inverse : ndarray
+        A fixed inverse of the Jacobian, used for the direction at every
+        iterate; exact for an affine residual, a frozen approximation
+        otherwise.
 
     Returns
     -------
@@ -91,15 +87,11 @@ def newton_solve(
 
     Raises
     ------
-    TypeError
-        Neither or both of ``jacobian`` and ``jacobian_inverse`` given.
     MaxItersExceeded
         No convergence within ``MAX_ITERS`` steps.
     NumericBreakdown
-        NaN/Inf encountered or the linearization is singular.
+        A NaN or Inf in the start, a residual or a direction.
     """
-    if (jacobian is None) == (jacobian_inverse is None):
-        raise TypeError("newton_solve takes exactly one of jacobian and jacobian_inverse")
     x = as_vector(x0, "x0")
     r = np.asarray(residual(x), dtype=np.float64)
     rr = r @ r
@@ -112,16 +104,7 @@ def newton_solve(
     for it in range(MAX_ITERS):
         if rnorm <= TOL:
             return x, it
-        if jacobian_inverse is not None:
-            dx = -(jacobian_inverse @ r)
-        else:
-            jac = np.asarray(jacobian(x), dtype=np.float64)
-            if not np.all(np.isfinite(jac)):
-                raise NumericBreakdown("Jacobian contains NaN or Inf entries")
-            try:
-                dx = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError as exc:
-                raise NumericBreakdown("singular linearization in Newton step") from exc
+        dx = -(jacobian_inverse @ r)
         if not math.isfinite(dx @ dx) and not np.all(np.isfinite(dx)):
             raise NumericBreakdown("non-finite Newton direction")
 

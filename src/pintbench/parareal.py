@@ -340,7 +340,8 @@ def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optiona
     that have started finish, and their outcomes are dropped), awaits the
     fine tasks that sort before it in key order and raises the first
     failure, and otherwise raises the link's exception or returns its
-    outcome. The failure raised is thus the one with the smallest key, the one the serial order meets first, and a failure beside
+    outcome. The failure raised is thus the one with the smallest key,
+    the one the serial order meets first, and a failure beside
     convergence is dropped, since it comes from a later iteration, as
     long as the link that converges depends, directly or through other
     tasks, on every task of its iteration and the ones before, as the

@@ -4,8 +4,8 @@ Everything in here is deliberately written in the most straightforward
 way possible (plain loops, numpy only) and does not reuse any engine
 internals beyond the propagator ``advance`` contract, except that
 :func:`newton_theta_window` solves each step with ``linalg.newton_solve``
-and the shared ``frozen_inverse``: it is the arithmetic a linear step
-must reproduce bit for bit.
+and, for a linear problem, the shared ``frozen_inverse``: it is the
+arithmetic a step must reproduce bit for bit.
 """
 
 import heapq
@@ -14,6 +14,7 @@ import numpy as np
 
 from pintbench.integrators import frozen_inverse
 from pintbench.linalg import MaxItersExceeded, NumericBreakdown, newton_solve
+from pintbench.problems import MeshDegenerate
 
 
 def textbook_parareal(coarse, fine, s0, t_grid, iterations, variant="classic"):
@@ -88,30 +89,40 @@ def fd_jacobian(f, x):
 
 
 def newton_theta_window(problem, k, theta, values, t, n):
-    """``n`` theta steps of a linear problem from ``values`` at time ``t``, one ``newton_solve`` call each.
+    """``n`` theta steps of ``problem`` from ``values`` at time ``t``, one ``newton_solve`` call each.
 
-    Step ``j`` solves ``y - base - k*theta*f(y) = 0`` with ``base = y0 +
-    k*(1-theta)*f(y0)`` from the frozen inverse of ``I - k*theta*A``.
-    Returns ``(values, Newton iterations, failure)``: ``failure`` is None,
-    or ``(j, text)`` for the first step that fails, ``text`` naming its end
-    time, the step size and Newton's error, with ``values`` and the
-    iterations of the steps before it.
+    Step ``j`` solves ``y - base - k*theta*f(y, t1) = 0`` with ``base = y0 +
+    k*(1-theta)*f(y0, t0)`` from one inverse of ``I - k*theta*J``: the
+    frozen inverse of ``I - k*theta*A`` for a linear problem, and for a
+    nonlinear one ``np.linalg.inv`` of the matrix at ``(y0, t1)``, formed
+    here per step. A trial iterate that collapses the piston's mesh has an
+    infinite residual. Returns ``(values, Newton iterations, failure)``:
+    ``failure`` is None, or ``(j, text)`` for the first step that fails,
+    ``text`` naming its end time, the step size and the error, with
+    ``values`` and the iterations of the steps before it.
     """
-    inverse = frozen_inverse(problem, k, theta)
-    f = problem.rhs(values, t)
+    inverse = frozen_inverse(problem, k, theta) if problem.linear else None
     iterations = 0
     for j in range(n):
         t1 = t + k
-        base = values + (k * (1.0 - theta)) * f
-
-        def residual(y, base=base, t1=t1):
-            return y - base - (k * theta) * problem.rhs(y, t1)
-
         try:
+            f = problem.rhs(values, t)
+            base = values + (k * (1.0 - theta)) * f
+
+            def residual(y, base=base, t1=t1):
+                try:
+                    return y - base - (k * theta) * problem.rhs(y, t1)
+                except MeshDegenerate:
+                    return np.full_like(y, np.inf)
+
+            if not problem.linear:
+                try:
+                    inverse = np.linalg.inv(np.eye(values.size) - (k * theta) * problem.jacobian(values, t1))
+                except np.linalg.LinAlgError:
+                    return values, iterations, (j, f"t_n={t1!r}, k={k!r}: singular iteration matrix at k={k!r}")
             values, it = newton_solve(residual, values, jacobian_inverse=inverse)
-        except (NumericBreakdown, MaxItersExceeded) as exc:
+        except (MeshDegenerate, NumericBreakdown, MaxItersExceeded) as exc:
             return values, iterations, (j, f"t_n={t1!r}, k={k!r}: {exc}")
-        f = problem.rhs(values, t1)
         iterations += it
         t = t1
     return values, iterations, None

@@ -377,6 +377,8 @@ class TestMainEntryPoint:
         body = f"[experiment]\nproblem = {kind}\n[{kind}]\n{section}"
         rebuilt = load_config(write_config(tmp_path / "rebuilt.ini", body))
         assert rebuilt.problem == cfg.problem
+        # where the step's inverse of I - k*theta*J is formed
+        assert metadata["newton"]["frozen"] == {"heat1d": "run", "advection1d": "run", "ale_piston": "step"}[kind]
 
     def test_percent_in_output_path_is_written(self, tmp_path):
         # no config interpolates, so a % in a value, in the file or an override, is the character itself

@@ -24,7 +24,8 @@ from pintbench.problems import (
     heat1d,
     initial_state,
 )
-from pintbench.linalg import MaxItersExceeded
+from pintbench.linalg import MaxItersExceeded, NumericBreakdown
+from pintbench.parareal import sequential_solve
 from pintbench.state import State
 
 from oracles import newton_theta_window
@@ -95,6 +96,45 @@ class TestThetaStep:
         with pytest.raises(TimeStepError, match=r"t_n=0\.1, k=0\.1: no convergence in 25 iterations") as info:
             make_propagator(problem, ThetaSettings(step=0.1)).advance(initial_state(problem), 0.1)
         assert isinstance(info.value.__cause__, MaxItersExceeded)
+
+    def test_singular_iteration_matrix_raises_located_step_error(self):
+        @dataclass(frozen=True)
+        class Square:
+            """y' = y^2 from y = 10: at k = 0.1, theta = 1/2 the matrix 1 - 0.05 * 2y is 0 at the step's start."""
+
+            kind: ClassVar[str] = "square"
+            linear: ClassVar[bool] = False
+
+            def layout(self):
+                return {"y": (0, 1)}
+
+            def initial_values(self):
+                return np.array([10.0])
+
+            def rhs(self, values, t):
+                return values**2
+
+            def jacobian(self, values, t):
+                return np.array([[2.0 * values[0]]])
+
+        problem = Square()
+        prop = make_propagator(problem, ThetaSettings(step=0.1))
+        with pytest.raises(TimeStepError) as info:
+            prop.advance(initial_state(problem), 0.1)
+        assert str(info.value) == "implicit step failed at t_n=0.1, k=0.1: singular iteration matrix at k=0.1"
+        assert isinstance(info.value.__cause__, NumericBreakdown)
+        assert (prop.newton_iterations, prop.steps_taken) == (0, 0)
+
+    @pytest.mark.parametrize("m_s", [5.0, 1000.0])
+    @pytest.mark.parametrize("coarse_step", [0.2, 0.4])
+    def test_piston_coarse_sweep_completes_at_large_steps(self, m_s, coarse_step):
+        # the shipped piston's coarse sweep (horizon 8, 20 windows), each
+        # step's Newton iterating with the inverse frozen at its start
+        problem = ale_piston(mesh_n=31, m_s=m_s)
+        prop = make_propagator(problem, ThetaSettings(step=coarse_step))
+        states = sequential_solve(prop, initial_state(problem), [0.4 * l for l in range(21)])
+        assert states[-1].time == 8.0 and np.all(np.isfinite(states[-1].values))
+        assert prop.steps_taken == round(8.0 / coarse_step)
 
 
 class TestThetaSettings:
