@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import threading
 import time as _time
 from dataclasses import dataclass
@@ -106,7 +107,8 @@ _OPERATOR_CACHE_SIZE = 64
 class ThetaSettings:
     """Step size and implicitness shift for theta stepping.
 
-    The effective implicitness is ``theta = 1/2 + theta0 * step``, clamped
+    ``step`` and ``theta0`` are real numbers, bools excluded. The
+    effective implicitness is ``theta = 1/2 + theta0 * step``, clamped
     to [1/2, 1]; configurations more than 1e-12 outside it are rejected.
     Each step's Newton solve stops once the residual norm is at most
     ``linalg.TOL``.
@@ -116,6 +118,10 @@ class ThetaSettings:
     theta0: float = 0.0
 
     def __post_init__(self):
+        for name in ("step", "theta0"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.step < math.inf:  # NaN too
             raise ValueError(f"step must be positive and finite, got {self.step!r}")
         theta = 0.5 + self.theta0 * self.step

@@ -20,17 +20,19 @@ chain and fine threads at more, and where a run stops. A window's fine
 propagation for iteration ``i`` starts as soon as the iteration
 ``i-1`` corrector has published that window's left boundary, so
 successive iterations overlap.
-Window 0 starts from the initial state in every iteration, so its fine
-and coarse values are computed once, and ``RunTrace.fine_propagations``
-counts the fine propagations that ran. Every task writes a slot no
-other task touches (a block, below, fills the slots of the fine tasks
-it covers, which then write nothing), so results are bit-identical
-across worker counts.
+After iteration ``i`` the first ``i`` boundaries are final, bit for bit,
+so iteration ``i`` steps only windows ``i-1..L-1`` (:func:`pipelined_schedule`
+says why), and :func:`run_parareal` copies the final boundaries from the
+iterate before once the run ends.
+``RunTrace.fine_propagations`` counts the fine propagations that ran.
+Every task writes a slot no other task touches (a block, below, fills
+the slots of the fine tasks it covers, which then write nothing), so
+results are bit-identical across worker counts.
 
 When the fine propagator has ``advance_many``, the fine tasks group
 the windows themselves. The run has one worker (:func:`worker_threads`),
 and the first fine task of an iteration to run makes one
-``advance_many`` call on every window of that iteration (for a linear
+``advance_many`` call on every window the iteration steps (for a linear
 problem, one block step). Each later fine task finds its slot filled
 and returns. The block returns each window's ``advance`` result bit for
 bit, so batching changes no result. If the block raises, it is not
@@ -123,8 +125,11 @@ class RunTrace:
     run, and the returned states' values are views of its last row, so
     the trace holds no second copy. ``iteration_seconds`` are cumulative
     wall times from the start of the run to the completion of each
-    iteration's corrector sweep. ``workers`` is the run's
-    :func:`worker_threads`, the worker count :func:`_execute` ran with.
+    iteration's corrector sweep. ``fine_propagations`` counts the fine
+    windows stepped: iteration ``i`` steps windows ``i-1..L-1`` only, so
+    ``L + sum(L - i + 1 for i in 2..iterations)`` for a run that
+    completes. ``workers`` is the run's :func:`worker_threads`, the
+    worker count :func:`_execute` ran with.
     """
 
     iterations_run: int = 0
@@ -278,15 +283,25 @@ def pipelined_schedule(intervals: int, iterations: int) -> tuple:
     """Dependency graph of one full run: init sweep, then per iteration
     the fine propagations plus the sequential corrector sweep.
 
-    A fine task of iteration ``i`` waits only for the iteration ``i-1``
-    corrector of its left boundary, so successive iterations overlap; a
-    corrector waits for its predecessor in the sweep, its own fine value,
-    and the previous iteration's coarse prediction it has to subtract.
-    Window 0 starts from the initial state in every iteration, so its
-    fine value is propagated once, in iteration 1: there is no fine task
-    ``(i, 0)`` for ``i >= 2``, and every corrector of window 0 reads
-    iteration 1's. The graph is built once per shape and shared, so it
-    is a tuple of frozen tasks.
+    Iteration ``i`` has a fine task and a corrector for each window
+    ``l >= i - 1`` only. A fine task of iteration ``i`` waits only for
+    the iteration ``i-1`` corrector of its left boundary, so successive
+    iterations overlap; a corrector waits for its own fine value, the
+    previous iteration's coarse prediction it has to subtract and, but
+    for the iteration's first (``l == i - 1``), its predecessor in the
+    sweep. The first corrector starts from boundary ``i-1``, which is
+    final, so it reuses the coarse value iteration ``i-1`` computed
+    there. Iterations beyond ``intervals`` add no task.
+
+    Dropping the windows below ``i-1`` is exact. Every iterate starts at
+    the initial state, and by induction on ``i >= 2``: if iterates
+    ``i-1`` and ``i-2`` agree on boundaries ``0..i-2``, every
+    input of fine task ``(i, l <= i-2)`` and of corrector ``(i, l <=
+    i-2)``, ``theta_weight``'s included, equals the input of the same
+    task in iteration ``i-1``, so iterates ``i`` and ``i-1`` agree on
+    ``0..i-1``, and each dropped task would repeat an earlier one bit
+    for bit. The graph is built once per shape and shared, so it is a
+    tuple of frozen tasks.
     """
     if intervals < 1:
         raise ValueError("need at least one interval")
@@ -297,14 +312,12 @@ def pipelined_schedule(intervals: int, iterations: int) -> tuple:
         deps = ((0, 1, l - 1),) if l > 0 else ()
         tasks.append(Task("coarse_init", 0, l, deps))
     for i in range(1, iterations + 1):
-        for l in range(0 if i == 1 else 1, intervals):
+        for l in range(i - 1, intervals):
             deps = ((i - 1, 1, l - 1),) if l > 0 else ()
             tasks.append(Task("fine", i, l, deps))
-        for l in range(intervals):
-            deps = [(i if l > 0 else 1, 0, l), (i - 1, 1, l)]
-            if l > 0:
-                deps.append((i, 1, l - 1))
-            tasks.append(Task("correct", i, l, tuple(deps)))
+        for l in range(i - 1, intervals):
+            sweep = ((i, 1, l - 1),) if l >= i else ()  # the first corrector has no predecessor
+            tasks.append(Task("correct", i, l, ((i, 0, l), (i - 1, 1, l)) + sweep))
     return tuple(tasks)
 
 
@@ -471,21 +484,20 @@ def run_parareal(
             if task.kind == "fine":
                 if fine_vals[i][l + 1] is not None:
                     return None  # stepped by this iteration's block
-                if advance_many is not None and l == (0 if i == 1 else 1):
-                    # the iteration's first fine task (window 0 steps in iteration 1 only); the
-                    # run has one worker, so the serial order has published every start
+                if advance_many is not None and l == i - 1:
+                    # the iteration's first fine task; the run has one worker, so the
+                    # serial order has published every start
                     try:
-                        fine_vals[i][l + 1:] = advance_many(X[i - 1][l:L], t_grid[l + 1:])
+                        fine_vals[i][i:] = advance_many(X[i - 1][i - 1:L], t_grid[i:])
                         return None
                     except Exception:
                         pass  # not retried: each window steps alone, so the first failing one is named
                 fine_vals[i][l + 1] = F.advance(X[i - 1][l], t_grid[l + 1])
                 return None
-            if l == 0:
-                # X[i][0] is s0 in every row: C(s0) is the init sweep's, F(s0) iteration 1's
-                coarse_new, fine_old = coarse_vals[0][1], fine_vals[1][1]
-            else:
-                coarse_new, fine_old = C.advance(X[i][l], t_grid[l + 1]), fine_vals[i][l + 1]
+            # the first corrector starts from the final boundary i-1, whose coarse value
+            # iteration i-1 holds; X[i][i-1] itself is filled in after the run
+            coarse_new = coarse_vals[i - 1][i] if l == i - 1 else C.advance(X[i][l], t_grid[l + 1])
+            fine_old = fine_vals[i][l + 1]
             th = theta_weight(fine_old, coarse_new, cfg.variant)
             new = parareal_update(coarse_new, fine_old, coarse_vals[i - 1][l + 1], th)
             X[i][l + 1] = new
@@ -508,6 +520,10 @@ def run_parareal(
     stop_at = _execute(pipelined_schedule(L, max_iters), run_task, workers)
 
     iters_run = stop_at if stop_at is not None else max_iters
+    for i in range(1, iters_run + 1):
+        # the final boundaries iteration i did not recompute; the unrun correctors' norms stay 0.0
+        X[i][1:i] = X[i - 1][1:i]
+        theta_rows[i][:i - 1] = theta_rows[i - 1][:i - 1]
     trace = RunTrace()
     trace.iterations_run = iters_run
     trace.converged = stop_at is not None

@@ -11,8 +11,10 @@ The dense product costs ``Theta(n^2)`` where a stencil costs
 ``Theta(n)``. At the mesh sizes used here (n <= 64) it is the cheaper
 of the two; near n = 1000 it costs as much as the frozen-inverse
 product of every Newton iteration, so a linear step there costs up to
-twice what a stencil rhs would. Every float parameter must be finite;
-NaN or infinity is rejected with ``ValueError`` at construction.
+twice what a stencil rhs would. Every float parameter must be finite
+and every count (``mesh_n``, a sine ``mode``) an integer other than a
+bool; anything else is rejected with ``ValueError`` naming the field at
+construction.
 ``PROBLEMS`` maps each class's ``kind`` to the class:
 
 * ``dahlquist``    scalar linear test equation y' = lambda * y
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
@@ -57,6 +60,13 @@ def _require_finite(obj) -> None:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
+def _require_integer(obj, name: str) -> None:
+    """Reject a bool or non-integral count field of a dataclass instance."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # --------------------------------------------------------------------------
 # initial-data descriptors
 
@@ -66,6 +76,7 @@ class SineMode:
     mode: int = 1
 
     def __post_init__(self):
+        _require_integer(self, "mode")
         if self.mode < 1:
             raise ValueError("mode number must be at least 1")
 
@@ -162,6 +173,7 @@ class _Mesh1D:
     mesh_n: int = 63
 
     def __post_init__(self):
+        _require_integer(self, "mesh_n")
         _require_finite(self)
         if self.mesh_n < 3:
             raise ValueError("PDE problems need mesh_n >= 3")

@@ -151,6 +151,18 @@ class TestThetaSettings:
             with pytest.raises(ValueError, match="step must be positive and finite"):
                 ThetaSettings(step=step)
 
+    @pytest.mark.parametrize("name,value", [
+        ("step", True), ("step", "0.1"), ("step", 0.1j), ("theta0", False), ("theta0", "0"), ("theta0", None),
+    ])
+    def test_non_real_setting_rejected(self, name, value):
+        kwargs = {"step": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            ThetaSettings(**kwargs)
+
+    def test_numpy_reals_accepted(self):
+        assert ThetaSettings(step=np.float64(0.1), theta0=np.float32(5.0)).theta == pytest.approx(1.0)
+        assert ThetaSettings(step=np.int64(1)).theta == 0.5
+
 
 # both propagators over the same problem: the window rule is shared
 BOTH_PROPAGATORS = pytest.mark.parametrize("prop", [

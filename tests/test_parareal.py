@@ -405,7 +405,7 @@ class TestRunParareal:
         cfg = PararealConfig(intervals=4, max_iters=3, tol=1e-30)
         _, trace = run_parareal(C, F, s0, T, cfg)
         assert trace.iterations_run == 3
-        assert trace.fine_propagations == 4 + 2 * 3  # window 0 once
+        assert trace.fine_propagations == 4 + 3 + 2  # iteration i steps windows i-1..3
         assert trace.theta_values.tolist() == [[1.0] * 4] * 3
         assert len(trace.iteration_seconds) == 3
         assert trace.iteration_seconds == sorted(trace.iteration_seconds)

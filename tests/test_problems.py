@@ -73,6 +73,20 @@ class TestSpecsAndInitialStates:
         with pytest.raises(ValueError):
             heat1d(mesh_n=2)
 
+    @pytest.mark.parametrize("cls,name,value", [
+        *[(cls, "mesh_n", value) for cls in (heat1d, advection1d, ale_piston) for value in (15.0, 15.5, True, "15")],
+        *[(SineMode, "mode", value) for value in (1.0, 1.5, True, "1")],
+    ], ids=lambda x: x.__name__ if isinstance(x, type) else repr(x))
+    def test_non_integer_count_rejected(self, cls, name, value):
+        # a float count used to fail far from the field, inside numpy, or build a
+        # sine profile that misses the wall
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            cls(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert heat1d(mesh_n=np.int64(7), init=SineMode(np.int32(2))).initial_values().shape == (7,)
+        assert ale_piston(mesh_n=np.int64(7)).layout() == {"v": (0, 7), "u": (7, 1), "w": (8, 1)}
+
     def test_parameter_positivity(self):
         with pytest.raises(ValueError):
             heat1d(nu=0.0)

@@ -2,7 +2,9 @@
 
 Each executor example runs the same Parareal problem at one worker and
 at ``k`` workers, checks the exactness frontier (boundary ``l`` after
-``i >= l`` iterations is the sequential fine state), then injects a
+``i >= l`` iterations is the sequential fine state), that iterate ``i``
+repeats boundaries ``0..i-1`` of iterate ``i-1`` byte for byte and that
+iteration ``i`` steps fine windows ``i-1..L-1`` only, then injects a
 failure into the fine or the coarse propagator and runs both worker
 counts again; a failing fine propagator may take its windows in blocks.
 Each graph example runs the executor on a random task graph whose stub
@@ -133,6 +135,11 @@ def test_worker_count_changes_nothing_and_failures_stay_located(data):
     for i, row in enumerate(one.iterate_values):
         for l in range(i + 1):
             assert np.linalg.norm(row[l] - seq[l].values) <= 1e-12 * np.linalg.norm(seq[l].values)
+    # boundaries 0..i-1 are final after iteration i, so iteration i steps windows i-1..L-1 only
+    rows = _bytes(one)
+    for i in range(1, len(rows)):
+        assert rows[i][:i] == rows[i - 1][:i]
+    assert one.fine_propagations == L + sum(L - i + 1 for i in range(2, one.iterations_run + 1))
 
     # task key (iteration, phase, interval) -> the boundary state it advances:
     # fine task (i, l) starts from iterate i-1, the coarse sweep (i = 0) and

@@ -23,12 +23,19 @@ from oracles import simulate_makespan
 
 class TestSchedulePlan:
     def test_task_counts(self):
-        # window 0's fine value is propagated once, in iteration 1
+        # iteration i has a fine task and a corrector for windows i-1..L-1 only
         tasks = pipelined_schedule(5, 3)
-        assert len(tasks) == 5 + (5 + 2 * 4) + 5 * 3
+        assert len(tasks) == 5 + 2 * (5 + 4 + 3)
         assert sum(1 for t in tasks if t.kind == "coarse_init") == 5
-        assert sum(1 for t in tasks if t.kind == "fine") == 13
-        assert sum(1 for t in tasks if t.kind == "correct") == 15
+        assert sum(1 for t in tasks if t.kind == "fine") == 12
+        assert sum(1 for t in tasks if t.kind == "correct") == 12
+        tasks = pipelined_schedule(20, 4)
+        assert sum(1 for t in tasks if t.kind == "fine") == sum(1 for t in tasks if t.kind == "correct") == 74
+
+    def test_no_task_beyond_intervals_iterations(self):
+        # after L iterations every boundary is final
+        for L in range(1, 7):
+            assert pipelined_schedule(L, L + 2) == pipelined_schedule(L, L)
 
     def test_keys_unique_and_deps_resolvable(self):
         # every shape the executor property test draws
@@ -50,9 +57,12 @@ class TestSchedulePlan:
         assert fine.kind == "fine"
         assert fine.depends == ((1, 1, 2),)
         assert tasks[(1, 0, 0)].depends == ()
-        # window 0 starts from s0 in every iteration: its later correctors read iteration 1's fine value
-        assert (2, 0, 0) not in tasks
-        assert tasks[(2, 1, 0)].depends == ((1, 0, 0), (1, 1, 0))
+        # boundary 1 is final after iteration 1: iteration 2 starts at window 1, whose
+        # corrector has no predecessor in the sweep
+        assert (2, 0, 0) not in tasks and (2, 1, 0) not in tasks
+        assert tasks[(2, 0, 1)].depends == ((1, 1, 0),)
+        assert tasks[(2, 1, 1)].depends == ((2, 0, 1), (1, 1, 1))
+        assert tasks[(2, 1, 2)].depends == ((2, 0, 2), (1, 1, 2), (2, 1, 1))
 
     def test_last_corrector_depends_on_every_task_up_to_its_iteration(self):
         # _execute stops starting tasks once this corrector converges, which is the
@@ -60,7 +70,7 @@ class TestSchedulePlan:
         for L in range(1, 7):
             for iterations in range(5):
                 tasks = {t.key: t for t in pipelined_schedule(L, iterations)}
-                for i in range(1, iterations + 1):
+                for i in range(1, min(iterations, L) + 1):  # no corrector beyond L
                     last = (i, 1, L - 1)
                     ancestors, stack = set(), list(tasks[last].depends)
                     while stack:
@@ -126,12 +136,12 @@ class TestSchedulerEquivalence:
         cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30, workers=1)
         run_parareal(_RecordingPropagator(0.5, "C", log), _RecordingPropagator(0.1, "F", log), s0, 2.0, cfg)
         # the serial order is ascending key order; coarse_init and correct
-        # tasks advance C over their window, fine tasks F, except that the
-        # correctors of window 0 reuse C(s0) from the init sweep
+        # tasks advance C over their window, fine tasks F, except that each
+        # iteration's first corrector reuses the previous iteration's C value
         grid = [0.5 * l for l in range(5)]
         expected = [("F" if t.kind == "fine" else "C", grid[t.interval], grid[t.interval + 1])
                     for t in sorted(pipelined_schedule(4, 2), key=lambda t: t.key)
-                    if not (t.kind == "correct" and t.interval == 0)]
+                    if not (t.kind == "correct" and t.interval == t.iteration - 1)]
         assert log == expected
 
     def test_single_worker_runs_key_order_whatever_the_task_order(self):
@@ -151,7 +161,25 @@ class TestSchedulerEquivalence:
             cfg = PararealConfig(intervals=4, max_iters=3, tol=1e-30, workers=workers)
             _, trace = run_parareal(C, F, s0, 2.0, cfg)
             counts[workers] = trace.fine_propagations
-        assert counts[1] == counts[4] == 4 + 2 * 3  # window 0 once
+        assert counts[1] == counts[4] == 4 + 3 + 2  # iteration i steps windows i-1..3
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_propagator_advances_a_start_twice(self, workers):
+        # coarse and fine decay at different rates, so every boundary that is not
+        # yet final differs from its value in the iterate before; a task that
+        # stepped a final boundary again would repeat an earlier start
+        starts = []
+
+        class Starts(_RecordingPropagator):
+            def advance(self, state, t_end):
+                starts.append((self.label, state.time, state.values.tobytes()))
+                return super().advance(state, t_end)
+
+        s0 = State(np.array([1.0]), 0.0, {"y": (0, 1)})
+        cfg = PararealConfig(intervals=5, max_iters=5, tol=1e-30, workers=workers)
+        _, trace = run_parareal(Starts(0.5, "C", []), Starts(0.1, "F", []), s0, 2.5, cfg)
+        assert trace.iterations_run == 5
+        assert len(starts) == len(set(starts)) == 5 + 15 + 10  # coarse_init, fine and C-advancing correctors
 
     def test_single_worker_runs_on_calling_thread(self):
         seen = []
@@ -265,8 +293,8 @@ class TestCoalescing:
     def test_one_worker_steps_each_iteration_as_one_block(self):
         fine = self._fine()
         _, trace = self._run(fine, workers=1)
-        assert fine.widths == [self.L, self.L - 1, self.L - 1]  # window 0 once
-        assert trace.fine_propagations == 3 * self.L - 2
+        assert fine.widths == [self.L, self.L - 1, self.L - 2]  # iteration i steps windows i-1..L-1
+        assert trace.fine_propagations == 3 * self.L - 3
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_blocks_change_nothing_across_worker_counts(self, workers):
@@ -278,10 +306,10 @@ class TestCoalescing:
         caller, threads_before = threading.get_ident(), threading.active_count()
         _, trace = self._run(many, workers=workers)
         assert [row.tobytes() for row in trace.iterate_values] == expected
-        assert many.widths == [self.L, self.L - 1, self.L - 1]
+        assert many.widths == [self.L, self.L - 1, self.L - 2]
         assert set(many.threads) == {(caller, threads_before)}
         assert trace.workers == 1
-        assert plain.widths == [1] * (3 * self.L - 2)  # no advance_many, no block
+        assert plain.widths == [1] * (3 * self.L - 3)  # no advance_many, no block
 
     def test_windows_under_frequent_thread_switches(self):
         # 8 workers switching every microsecond on numeric windows: each window
@@ -301,8 +329,8 @@ class TestCoalescing:
         _, trace = result["run"]
         assert [row.tobytes() for row in trace.iterate_values] == expected
         assert fine.widths == [1] * trace.fine_propagations
-        assert trace.fine_propagations == 3 * self.L - 2
-        assert fine.inner.steps_taken == (3 * self.L - 2) * 10
+        assert trace.fine_propagations == 3 * self.L - 3
+        assert fine.inner.steps_taken == (3 * self.L - 3) * 10
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_failing_column_named_as_without_blocks(self, workers):
