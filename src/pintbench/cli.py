@@ -28,7 +28,6 @@ import configparser
 import dataclasses
 import errno
 import json
-import math
 import os
 import re
 import sys
@@ -41,6 +40,7 @@ from . import __version__
 from .integrators import ThetaPropagator, ThetaSettings, TimeStepError, _split_window, make_propagator
 from .linalg import MAX_ITERS, TOL, MaxItersExceeded, NumericBreakdown
 from .parareal import (
+    VARIANTS,
     PararealConfig,
     PararealError,
     boundary_error,
@@ -56,9 +56,9 @@ from .problems import (
     Problem,
     SineMode,
     Zero,
-    _require_finite,
     initial_state,
 )
+from .state import _require_fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,7 +89,10 @@ class ResultRow:
     """One results row: the fields, in order, are the CSV columns and the JSON keys.
 
     A summary row carries all four timing fields, every other row none.
-    Every float field that is set must be finite, and every number in
+    ``problem`` is a problem kind and ``variant`` a Parareal variant or
+    ``DISCRETIZATION_VARIANT``, so both write to CSV unquoted. Every number
+    field that is set follows the number rule of ``state._require_fields``
+    (a count is an integer and a float finite, bools excluded) and lies in
     range: a discretization row has ``K = 0`` and ``iter = 0``.
     """
 
@@ -107,8 +110,9 @@ class ResultRow:
     speedup_theory: Optional[float] = None
 
     def __post_init__(self):
-        _require_finite(self)
-        in_range = {"K": self.K >= 0.0, "k": self.k > 0.0, "iter": self.iter >= 0, "rel_err": self.rel_err >= 0.0,
+        _require_fields(self)
+        in_range = {"problem": self.problem in PROBLEMS, "variant": self.variant in (*VARIANTS, DISCRETIZATION_VARIANT),
+                    "K": self.K >= 0.0, "k": self.k > 0.0, "iter": self.iter >= 0, "rel_err": self.rel_err >= 0.0,
                     "boundary": self.boundary is None or self.boundary >= 1,
                     "theta": self.theta is None or 0.0 <= self.theta <= 1.0}
         for name, ok in in_range.items():
@@ -149,12 +153,13 @@ class ExperimentConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        # the steps, theta0 and tol are checked by the library objects built below
-        if not 0.0 < self.horizon < math.inf:  # NaN too
-            raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if not self.coarse_steps or not self.variants:
-            raise ConfigError("need at least one coarse step and one variant")
+        # the steps, theta0 and tol are checked in range by the library objects built below
         try:
+            _require_fields(self)
+            if self.horizon <= 0.0:
+                raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+            if not self.coarse_steps or not self.variants:
+                raise ValueError("need at least one coarse step and one variant")
             for variant in self.variants:
                 self.parareal(variant)
             # every step a run takes, the refined reference's too

@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import threading
 import time as _time
 from dataclasses import dataclass
@@ -84,7 +83,7 @@ import numpy as np
 
 from . import problems as _problems
 from .linalg import TOL, MaxItersExceeded, NumericBreakdown, newton_solve
-from .state import State
+from .state import State, _require_fields
 
 
 class NonDivisibleWindow(ValueError):
@@ -107,9 +106,11 @@ _OPERATOR_CACHE_SIZE = 64
 class ThetaSettings:
     """Step size and implicitness shift for theta stepping.
 
-    ``step`` and ``theta0`` are real numbers, bools excluded. The
-    effective implicitness is ``theta = 1/2 + theta0 * step``, clamped
-    to [1/2, 1]; configurations more than 1e-12 outside it are rejected.
+    ``step`` and ``theta0`` follow the number rule of
+    ``state._require_fields``: finite real numbers, bools excluded, and
+    ``step`` is positive. The effective implicitness is
+    ``theta = 1/2 + theta0 * step``, clamped to [1/2, 1]; configurations
+    more than 1e-12 outside it are rejected.
     Each step's Newton solve stops once the residual norm is at most
     ``linalg.TOL``.
     """
@@ -118,12 +119,9 @@ class ThetaSettings:
     theta0: float = 0.0
 
     def __post_init__(self):
-        for name in ("step", "theta0"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 < self.step < math.inf:  # NaN too
-            raise ValueError(f"step must be positive and finite, got {self.step!r}")
+        _require_fields(self)
+        if self.step <= 0.0:
+            raise ValueError(f"step must be positive, got {self.step!r}")
         theta = 0.5 + self.theta0 * self.step
         if not 0.5 - 1e-12 <= theta <= 1.0 + 1e-12:
             raise ValueError(f"effective theta {theta} at step {self.step!r} outside [1/2, 1]; adjust theta0")
@@ -397,6 +395,7 @@ def make_propagator(problem: _problems.Problem, settings: ThetaSettings) -> Thet
     return ThetaPropagator(problem, settings)
 
 
+@dataclass(frozen=True)
 class SleepPropagator:
     """Synthetic propagator with a fixed wall-clock cost per internal step.
 
@@ -405,28 +404,35 @@ class SleepPropagator:
     ``y <- y / (1 + decay_rate * step)``, so coarse and fine instances
     disagree enough to keep the corrector active while the numerical work
     stays negligible next to the sleeps. Like ``ThetaPropagator``, a window
-    takes ``n`` steps of exactly ``step`` and is stamped ``t_end``.
+    takes ``n`` steps of exactly ``step`` and is stamped ``t_end``. The
+    three fields follow the number rule of ``state._require_fields``:
+    finite real numbers, bools excluded, with ``step`` positive,
+    ``cost_per_step`` non-negative and ``1 + decay_rate * step`` positive.
     """
 
-    def __init__(self, step: float, cost_per_step: float, decay_rate: float = 1.0):
-        # written so that NaN fails both checks
-        if not 0.0 < step < math.inf:
-            raise ValueError("step must be positive and finite")
-        if not 0.0 <= cost_per_step < math.inf:
-            raise ValueError("cost_per_step must be finite and non-negative")
+    step: float
+    cost_per_step: float
+    decay_rate: float = 1.0
+
+    def __post_init__(self):
+        _require_fields(self)
+        if self.step <= 0.0:
+            raise ValueError(f"step must be positive, got {self.step!r}")
+        if self.cost_per_step < 0.0:
+            raise ValueError(f"cost_per_step must be non-negative, got {self.cost_per_step!r}")
         # the decay factor 1 / (1 + decay_rate * step) must exist and stay positive
-        if not (math.isfinite(decay_rate) and 1.0 + decay_rate * step > 0.0):
-            raise ValueError("decay_rate must be finite with 1 + decay_rate * step > 0")
-        self.step = step
-        self.cost_hint = cost_per_step
-        self.decay_rate = decay_rate
+        if 1.0 + self.decay_rate * self.step <= 0.0:
+            raise ValueError(f"decay_rate must give 1 + decay_rate * step > 0, got {self.decay_rate!r}")
+
+    # read-only: perfbench/spans.py's proxy copies it, as ThetaPropagator's
+    cost_hint = property(lambda self: self.cost_per_step)
 
     def advance(self, state: State, t_end: float) -> State:
         n = _window_steps(state, t_end, self.step)
         if n == 0:
             return state
-        if self.cost_hint > 0.0:
-            _time.sleep(n * self.cost_hint)
+        if self.cost_per_step > 0.0:
+            _time.sleep(n * self.cost_per_step)
         factor = (1.0 + self.decay_rate * self.step) ** (-n)
         return state.with_values(state.values * factor, time=t_end)
 

@@ -46,7 +46,6 @@ propagators without ``advance_many``, such as ``SleepPropagator``.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -56,7 +55,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .integrators import Propagator, _split_window
-from .state import State
+from .state import State, _require_fields
 
 VARIANTS = ("classic", "least_squares", "angle_penalized")
 SCHEDULERS = ("pipelined",)
@@ -77,8 +76,9 @@ class PararealConfig:
 
     ``scheduler`` names the executor backend; ``"pipelined"`` is the only
     one. ``intervals``, ``max_iters`` and ``workers`` are integers and
-    ``tol`` a real number, bools excluded, and ``workers`` is at most
-    ``MAX_WORKERS``.
+    ``tol`` a finite real number, bools excluded, by the number rule of
+    ``state._require_fields``; ``tol`` is positive, and ``workers`` is at
+    most ``MAX_WORKERS``.
     :func:`worker_threads` says how many workers a run takes, and
     :func:`_execute` what its threads run.
     """
@@ -91,19 +91,13 @@ class PararealConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("intervals", "max_iters", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_fields(self)
         if self.intervals < 2:
             raise ValueError("need at least 2 intervals")
         if not 1 <= self.max_iters <= self.intervals:
             raise ValueError("max_iters must lie in [1, intervals]; further iterations cannot improve")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise ValueError(f"tol must be a real number, got {self.tol!r}")
-        # NaN would never stop a run, and inf would stop every run after iteration 1
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
+        if self.tol <= 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.scheduler not in SCHEDULERS:

@@ -11,10 +11,11 @@ The dense product costs ``Theta(n^2)`` where a stencil costs
 ``Theta(n)``. At the mesh sizes used here (n <= 64) it is the cheaper
 of the two; near n = 1000 it costs as much as the frozen-inverse
 product of every Newton iteration, so a linear step there costs up to
-twice what a stencil rhs would. Every float parameter must be finite
-and every count (``mesh_n``, a sine ``mode``) an integer other than a
-bool; anything else is rejected with ``ValueError`` naming the field at
-construction.
+twice what a stencil rhs would. Every parameter follows the number
+rule of ``state._require_fields``: a float parameter is a finite real
+number and a count (``mesh_n``, a sine ``mode``) an integer, neither a
+bool, and ``periodic`` is ``True`` or ``False``; anything else is
+rejected with ``ValueError`` naming the field at construction.
 ``PROBLEMS`` maps each class's ``kind`` to the class:
 
 * ``dahlquist``    scalar linear test equation y' = lambda * y
@@ -39,32 +40,16 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .state import Layout, State
+from .state import Layout, State, _require_fields
 
 
 class MeshDegenerate(RuntimeError):
     """Interface displacement large enough to collapse the fluid interval."""
-
-
-def _require_finite(obj) -> None:
-    """Reject a NaN or infinite float field of a dataclass instance."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
-
-
-def _require_integer(obj, name: str) -> None:
-    """Reject a bool or non-integral count field of a dataclass instance."""
-    value = getattr(obj, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -76,7 +61,7 @@ class SineMode:
     mode: int = 1
 
     def __post_init__(self):
-        _require_integer(self, "mode")
+        _require_fields(self)
         if self.mode < 1:
             raise ValueError("mode number must be at least 1")
 
@@ -97,7 +82,7 @@ class GaussianBump:
     width: float = 0.1
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_fields(self)
         if self.width <= 0.0:
             raise ValueError("bump width must be positive")
 
@@ -154,7 +139,7 @@ class Dahlquist(_Affine):
     y0: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_fields(self)
 
     def layout(self) -> Layout:
         return {"y": (0, 1)}
@@ -173,8 +158,7 @@ class _Mesh1D:
     mesh_n: int = 63
 
     def __post_init__(self):
-        _require_integer(self, "mesh_n")
-        _require_finite(self)
+        _require_fields(self)
         if self.mesh_n < 3:
             raise ValueError("PDE problems need mesh_n >= 3")
 

@@ -5,8 +5,10 @@ The benchmark imports, patches and reads library names (``make_propagator``,
 fields, the call-time lookups of ``rhs_values``, ``newton_solve``,
 ``theta_weight`` and ``parareal_update``); these tests run the same paths,
 so a library change that breaks one of them fails here, not only when the
-benchmark runs. The untraced sample is the gated path: its fine propagator
-has ``advance_many``, so its fine windows step in blocks, which the traced
+benchmark runs. Every workload is built here, ``sched_sleep``'s positional
+``SleepPropagator`` call included, but only ``heat_linear`` runs a sample.
+The untraced sample is the gated path: its fine propagator has
+``advance_many``, so its fine windows step in blocks, which the traced
 path's proxy never does.
 """
 
@@ -23,7 +25,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402
 import workloads  # noqa: E402
-from spans import Tracer, patched  # noqa: E402
+from spans import TracedPropagator, Tracer, patched  # noqa: E402
 
 import pintbench  # noqa: E402
 from pintbench import parareal as api  # noqa: E402
@@ -43,6 +45,17 @@ def test_untraced_heat_linear_sample_is_correct_and_deterministic():
     q, t_par = run.check_sample(inst, sample, _floor(inst, sample), None)  # raises CheckFailed unless correct
     assert 1 <= q <= sample["trace"].iterations_run and t_par > 0.0
     run.check_determinism(api, inst, sample["trace"].iterate_values, q)  # raises CheckFailed on any difference
+
+
+def test_every_workload_builds():
+    # builds only: a sched_sleep sample sleeps for seconds
+    for name, (build, _params) in workloads.WORKLOADS.items():
+        inst = build(1)
+        assert inst.fine().step < inst.coarse().step, name
+        assert (inst.pcfg.scheduler, inst.pcfg.workers, inst.pcfg.intervals) == ("pipelined", 2, workloads.INTERVALS)
+        assert inst.s0.time == 0.0 and len(inst.t_grid) == workloads.INTERVALS + 1
+    fine = TracedPropagator(workloads.sched_sleep(1).fine(), "fine", Tracer(run_id="contract"))
+    assert (fine.step, fine.cost_hint, fine.inner.decay_rate) == (0.001, 1e-3, 1.0)
 
 
 def test_traced_heat_linear_sample_is_correct_and_reports_every_layer_metric():

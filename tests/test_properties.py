@@ -28,9 +28,16 @@ Newton example steps random windows of a problem, some of them zero or
 large enough that a step needs more than Newton's first iteration (or,
 for the piston, collapses its mesh), and checks ``advance`` and
 ``advance_many`` against one ``newton_solve`` call per step with the
-step's frozen inverse: the same bits, counters and step errors.
+step's frozen inverse: the same bits, counters and step errors. Each
+results example builds a ``ResultRow`` from drawn numbers (floats as
+Python floats, counts as Python ints), writes it as CSV and as JSON and
+checks that ``load_rows`` reads back an equal row; one of its fields
+may be passed as a NumPy scalar, an int, a bool, text, NaN or a
+fraction, or its name with a comma, a space or in capitals, and a row
+that ``ResultRow`` rejects is not written.
 """
 
+import math
 import threading
 import time
 
@@ -41,8 +48,9 @@ pytest.importorskip("hypothesis")
 from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from pintbench.cli import DISCRETIZATION_VARIANT, ResultRow, emit_csv, emit_json, load_rows  # noqa: E402
 from pintbench.integrators import (  # noqa: E402
     SleepPropagator,
     ThetaSettings,
@@ -424,3 +432,51 @@ def test_linear_steps_equal_newton_solve_with_the_frozen_inverse(kind, data):
     outs = block.advance_many(states, ends)
     assert [out.values.tobytes() for out in outs] == [values.tobytes() for values, _, _ in expected]
     assert (block.newton_iterations, block.steps_taken) == (sum(e[1] for e in expected), width * n)
+
+
+def _reals(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _respellings(value) -> list:
+    """Values a caller might pass in place of ``value``, some of them not of its kind or not CSV-safe text."""
+    if isinstance(value, str):
+        return [f"{value},x", f" {value}", value.upper(), "", 1]
+    out = [True, "1", 1.5, math.nan, math.inf, 2**53 + 1, 10**400]
+    if isinstance(value, int):
+        out += [np.int64(value) if abs(value) < 2**63 else value, float(value)]
+    elif value is not None:
+        out += [np.float64(value), int(value), *([np.float32(value)] if abs(value) < 1e38 else [])]
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_accepted_result_row_reads_back_equal(tmp_path, data):
+    positive = _reals(min_value=0.0, exclude_min=True)
+    summary = data.draw(st.booleans(), label="summary")
+    values = dict(
+        problem=data.draw(st.sampled_from(sorted(PROBLEMS)), label="problem"),
+        K=data.draw(_reals(min_value=0.0), label="K"),
+        k=data.draw(positive, label="k"),
+        variant=data.draw(st.sampled_from((*VARIANTS, DISCRETIZATION_VARIANT)), label="variant"),
+        iter=data.draw(st.integers(min_value=0), label="iter"),
+        boundary=data.draw(st.none() | st.integers(min_value=1), label="boundary"),
+        rel_err=data.draw(_reals(min_value=0.0), label="rel_err"),
+        theta=data.draw(st.none() | _reals(min_value=0.0, max_value=1.0), label="theta"),
+        **{name: data.draw(positive, label=name) if summary else None
+           for name in ("t_seq_s", "t_par_s", "speedup_meas", "speedup_theory")},
+    )
+    if data.draw(st.booleans(), label="respelled"):
+        name = data.draw(st.sampled_from(sorted(values)), label="field")
+        values[name] = data.draw(st.sampled_from(_respellings(values[name])), label="respelling")
+        try:
+            row = ResultRow(**values)
+        except ValueError:
+            return  # rejected, so never written
+    else:
+        row = ResultRow(**values)
+    for path, emit in ((tmp_path / "rows.csv", emit_csv), (tmp_path / "rows.json", emit_json)):
+        emit([row], str(path))
+        assert load_rows(str(path)) == [row]
