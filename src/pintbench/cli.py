@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
-from .integrators import ThetaPropagator, ThetaSettings, TimeStepError, _split_window, make_propagator
-from .linalg import MAX_ITERS, TOL, MaxItersExceeded, NumericBreakdown
+from .integrators import ThetaSettings, TimeStepError, _split_window, make_propagator
+from .linalg import MAX_ITERS, TOL, NumericBreakdown
 from .parareal import (
     VARIANTS,
     PararealConfig,
@@ -47,12 +47,10 @@ from .parareal import (
     run_parareal,
     sequential_solve,
     theoretical_speedup,
-    worker_threads,
 )
 from .problems import (
     PROBLEMS,
     GaussianBump,
-    MeshDegenerate,
     Problem,
     SineMode,
     Zero,
@@ -77,7 +75,10 @@ MAX_STEPS = 10**6
 # rows carrying the dashed reference line use this sentinel variant
 DISCRETIZATION_VARIANT = "discretization"
 
-_NUMERIC_FAILURES = (NumericBreakdown, MaxItersExceeded, TimeStepError, PararealError, MeshDegenerate)
+# what a run raises on numerical failure: a step wraps a Newton or mesh failure in TimeStepError, the
+# engine wraps a propagator's in PararealError, and make_propagator raises NumericBreakdown for an
+# operator whose iteration matrix is singular
+_NUMERIC_FAILURES = (NumericBreakdown, TimeStepError, PararealError)
 
 
 class ConfigError(ValueError):
@@ -146,7 +147,6 @@ class ExperimentConfig:
     coarse_steps: tuple[float, ...] = (0.05,)
     fine_step: float = 0.005
     variants: tuple[str, ...] = ("classic",)
-    workers: int = 1
     output: str = "results.csv"
     theta0: float = 0.0
     max_iters: int = 0
@@ -182,7 +182,6 @@ class ExperimentConfig:
             max_iters=self.max_iters or min(8, self.intervals),
             tol=self.tol,
             variant=variant,
-            workers=self.workers,
         )
 
     def theta_settings(self, step: float) -> ThetaSettings:
@@ -373,7 +372,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
                     f"[pint-bench]   {trace.iterations_run} iterations, "
                     f"coarse Newton {coarse.newton_iterations}, fine Newton {fine_run.newton_iterations}, "
                     f"t_par(to iter {qualifying}) {t_par:.3f} s, "
-                    f"{trace.workers} thread(s) of {cfg.workers} workers"
+                    f"{trace.workers} thread(s)"
                 )
     return rows
 
@@ -495,17 +494,13 @@ def _config_text(value) -> str:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    parareal = cfg.parareal(cfg.variants[0])
-    # the experiment fields, less the run-local ones, with the problem by kind and max_iters as run
-    config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name not in ("workers", "output")}
+    # the experiment fields, less the output path, with the problem by kind and max_iters as run
+    config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "output"}
     config.update(problem=cfg.problem.kind, coarse_steps=list(cfg.coarse_steps), variants=list(cfg.variants),
-                  max_iters=parareal.max_iters)
+                  max_iters=cfg.parareal(cfg.variants[0]).max_iters)
     return {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "workers": parareal.workers,
-        # every run's fine propagator is a ThetaPropagator (make_propagator)
-        "workers_run": worker_threads(ThetaPropagator, parareal.workers),
         "reference_refinement": REFERENCE_REFINEMENT,
         "newton": {
             "abs_tol": TOL,

@@ -55,8 +55,9 @@ Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
 propagator and an expensive fine one over the same windows. A fine
 propagator may also have ``advance_many(states, t_ends)``, and the
-engine then hands it each iteration's windows as one call
-(``parareal.worker_threads`` says on which thread and why). The engine
+engine then hands it each iteration's windows as one call, on the
+calling thread alone, since under the interpreter lock a second thread
+would only compete with the call. The engine
 relies on its contract: the call returns one state per window, each
 exactly what ``advance`` returns for that window, and it may raise as a
 whole, in which case the engine steps each window through ``advance``
@@ -159,11 +160,12 @@ class Propagator(Protocol):
     takes the window's whole number of steps from ``state`` and returns
     the state stamped ``t_end``. A fine propagator may also have the
     optional ``advance_many(states, t_ends) -> list``, which the engine
-    calls on an iteration's windows at once (see
-    ``parareal.worker_threads``). It returns, for every window, exactly
-    the state ``advance`` returns for it, and it may raise for the call
-    as a whole: the engine then does not retry it and steps each window
-    through ``advance``, so the first failing window is named.
+    calls on an iteration's windows at once, on the run's one thread
+    (``parareal.PararealConfig`` says why). It returns, for every window,
+    exactly the state ``advance`` returns for it, and it may raise for
+    the call as a whole: the engine then does not retry it and steps
+    each window through ``advance``, so the first failing window is
+    named.
     """
 
     step: float

@@ -30,12 +30,13 @@ the slots of the fine tasks it covers, which then write nothing), so
 results are bit-identical across worker counts.
 
 When the fine propagator has ``advance_many``, the fine tasks group
-the windows themselves. The run has one worker (:func:`worker_threads`),
-and the first fine task of an iteration to run makes one
-``advance_many`` call on every window the iteration steps (for a linear
-problem, one block step). Each later fine task finds its slot filled
-and returns. The block returns each window's ``advance`` result bit for
-bit, so batching changes no result. If the block raises, it is not
+the windows themselves. The run then has one worker, whatever
+``PararealConfig.workers`` says (its docstring says why), and the first
+fine task of an iteration to run makes one ``advance_many`` call on
+every window the iteration steps (for a linear problem, one block
+step). Each later fine task finds its slot filled and returns. The
+block returns each window's ``advance`` result bit for bit, so
+batching changes no result. If the block raises, it is not
 retried: each fine task steps its own window, and the first failing
 window is named as without the block. The serial order of the one
 worker also guarantees that the previous iteration has published every
@@ -50,6 +51,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,8 +81,12 @@ class PararealConfig:
     ``tol`` a finite real number, bools excluded, by the number rule of
     ``state._require_fields``; ``tol`` is positive, and ``workers`` is at
     most ``MAX_WORKERS``.
-    :func:`worker_threads` says how many workers a run takes, and
-    :func:`_execute` what its threads run.
+    ``workers`` acts only on a fine propagator without ``advance_many``,
+    such as ``SleepPropagator``, whose sleeps release the interpreter
+    lock. With ``advance_many`` each iteration's fine sweep is one block,
+    and under the lock a second thread adds no compute to the block; it
+    only competes with it, so :func:`run_parareal` runs on the calling
+    thread alone. :func:`_execute` says what the threads of each count run.
     """
 
     intervals: int
@@ -122,8 +128,10 @@ class RunTrace:
     iteration's corrector sweep. ``fine_propagations`` counts the fine
     windows stepped: iteration ``i`` steps windows ``i-1..L-1`` only, so
     ``L + sum(L - i + 1 for i in 2..iterations)`` for a run that
-    completes. ``workers`` is the run's :func:`worker_threads`, the
-    worker count :func:`_execute` ran with.
+    completes. ``workers`` is the worker count :func:`_execute` ran with:
+    1 when the fine propagator has ``advance_many``, since under the
+    interpreter lock a second thread only competes with the block, and
+    ``PararealConfig.workers`` otherwise.
     """
 
     iterations_run: int = 0
@@ -139,29 +147,18 @@ class RunTrace:
     workers: int = 1
 
 
-def worker_threads(F: Propagator, workers: int) -> int:
-    """Worker count of :func:`run_parareal` with fine propagator ``F``.
-
-    One, the calling thread running every task, when ``F`` has
-    ``advance_many``, whatever ``workers`` says: each iteration's fine
-    sweep is then one block, and on an interpreter with a global lock a
-    second thread adds no compute to the block; it only competes with it
-    for the lock. ``workers`` otherwise, for fine propagators such as
-    ``SleepPropagator``, whose sleeps release the lock. :func:`_execute`
-    says what the threads of each count run.
-    """
-    return 1 if hasattr(F, "advance_many") else workers
-
-
 def theoretical_speedup(r: float, iters: int, intervals: int) -> float:
     """Best-case speedup ``1 / (r + (K/N) * (1 + r))`` of the pipelined run.
 
     ``r`` is the fine/coarse step-size ratio, ``iters`` the iteration
     count ``K`` and ``intervals`` the number ``N`` of windows (one worker
-    each).
+    each); both counts are integers, bools excluded.
     """
     if not 0.0 < r < math.inf:  # NaN too
         raise ValueError("step ratio r must be positive and finite")
+    for name, count in (("iters", iters), ("intervals", intervals)):
+        if isinstance(count, bool) or not isinstance(count, Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if not 0 < iters <= intervals:
         raise ValueError("iteration count must lie in (0, intervals]")
     return 1.0 / (r + (iters / intervals) * (1.0 + r))
@@ -510,7 +507,7 @@ def run_parareal(
         except Exception as exc:
             raise PararealError(f"{task.kind} failed at iteration {i}, interval {l}: {exc}") from exc
 
-    workers = worker_threads(F, cfg.workers)
+    workers = 1 if advance_many is not None else cfg.workers
     stop_at = _execute(pipelined_schedule(L, max_iters), run_task, workers)
 
     iters_run = stop_at if stop_at is not None else max_iters

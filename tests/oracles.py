@@ -53,6 +53,21 @@ def textbook_parareal(coarse, fine, s0, t_grid, iterations, variant="classic"):
     return [[X[i][l].values.copy() for l in range(L + 1)] for i in range(iterations + 1)]
 
 
+class PerWindow:
+    """A fine propagator's ``step`` and ``advance`` alone, without ``advance_many``.
+
+    The engine runs such a propagator's windows one by one, on as many
+    worker threads as the config names.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.step = inner.step
+
+    def advance(self, state, t_end):
+        return self.inner.advance(state, t_end)
+
+
 def _oracle_weight(fine_state, coarse_state, variant):
     weights = []
     for name, (off, length) in fine_state.layout.items():

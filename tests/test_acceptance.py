@@ -6,13 +6,11 @@ the independent straightforward implementations in ``oracles.py`` before
 being frozen here.
 """
 
-import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from pintbench.cli import ExperimentConfig, run_experiment
 from pintbench.integrators import SleepPropagator, ThetaSettings, convergence_order, make_propagator
 from pintbench.parareal import (
     PararealConfig,
@@ -32,7 +30,7 @@ from pintbench.problems import (
 )
 from pintbench.state import State
 
-from oracles import textbook_parareal
+from oracles import PerWindow, textbook_parareal
 
 
 def report(number, name, ok, seconds, budget):
@@ -83,12 +81,17 @@ def test_criterion_1_exactness_all_problems():
         F = make_propagator(problem, ThetaSettings(step=k))
         seq = sequential_solve(F, s0, t_grid)
         for variant in ("classic", "least_squares", "angle_penalized"):
-            for workers in (1, 4):
+            iterates = []
+            # one worker runs the batching F on the calling thread; four run its windows on four threads
+            for workers, fine in ((1, F), (4, PerWindow(F))):
                 cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, variant=variant, workers=workers)
-                _, trace = run_parareal(C, F, s0, T, cfg, oracle=seq)
+                _, trace = run_parareal(C, fine, s0, T, cfg, oracle=seq)
+                ok = ok and trace.workers == workers
                 for i in range(1, trace.iterations_run + 1):
                     for l in range(1, i + 1):
                         ok = ok and trace.boundary_errors[i - 1][l - 1] <= 1e-12
+                iterates.append(np.stack(trace.iterate_values).tobytes())
+            ok = ok and iterates[0] == iterates[1]
     report(1, "exactness across problems/variants/worker counts", ok, time.perf_counter() - t0, 30.0)
 
 
@@ -208,27 +211,19 @@ def test_criterion_7_piston_sanity():
 
 def test_criterion_8_worker_count_determinism():
     t0 = time.perf_counter()
-    base = ExperimentConfig(
-        problem=heat1d(mesh_n=31),
-        horizon=8.0,
-        intervals=20,
-        coarse_steps=(0.05,),
-        fine_step=0.01,
-        variants=("classic",),
-        workers=2,
-        max_iters=4,
-        tol=1e-30,
-    )
+    problem = heat1d(mesh_n=31)
+    T, L, K, k = 8.0, 20, 0.05, 0.01
+    s0 = initial_state(problem)
+    C = make_propagator(problem, ThetaSettings(step=K))
+    F = make_propagator(problem, ThetaSettings(step=k))
+    # one worker runs the batching F on the calling thread; more run its windows on that many threads
     runs = []
-    for workers in (2, 8):
-        cfg = dataclasses.replace(base, workers=workers)
-        rows = run_experiment(cfg)
-        runs.append([
-            (r.problem, r.K, r.k, r.variant, r.iter, r.boundary, r.rel_err, r.theta, r.speedup_theory)
-            for r in rows
-        ])
-    ok = runs[0] == runs[1]
-    report(8, "bit-identical numerical columns for 2 vs 8 workers", ok, time.perf_counter() - t0, 60.0)
+    for workers, fine in ((1, F), (2, PerWindow(F)), (8, PerWindow(F))):
+        cfg = PararealConfig(intervals=L, max_iters=4, tol=1e-30, workers=workers)
+        _, trace = run_parareal(C, fine, s0, T, cfg)
+        runs.append((trace.workers, np.stack(trace.iterate_values).tobytes(), trace.theta_values.tobytes()))
+    ok = [workers for workers, *_ in runs] == [1, 2, 8] and all(run[1:] == runs[0][1:] for run in runs)
+    report(8, "bit-identical iterates and weights for 1, 2 and 8 workers", ok, time.perf_counter() - t0, 60.0)
 
 
 def test_criterion_9_theta_weight_units():
@@ -262,9 +257,10 @@ def test_criterion_10_oracle_equivalence():
         C = make_propagator(problem, ThetaSettings(step=K))
         F = make_propagator(problem, ThetaSettings(step=k))
         oracle_iterates = textbook_parareal(C, F, s0, t_grid, 3)
-        for workers in (1, 4):
+        for workers, fine in ((1, F), (4, PerWindow(F))):
             cfg = PararealConfig(intervals=L, max_iters=3, tol=1e-30, workers=workers)
-            _, trace = run_parareal(C, F, s0, T, cfg)
+            _, trace = run_parareal(C, fine, s0, T, cfg)
+            ok = ok and trace.workers == workers
             for i in range(len(trace.iterate_values)):
                 for l in range(L + 1):
                     ref = oracle_iterates[i][l]

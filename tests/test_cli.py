@@ -46,7 +46,6 @@ intervals = 4
 coarse_steps = 0.1
 fine_step = 0.01
 variants = classic
-workers = 2
 max_iters = 2
 output = {out}
 """
@@ -64,12 +63,10 @@ class TestConfigParsing:
         assert cfg.problem.kind == "dahlquist"
         assert cfg.intervals == 4
         assert cfg.coarse_steps == (0.1,)
-        assert cfg.workers == 2
 
     def test_overrides_bare_and_dotted(self, tmp_path):
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=tmp_path / "r.csv"))
-        cfg = load_config(path, ["--workers=5", "--dahlquist.lam=-2.5", "--intervals=5"])
-        assert cfg.workers == 5
+        cfg = load_config(path, ["--dahlquist.lam=-2.5", "--intervals=5"])
         assert cfg.intervals == 5
         assert cfg.problem.lam == -2.5
 
@@ -144,7 +141,6 @@ fine_step = 0.01
             "coarse_steps": ("0.1;0.2", (0.1, 0.2)),
             "fine_step": ("0.01", 0.01),
             "variants": ("least_squares, angle_penalized", ("least_squares", "angle_penalized")),
-            "workers": ("3", 3),
             "output": ("out.json", "out.json"),
             "theta0": ("1.0", 1.0),
             "max_iters": ("3", 3),
@@ -354,17 +350,16 @@ class TestMainEntryPoint:
         payload = json.loads(out.read_text())
         assert payload["metadata"]["config"]["problem"] == "dahlquist"
 
-    @pytest.mark.parametrize("workers", [2, 1])
-    def test_json_metadata_records_the_workers_run(self, tmp_path, workers):
+    def test_json_metadata_records_the_config_without_a_worker_count(self, tmp_path):
         out = tmp_path / "res.json"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
-        assert main(["run", path, f"--workers={workers}"]) == EXIT_OK
+        assert main(["run", path]) == EXIT_OK
         metadata = json.loads(out.read_text())["metadata"]
-        assert metadata["workers"] == workers
-        assert metadata["workers_run"] == 1  # the theta fine propagator batches on the calling thread
+        # the engine decides the thread count, so the metadata predicts none
+        assert set(metadata) == {"version", "timestamp", "reference_refinement", "newton", "config", "problem"}
         assert metadata["reference_refinement"] == REFERENCE_REFINEMENT == 4
         # the refinement is no experiment field, so the config records none
-        assert set(metadata["config"]) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"workers", "output"}
+        assert set(metadata["config"]) == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"output"}
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
     def test_json_metadata_problem_section_rebuilds_the_problem(self, tmp_path, path):
@@ -436,9 +431,11 @@ output = {out}
 mesh_n = 15
 """.format(out=out)
         path = write_config(tmp_path / "h.ini", body)
-        # the reference refinement is the constant REFERENCE_REFINEMENT, not a key
+        # the reference refinement is the constant REFERENCE_REFINEMENT, not a key, and the engine,
+        # not the config, decides the thread count
         for override, unknown, valid in (("--heat1d.nuu=5", "nuu", "nu"), ("--horizn=1.0", "horizn", "horizon"),
-                                         ("--reference_fine_factor=4", "reference_fine_factor", "horizon")):
+                                         ("--reference_fine_factor=4", "reference_fine_factor", "horizon"),
+                                         ("--workers=2", "workers", "horizon")):
             assert main(["run", path, override]) == EXIT_CONFIG, override
             assert not out.exists()
             captured = capsys.readouterr()
@@ -489,8 +486,7 @@ mesh_n = 15
         ["--problem=heat1d", "--heat1d.init=zero:7"],
         ["--problem=heat1d", "--heat1d.init=gaussian:0.3:0.2:1"],
         ["--problem=heat1d", "--heat1d.init=cosine:1"],
-        ["--workers", "3"],
-        ["--workers=100000"],  # above MAX_WORKERS, rejected before any thread starts
+        ["--workers=2"],  # no experiment key: every theta run takes one thread
     ])
     def test_bad_value_exits_two_without_output(self, tmp_path, capsys, overrides):
         out = tmp_path / "res.csv"
@@ -508,7 +504,7 @@ mesh_n = 15
         text = capsys.readouterr().out
         sequential = re.search(r"s, (\d+) Newton iterations \([\d.]+ ms each\)", text)
         parareal = re.search(r"2 iterations, coarse Newton (\d+), fine Newton (\d+), t_par\(to iter \d\)", text)
-        assert re.search(r"t_par\(to iter \d\) [\d.]+ s, 1 thread\(s\) of 2 workers", text), text
+        assert re.search(r"t_par\(to iter \d\) [\d.]+ s, 1 thread\(s\)$", text, flags=re.MULTILINE), text
         assert sequential and parareal, text
         assert all(int(n) > 0 for n in sequential.groups() + parareal.groups())
         assert f"wrote 13 rows to {out}" in text
@@ -540,6 +536,16 @@ adv = 5.0
         assert not out.exists()
         assert (tmp_path / "res.csv.partial").exists()
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_singular_operator_exits_three_with_header_only_partial_file(self, tmp_path, capsys):
+        # 1 - k*theta*lam vanishes at k = 0.01, theta = 1/2, so building the fine propagator fails
+        out = tmp_path / "res.csv"
+        path = write_config(tmp_path / "a.ini", EXPERIMENT_INI.format(out=out) + "[dahlquist]\nlam = 200\n")
+        assert main(["run", path]) == EXIT_NUMERIC
+        assert not out.exists()
+        assert (tmp_path / "res.csv.partial").read_text() == CSV_HEADER + "\n"
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "singular iteration matrix at k=0.01" in err
 
     def test_speedup_subcommand(self, tmp_path, capsys):
         rows = [

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import typing
@@ -53,6 +54,21 @@ def test_no_source_line_exceeds_120_characters():
     long = [f"{path.name}:{number}" for path in SOURCES
             for number, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 120]
     assert long == []
+
+
+# the package's __init__ imports to re-export; every other module uses what it imports
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda p: p.stem)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 @pytest.mark.parametrize("obj,name,hint,optional", NUMBER_FIELDS,

@@ -148,6 +148,11 @@ class TestTheoreticalSpeedup:
             theoretical_speedup(0.1, 5, 4)
         with pytest.raises(ValueError):
             theoretical_speedup(0.1, 0, 4)
+        # the counts are integers, bools excluded; NumPy integers pass
+        for args, name in (((0.02, 1.5, 20), "iters"), ((0.02, True, 20), "iters"), ((0.02, 3, 20.5), "intervals")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                theoretical_speedup(*args)
+        assert theoretical_speedup(0.02, np.int64(3), np.int32(20)) == theoretical_speedup(0.02, 3, 20)
 
 
 class TestBoundaryError:

@@ -220,7 +220,7 @@ class TestSchedulerEquivalence:
                 assert va.tobytes() == vb.tobytes()
         assert np.array_equal(serial_trace.theta_values, pipe_trace.theta_values)
 
-    def test_sleep_fine_tasks_run_on_the_worker_threads(self):
+    def test_sleep_fine_tasks_run_on_the_fine_threads(self):
         # sleeps release the interpreter lock, so a fine propagator without
         # advance_many keeps its worker threads
         fine = _Recorder(SleepPropagator(step=0.05, cost_per_step=0.001))
