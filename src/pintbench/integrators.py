@@ -35,21 +35,29 @@ a result may share its values with its input; states are never
 written, so this is safe.
 
 A nonlinear problem's step is ``ThetaPropagator._step``, one
-``newton_solve`` call. A linear problem's windows step in one loop,
-``ThetaPropagator._linear``, on one window's vector (``advance``, and so
-the sequential solve and every coarse window) or on an ``(m, size, 1)``
-stack of windows of equal step count (``advance_many``). On a linear
-problem Newton's first, full step solves the step up to rounding, so
-the loop takes that step inline, with ``newton_solve``'s arithmetic in
-its order, and keeps it when the residual falls from above the
-tolerance to at most it, which is where ``newton_solve`` stops. Any
-other step is redone column by column by ``_step``, which keeps the line
-search, the breakdown checks and the ``TimeStepError``. A stacked
-``matmul`` makes the same BLAS call per column that ``A @ y`` makes (a
-plain ``A @ Y.T`` does not: its columns change with the block width),
-so the stack returns, for every window, exactly the array ``advance``
-returns, whichever windows share it. Every other ``advance_many`` call
-is the loop of ``advance`` over its windows.
+``newton_solve`` call. A linear problem's windows step in one of two
+loops of the same arithmetic: ``ThetaPropagator._linear`` on one
+window's vector (``advance``, and so the sequential solve and every
+coarse window) and ``_linear_block`` on an ``(m, size, 1)`` stack of
+windows of equal step count (``advance_many``). On a linear problem
+Newton's first, full step solves the step up to rounding, so the loops
+take that step inline, with ``newton_solve``'s arithmetic in its order,
+and keep it when the residual falls from above the tolerance to at most
+it, which is where ``newton_solve`` stops. Any other step is redone
+column by column by ``_step``, which keeps the line search, the
+breakdown checks and the ``TimeStepError``. The loops make only the
+numpy calls that arithmetic needs: when ``k*(1-theta)`` and
+``k*theta`` are the same float, as at ``theta = 1/2``, the explicit
+term is the implicit term ``k*theta * f`` already held, the same
+product, so it is not formed again; the vector loop keeps one scalar
+clock, and the block allocates its working arrays once per call,
+steps with ``out=`` and replays its columns' clocks only for a step
+that falls back. A stacked ``matmul`` makes the same BLAS call per
+column that ``A @ y`` makes (a plain ``A @ Y.T`` does not: its columns
+change with the block width), so the stack returns, for every window,
+exactly the array ``advance`` returns, whichever windows share it.
+Every other ``advance_many`` call is the loop of ``advance`` over its
+windows.
 
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
@@ -210,9 +218,9 @@ class ThetaPropagator:
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. For a linear problem every
     step uses ``operator``, the shared frozen inverse of ``I - k*theta*J``,
-    and its windows step in ``_linear``. A nonlinear problem has no
-    ``operator`` (None): each of its steps forms the inverse at its own
-    start in ``_step``.
+    and its windows step in ``_linear`` and ``_linear_block``. A
+    nonlinear problem has no ``operator`` (None): each of its steps forms
+    the inverse at its own start in ``_step``.
     ``advance`` and ``advance_many`` are the only paths to a step, so one
     step is ``advance(state, state.time + step)``. The steps of a window
     run on raw arrays and carry the rhs from one step to the next, so the
@@ -241,7 +249,7 @@ class ThetaPropagator:
             return state
         y, t, iters = state.values, state.time, 0
         if self.operator is not None:
-            y, iters = self._linear(y, n, [t])
+            y, iters = self._linear(y, n, t)
         else:
             f = None
             for _ in range(n):
@@ -256,16 +264,16 @@ class ThetaPropagator:
 
         Every window is validated before any of them steps. Two or more
         windows of a linear problem that all take the same nonzero number
-        of steps are stepped as one ``(m, size, 1)`` stack by ``_linear``,
-        and the counters grow by the loop's totals only once every window
-        has succeeded. Any other call is that loop of ``advance``, so a
-        window that fails leaves the windows before it counted.
+        of steps are stepped as one ``(m, size, 1)`` stack by
+        ``_linear_block``, and the counters grow by the loop's totals only
+        once every window has succeeded. Any other call is that loop of
+        ``advance``, so a window that fails leaves the windows before it
+        counted.
         """
         counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
         if self.operator is None or len(states) < 2 or len(set(counts)) > 1 or counts[0] == 0:
             return [self.advance(s, t) for s, t in zip(states, t_ends)]
-        stack = np.stack([s.values for s in states])[:, :, None]
-        block, iters = self._linear(stack, counts[0], [s.time for s in states])
+        block, iters = self._linear_block([s.values for s in states], counts[0], [s.time for s in states])
         self._count(iters, sum(counts))
         return [s.with_values(y, time=t) for s, t, y in zip(states, t_ends, block[:, :, 0])]
 
@@ -274,72 +282,99 @@ class ThetaPropagator:
             self.newton_iterations += iters
             self.steps_taken += steps
 
-    def _linear(self, y: np.ndarray, n: int, starts: Sequence[float]):
-        """``n`` steps of a linear problem from one window's vector ``y`` or an ``(m, size, 1)`` stack.
+    def _linear(self, y: np.ndarray, n: int, t: float):
+        """``n`` steps of a linear problem from one window's vector ``y`` at time ``t``.
 
-        ``starts`` holds each column's start time. A step is Newton's
-        first, full step with the frozen inverse, ``x = y - operator @ r``
-        for the residual ``r`` at the start values, followed by the rhs and
-        the residual at ``x``: ``newton_solve``'s arithmetic in its order.
-        It is taken when every column's residual starts above ``TOL`` and
-        ends at or below it, which is where ``newton_solve`` returns ``x``
-        after one iteration. Any other step (a start that already solves
-        it, no decrease, a residual still above ``TOL``, a non-finite
-        value) is redone column by column by ``_step`` in window order,
-        which also raises its ``TimeStepError``. Only the norm, the rhs and
-        the test differ by shape. A vector's rhs is ``rhs_values`` and its
-        test compares plain floats. A stack's rhs is ``A @ Y + b``: the
-        stacked products ``A @ Y`` and ``R.mT @ R`` make one BLAS call per
-        column, the calls ``A @ y`` and ``r @ r`` make, so each column is
-        the vector's step bit for bit whichever windows share the stack.
-        Returns the final values and the Newton iterations of all columns.
+        A step is Newton's first, full step with the frozen inverse,
+        ``x = y - operator @ r`` for the residual ``r`` at the start values,
+        followed by the rhs and the residual at ``x``: ``newton_solve``'s
+        arithmetic in its order. It is taken when the residual norm starts
+        above ``TOL`` and ends at or below it, which is where
+        ``newton_solve`` returns ``x`` after one iteration. Any other step
+        (a start that already solves it, no decrease, a residual still
+        above ``TOL``, a non-finite value) is redone by ``_step``, which
+        also raises its ``TimeStepError``. The explicit term
+        ``k*(1-theta) * f`` is the implicit one ``k*theta * f`` the loop
+        already holds when the two weights are the same float, as at
+        ``theta = 1/2``, so such a step adds it instead of forming it.
+        The clock is one float, advanced as ``t + k`` once per step.
+        Returns the final values and the Newton iterations.
         """
         problem, inverse, k = self.problem, self.operator, self.step
         k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
-        if y.ndim == 1:
-            def rhs(x, t):
-                return _problems.rhs_values(problem, x, t)
-
-            def norm(r):
-                return math.sqrt(r @ r)
-
-            def passes(before, after):
-                return after <= TOL < before
-        else:
-            a, b = problem.affine
-            b = b[:, None]
-
-            def rhs(x, t):
-                return a @ x + b
-
-            def norm(r):
-                return np.sqrt((r.mT @ r)[:, 0, 0])
-
-            def passes(before, after):
-                return bool(((after <= TOL) & (TOL < before)).all())
-
-        m, clock = len(starts), list(starts)  # clock: each column's time at the start of the step
-        f = rhs(y, clock[0])
+        f = _problems.rhs_values(problem, y, t)
         kf = k_impl * f  # the step's implicit rhs term at its start, the last step's at its end
         iters = 0
         for _ in range(n):
-            ends = [t + k for t in clock]
-            base = y + k_expl * f
+            t_end = t + k
+            base = y + kf if k_expl == k_impl else y + k_expl * f
             r = y - base - kf
-            before = norm(r)
             x = y - inverse @ r  # newton_solve's x + 1.0 * dx, dx = -(inverse @ r)
-            fx = rhs(x, ends[0])
+            fx = _problems.rhs_values(problem, x, t_end)
             kfx = k_impl * fx
-            if passes(before, norm(x - base - kfx)):
+            rx = x - base - kfx
+            if math.sqrt(rx @ rx) <= TOL < math.sqrt(r @ r):
                 y, f, kf = x, fx, kfx
-                iters += m
+                iters += 1
             else:
-                steps = [self._step(y0, f0, t0) for y0, f0, t0 in zip(y.reshape(m, -1), f.reshape(m, -1), clock)]
-                y = np.stack([s[0] for s in steps]).reshape(y.shape)
-                f = np.stack([s[1] for s in steps]).reshape(f.shape)
+                y, f, it = self._step(y, f, t)
                 kf = k_impl * f
-                iters += sum(s[2] for s in steps)
-            clock = ends
+                iters += it
+            t = t_end
+        return y, iters
+
+    def _linear_block(self, values: Sequence[np.ndarray], n: int, starts: Sequence[float]):
+        """``_linear`` on ``m`` windows at once, as one ``(m, size, 1)`` stack.
+
+        ``values`` and ``starts`` hold each window's start values and time.
+        Each column takes ``_linear``'s step, and a step is taken when it
+        passes for every column: ``sqrt(max after²) <= TOL < sqrt(min
+        before²)`` over the columns' squared residual norms, which is the
+        columnwise test, NaN included. Otherwise every column redoes the
+        step by ``_step`` in window order, with its clock replayed as
+        ``t + k`` from its start, so ``_step`` sees the times ``advance``
+        passes. The rhs is ``A @ Y + b``: the stacked products ``A @ Y``
+        and ``R.mT @ R`` make one BLAS call per column, the calls ``A @ y``
+        and ``r @ r`` make, so each column is ``_linear``'s step bit for bit
+        whichever windows share the stack. The working arrays are
+        allocated once per call and a taken step swaps them, so the loop
+        writes only its own arrays. Returns the final stack and the Newton
+        iterations of all columns.
+        """
+        inverse, k = self.operator, self.step
+        k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
+        a, b = self.problem.affine
+        b = b[:, None]
+        y = np.stack(values)[:, :, None]
+        f, kf, x, fx, kfx, base, r = (np.empty_like(y) for _ in range(7))
+        before, after = np.empty((2, len(values), 1, 1))
+        np.add(np.matmul(a, y, out=f), b, out=f)
+        np.multiply(f, k_impl, out=kf)
+        clock, at = list(starts), 0  # each column's time at the start of step `at`
+        iters = 0
+        for j in range(n):
+            if k_expl == k_impl:
+                np.add(y, kf, out=base)
+            else:
+                np.add(y, np.multiply(f, k_expl, out=base), out=base)
+            np.subtract(np.subtract(y, base, out=r), kf, out=r)
+            np.matmul(r.mT, r, out=before)
+            np.subtract(y, np.matmul(inverse, r, out=x), out=x)
+            np.add(np.matmul(a, x, out=fx), b, out=fx)
+            np.multiply(fx, k_impl, out=kfx)
+            np.subtract(np.subtract(x, base, out=r), kfx, out=r)
+            np.matmul(r.mT, r, out=after)
+            if math.sqrt(after.max()) <= TOL < math.sqrt(before.min()):
+                y, f, kf, x, fx, kfx = x, fx, kfx, y, f, kf
+                iters += len(values)
+            else:
+                for _ in range(j - at):
+                    clock = [t + k for t in clock]
+                at = j
+                ys, fs, its = zip(*(self._step(y0, f0, t0) for y0, f0, t0 in zip(y[:, :, 0], f[:, :, 0], clock)))
+                y[:, :, 0], f[:, :, 0] = ys, fs
+                np.multiply(f, k_impl, out=kf)
+                iters += sum(its)
         return y, iters
 
     def _step(self, y0: np.ndarray, f0, t0: float):

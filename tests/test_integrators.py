@@ -433,43 +433,88 @@ class TestAdvanceMany:
         states = [base.with_values(v, time=0.3 * j) for j, v in enumerate(values)]
         return states, [s.time + n * step for s in states]
 
-    def test_uneven_convergence_falls_back_to_the_per_column_step(self):
+    @staticmethod
+    def _spy_step(prop):
+        """Record the start time of every ``_step`` call on ``prop``."""
+        calls = []
+        step = prop._step
+        prop._step = lambda *args: calls.append(args[2]) or step(*args)
+        return calls
+
+    @staticmethod
+    def _clocks(states, first, last, step):
+        """Each window's start time of steps ``first..last-1``, in call order, as ``advance`` accumulates it."""
+        times, expected = [s.time for s in states], []
+        for j in range(last):
+            if j >= first:
+                expected += times
+            times = [t + step for t in times]
+        return expected
+
+    # theta0 0 gives k*(1-theta) == k*theta, the explicit term reused; 0.5 gives theta 0.505
+    THETA0 = pytest.mark.parametrize("theta0", [0.0, 0.5])
+
+    @THETA0
+    def test_uneven_convergence_falls_back_to_the_per_column_step(self, theta0):
         # a zero state solves every step at once while its neighbours need a
         # Newton iteration, so no step passes as one block
         problem = heat1d(mesh_n=15)
         sine = initial_state(problem).values
         values = [sine, np.zeros_like(sine), -0.5 * sine]
         states, ends = self._windows(problem, values, 0.01, 6)
-        block, loop = (make_propagator(problem, ThetaSettings(step=0.01)) for _ in range(2))
-        calls = []
-        step = block._step
-        block._step = lambda *args: calls.append(args[2]) or step(*args)
+        block, loop = (make_propagator(problem, ThetaSettings(step=0.01, theta0=theta0)) for _ in range(2))
+        calls = self._spy_step(block)
 
         outs = block.advance_many(states, ends)
-        assert len(calls) == 3 * 6
+        assert calls == self._clocks(states, 0, 6, 0.01)
         for s, t, out in zip(states, ends, outs):
             assert out.values.tobytes() == loop.advance(s, t).values.tobytes()
         assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken) == (12, 18)
 
-    def test_even_convergence_passes_as_one_block(self):
+    @THETA0
+    def test_block_passes_steps_then_falls_back(self, theta0):
+        # the 1e-9 column's residual starts above the tolerance for 11 steps
+        # and then at or below it, so the block passes steps 0-10 and
+        # redoes every column from step 11 on
+        problem = heat1d(mesh_n=15)
+        sine = initial_state(problem).values
+        values = [sine, 1e-9 * np.sin(7 * np.pi * problem.grid())]
+        states, ends = self._windows(problem, values, 0.01, 20)
+        copies = [s.values.copy() for s in states]
+        block, loop = (make_propagator(problem, ThetaSettings(step=0.01, theta0=theta0)) for _ in range(2))
+        calls = self._spy_step(block)
+
+        outs = block.advance_many(states, ends)
+        assert calls == self._clocks(states, 11, 20, 0.01)
+        for s, t, out in zip(states, ends, outs):
+            assert out.values.tobytes() == loop.advance(s, t).values.tobytes()
+        assert all(s.values.tobytes() == c.tobytes() for s, c in zip(states, copies))
+        assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken) == (31, 40)
+
+    @THETA0
+    def test_even_convergence_passes_as_one_block(self, theta0):
         problem = heat1d(mesh_n=15)
         sine = initial_state(problem).values
         states, ends = self._windows(problem, [sine, 2.0 * sine, -sine], 0.01, 6)
-        prop = make_propagator(problem, ThetaSettings(step=0.01))
+        prop, loop = (make_propagator(problem, ThetaSettings(step=0.01, theta0=theta0)) for _ in range(2))
         prop._step = None  # the block never needs the per-column step here
         outs = prop.advance_many(states, ends)
         assert [out.time for out in outs] == ends
+        for s, t, out in zip(states, ends, outs):
+            assert out.values.tobytes() == loop.advance(s, t).values.tobytes()
         assert (prop.newton_iterations, prop.steps_taken) == (18, 18)
 
-    def test_failing_column_raises_the_step_error_of_its_window(self):
+    @THETA0
+    def test_failing_column_raises_the_step_error_of_its_window(self, theta0):
         problem = heat1d(mesh_n=15)
         sine = initial_state(problem).values
         broken = sine.copy()
         broken[3] = np.nan
         states, ends = self._windows(problem, [sine, broken, sine], 0.01, 4)
-        prop = make_propagator(problem, ThetaSettings(step=0.01))
+        settings = ThetaSettings(step=0.01, theta0=theta0)
+        prop = make_propagator(problem, settings)
         with pytest.raises(TimeStepError) as alone:
-            make_propagator(problem, ThetaSettings(step=0.01)).advance(states[1], ends[1])
+            make_propagator(problem, settings).advance(states[1], ends[1])
         with pytest.raises(TimeStepError) as block:
             prop.advance_many(states, ends)
         assert str(block.value) == str(alone.value)

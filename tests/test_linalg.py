@@ -1,5 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import given, strategies as st
+    from hypothesis.extra import numpy as hnp
+except ImportError:  # the property test needs hypothesis; the rest does not
+    given = None
 
 from pintbench.linalg import (
     MAX_ITERS,
@@ -94,3 +102,22 @@ class TestFiniteness:
         x0 = np.array([5.0])
         x, iters = newton_solve(lambda v: v - 5.0, x0, jacobian_inverse=np.eye(1))
         assert iters == 0 and x is x0
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+class TestNormIdiom:
+    """``math.sqrt(v @ v)``, the norm every caller takes, is ``np.linalg.norm(v)`` bit for bit."""
+
+    if given is not None:
+        ENTRIES = st.one_of(
+            st.floats(width=64),  # NaN and +-Inf included
+            st.floats(min_value=-1e-300, max_value=1e-300),  # tiny: squares underflow
+            st.floats(min_value=1e150, max_value=1e308),  # huge: squares overflow
+            st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+        )
+
+        @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+        @given(hnp.arrays(np.float64, st.integers(1, 64), elements=ENTRIES))
+        def test_equals_numpy_norm(self, v):
+            # compared as bits, so NaN and the sign of a zero count too
+            assert np.float64(math.sqrt(v @ v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
