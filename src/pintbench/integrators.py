@@ -43,21 +43,25 @@ windows of equal step count (``advance_many``). On a linear problem
 Newton's first, full step solves the step up to rounding, so the loops
 take that step inline, with ``newton_solve``'s arithmetic in its order,
 and keep it when the residual falls from above the tolerance to at most
-it, which is where ``newton_solve`` stops. Any other step is redone
-column by column by ``_step``, which keeps the line search, the
-breakdown checks and the ``TimeStepError``. The loops make only the
-numpy calls that arithmetic needs: when ``k*(1-theta)`` and
-``k*theta`` are the same float, as at ``theta = 1/2``, the explicit
-term is the implicit term ``k*theta * f`` already held, the same
-product, so it is not formed again; the vector loop keeps one scalar
-clock, and the block allocates its working arrays once per call,
-steps with ``out=`` and replays its columns' clocks only for a step
-that falls back. A stacked ``matmul`` makes the same BLAS call per
-column that ``A @ y`` makes (a plain ``A @ Y.T`` does not: its columns
-change with the block width), so the stack returns, for every window,
-exactly the array ``advance`` returns, whichever windows share it.
-Every other ``advance_many`` call is the loop of ``advance`` over its
-windows.
+it, which is where ``newton_solve`` stops. Both loops are fast paths
+with one rule: they take every step of the window, or hand the whole
+window back at the first step that does not pass. ``advance`` then
+steps that window again from its start through ``_step``, its only
+caller, which keeps the line search, the breakdown checks and the
+``TimeStepError``; ``advance_many`` then is the loop of ``advance``
+over its windows. A step that passes inline is ``newton_solve``'s step
+bit for bit, so the replay reproduces every value, counter and error
+of the loop. The loops make only the numpy calls that arithmetic
+needs: when ``k*(1-theta)`` and ``k*theta`` are the same float, as at
+``theta = 1/2``, the explicit term is the implicit term ``k*theta * f``
+already held, the same product, so it is not formed again; the vector
+loop keeps one scalar clock, and the block allocates its working
+arrays once per call and steps with ``out=``. A stacked ``matmul``
+makes the same BLAS call per column that ``A @ y`` makes (a plain
+``A @ Y.T`` does not: its columns change with the block width), so the
+stack returns, for every window, exactly the array ``advance``
+returns, whichever windows share it. Every other ``advance_many`` call
+is the loop of ``advance`` over its windows.
 
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
@@ -66,10 +70,12 @@ propagator may also have ``advance_many(states, t_ends)``, and the
 engine then hands it each iteration's windows as one call, on the
 calling thread alone, since under the interpreter lock a second thread
 would only compete with the call. The engine
-relies on its contract: the call returns one state per window, each
-exactly what ``advance`` returns for that window, and it may raise as a
-whole, in which case the engine steps each window through ``advance``
-to name the failing one. ``SleepPropagator`` has none. A window of
+relies on its contract: the call is the loop of ``advance`` over its
+windows, bit for bit, so it returns one state per window, each exactly
+what ``advance`` returns for that window, or raises what the loop
+raises. The exception does not say which window failed, so the engine
+then steps each window through ``advance`` to name it.
+``SleepPropagator`` has none. A window of
 ``n`` steps takes ``n`` steps of exactly the propagator's step and is
 stamped ``t_end``: rounding slack of at most 1e-9 relative between the
 window and ``n`` steps is stamped, not integrated. Propagators are safe
@@ -169,11 +175,11 @@ class Propagator(Protocol):
     the state stamped ``t_end``. A fine propagator may also have the
     optional ``advance_many(states, t_ends) -> list``, which the engine
     calls on an iteration's windows at once, on the run's one thread
-    (``parareal.PararealConfig`` says why). It returns, for every window,
-    exactly the state ``advance`` returns for it, and it may raise for
-    the call as a whole: the engine then does not retry it and steps
-    each window through ``advance``, so the first failing window is
-    named.
+    (``parareal.PararealConfig`` says why). It is the loop of
+    ``advance`` over the windows: it returns, for every window, exactly
+    the state ``advance`` returns for it, or raises what that loop
+    raises. The engine does not retry a call that raised and steps each
+    window through ``advance``, so the first failing window is named.
     """
 
     step: float
@@ -218,7 +224,9 @@ class ThetaPropagator:
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. For a linear problem every
     step uses ``operator``, the shared frozen inverse of ``I - k*theta*J``,
-    and its windows step in ``_linear`` and ``_linear_block``. A
+    and its windows first try the fast paths ``_linear`` and
+    ``_linear_block``, which take every step or hand the window back;
+    a window handed back steps from its start through ``_step``. A
     nonlinear problem has no ``operator`` (None): each of its steps forms
     the inverse at its own start in ``_step``.
     ``advance`` and ``advance_many`` are the only paths to a step, so one
@@ -235,7 +243,7 @@ class ThetaPropagator:
         self.step = settings.step
         # not part of the Propagator contract: only perfbench/spans.py's proxy
         # copies it, here and as SleepPropagator's sleep, and it goes with
-        # that proxy (ROADMAP item 4)
+        # that proxy (ROADMAP item 5)
         self.cost_hint = 0.0
         self.theta = settings.theta
         self.operator = frozen_inverse(problem, self.step, self.theta) if problem.linear else None
@@ -247,11 +255,10 @@ class ThetaPropagator:
         n = _window_steps(state, t_end, self.step)
         if n == 0:
             return state
-        y, t, iters = state.values, state.time, 0
-        if self.operator is not None:
-            y, iters = self._linear(y, n, t)
-        else:
-            f = None
+        y = self._linear(state.values, n, state.time) if self.operator is not None else None
+        iters = n  # a window that passes inline took one Newton iteration per step
+        if y is None:
+            y, t, f, iters = state.values, state.time, None, 0
             for _ in range(n):
                 y, f, it = self._step(y, f, t)
                 t += self.step
@@ -260,21 +267,24 @@ class ThetaPropagator:
         return state.with_values(y, time=t_end)
 
     def advance_many(self, states: Sequence[State], t_ends: Sequence[float]) -> list:
-        """``[advance(s, t) for s, t in zip(states, t_ends)]``, bit for bit.
+        """``[advance(s, t) for s, t in zip(states, t_ends)]``, bit for bit, failures included.
 
         Every window is validated before any of them steps. Two or more
         windows of a linear problem that all take the same nonzero number
-        of steps are stepped as one ``(m, size, 1)`` stack by
-        ``_linear_block``, and the counters grow by the loop's totals only
-        once every window has succeeded. Any other call is that loop of
-        ``advance``, so a window that fails leaves the windows before it
-        counted.
+        of steps are first tried as one ``(m, size, 1)`` stack by
+        ``_linear_block``. If every step of every window passes there,
+        the counters grow by the loop's totals. Otherwise, and for any
+        other call, the result is that loop of ``advance``, so a window
+        that fails raises its own step error and leaves the windows
+        before it counted.
         """
         counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
-        if self.operator is None or len(states) < 2 or len(set(counts)) > 1 or counts[0] == 0:
+        stacked = self.operator is not None and len(states) > 1 and len(set(counts)) == 1 and counts[0] > 0
+        block = self._linear_block([s.values for s in states], counts[0]) if stacked else None
+        if block is None:
             return [self.advance(s, t) for s, t in zip(states, t_ends)]
-        block, iters = self._linear_block([s.values for s in states], counts[0], [s.time for s in states])
-        self._count(iters, sum(counts))
+        steps = sum(counts)
+        self._count(steps, steps)
         return [s.with_values(y, time=t) for s, t, y in zip(states, t_ends, block[:, :, 0])]
 
     def _count(self, iters: int, steps: int) -> None:
@@ -283,63 +293,58 @@ class ThetaPropagator:
             self.steps_taken += steps
 
     def _linear(self, y: np.ndarray, n: int, t: float):
-        """``n`` steps of a linear problem from one window's vector ``y`` at time ``t``.
+        """``n`` steps of a linear problem from one window's vector ``y`` at time ``t``, or None.
 
         A step is Newton's first, full step with the frozen inverse,
         ``x = y - operator @ r`` for the residual ``r`` at the start values,
         followed by the rhs and the residual at ``x``: ``newton_solve``'s
         arithmetic in its order. It is taken when the residual norm starts
         above ``TOL`` and ends at or below it, which is where
-        ``newton_solve`` returns ``x`` after one iteration. Any other step
-        (a start that already solves it, no decrease, a residual still
-        above ``TOL``, a non-finite value) is redone by ``_step``, which
-        also raises its ``TimeStepError``. The explicit term
+        ``newton_solve`` returns ``x`` after one iteration. At the first
+        step that does not pass (a start that already solves it, no
+        decrease, a residual still above ``TOL``, a non-finite value) the
+        window is handed back as None, and ``advance`` steps it again
+        from its start through ``_step``. The explicit term
         ``k*(1-theta) * f`` is the implicit one ``k*theta * f`` the loop
         already holds when the two weights are the same float, as at
         ``theta = 1/2``, so such a step adds it instead of forming it.
         The clock is one float, advanced as ``t + k`` once per step.
-        Returns the final values and the Newton iterations.
+        Returns the final values; each step took one Newton iteration.
         """
         problem, inverse, k = self.problem, self.operator, self.step
         k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
         f = _problems.rhs_values(problem, y, t)
         kf = k_impl * f  # the step's implicit rhs term at its start, the last step's at its end
-        iters = 0
         for _ in range(n):
-            t_end = t + k
+            t += k
             base = y + kf if k_expl == k_impl else y + k_expl * f
             r = y - base - kf
             x = y - inverse @ r  # newton_solve's x + 1.0 * dx, dx = -(inverse @ r)
-            fx = _problems.rhs_values(problem, x, t_end)
+            fx = _problems.rhs_values(problem, x, t)
             kfx = k_impl * fx
             rx = x - base - kfx
             if math.sqrt(rx @ rx) <= TOL < math.sqrt(r @ r):
                 y, f, kf = x, fx, kfx
-                iters += 1
             else:
-                y, f, it = self._step(y, f, t)
-                kf = k_impl * f
-                iters += it
-            t = t_end
-        return y, iters
+                return None
+        return y
 
-    def _linear_block(self, values: Sequence[np.ndarray], n: int, starts: Sequence[float]):
-        """``_linear`` on ``m`` windows at once, as one ``(m, size, 1)`` stack.
+    def _linear_block(self, values: Sequence[np.ndarray], n: int):
+        """``_linear`` on ``m`` windows at once, as one ``(m, size, 1)`` stack, or None.
 
-        ``values`` and ``starts`` hold each window's start values and time.
-        Each column takes ``_linear``'s step, and a step is taken when it
-        passes for every column: ``sqrt(max after²) <= TOL < sqrt(min
-        before²)`` over the columns' squared residual norms, which is the
-        columnwise test, NaN included. Otherwise every column redoes the
-        step by ``_step`` in window order, with its clock replayed as
-        ``t + k`` from its start, so ``_step`` sees the times ``advance``
-        passes. The rhs is ``A @ Y + b``: the stacked products ``A @ Y``
-        and ``R.mT @ R`` make one BLAS call per column, the calls ``A @ y``
-        and ``r @ r`` make, so each column is ``_linear``'s step bit for bit
-        whichever windows share the stack. The working arrays are
-        allocated once per call and a taken step swaps them, so the loop
-        writes only its own arrays. Returns the final stack and the Newton
-        iterations of all columns.
+        ``values`` holds each window's start values. Each column takes
+        ``_linear``'s step, and a step is taken when it passes for every
+        column: ``sqrt(max after²) <= TOL < sqrt(min before²)`` over the
+        columns' squared residual norms, which is the columnwise test, NaN
+        included. At the first step that does not pass, the block is
+        handed back as None, and ``advance_many`` steps each window
+        through ``advance``. The rhs is ``A @ Y + b``: the stacked
+        products ``A @ Y`` and ``R.mT @ R`` make one BLAS call per column,
+        the calls ``A @ y`` and ``r @ r`` make, so each column is
+        ``_linear``'s step bit for bit whichever windows share the stack.
+        The working arrays are allocated once per call and a taken step
+        swaps them, so the loop writes only its own arrays. Returns the
+        final stack; each step of each column took one Newton iteration.
         """
         inverse, k = self.operator, self.step
         k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
@@ -350,9 +355,7 @@ class ThetaPropagator:
         before, after = np.empty((2, len(values), 1, 1))
         np.add(np.matmul(a, y, out=f), b, out=f)
         np.multiply(f, k_impl, out=kf)
-        clock, at = list(starts), 0  # each column's time at the start of step `at`
-        iters = 0
-        for j in range(n):
+        for _ in range(n):
             if k_expl == k_impl:
                 np.add(y, kf, out=base)
             else:
@@ -366,16 +369,9 @@ class ThetaPropagator:
             np.matmul(r.mT, r, out=after)
             if math.sqrt(after.max()) <= TOL < math.sqrt(before.min()):
                 y, f, kf, x, fx, kfx = x, fx, kfx, y, f, kf
-                iters += len(values)
             else:
-                for _ in range(j - at):
-                    clock = [t + k for t in clock]
-                at = j
-                ys, fs, its = zip(*(self._step(y0, f0, t0) for y0, f0, t0 in zip(y[:, :, 0], f[:, :, 0], clock)))
-                y[:, :, 0], f[:, :, 0] = ys, fs
-                np.multiply(f, k_impl, out=kf)
-                iters += sum(its)
-        return y, iters
+                return None
+        return y
 
     def _step(self, y0: np.ndarray, f0, t0: float):
         """One implicit step on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).

@@ -365,7 +365,7 @@ class TestStepOperator:
 
 
 class TestLinearStep:
-    """A linear step is Newton's first step inline; any other step is redone through ``newton_solve``."""
+    """A linear step is Newton's first step inline; a window with any other step is stepped again through ``newton_solve``."""
 
     @staticmethod
     def _count_newton(monkeypatch):
@@ -391,7 +391,9 @@ class TestLinearStep:
 
     def test_forced_fallback_calls_newton_and_keeps_its_bits(self, monkeypatch):
         # a zero state solves every step at once (zero boundary values), so
-        # no step is Newton's first; a block holding it redoes every column
+        # no step is Newton's first; a block holding it is handed back, and
+        # each window steps through advance: the sine inline, the zero state
+        # through Newton
         calls = self._count_newton(monkeypatch)
         problem = heat1d(mesh_n=15)
         sine = initial_state(problem).values
@@ -404,24 +406,32 @@ class TestLinearStep:
         assert (one.newton_iterations, one.steps_taken) == (0, 5)
         block = make_propagator(problem, ThetaSettings(step=0.01))
         outs = block.advance_many(states, [0.15, 0.15])
-        assert len(calls) == 5 + 2 * 5
+        assert len(calls) == 5 + 5
         assert [o.values.tobytes() for o in outs] == [e[0].tobytes() for e in expected]
         assert (block.newton_iterations, block.steps_taken) == (5, 10)
 
     def test_failing_window_raises_the_located_step_error(self):
-        # from a state this large the first step's residual stalls above the tolerance
-        problem = heat1d(mesh_n=15)
-        s0 = initial_state(problem)
-        start = s0.with_values(1e7 * s0.values, time=0.3)
-        _, _, failure = newton_theta_window(problem, 0.01, 0.5, start.values, 0.3, 4)
-        assert failure[0] == 0
-        for advance in (lambda p: p.advance(start, 0.34), lambda p: p.advance_many([start], [0.34])[0]):
-            prop = make_propagator(problem, ThetaSettings(step=0.01))
-            with pytest.raises(TimeStepError, match=r"^implicit step failed at t_n=0\.31, k=0\.01: no convergence") as info:
-                advance(prop)
-            assert str(info.value) == f"implicit step failed at {failure[1]}"
-            assert isinstance(info.value.__cause__, MaxItersExceeded)
-            assert (prop.newton_iterations, prop.steps_taken) == (0, 0)
+        # from a state this large the first step's residual stalls above the
+        # tolerance; from a 1e6 boundary value the first 16 steps pass inline
+        # and step 17 stalls, so advance steps the window again from its start
+        small = heat1d(mesh_n=15)
+        s0 = initial_state(small)
+        large = heat1d(mesh_n=63, left_bc=1e6)
+        cases = [
+            (small, s0.with_values(1e7 * s0.values, time=0.3), 0.01, 4, 0, r"t_n=0\.31, k=0\.01"),
+            (large, initial_state(large), 0.005, 20, 16, r"t_n=0\.085, k=0\.005"),
+        ]
+        for problem, start, step, n, failing, where in cases:
+            end = start.time + n * step
+            _, _, failure = newton_theta_window(problem, step, 0.5, start.values, start.time, n)
+            assert failure[0] == failing
+            for advance in (lambda p: p.advance(start, end), lambda p: p.advance_many([start], [end])[0]):
+                prop = make_propagator(problem, ThetaSettings(step=step))
+                with pytest.raises(TimeStepError, match=rf"^implicit step failed at {where}: no convergence") as info:
+                    advance(prop)
+                assert str(info.value) == f"implicit step failed at {failure[1]}"
+                assert isinstance(info.value.__cause__, MaxItersExceeded)
+                assert (prop.newton_iterations, prop.steps_taken) == (0, 0)
 
 
 class TestAdvanceMany:
@@ -441,53 +451,47 @@ class TestAdvanceMany:
         prop._step = lambda *args: calls.append(args[2]) or step(*args)
         return calls
 
-    @staticmethod
-    def _clocks(states, first, last, step):
-        """Each window's start time of steps ``first..last-1``, in call order, as ``advance`` accumulates it."""
-        times, expected = [s.time for s in states], []
-        for j in range(last):
-            if j >= first:
-                expected += times
-            times = [t + step for t in times]
-        return expected
-
     # theta0 0 gives k*(1-theta) == k*theta, the explicit term reused; 0.5 gives theta 0.505
     THETA0 = pytest.mark.parametrize("theta0", [0.0, 0.5])
 
     @THETA0
     def test_uneven_convergence_falls_back_to_the_per_column_step(self, theta0):
         # a zero state solves every step at once while its neighbours need a
-        # Newton iteration, so no step passes as one block
+        # Newton iteration, so no step passes as one block; the windows then
+        # step through advance, and only the zero state's steps reach _step
         problem = heat1d(mesh_n=15)
         sine = initial_state(problem).values
         values = [sine, np.zeros_like(sine), -0.5 * sine]
         states, ends = self._windows(problem, values, 0.01, 6)
         block, loop = (make_propagator(problem, ThetaSettings(step=0.01, theta0=theta0)) for _ in range(2))
-        calls = self._spy_step(block)
+        calls, loop_calls = self._spy_step(block), self._spy_step(loop)
 
         outs = block.advance_many(states, ends)
-        assert calls == self._clocks(states, 0, 6, 0.01)
         for s, t, out in zip(states, ends, outs):
             assert out.values.tobytes() == loop.advance(s, t).values.tobytes()
+        assert calls == loop_calls
+        assert len(calls) == 6 and calls[0] == states[1].time
         assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken) == (12, 18)
 
     @THETA0
     def test_block_passes_steps_then_falls_back(self, theta0):
         # the 1e-9 column's residual starts above the tolerance for 11 steps
-        # and then at or below it, so the block passes steps 0-10 and
-        # redoes every column from step 11 on
+        # and then at or below it, so the block passes steps 0-10 and is
+        # handed back at step 11; the windows then step through advance,
+        # and the 1e-9 window is stepped again from its start through _step
         problem = heat1d(mesh_n=15)
         sine = initial_state(problem).values
         values = [sine, 1e-9 * np.sin(7 * np.pi * problem.grid())]
         states, ends = self._windows(problem, values, 0.01, 20)
         copies = [s.values.copy() for s in states]
         block, loop = (make_propagator(problem, ThetaSettings(step=0.01, theta0=theta0)) for _ in range(2))
-        calls = self._spy_step(block)
+        calls, loop_calls = self._spy_step(block), self._spy_step(loop)
 
         outs = block.advance_many(states, ends)
-        assert calls == self._clocks(states, 11, 20, 0.01)
         for s, t, out in zip(states, ends, outs):
             assert out.values.tobytes() == loop.advance(s, t).values.tobytes()
+        assert calls == loop_calls
+        assert len(calls) == 20 and calls[0] == states[1].time
         assert all(s.values.tobytes() == c.tobytes() for s, c in zip(states, copies))
         assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken) == (31, 40)
 
@@ -497,7 +501,7 @@ class TestAdvanceMany:
         sine = initial_state(problem).values
         states, ends = self._windows(problem, [sine, 2.0 * sine, -sine], 0.01, 6)
         prop, loop = (make_propagator(problem, ThetaSettings(step=0.01, theta0=theta0)) for _ in range(2))
-        prop._step = None  # the block never needs the per-column step here
+        prop._step = None  # every step passes as one block, so no window steps through _step
         outs = prop.advance_many(states, ends)
         assert [out.time for out in outs] == ends
         for s, t, out in zip(states, ends, outs):
@@ -506,20 +510,35 @@ class TestAdvanceMany:
 
     @THETA0
     def test_failing_column_raises_the_step_error_of_its_window(self, theta0):
-        problem = heat1d(mesh_n=15)
-        sine = initial_state(problem).values
+        # a NaN window between two clean ones, and a window whose 1e6 boundary
+        # value stalls a step's residual above the tolerance ahead of a NaN
+        # window: the call raises the first failing window's step error, with
+        # the windows before it counted, as the loop of advance does
+        small = heat1d(mesh_n=15)
+        sine = initial_state(small).values
         broken = sine.copy()
         broken[3] = np.nan
-        states, ends = self._windows(problem, [sine, broken, sine], 0.01, 4)
-        settings = ThetaSettings(step=0.01, theta0=theta0)
-        prop = make_propagator(problem, settings)
-        with pytest.raises(TimeStepError) as alone:
-            make_propagator(problem, settings).advance(states[1], ends[1])
-        with pytest.raises(TimeStepError) as block:
-            prop.advance_many(states, ends)
-        assert str(block.value) == str(alone.value)
-        assert "t_n=0.31" in str(block.value)
-        assert (prop.newton_iterations, prop.steps_taken) == (0, 0)
+        large = heat1d(mesh_n=63, left_bc=1e6)
+        start = initial_state(large)
+        nan = start.values.copy()
+        nan[3] = np.nan
+        cases = [
+            (small, 0.01, 4, *self._windows(small, [sine, broken, sine], 0.01, 4), 1),
+            (large, 0.005, 20, [start, start.with_values(nan, time=0.1)], [0.1, 0.2], 0),
+        ]
+        for problem, step, n, states, ends, failing in cases:
+            settings = ThetaSettings(step=step, theta0=theta0)
+            block, loop = (make_propagator(problem, settings) for _ in range(2))
+            bad = states[failing]
+            _, _, failure = newton_theta_window(problem, step, settings.theta, bad.values, bad.time, n)
+            with pytest.raises(TimeStepError) as alone:
+                for s, t in zip(states, ends):
+                    loop.advance(s, t)
+            with pytest.raises(TimeStepError) as many:
+                block.advance_many(states, ends)
+            assert str(many.value) == str(alone.value) == f"implicit step failed at {failure[1]}"
+            assert (block.newton_iterations, block.steps_taken) == (loop.newton_iterations, loop.steps_taken)
+            assert block.steps_taken == failing * n
 
     def test_nonlinear_problem_loops_over_its_windows(self):
         problem = ale_piston(mesh_n=7)
