@@ -75,9 +75,9 @@ MAX_STEPS = 10**6
 # rows carrying the dashed reference line use this sentinel variant
 DISCRETIZATION_VARIANT = "discretization"
 
-# what a run raises on numerical failure: a step wraps a Newton or mesh failure in TimeStepError, the
-# engine wraps a propagator's in PararealError, and make_propagator raises NumericBreakdown for an
-# operator whose iteration matrix is singular
+# what a run raises on numerical failure: a step reports a non-finite linear step, or wraps a Newton or
+# mesh failure, in TimeStepError, the engine wraps a propagator's in PararealError, and make_propagator
+# raises NumericBreakdown for an operator whose iteration matrix is singular
 _NUMERIC_FAILURES = (NumericBreakdown, TimeStepError, PararealError)
 
 
@@ -503,11 +503,12 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "reference_refinement": REFERENCE_REFINEMENT,
         "newton": {
+            # nonlinear steps only: a linear step is Newton's first step and tests no residual
             "abs_tol": TOL,
             "max_iters": MAX_ITERS,
             # the integrator differentiates each problem's rhs analytically, and
-            # every step iterates with one inverse of I - k*theta*J, formed once
-            # per run for a linear problem and at each step's start otherwise
+            # every step uses one inverse of I - k*theta*J, formed once per run
+            # for a linear problem and at each step's start otherwise
             "jacobian": "analytic",
             "frozen": "run" if cfg.problem.linear else "step",
         },

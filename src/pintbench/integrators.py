@@ -4,64 +4,63 @@ The integrator solves, per step of size ``k``,
 
     y_n - y_{n-1} - k * [theta * f(y_n, t_n) + (1 - theta) * f(y_{n-1}, t_{n-1})] = 0
 
-with a damped Newton iteration whose every direction is a product with
-one inverse of the iteration matrix ``I - k * theta * J``, where ``J``
-is the problem's analytic Jacobian (simplified Newton). A linear
-problem's rhs is ``A y + b`` (``problem.linear``), so ``J = A`` is
-constant and the inverse is exact: one read-only operator per (problem,
-step size, theta), kept in one bounded module-level cache that every
-propagator shares. A nonlinear problem's step forms its own inverse
-once, from ``J`` at the step's start values and end time, and keeps it
-for every Newton iterate and line-search trial of that step. The matrix
-is frozen per step, not per window, so a window is its steps chained
-one at a time. Every step evaluates the residual and confirms
-convergence, and every failure, a singular iteration matrix too, is
-reported as a ``TimeStepError`` naming the step's ``(t_n, k)``.
 ``theta = 1/2`` is the Crank-Nicolson scheme (second order),
 ``theta = 1`` backward Euler (first order), and the shifted variant
 ``theta = 1/2 + theta0 * k`` trades a step-size proportional amount of
-damping for retained second-order accuracy.
+damping for retained second-order accuracy. Every failure of a step is
+reported as a ``TimeStepError`` naming the step's ``(t_n, k)``.
 
-Newton returns the last iterate it evaluated the residual at, so a step
-ends holding ``f(y_n, t_n)``, and that vector is the next step's
-``f(y_{n-1}, t_{n-1})``: a window evaluates the rhs once at its start and
-then only inside Newton. A linear problem's rhs does not depend on the
-time, so the residual at the start values reuses that vector too, since
-``f(y_{n-1}, t_n)`` is the same. Both reuse the result of the same call
-on the same arguments, so the output is bit-identical to evaluating
-afresh. Steps run on raw arrays, and a window builds one ``State``. A
-step whose start values already solve it returns that array itself, so
-a result may share its values with its input; states are never
-written, so this is safe.
+A linear problem's rhs is ``A y + b`` (``problem.linear``), so the
+iteration matrix ``I - k * theta * A`` is constant: its inverse is one
+read-only operator per (problem, step size, theta), kept in one bounded
+module-level cache that every propagator shares. With that exact
+inverse, Newton's first full step solves the step up to rounding
+(Hairer & Wanner II, section IV.8), so a linear step is that step and
+nothing more, ``y_n = y_{n-1} - operator @ (y_{n-1} - base - k*theta *
+f(y_{n-1}))`` with ``base = y_{n-1} + k*(1-theta) * f(y_{n-1})``. It
+tests no residual; its one failure is a non-finite value, and it counts
+one Newton iteration. A linear window steps in one of two loops of that
+arithmetic: ``ThetaPropagator._linear`` on one window's vector
+(``advance``, and so the sequential solve and every coarse window) and
+``_linear_block`` on an ``(m, size, 1)`` stack of windows of equal step
+count (``advance_many``). Each evaluates the rhs once per step, at the
+step's start values; the rhs does not depend on the time. The vector
+loop checks every step's values, ``x @ x`` first and the entrywise scan
+only when that sum is not finite, and raises at the first non-finite
+step. A non-finite entry stays non-finite in every later step, so the
+block checks its final stack once and hands itself back as None when it
+is not finite; ``advance_many`` then is the loop of ``advance`` over
+its windows, which raises the first failing window's step error. The
+loops make only the numpy calls that arithmetic needs: when
+``k*(1-theta)`` and ``k*theta`` are the same float, as at ``theta =
+1/2``, the explicit term is the implicit term ``k*theta * f`` already
+held, the same product, so it is not formed again, and the block
+allocates its working arrays once per call and steps with ``out=``. A
+stacked ``matmul`` makes the same BLAS call per column that ``A @ y``
+makes (a plain ``A @ Y.T`` does not: its columns change with the block
+width), so the stack returns, for every window, exactly the array
+``advance`` returns, whichever windows share it. Every other
+``advance_many`` call is the loop of ``advance`` over its windows.
 
-A nonlinear problem's step is ``ThetaPropagator._step``, one
-``newton_solve`` call. A linear problem's windows step in one of two
-loops of the same arithmetic: ``ThetaPropagator._linear`` on one
-window's vector (``advance``, and so the sequential solve and every
-coarse window) and ``_linear_block`` on an ``(m, size, 1)`` stack of
-windows of equal step count (``advance_many``). On a linear problem
-Newton's first, full step solves the step up to rounding, so the loops
-take that step inline, with ``newton_solve``'s arithmetic in its order,
-and keep it when the residual falls from above the tolerance to at most
-it, which is where ``newton_solve`` stops. Both loops are fast paths
-with one rule: they take every step of the window, or hand the whole
-window back at the first step that does not pass. ``advance`` then
-steps that window again from its start through ``_step``, its only
-caller, which keeps the line search, the breakdown checks and the
-``TimeStepError``; ``advance_many`` then is the loop of ``advance``
-over its windows. A step that passes inline is ``newton_solve``'s step
-bit for bit, so the replay reproduces every value, counter and error
-of the loop. The loops make only the numpy calls that arithmetic
-needs: when ``k*(1-theta)`` and ``k*theta`` are the same float, as at
-``theta = 1/2``, the explicit term is the implicit term ``k*theta * f``
-already held, the same product, so it is not formed again; the vector
-loop keeps one scalar clock, and the block allocates its working
-arrays once per call and steps with ``out=``. A stacked ``matmul``
-makes the same BLAS call per column that ``A @ y`` makes (a plain
-``A @ Y.T`` does not: its columns change with the block width), so the
-stack returns, for every window, exactly the array ``advance``
-returns, whichever windows share it. Every other ``advance_many`` call
-is the loop of ``advance`` over its windows.
+A nonlinear problem's step is ``ThetaPropagator._step``, one damped
+``newton_solve`` call whose every direction is a product with one
+inverse of the iteration matrix ``I - k * theta * J``, where ``J`` is
+the problem's analytic Jacobian (simplified Newton). The step forms
+that inverse once, from ``J`` at its start values and end time, and
+keeps it for every Newton iterate and line-search trial of the step.
+The matrix is frozen per step, not per window, so a window is its steps
+chained one at a time. Every nonlinear step evaluates the residual and
+confirms convergence against ``linalg``'s residual tolerance, and a
+singular iteration matrix is a failure of the step like any other.
+Newton returns the last
+iterate it evaluated the residual at, so a step ends holding ``f(y_n,
+t_n)``, and that vector is the next step's ``f(y_{n-1}, t_{n-1})``: a
+window evaluates the rhs once at its start and then only inside Newton.
+This reuses the result of the same call on the same arguments, so the
+output is bit-identical to evaluating afresh. Steps run on raw arrays,
+and a window builds one ``State``. A step whose start values already
+solve it returns that array itself, so a result may share its values
+with its input; states are never written, so this is safe.
 
 Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
 are the unit the parallel-in-time engine composes: a cheap coarse
@@ -97,7 +96,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import problems as _problems
-from .linalg import TOL, MaxItersExceeded, NumericBreakdown, newton_solve
+from .linalg import MaxItersExceeded, NumericBreakdown, newton_solve
 from .state import State, _require_fields
 
 
@@ -110,7 +109,7 @@ class TimeStepError(RuntimeError):
 
 
 # window mismatch below this relative threshold is rounding slack, stamped not integrated
-_WINDOW_RTOL = 1e-9
+_WINDOW_SLACK = 1e-9
 
 # frozen step operators kept at once: one per (problem, step size, theta),
 # and a run uses a few step sizes
@@ -126,8 +125,9 @@ class ThetaSettings:
     ``step`` is positive. The effective implicitness is
     ``theta = 1/2 + theta0 * step``, clamped to [1/2, 1]; configurations
     more than 1e-12 outside it are rejected.
-    Each step's Newton solve stops once the residual norm is at most
-    ``linalg.TOL``.
+    A nonlinear problem's Newton solve stops once the residual norm is
+    at most ``linalg``'s residual tolerance; a linear problem's step is
+    Newton's first step, with no residual test.
     """
 
     step: float
@@ -199,7 +199,7 @@ def _split_window(window: float, step: float) -> int:
         raise ValueError(f"window {window!r} holds too many steps of {step!r}")
     n = max(int(round(ratio)), 1)
     mismatch = abs(window - n * step)
-    if mismatch > _WINDOW_RTOL * max(abs(window), step):
+    if mismatch > _WINDOW_SLACK * max(abs(window), step):
         raise NonDivisibleWindow(
             f"window {window!r} is not an integer multiple of step {step!r} (mismatch {mismatch:.3e})"
         )
@@ -222,20 +222,20 @@ class ThetaPropagator:
     ``advance`` takes the ``n`` steps of exactly ``step`` that the window
     holds and stamps the result ``t_end``; the rounding slack between the
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
-    ``theta`` is the effective implicitness. For a linear problem every
-    step uses ``operator``, the shared frozen inverse of ``I - k*theta*J``,
-    and its windows first try the fast paths ``_linear`` and
-    ``_linear_block``, which take every step or hand the window back;
-    a window handed back steps from its start through ``_step``. A
-    nonlinear problem has no ``operator`` (None): each of its steps forms
-    the inverse at its own start in ``_step``.
+    ``theta`` is the effective implicitness. A linear problem's windows
+    step in ``_linear`` and ``_linear_block``, each step one product with
+    ``operator``, the shared frozen inverse of ``I - k*theta*A``, and a
+    non-finite step raises. A nonlinear problem has no ``operator``
+    (None): each of its steps is one ``newton_solve`` in ``_step``, with
+    the inverse formed at the step's own start.
     ``advance`` and ``advance_many`` are the only paths to a step, so one
     step is ``advance(state, state.time + step)``. The steps of a window
-    run on raw arrays and carry the rhs from one step to the next, so the
-    window's first rhs is its only one outside the steps' solves.
-    Newton iterations and steps are accumulated in ``newton_iterations``
-    and ``steps_taken`` for cost diagnostics; these counters change under
-    a lock, everything else is fixed at construction.
+    run on raw arrays; a nonlinear window carries the rhs from one step
+    to the next, so its first rhs is its only one outside the steps'
+    solves. Newton iterations (one per linear step) and steps are
+    accumulated in ``newton_iterations`` and ``steps_taken`` for cost
+    diagnostics; these counters change under a lock, everything else is
+    fixed at construction.
     """
 
     def __init__(self, problem: _problems.Problem, settings: ThetaSettings):
@@ -255,9 +255,9 @@ class ThetaPropagator:
         n = _window_steps(state, t_end, self.step)
         if n == 0:
             return state
-        y = self._linear(state.values, n, state.time) if self.operator is not None else None
-        iters = n  # a window that passes inline took one Newton iteration per step
-        if y is None:
+        if self.operator is not None:
+            y, iters = self._linear(state.values, n, state.time), n
+        else:
             y, t, f, iters = state.values, state.time, None, 0
             for _ in range(n):
                 y, f, it = self._step(y, f, t)
@@ -271,12 +271,11 @@ class ThetaPropagator:
 
         Every window is validated before any of them steps. Two or more
         windows of a linear problem that all take the same nonzero number
-        of steps are first tried as one ``(m, size, 1)`` stack by
-        ``_linear_block``. If every step of every window passes there,
-        the counters grow by the loop's totals. Otherwise, and for any
-        other call, the result is that loop of ``advance``, so a window
-        that fails raises its own step error and leaves the windows
-        before it counted.
+        of steps are first stepped as one ``(m, size, 1)`` stack by
+        ``_linear_block``. If its final stack is finite, the counters grow
+        by the loop's totals. Otherwise, and for any other call, the
+        result is that loop of ``advance``, so a window that fails raises
+        its own step error and leaves the windows before it counted.
         """
         counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
         stacked = self.operator is not None and len(states) > 1 and len(set(counts)) == 1 and counts[0] > 0
@@ -292,94 +291,74 @@ class ThetaPropagator:
             self.newton_iterations += iters
             self.steps_taken += steps
 
-    def _linear(self, y: np.ndarray, n: int, t: float):
-        """``n`` steps of a linear problem from one window's vector ``y`` at time ``t``, or None.
+    def _linear(self, y: np.ndarray, n: int, t: float) -> np.ndarray:
+        """``n`` steps of a linear problem from one window's vector ``y`` at time ``t``.
 
         A step is Newton's first, full step with the frozen inverse,
-        ``x = y - operator @ r`` for the residual ``r`` at the start values,
-        followed by the rhs and the residual at ``x``: ``newton_solve``'s
-        arithmetic in its order. It is taken when the residual norm starts
-        above ``TOL`` and ends at or below it, which is where
-        ``newton_solve`` returns ``x`` after one iteration. At the first
-        step that does not pass (a start that already solves it, no
-        decrease, a residual still above ``TOL``, a non-finite value) the
-        window is handed back as None, and ``advance`` steps it again
-        from its start through ``_step``. The explicit term
+        ``y - operator @ r`` for the residual ``r`` at the start values,
+        with the rhs evaluated there. Its values are checked for
+        non-finite entries, ``x @ x`` first and the entrywise scan only
+        when that sum is not finite, and the first non-finite step raises
+        ``TimeStepError`` with its ``(t_n, k)``. The explicit term
         ``k*(1-theta) * f`` is the implicit one ``k*theta * f`` the loop
         already holds when the two weights are the same float, as at
         ``theta = 1/2``, so such a step adds it instead of forming it.
         The clock is one float, advanced as ``t + k`` once per step.
-        Returns the final values; each step took one Newton iteration.
+        Returns the final values.
         """
         problem, inverse, k = self.problem, self.operator, self.step
         k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
-        f = _problems.rhs_values(problem, y, t)
-        kf = k_impl * f  # the step's implicit rhs term at its start, the last step's at its end
         for _ in range(n):
+            f = _problems.rhs_values(problem, y, t)
             t += k
+            kf = k_impl * f
             base = y + kf if k_expl == k_impl else y + k_expl * f
-            r = y - base - kf
-            x = y - inverse @ r  # newton_solve's x + 1.0 * dx, dx = -(inverse @ r)
-            fx = _problems.rhs_values(problem, x, t)
-            kfx = k_impl * fx
-            rx = x - base - kfx
-            if math.sqrt(rx @ rx) <= TOL < math.sqrt(r @ r):
-                y, f, kf = x, fx, kfx
-            else:
-                return None
+            y = y - inverse @ (y - base - kf)  # newton_solve's x + 1.0 * dx, dx = -(inverse @ r)
+            if not math.isfinite(y @ y) and not np.all(np.isfinite(y)):
+                raise TimeStepError(f"implicit step failed at t_n={t!r}, k={k!r}: non-finite values")
         return y
 
     def _linear_block(self, values: Sequence[np.ndarray], n: int):
         """``_linear`` on ``m`` windows at once, as one ``(m, size, 1)`` stack, or None.
 
         ``values`` holds each window's start values. Each column takes
-        ``_linear``'s step, and a step is taken when it passes for every
-        column: ``sqrt(max after²) <= TOL < sqrt(min before²)`` over the
-        columns' squared residual norms, which is the columnwise test, NaN
-        included. At the first step that does not pass, the block is
-        handed back as None, and ``advance_many`` steps each window
-        through ``advance``. The rhs is ``A @ Y + b``: the stacked
-        products ``A @ Y`` and ``R.mT @ R`` make one BLAS call per column,
-        the calls ``A @ y`` and ``r @ r`` make, so each column is
-        ``_linear``'s step bit for bit whichever windows share the stack.
-        The working arrays are allocated once per call and a taken step
-        swaps them, so the loop writes only its own arrays. Returns the
-        final stack; each step of each column took one Newton iteration.
+        ``_linear``'s step. The rhs is ``A @ Y + b``: the stacked product
+        ``A @ Y`` makes one BLAS call per column, the call ``A @ y``
+        makes, so each column is ``_linear``'s step bit for bit whichever
+        windows share the stack. The stack is checked once, at the end: a
+        non-finite entry stays non-finite in every later step, so a stack
+        with none had none at any step. A stack with one is handed back as
+        None, and ``advance_many`` steps each window through ``advance``,
+        which names the failing step. The working arrays are allocated
+        once per call, and the loop writes only its own arrays. Returns
+        the final stack.
         """
         inverse, k = self.operator, self.step
         k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
         a, b = self.problem.affine
         b = b[:, None]
         y = np.stack(values)[:, :, None]
-        f, kf, x, fx, kfx, base, r = (np.empty_like(y) for _ in range(7))
-        before, after = np.empty((2, len(values), 1, 1))
-        np.add(np.matmul(a, y, out=f), b, out=f)
-        np.multiply(f, k_impl, out=kf)
+        f, kf, r = (np.empty_like(y) for _ in range(3))
         for _ in range(n):
+            np.add(np.matmul(a, y, out=f), b, out=f)
+            np.multiply(f, k_impl, out=kf)
             if k_expl == k_impl:
-                np.add(y, kf, out=base)
+                np.add(y, kf, out=r)
             else:
-                np.add(y, np.multiply(f, k_expl, out=base), out=base)
-            np.subtract(np.subtract(y, base, out=r), kf, out=r)
-            np.matmul(r.mT, r, out=before)
-            np.subtract(y, np.matmul(inverse, r, out=x), out=x)
-            np.add(np.matmul(a, x, out=fx), b, out=fx)
-            np.multiply(fx, k_impl, out=kfx)
-            np.subtract(np.subtract(x, base, out=r), kfx, out=r)
-            np.matmul(r.mT, r, out=after)
-            if math.sqrt(after.max()) <= TOL < math.sqrt(before.min()):
-                y, f, kf, x, fx, kfx = x, fx, kfx, y, f, kf
-            else:
-                return None
+                np.add(y, np.multiply(f, k_expl, out=r), out=r)
+            np.subtract(np.subtract(y, r, out=r), kf, out=r)  # r holds base, then the residual
+            np.subtract(y, np.matmul(inverse, r, out=f), out=y)
+        flat = y.reshape(-1)
+        if not math.isfinite(flat @ flat) and not np.all(np.isfinite(flat)):
+            return None
         return y
 
     def _step(self, y0: np.ndarray, f0, t0: float):
-        """One implicit step on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).
+        """One implicit step of a nonlinear problem on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).
 
         ``f0`` is ``f(y0, t0)`` when the caller holds it (the previous step's
         returned rhs), else None and evaluated here. Every Newton direction
-        is a product with one inverse of ``I - k*theta*J``: ``operator`` for
-        a linear problem, and for a nonlinear one the inverse formed here,
+        is a product with one inverse of ``I - k*theta*J``, formed here,
         once, from the analytic Jacobian at ``(y0, t0 + k)``, the point of
         Newton's first residual. A singular matrix is a ``TimeStepError``
         like any other failure of the step.
@@ -411,12 +390,7 @@ class ThetaPropagator:
             if f0 is None:
                 f0 = _problems.rhs_values(problem, y0, t0)
             base = y0 + (k * (1.0 - theta)) * f0
-            if problem.linear:
-                # f(y0, t1) is f(y0, t0): an affine rhs does not depend on time
-                y_last, f_last = y0, f0
-                inverse = self.operator
-            else:
-                inverse = _iteration_inverse(problem.jacobian(y0, t1), k, theta)
+            inverse = _iteration_inverse(problem.jacobian(y0, t1), k, theta)
             y1, iters = newton_solve(residual, y0, jacobian_inverse=inverse)
             return y1, rhs1(y1), iters
         except (_problems.MeshDegenerate, NumericBreakdown, MaxItersExceeded) as exc:

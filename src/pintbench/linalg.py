@@ -2,11 +2,13 @@
 
 A damped Newton iteration. The caller supplies the linearization as a
 fixed inverse of the Jacobian, so each direction is one matrix-vector
-product (simplified Newton with a frozen Jacobian: exact for an affine
-residual, and for a nonlinear one the inverse at the caller's chosen
-point). Everything here operates on plain 1-d float64 numpy arrays and
-is free of shared mutable state, so all functions are safe to call
-concurrently.
+product (simplified Newton with a frozen Jacobian, the inverse at the
+caller's chosen point). Its callers are the nonlinear steps: a linear
+step's exact inverse makes Newton's first step the solution up to
+rounding, so the integrator takes that step itself and never calls
+here, and ``TOL`` applies to nonlinear steps only. Everything here
+operates on plain 1-d float64 numpy arrays and is free of shared mutable
+state, so all functions are safe to call concurrently.
 
 Finiteness comes from the dot products behind the norms: ``v @ v`` is a
 sum of squares, so it is finite exactly when every entry is finite and

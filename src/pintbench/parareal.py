@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral
@@ -368,6 +367,9 @@ def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optiona
             if (outcome := run_task(by_key[key])) is not None:
                 return outcome
         return None
+    # imported here: only a threaded run starts a pool, so a theta run does not pay for the import
+    from concurrent.futures import ThreadPoolExecutor
+
     links = sorted(key for key in by_key if key[1] == 1)
     released: dict = {}  # link key, or None for the start -> the fine keys it releases, in key order
     for key in sorted(by_key):

@@ -10,8 +10,8 @@ and ``jacobian`` both read it, and the rhs does not depend on the time.
 The dense product costs ``Theta(n^2)`` where a stencil costs
 ``Theta(n)``. At the mesh sizes used here (n <= 64) it is the cheaper
 of the two; near n = 1000 it costs as much as the frozen-inverse
-product of every Newton iteration, so a linear step there costs up to
-twice what a stencil rhs would. Every parameter follows the number
+product that is the rest of a linear step, so a linear step there costs
+up to twice what a stencil rhs would. Every parameter follows the number
 rule of ``state._require_fields``: a float parameter is a finite real
 number and a count (``mesh_n``, a sine ``mode``) an integer, neither a
 bool, and ``periodic`` is ``True`` or ``False``; anything else is
@@ -383,10 +383,10 @@ def initial_state(problem: Problem) -> State:
 def rhs_values(problem: Problem, values: np.ndarray, t: float) -> np.ndarray:
     """Time derivative of every unknown, on raw value vectors.
 
-    The integrator's one path to ``problem.rhs``: it calls this once per
-    window start and once per Newton residual evaluation at a new iterate
-    (for a linear problem not at a step's start values, whose rhs it
-    already holds).
+    The integrator's one path to ``problem.rhs`` on one window's vector:
+    a linear step calls this once, at its start values; a nonlinear
+    window calls it once at its start and once per Newton residual
+    evaluation at a new iterate.
     """
     return problem.rhs(values, t)
 

@@ -3,9 +3,10 @@
 Everything in here is deliberately written in the most straightforward
 way possible (plain loops, numpy only) and does not reuse any engine
 internals beyond the propagator ``advance`` contract, except that
-:func:`newton_theta_window` solves each step with ``linalg.newton_solve``
-and, for a linear problem, the shared ``frozen_inverse``: it is the
-arithmetic a step must reproduce bit for bit.
+:func:`first_step_theta_window` steps a linear problem with the shared
+``frozen_inverse`` and :func:`newton_theta_window` solves each step of a
+nonlinear one with ``linalg.newton_solve``: they are the arithmetic a
+step must reproduce bit for bit.
 """
 
 import heapq
@@ -103,20 +104,41 @@ def fd_jacobian(f, x):
     return jac
 
 
+def first_step_theta_window(problem, k, theta, values, t, n):
+    """``n`` theta steps of the linear ``problem`` from ``values`` at time ``t``, Newton's first step each.
+
+    Step ``j`` is ``y0 - inverse @ r`` with the frozen inverse of
+    ``I - k*theta*A`` and the residual ``r = y0 - base - k*theta*f(y0)``
+    at its start values, ``base = y0 + k*(1-theta)*f(y0)``: one full
+    Newton step, which solves a linear step up to rounding. Returns
+    ``(values, steps, failure)`` in the shape of
+    :func:`newton_theta_window`, one Newton iteration per step: ``failure``
+    is None, or ``(j, text)`` for the first step with a non-finite value,
+    ``text`` naming its end time and the step size, with ``values`` and
+    the count of the steps before it.
+    """
+    inverse = frozen_inverse(problem, k, theta)
+    for j in range(n):
+        f = problem.rhs(values, t)
+        t = t + k
+        step = values - inverse @ (values - (values + (k * (1.0 - theta)) * f) - (k * theta) * f)
+        if not np.all(np.isfinite(step)):
+            return values, j, (j, f"t_n={t!r}, k={k!r}: non-finite values")
+        values = step
+    return values, n, None
+
+
 def newton_theta_window(problem, k, theta, values, t, n):
-    """``n`` theta steps of ``problem`` from ``values`` at time ``t``, one ``newton_solve`` call each.
+    """``n`` theta steps of the nonlinear ``problem`` from ``values`` at time ``t``, one ``newton_solve`` call each.
 
     Step ``j`` solves ``y - base - k*theta*f(y, t1) = 0`` with ``base = y0 +
-    k*(1-theta)*f(y0, t0)`` from one inverse of ``I - k*theta*J``: the
-    frozen inverse of ``I - k*theta*A`` for a linear problem, and for a
-    nonlinear one ``np.linalg.inv`` of the matrix at ``(y0, t1)``, formed
-    here per step. A trial iterate that collapses the piston's mesh has an
-    infinite residual. Returns ``(values, Newton iterations, failure)``:
-    ``failure`` is None, or ``(j, text)`` for the first step that fails,
-    ``text`` naming its end time, the step size and the error, with
-    ``values`` and the iterations of the steps before it.
+    k*(1-theta)*f(y0, t0)`` from ``np.linalg.inv`` of ``I - k*theta*J`` at
+    ``(y0, t1)``, formed here per step. A trial iterate that collapses the
+    piston's mesh has an infinite residual. Returns ``(values, Newton
+    iterations, failure)``: ``failure`` is None, or ``(j, text)`` for the
+    first step that fails, ``text`` naming its end time, the step size and
+    the error, with ``values`` and the iterations of the steps before it.
     """
-    inverse = frozen_inverse(problem, k, theta) if problem.linear else None
     iterations = 0
     for j in range(n):
         t1 = t + k
@@ -130,11 +152,10 @@ def newton_theta_window(problem, k, theta, values, t, n):
                 except MeshDegenerate:
                     return np.full_like(y, np.inf)
 
-            if not problem.linear:
-                try:
-                    inverse = np.linalg.inv(np.eye(values.size) - (k * theta) * problem.jacobian(values, t1))
-                except np.linalg.LinAlgError:
-                    return values, iterations, (j, f"t_n={t1!r}, k={k!r}: singular iteration matrix at k={k!r}")
+            try:
+                inverse = np.linalg.inv(np.eye(values.size) - (k * theta) * problem.jacobian(values, t1))
+            except np.linalg.LinAlgError:
+                return values, iterations, (j, f"t_n={t1!r}, k={k!r}: singular iteration matrix at k={k!r}")
             values, it = newton_solve(residual, values, jacobian_inverse=inverse)
         except (MeshDegenerate, NumericBreakdown, MaxItersExceeded) as exc:
             return values, iterations, (j, f"t_n={t1!r}, k={k!r}: {exc}")

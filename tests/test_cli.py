@@ -537,6 +537,27 @@ adv = 5.0
         assert (tmp_path / "res.csv.partial").exists()
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_large_boundary_value_runs_to_completion(self, tmp_path):
+        # states near 1e6 leave a residual above linalg.TOL from rounding
+        # alone; a linear step takes Newton's first step and tests none
+        out = tmp_path / "res.csv"
+        body = """
+[experiment]
+problem = heat1d
+horizon = 0.4
+intervals = 4
+coarse_steps = 0.1
+fine_step = 0.005
+output = {out}
+
+[heat1d]
+mesh_n = 63
+left_bc = 1e6
+""".format(out=out)
+        assert main(["run", write_config(tmp_path / "large.ini", body)]) == EXIT_OK
+        assert load_rows(str(out))[-1].t_par_s is not None
+        assert not (tmp_path / "res.csv.partial").exists()
+
     def test_singular_operator_exits_three_with_header_only_partial_file(self, tmp_path, capsys):
         # 1 - k*theta*lam vanishes at k = 0.01, theta = 1/2, so building the fine propagator fails
         out = tmp_path / "res.csv"

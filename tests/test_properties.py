@@ -24,11 +24,13 @@ from the whole float range: the count fits the window or the split
 raises ``ValueError``. Each block example advances random windows of a
 linear problem with one ``advance_many`` call and checks it against
 ``advance`` on each window, bit for bit and counter for counter. Each
-Newton example steps random windows of a problem, some of them zero or
-large enough that a step needs more than Newton's first iteration (or,
-for the piston, collapses its mesh), and checks ``advance`` and
-``advance_many`` against one ``newton_solve`` call per step with the
-step's frozen inverse: the same bits, counters and step errors. Each
+step example steps random windows of a problem, some of them zero, NaN
+or large enough that rounding leaves a step's residual above the
+tolerance (or, for the piston, that the mesh collapses), and checks
+``advance`` and ``advance_many`` against the oracle step: for a linear
+problem Newton's first step with the frozen inverse, for the piston one
+``newton_solve`` call per step with the step's inverse. It asks the same
+bits, counters and step errors. Each
 results example builds a ``ResultRow`` from drawn numbers (floats as
 Python floats, counts as Python ints), writes it as CSV and as JSON and
 checks that ``load_rows`` reads back an equal row; one of its fields
@@ -77,7 +79,7 @@ from pintbench.problems import (  # noqa: E402
     initial_state,
 )
 
-from oracles import fd_jacobian, newton_theta_window  # noqa: E402
+from oracles import fd_jacobian, first_step_theta_window, newton_theta_window  # noqa: E402
 
 WINDOW = 0.25
 PROBLEM = dahlquist(lam=-1.0)
@@ -382,7 +384,7 @@ def test_advance_many_equals_advance_per_window_bit_for_bit(kind, data):
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_linear_steps_equal_newton_solve_with_the_frozen_inverse(kind, data):
+def test_steps_equal_the_first_step_or_newton_solve_oracle(kind, data):
     problem = _draw_problem(data, kind)
     if kind == "heat1d" and data.draw(st.booleans(), label="zero forcing"):
         problem = replace(problem, left_bc=0.0, right_bc=0.0)  # a zero column then solves every step
@@ -394,16 +396,20 @@ def test_linear_steps_equal_newton_solve_with_the_frozen_inverse(kind, data):
     states = []
     for j in range(width):
         values = _draw_values(data, problem)
-        column = data.draw(st.sampled_from(["drawn", "zero", "large"]), label=f"column[{j}]")
+        column = data.draw(st.sampled_from(["drawn", "zero", "large", "nan"]), label=f"column[{j}]")
         if column == "zero":
             values = np.zeros_like(values)
         elif column == "large":
-            # one step's residual is left above the tolerance, and Newton may
-            # not reach it; the piston's displacement collapses its mesh
+            # rounding leaves a step's residual above linalg.TOL: a linear
+            # step keeps its first step, Newton may not reach the tolerance,
+            # and the piston's displacement collapses its mesh
             values *= data.draw(st.sampled_from([1e5, 3e5, 1e6, 3e6]), label=f"scale[{j}]")
+        elif column == "nan":
+            values[data.draw(st.integers(0, values.size - 1), label=f"nan at[{j}]")] = np.nan
         states.append(base.with_values(values, time=data.draw(st.floats(0.0, 10.0), label=f"t0[{j}]")))
     ends = [s.time + n * k for s in states]
-    expected = [newton_theta_window(problem, k, settings_.theta, s.values, s.time, n) for s in states]
+    oracle = first_step_theta_window if problem.linear else newton_theta_window
+    expected = [oracle(problem, k, settings_.theta, s.values, s.time, n) for s in states]
 
     for s, t, (values, iterations, failure) in zip(states, ends, expected):
         one = make_propagator(problem, settings_)
