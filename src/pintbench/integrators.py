@@ -16,7 +16,7 @@ read-only operator per (problem, step size, theta), kept in one bounded
 module-level cache that every propagator shares. With that exact
 inverse, Newton's first full step solves the step up to rounding
 (Hairer & Wanner II, section IV.8), so a linear step is that step and
-nothing more, ``y_n = y_{n-1} - operator @ (y_{n-1} - base - k*theta *
+nothing more, ``y_n = y_{n-1} - operator.dot(y_{n-1} - base - k*theta *
 f(y_{n-1}))`` with ``base = y_{n-1} + k*(1-theta) * f(y_{n-1})``. It
 tests no residual; its one failure is a non-finite value, and it counts
 one Newton iteration. A linear window steps in one of two loops of that
@@ -25,7 +25,7 @@ arithmetic: ``ThetaPropagator._linear`` on one window's vector
 ``_linear_block`` on an ``(m, size, 1)`` stack of windows of equal step
 count (``advance_many``). Each evaluates the rhs once per step, at the
 step's start values; the rhs does not depend on the time. The vector
-loop checks every step's values, ``x @ x`` first and the entrywise scan
+loop checks every step's values, ``y.dot(y)`` first and the entrywise scan
 only when that sum is not finite, and raises at the first non-finite
 step. A non-finite entry stays non-finite in every later step, so the
 block checks its final stack once and hands itself back as None when it
@@ -35,11 +35,13 @@ loops make only the numpy calls that arithmetic needs: when
 ``k*(1-theta)`` and ``k*theta`` are the same float, as at ``theta =
 1/2``, the explicit term is the implicit term ``k*theta * f`` already
 held, the same product, so it is not formed again, and the block
-allocates its working arrays once per call and steps with ``out=``. A
-stacked ``matmul`` makes the same BLAS call per column that ``A @ y``
-makes (a plain ``A @ Y.T`` does not: its columns change with the block
-width), so the stack returns, for every window, exactly the array
-``advance`` returns, whichever windows share it. Every other
+allocates its working arrays once per call and steps with ``out=``. The
+vector loop's products are ``linalg.matrix_vector``'s, ``A.dot(y)``
+with the bits of ``A @ y``. A stacked ``matmul`` makes the same BLAS
+call per column (a plain ``A @ Y.T`` does not: its columns change with
+the block width, and on a stack ``dot`` is another product), so the
+stack returns, for every window, exactly the array ``advance`` returns,
+whichever windows share it. Every other
 ``advance_many`` call is the loop of ``advance`` over its windows.
 
 A nonlinear problem's step is ``ThetaPropagator._step``, one damped
@@ -96,7 +98,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import problems as _problems
-from .linalg import MaxItersExceeded, NumericBreakdown, newton_solve
+from .linalg import MaxItersExceeded, NumericBreakdown, matrix_vector, newton_solve
 from .state import State, _require_fields
 
 
@@ -295,9 +297,9 @@ class ThetaPropagator:
         """``n`` steps of a linear problem from one window's vector ``y`` at time ``t``.
 
         A step is Newton's first, full step with the frozen inverse,
-        ``y - operator @ r`` for the residual ``r`` at the start values,
+        ``y - operator.dot(r)`` for the residual ``r`` at the start values,
         with the rhs evaluated there. Its values are checked for
-        non-finite entries, ``x @ x`` first and the entrywise scan only
+        non-finite entries, ``y.dot(y)`` first and the entrywise scan only
         when that sum is not finite, and the first non-finite step raises
         ``TimeStepError`` with its ``(t_n, k)``. The explicit term
         ``k*(1-theta) * f`` is the implicit one ``k*theta * f`` the loop
@@ -306,15 +308,15 @@ class ThetaPropagator:
         The clock is one float, advanced as ``t + k`` once per step.
         Returns the final values.
         """
-        problem, inverse, k = self.problem, self.operator, self.step
+        problem, apply, k = self.problem, matrix_vector(self.operator), self.step
         k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
         for _ in range(n):
             f = _problems.rhs_values(problem, y, t)
             t += k
             kf = k_impl * f
             base = y + kf if k_expl == k_impl else y + k_expl * f
-            y = y - inverse @ (y - base - kf)  # newton_solve's x + 1.0 * dx, dx = -(inverse @ r)
-            if not math.isfinite(y @ y) and not np.all(np.isfinite(y)):
+            y = y - apply(y - base - kf)  # newton_solve's x + 1.0 * dx, dx = -(inverse @ r)
+            if not math.isfinite(y.dot(y)) and not np.all(np.isfinite(y)):
                 raise TimeStepError(f"implicit step failed at t_n={t!r}, k={k!r}: non-finite values")
         return y
 
@@ -322,10 +324,10 @@ class ThetaPropagator:
         """``_linear`` on ``m`` windows at once, as one ``(m, size, 1)`` stack, or None.
 
         ``values`` holds each window's start values. Each column takes
-        ``_linear``'s step. The rhs is ``A @ Y + b``: the stacked product
-        ``A @ Y`` makes one BLAS call per column, the call ``A @ y``
-        makes, so each column is ``_linear``'s step bit for bit whichever
-        windows share the stack. The stack is checked once, at the end: a
+        ``_linear``'s step. The rhs is ``A Y + b``: the stacked product
+        ``np.matmul(A, Y)`` makes one BLAS call per column, the call
+        ``_linear``'s ``A.dot(y)`` makes, so each column is ``_linear``'s
+        step bit for bit whichever windows share the stack. The stack is checked once, at the end: a
         non-finite entry stays non-finite in every later step, so a stack
         with none had none at any step. A stack with one is handed back as
         None, and ``advance_many`` steps each window through ``advance``,
@@ -349,7 +351,7 @@ class ThetaPropagator:
             np.subtract(np.subtract(y, r, out=r), kf, out=r)  # r holds base, then the residual
             np.subtract(y, np.matmul(inverse, r, out=f), out=y)
         flat = y.reshape(-1)
-        if not math.isfinite(flat @ flat) and not np.all(np.isfinite(flat)):
+        if not math.isfinite(flat.dot(flat)) and not np.all(np.isfinite(flat)):
             return None
         return y
 

@@ -10,16 +10,26 @@ here, and ``TOL`` applies to nonlinear steps only. Everything here
 operates on plain 1-d float64 numpy arrays and is free of shared mutable
 state, so all functions are safe to call concurrently.
 
-Finiteness comes from the dot products behind the norms: ``v @ v`` is a
-sum of squares, so it is finite exactly when every entry is finite and
-the norm does not overflow, and ``math.sqrt(v @ v)`` equals
+Finiteness comes from the dot products behind the norms: ``v.dot(v)`` is
+a sum of squares, so it is finite exactly when every entry is finite and
+the norm does not overflow, and ``math.sqrt(v.dot(v))`` equals
 ``np.linalg.norm(v)`` bit for bit. The entrywise scan runs only when that
 sum is not finite, to tell an overflowing norm of a finite vector from a
 NaN or Inf entry.
+
+The package's hot paths call ``ndarray.dot``, not the ``@`` operator:
+the method skips the ufunc dispatch of ``np.matmul`` and makes the same
+BLAS call, so it returns the same bits, ``v.dot(v)`` those of ``v @ v``
+and ``A.dot(x)`` those of ``A @ x``, at a third less call cost on a
+vector of 63 entries. The one exception is a 1 x 1 matrix, which
+``dot`` treats as a scalar: it returns the product ``a * x`` itself,
+where gemv adds it to 0.0, so a product of -0.0 keeps its sign.
+:func:`matrix_vector` gives every caller the bits of ``A @ x``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -40,6 +50,15 @@ class MaxItersExceeded(RuntimeError):
     """Newton iteration budget exhausted before reaching tolerance."""
 
 
+def matrix_vector(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The product ``x -> matrix @ x`` with a square float64 ``matrix``, bit for bit.
+
+    It is ``matrix.dot`` from two rows on, and ``np.matmul`` with a 1 x 1
+    matrix, whose ``dot`` would keep the sign of a -0.0 product.
+    """
+    return matrix.dot if matrix.shape[0] > 1 else functools.partial(np.matmul, matrix)
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate and return ``x`` as a non-empty finite 1-d float64 array."""
     arr = np.asarray(x, dtype=np.float64)
@@ -47,7 +66,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not math.isfinite(arr @ arr) and not np.all(np.isfinite(arr)):
+    if not math.isfinite(arr.dot(arr)) and not np.all(np.isfinite(arr)):
         raise NumericBreakdown(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -60,11 +79,11 @@ def newton_solve(
 ):
     """Solve ``residual(x) = 0`` by damped Newton iteration.
 
-    The direction at every iterate is ``-jacobian_inverse @ r``. The
-    iteration stops once the residual's Euclidean norm is at most
-    ``TOL``. Each step is halved until the residual norm decreases or
-    the damping factor reaches ``DAMPING_MIN``, at which point the damped
-    step is taken anyway.
+    The direction at every iterate is ``-jacobian_inverse @ r``, taken by
+    :func:`matrix_vector`. The iteration stops once the residual's
+    Euclidean norm is at most ``TOL``. Each step is halved until the
+    residual norm decreases or the damping factor reaches
+    ``DAMPING_MIN``, at which point the damped step is taken anyway.
 
     Parameters
     ----------
@@ -95,8 +114,9 @@ def newton_solve(
         A NaN or Inf in the start, a residual or a direction.
     """
     x = as_vector(x0, "x0")
+    direction = matrix_vector(jacobian_inverse)
     r = np.asarray(residual(x), dtype=np.float64)
-    rr = r @ r
+    rr = r.dot(r)
     if not math.isfinite(rr) and not np.all(np.isfinite(r)):
         raise NumericBreakdown("residual not finite at starting point")
     if r.size != x.size:
@@ -106,15 +126,15 @@ def newton_solve(
     for it in range(MAX_ITERS):
         if rnorm <= TOL:
             return x, it
-        dx = -(jacobian_inverse @ r)
-        if not math.isfinite(dx @ dx) and not np.all(np.isfinite(dx)):
+        dx = -direction(r)
+        if not math.isfinite(dx.dot(dx)) and not np.all(np.isfinite(dx)):
             raise NumericBreakdown("non-finite Newton direction")
 
         lam = 1.0
         while True:
             x_trial = x + lam * dx
             r_trial = np.asarray(residual(x_trial), dtype=np.float64)
-            rr = r_trial @ r_trial
+            rr = r_trial.dot(r_trial)
             # a non-finite entry and an overflowing norm both read as infinite
             trial_norm = math.sqrt(rr) if math.isfinite(rr) else math.inf
             if trial_norm < rnorm or lam <= DAMPING_MIN:

@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -214,15 +214,15 @@ def theta_weight(fine: State, coarse: State, variant: str) -> float:
     for name in fine.layout:
         f = fine.block(name)
         c = coarse.block(name)
-        cc = float(np.dot(c, c))
+        cc = float(c.dot(c))
         if cc <= _DEGENERATE_MASS:
             weights.append(1.0)
             continue
-        fc = float(np.dot(f, c))
+        fc = float(f.dot(c))
         if variant == "least_squares":
             w = fc / cc
         else:
-            denom = cc * float(np.dot(f, f))
+            denom = cc * float(f.dot(f))
             w = fc / denom if denom > _DEGENERATE_MASS**2 else 1.0
         weights.append(w if np.isfinite(w) else 1.0)
     return float(min(max(sum(weights) / len(weights), 0.0), 1.0))
@@ -238,7 +238,7 @@ def boundary_error(parareal_states: Sequence[State], sequential_states: Sequence
         if not vp.same_layout(vs):
             raise ValueError("paired states must share one layout")
         d = vp.values - vs.values
-        diff, ref = math.sqrt(d @ d), math.sqrt(vs.values @ vs.values)
+        diff, ref = math.sqrt(d.dot(d)), math.sqrt(vs.values.dot(vs.values))
         errors.append(diff / ref if ref > 0.0 else diff)
     return errors
 
@@ -311,6 +311,37 @@ def pipelined_schedule(intervals: int, iterations: int) -> tuple:
     return tuple(tasks)
 
 
+class _Plan(NamedTuple):
+    """A checked task graph, in the orders :func:`_execute` runs it; never written once built."""
+
+    order: tuple  # every task, in ascending key order
+    links: tuple  # the tasks of the chain (phase 1), in ascending key order
+    released: dict  # link key, or None for the start -> the fine tasks that link releases, in key order
+
+
+def _check_graph(tasks: Sequence[Task]) -> _Plan:
+    """Check the rules :func:`_execute` states for ``tasks``; return the graph's plan or raise ``ValueError``."""
+    by_key = {t.key: t for t in tasks}
+    for t in tasks:
+        for dep in t.depends:
+            if dep not in by_key or dep >= t.key:
+                raise ValueError(f"task {t.key} depends on {dep}, which is not a task with a smaller key")
+            if dep[1] == 0 == t.key[1]:
+                raise ValueError(f"fine task {t.key} depends on fine task {dep}, not on a link of the chain")
+    order = tuple(by_key[key] for key in sorted(by_key))
+    released: dict = {}
+    for t in order:
+        if t.key[1] == 0:
+            released.setdefault(max(t.depends, default=None), []).append(t)
+    return _Plan(order, tuple(t for t in order if t.key[1] == 1), released)
+
+
+@lru_cache(maxsize=8)
+def _pipelined_plan(intervals: int, iterations: int) -> _Plan:
+    """The checked plan of ``pipelined_schedule(intervals, iterations)``, built once per shape."""
+    return _check_graph(pipelined_schedule(intervals, iterations))
+
+
 def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optional[int]:
     """Run the task graph in key order; return the converged iteration, if any.
 
@@ -354,40 +385,37 @@ def _execute(tasks: Sequence[Task], run_task: Callable, workers: int) -> Optiona
     An interrupt of the calling thread cancels the queued fine tasks and
     stops the chain at the first link that waits for one of them or
     releases one. Both pools are joined before this returns or raises.
+
+    :func:`run_parareal` hands :func:`_run` the plan of its shape from
+    :func:`_pipelined_plan`, checked once per shape, not once per run.
     """
-    by_key = {t.key: t for t in tasks}
-    for t in tasks:
-        for dep in t.depends:
-            if dep not in by_key or dep >= t.key:
-                raise ValueError(f"task {t.key} depends on {dep}, which is not a task with a smaller key")
-            if dep[1] == 0 == t.key[1]:
-                raise ValueError(f"fine task {t.key} depends on fine task {dep}, not on a link of the chain")
+    return _run(_check_graph(tasks), run_task, workers)
+
+
+def _run(plan: _Plan, run_task: Callable, workers: int) -> Optional[int]:
+    """:func:`_execute` on a graph :func:`_check_graph` has checked."""
     if workers == 1:
-        for key in sorted(by_key):
-            if (outcome := run_task(by_key[key])) is not None:
+        for task in plan.order:
+            if (outcome := run_task(task)) is not None:
                 return outcome
         return None
     # imported here: only a threaded run starts a pool, so a theta run does not pay for the import
     from concurrent.futures import ThreadPoolExecutor
 
-    links = sorted(key for key in by_key if key[1] == 1)
-    released: dict = {}  # link key, or None for the start -> the fine keys it releases, in key order
-    for key in sorted(by_key):
-        if key[1] == 0:
-            released.setdefault(max(by_key[key].depends, default=None), []).append(key)
     fine: dict = {}  # fine key -> future, written only by the chain once it runs
 
     def release(link) -> None:
-        for key in released.get(link, ()):
-            fine[key] = fine_pool.submit(run_task, by_key[key])
+        for task in plan.released.get(link, ()):
+            fine[task.key] = fine_pool.submit(run_task, task)
 
     def chain() -> tuple:
         """Run the links up to the one the run stops at; return its key and its outcome or exception."""
-        for key in links:
-            if any(fine[dep].exception() is not None for dep in by_key[key].depends if dep[1] == 0):
+        for link in plan.links:
+            key = link.key
+            if any(fine[dep].exception() is not None for dep in link.depends if dep[1] == 0):
                 return key, None
             try:
-                outcome = run_task(by_key[key])
+                outcome = run_task(link)
             except BaseException as exc:  # re-raised on the calling thread
                 return key, exc
             if outcome is not None:
@@ -497,7 +525,7 @@ def run_parareal(
             coarse_vals[i][l + 1] = coarse_new
             theta_rows[i][l] = th
             d = new.values - X[i - 1][l + 1].values
-            diff, norm = math.sqrt(d @ d), math.sqrt(new.values @ new.values)
+            diff, norm = math.sqrt(d.dot(d)), math.sqrt(new.values.dot(new.values))
             corr_rows[i][l] = 0.0 if diff == 0.0 else (diff / norm if norm > 0.0 else float("inf"))
             if l == L - 1:
                 timing["iterations"][i] = time.perf_counter() - t_start
@@ -510,7 +538,7 @@ def run_parareal(
             raise PararealError(f"{task.kind} failed at iteration {i}, interval {l}: {exc}") from exc
 
     workers = 1 if advance_many is not None else cfg.workers
-    stop_at = _execute(pipelined_schedule(L, max_iters), run_task, workers)
+    stop_at = _run(_pipelined_plan(L, max_iters), run_task, workers)
 
     iters_run = stop_at if stop_at is not None else max_iters
     for i in range(1, iters_run + 1):

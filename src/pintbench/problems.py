@@ -4,7 +4,7 @@ Each problem is one frozen dataclass that owns its parameters and its
 behaviour: ``layout()``, ``initial_values()``, ``rhs(values, t)`` and the
 analytic ``jacobian(values, t)`` of that rhs as a dense matrix, the
 interface a single implicit integrator drives. The class flag ``linear``
-says the rhs is ``A @ values + b`` with a constant matrix ``A`` and
+says the rhs is ``A.dot(values) + b`` with a constant matrix ``A`` and
 vector ``b``: the linear problems build that pair once, their ``rhs``
 and ``jacobian`` both read it, and the rhs does not depend on the time.
 The dense product costs ``Theta(n^2)`` where a stencil costs
@@ -45,6 +45,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
+from .linalg import matrix_vector
 from .state import Layout, State, _require_fields
 
 
@@ -105,12 +106,13 @@ def _tridiagonal(n: int, lower, diag, upper) -> np.ndarray:
 
 
 class _Affine:
-    """A linear problem: ``rhs(values, t) = A @ values + b`` with constant ``A`` and ``b``.
+    """A linear problem: ``rhs(values, t) = A.dot(values) + b`` with constant ``A`` and ``b``.
 
     Each class builds the pair once in ``_affine()``; it is cached on the
     instance as ``affine`` with both arrays read-only, so ``jacobian``
     hands every caller the same ``A`` and the integrator's block step
-    reads the same pair.
+    reads the same pair. ``rhs`` forms the product with the callable
+    ``linalg.matrix_vector`` returns for ``A``, cached as ``_product``.
     """
 
     linear: ClassVar[bool] = True
@@ -122,9 +124,12 @@ class _Affine:
             array.setflags(write=False)
         return pair
 
+    @functools.cached_property
+    def _product(self):
+        return matrix_vector(self.affine[0])
+
     def rhs(self, values: np.ndarray, t: float) -> np.ndarray:
-        a, b = self.affine
-        return a @ values + b
+        return self._product(values) + self.affine[1]
 
     def jacobian(self, values: np.ndarray, t: float) -> np.ndarray:
         return self.affine[0]

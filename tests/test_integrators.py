@@ -365,6 +365,27 @@ class TestStepOperator:
             assert len(rhs_calls) == len(residual_calls) + 1
 
 
+    @STEP_CASES
+    def test_strided_state_steps_to_the_bits_of_its_contiguous_copy(self, problem):
+        # a state's values may be a strided view, which the products take as
+        # it is; NaN between its entries shows a read outside the view
+        start = initial_state(problem)
+        values = start.values + 0.25 * np.cos(np.arange(start.size))
+        buffer = np.full(2 * start.size, np.nan)
+        buffer[::2] = values
+        strided = [start.with_values(buffer[::2], time=t) for t in (0.0, 0.3)]
+        contiguous = [start.with_values(values.copy(), time=t) for t in (0.0, 0.3)]
+        ends = [s.time + 6 * 0.02 for s in strided]
+        settings = ThetaSettings(step=0.02, theta0=0.5)
+        for views, copies in ((strided, contiguous), (strided[:1], contiguous[:1])):
+            a, b = make_propagator(problem, settings), make_propagator(problem, settings)
+            outs = a.advance_many(views, ends[:len(views)])
+            expected = b.advance_many(copies, ends[:len(copies)])
+            assert [o.values.tobytes() for o in outs] == [e.values.tobytes() for e in expected]
+            for view, copy, t in zip(views, copies, ends):
+                assert a.advance(view, t).values.tobytes() == b.advance(copy, t).values.tobytes()
+
+
 class TestLinearStep:
     """A linear step is Newton's first step and nothing more: no residual test, and no ``newton_solve`` call."""
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 try:
-    from hypothesis import given, strategies as st
+    from hypothesis import given, settings, strategies as st
     from hypothesis.extra import numpy as hnp
 except ImportError:  # the property test needs hypothesis; the rest does not
     given = None
@@ -15,6 +15,7 @@ from pintbench.linalg import (
     MaxItersExceeded,
     NumericBreakdown,
     as_vector,
+    matrix_vector,
     newton_solve,
 )
 
@@ -106,7 +107,7 @@ class TestFiniteness:
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
 class TestNormIdiom:
-    """``math.sqrt(v @ v)``, the norm every caller takes, is ``np.linalg.norm(v)`` bit for bit."""
+    """``math.sqrt(v.dot(v))``, the norm every caller takes, is ``np.linalg.norm(v)`` bit for bit."""
 
     if given is not None:
         ENTRIES = st.one_of(
@@ -120,4 +121,43 @@ class TestNormIdiom:
         @given(hnp.arrays(np.float64, st.integers(1, 64), elements=ENTRIES))
         def test_equals_numpy_norm(self, v):
             # compared as bits, so NaN and the sign of a zero count too
-            assert np.float64(math.sqrt(v @ v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+            assert np.float64(math.sqrt(v.dot(v))).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+class TestDotIdiom:
+    """``ndarray.dot`` returns the bits of ``@`` on every product the hot paths take, but a 1 x 1 matrix's."""
+
+    if given is not None:
+
+        @staticmethod
+        @st.composite
+        def operands(draw):
+            # a C-contiguous read-only square matrix, as the hot paths hold, and a
+            # vector twice its size, taken both contiguous and strided
+            n = draw(st.one_of(st.integers(1, 4), st.integers(1, 128)))  # 1 x 1 matrices often
+            matrix = draw(hnp.arrays(np.float64, (n, n), elements=TestNormIdiom.ENTRIES))
+            matrix.setflags(write=False)
+            vector = draw(hnp.arrays(np.float64, 2 * n, elements=TestNormIdiom.ENTRIES))
+            return matrix, vector
+
+        @settings(max_examples=200, deadline=None)
+        @given(operands())
+        def test_equals_matmul_as_bytes(self, operands):
+            matrix, vector = operands
+            n = matrix.shape[0]
+            for v in (vector[:n], vector[::2]):
+                with np.errstate(all="ignore"):  # NaN, Inf and overflowing products
+                    expected = (matrix @ v).tobytes()
+                    assert matrix_vector(matrix)(v).tobytes() == expected
+                    if n > 1:
+                        assert matrix.dot(v).tobytes() == expected
+                    assert np.float64(v.dot(v)).tobytes() == np.float64(v @ v).tobytes()
+
+
+def test_a_1x1_dot_keeps_the_sign_of_a_zero_product():
+    # why matrix_vector keeps np.matmul for a 1 x 1 matrix: dot multiplies,
+    # where the gemv behind @ adds the product to 0.0
+    matrix, v = np.array([[2.0]]), np.array([-0.0])
+    assert np.signbit(matrix.dot(v)[0]) and not np.signbit((matrix @ v)[0])
+    assert not np.signbit(matrix_vector(matrix)(v)[0])

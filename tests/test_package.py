@@ -71,6 +71,20 @@ def test_every_module_level_import_is_used(path):
     assert unused == []
 
 
+# the modules whose products run on every step, corrector or Newton iterate
+HOT_PATHS = ("integrators.py", "linalg.py", "parareal.py", "problems.py")
+
+
+@pytest.mark.parametrize("name", HOT_PATHS)
+def test_hot_path_products_call_dot_not_the_matmul_operator(name):
+    # ``ndarray.dot`` makes the BLAS call of ``@`` without its ufunc dispatch (linalg's
+    # docstring says where the bits differ); a docstring is a string, not an operator
+    tree = ast.parse((SOURCES[0].parent / name).read_text())
+    found = [f"{name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert found == []
+
+
 @pytest.mark.parametrize("obj,name,hint,optional", NUMBER_FIELDS,
                          ids=[f"{type(obj).__name__}.{name}" for obj, name, _, _ in NUMBER_FIELDS])
 def test_every_settings_field_follows_the_number_rule(obj, name, hint, optional):

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from pintbench import parareal
 from pintbench.integrators import SleepPropagator, ThetaSettings, make_propagator
 from pintbench.parareal import (
     PararealConfig,
@@ -79,6 +80,33 @@ class TestSchedulePlan:
                             ancestors.add(key)
                             stack.extend(tasks[key].depends)
                     assert ancestors == {key for key in tasks if key[0] <= i} - {last}, (L, iterations, i)
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+    def test_runs_of_one_shape_check_the_graph_once(self, threaded, monkeypatch):
+        # run_parareal reuses its shape's checked plan; _execute checks every graph it is given
+        checks = []
+        check = parareal._check_graph
+
+        def counted(tasks):
+            checks.append(len(tasks))
+            return check(tasks)
+
+        monkeypatch.setattr(parareal, "_check_graph", counted)
+        parareal._pipelined_plan.cache_clear()
+        if threaded:
+            C, F = SleepPropagator(0.25, 0.0), SleepPropagator(0.05, 0.0)
+            s0, cfg = State(np.ones(1), 0.0, {"y": (0, 1)}), PararealConfig(intervals=4, max_iters=2, workers=2)
+        else:
+            problem = heat1d(mesh_n=7)
+            C, F = (make_propagator(problem, ThetaSettings(step=k)) for k in (0.25, 0.05))
+            s0, cfg = initial_state(problem), PararealConfig(intervals=4, max_iters=2)
+        runs = [run_parareal(C, F, s0, 1.0, cfg) for _ in range(2)]
+        assert checks == [len(pipelined_schedule(4, 2))]
+        assert runs[0][1].workers == (2 if threaded else 1)
+        assert [s.values.tobytes() for s in runs[0][0]] == [s.values.tobytes() for s in runs[1][0]]
+        for _ in range(2):
+            _execute(pipelined_schedule(4, 2), lambda task: None, workers=1)
+        assert len(checks) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
