@@ -503,7 +503,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "reference_refinement": REFERENCE_REFINEMENT,
         "newton": {
-            # nonlinear steps only: a linear step is Newton's first step and tests no residual
+            # nonlinear steps only: a linear step is the scheme's closed form and tests no residual
             "abs_tol": TOL,
             "max_iters": MAX_ITERS,
             # the integrator differentiates each problem's rhs analytically, and

@@ -13,35 +13,31 @@ reported as a ``TimeStepError`` naming the step's ``(t_n, k)``.
 A linear problem's rhs is ``A y + b`` (``problem.linear``), so the
 iteration matrix ``I - k * theta * A`` is constant: its inverse is one
 read-only operator per (problem, step size, theta), kept in one bounded
-module-level cache that every propagator shares. With that exact
-inverse, Newton's first full step solves the step up to rounding
-(Hairer & Wanner II, section IV.8), so a linear step is that step and
-nothing more, ``y_n = y_{n-1} - operator.dot(y_{n-1} - base - k*theta *
-f(y_{n-1}))`` with ``base = y_{n-1} + k*(1-theta) * f(y_{n-1})``. It
-tests no residual; its one failure is a non-finite value, and it counts
-one Newton iteration. A linear window steps in one of two loops of that
-arithmetic: ``ThetaPropagator._linear`` on one window's vector
-(``advance``, and so the sequential solve and every coarse window) and
-``_linear_block`` on an ``(m, size, 1)`` stack of windows of equal step
-count (``advance_many``). Each evaluates the rhs once per step, at the
+module-level cache that every propagator shares. The step then has a
+closed form (Hairer & Wanner II, section IV.3): subtracting
+``y_{n-1}`` from both sides of the scheme leaves ``(I - k*theta*A)
+(y_n - y_{n-1}) = k * f(y_{n-1})``, so a linear step is its increment,
+``y_n = y_{n-1} + operator.dot(k * f(y_{n-1}))``, one rhs call and one
+product. It tests no residual; its one failure is a non-finite value,
+and it counts one Newton iteration. A linear window steps in one of two
+loops of that arithmetic: ``ThetaPropagator._linear`` on one window's
+vector (``advance``, and so the sequential solve and every coarse
+window) and ``_linear_block`` on an ``(m, size, 1)`` stack of windows
+of equal step count (``advance_many``). Each evaluates the rhs at the
 step's start values; the rhs does not depend on the time. The vector
-loop checks every step's values, ``y.dot(y)`` first and the entrywise scan
-only when that sum is not finite, and raises at the first non-finite
-step. A non-finite entry stays non-finite in every later step, so the
-block checks its final stack once and hands itself back as None when it
-is not finite; ``advance_many`` then is the loop of ``advance`` over
-its windows, which raises the first failing window's step error. The
-loops make only the numpy calls that arithmetic needs: when
-``k*(1-theta)`` and ``k*theta`` are the same float, as at ``theta =
-1/2``, the explicit term is the implicit term ``k*theta * f`` already
-held, the same product, so it is not formed again, and the block
-allocates its working arrays once per call and steps with ``out=``. The
-vector loop's products are ``linalg.matrix_vector``'s, ``A.dot(y)``
-with the bits of ``A @ y``. A stacked ``matmul`` makes the same BLAS
-call per column (a plain ``A @ Y.T`` does not: its columns change with
-the block width, and on a stack ``dot`` is another product), so the
-stack returns, for every window, exactly the array ``advance`` returns,
-whichever windows share it. Every other
+loop checks every step's values with ``linalg.finite_test``, which no
+finite value can overflow, and raises at the first non-finite step. A
+non-finite entry stays non-finite in every later step, so the block
+checks its final stack once and hands itself back as None when it is
+not finite; ``advance_many`` then is the loop of ``advance`` over its
+windows, which raises the first failing window's step error. The block
+allocates its two working arrays once per call and steps with
+``out=``. The vector loop's products are ``linalg.matrix_vector``'s,
+``A.dot(y)`` with the bits of ``A @ y``. A stacked ``matmul`` makes the
+same BLAS call per column (a plain ``A @ Y.T`` does not: its columns
+change with the block width, and on a stack ``dot`` is another
+product), so the stack returns, for every window, exactly the array
+``advance`` returns, whichever windows share it. Every other
 ``advance_many`` call is the loop of ``advance`` over its windows.
 
 A nonlinear problem's step is ``ThetaPropagator._step``, one damped
@@ -98,7 +94,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import problems as _problems
-from .linalg import MaxItersExceeded, NumericBreakdown, matrix_vector, newton_solve
+from .linalg import MaxItersExceeded, NumericBreakdown, finite_test, matrix_vector, newton_solve
 from .state import State, _require_fields
 
 
@@ -129,7 +125,7 @@ class ThetaSettings:
     more than 1e-12 outside it are rejected.
     A nonlinear problem's Newton solve stops once the residual norm is
     at most ``linalg``'s residual tolerance; a linear problem's step is
-    Newton's first step, with no residual test.
+    the scheme's closed form, with no residual test.
     """
 
     step: float
@@ -225,11 +221,12 @@ class ThetaPropagator:
     holds and stamps the result ``t_end``; the rounding slack between the
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. A linear problem's windows
-    step in ``_linear`` and ``_linear_block``, each step one product with
-    ``operator``, the shared frozen inverse of ``I - k*theta*A``, and a
-    non-finite step raises. A nonlinear problem has no ``operator``
-    (None): each of its steps is one ``newton_solve`` in ``_step``, with
-    the inverse formed at the step's own start.
+    step in ``_linear`` and ``_linear_block``, each step the increment
+    ``operator.dot(k * f)`` with ``operator`` the shared frozen inverse
+    of ``I - k*theta*A``, and a non-finite step raises. A nonlinear
+    problem has no ``operator`` (None): each of its steps is one
+    ``newton_solve`` in ``_step``, with the inverse formed at the step's
+    own start.
     ``advance`` and ``advance_many`` are the only paths to a step, so one
     step is ``advance(state, state.time + step)``. The steps of a window
     run on raw arrays; a nonlinear window carries the rhs from one step
@@ -296,27 +293,20 @@ class ThetaPropagator:
     def _linear(self, y: np.ndarray, n: int, t: float) -> np.ndarray:
         """``n`` steps of a linear problem from one window's vector ``y`` at time ``t``.
 
-        A step is Newton's first, full step with the frozen inverse,
-        ``y - operator.dot(r)`` for the residual ``r`` at the start values,
-        with the rhs evaluated there. Its values are checked for
-        non-finite entries, ``y.dot(y)`` first and the entrywise scan only
-        when that sum is not finite, and the first non-finite step raises
-        ``TimeStepError`` with its ``(t_n, k)``. The explicit term
-        ``k*(1-theta) * f`` is the implicit one ``k*theta * f`` the loop
-        already holds when the two weights are the same float, as at
-        ``theta = 1/2``, so such a step adds it instead of forming it.
-        The clock is one float, advanced as ``t + k`` once per step.
-        Returns the final values.
+        A step is the closed-form theta step, ``y + operator.dot(k * f)``
+        with the rhs ``f`` evaluated at the start values. Its values are
+        checked with ``linalg.finite_test``, and the first non-finite
+        step raises ``TimeStepError`` with its ``(t_n, k)``. The clock is
+        one float, advanced as ``t + k`` once per step. Returns the final
+        values.
         """
         problem, apply, k = self.problem, matrix_vector(self.operator), self.step
-        k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
+        finite = finite_test(y.size)
         for _ in range(n):
             f = _problems.rhs_values(problem, y, t)
             t += k
-            kf = k_impl * f
-            base = y + kf if k_expl == k_impl else y + k_expl * f
-            y = y - apply(y - base - kf)  # newton_solve's x + 1.0 * dx, dx = -(inverse @ r)
-            if not math.isfinite(y.dot(y)) and not np.all(np.isfinite(y)):
+            y = y + apply(k * f)
+            if not finite(y):
                 raise TimeStepError(f"implicit step failed at t_n={t!r}, k={k!r}: non-finite values")
         return y
 
@@ -324,36 +314,28 @@ class ThetaPropagator:
         """``_linear`` on ``m`` windows at once, as one ``(m, size, 1)`` stack, or None.
 
         ``values`` holds each window's start values. Each column takes
-        ``_linear``'s step. The rhs is ``A Y + b``: the stacked product
-        ``np.matmul(A, Y)`` makes one BLAS call per column, the call
-        ``_linear``'s ``A.dot(y)`` makes, so each column is ``_linear``'s
-        step bit for bit whichever windows share the stack. The stack is checked once, at the end: a
-        non-finite entry stays non-finite in every later step, so a stack
-        with none had none at any step. A stack with one is handed back as
-        None, and ``advance_many`` steps each window through ``advance``,
-        which names the failing step. The working arrays are allocated
-        once per call, and the loop writes only its own arrays. Returns
-        the final stack.
+        ``_linear``'s step. The rhs is ``A Y + b``: the stacked products
+        ``np.matmul(A, Y)`` and ``np.matmul(operator, F)`` make one BLAS
+        call per column, the call of ``_linear``'s vector products, so each
+        column is ``_linear``'s step bit for bit whichever windows share
+        the stack. The stack is checked once, at the end: a non-finite
+        entry stays non-finite in every later step, so a stack with none
+        had none at any step. A stack with one is handed back as None,
+        and ``advance_many`` steps each window through ``advance``, which
+        names the failing step. The two working arrays are allocated once
+        per call, and the loop writes only its own arrays. Returns the
+        final stack.
         """
         inverse, k = self.operator, self.step
-        k_expl, k_impl = k * (1.0 - self.theta), k * self.theta
         a, b = self.problem.affine
         b = b[:, None]
         y = np.stack(values)[:, :, None]
-        f, kf, r = (np.empty_like(y) for _ in range(3))
+        f, d = np.empty_like(y), np.empty_like(y)
         for _ in range(n):
-            np.add(np.matmul(a, y, out=f), b, out=f)
-            np.multiply(f, k_impl, out=kf)
-            if k_expl == k_impl:
-                np.add(y, kf, out=r)
-            else:
-                np.add(y, np.multiply(f, k_expl, out=r), out=r)
-            np.subtract(np.subtract(y, r, out=r), kf, out=r)  # r holds base, then the residual
-            np.subtract(y, np.matmul(inverse, r, out=f), out=y)
+            np.multiply(np.add(np.matmul(a, y, out=f), b, out=f), k, out=f)
+            np.add(y, np.matmul(inverse, f, out=d), out=y)
         flat = y.reshape(-1)
-        if not math.isfinite(flat.dot(flat)) and not np.all(np.isfinite(flat)):
-            return None
-        return y
+        return y if finite_test(flat.size)(flat) else None
 
     def _step(self, y0: np.ndarray, f0, t0: float):
         """One implicit step of a nonlinear problem on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).

@@ -4,18 +4,19 @@ A damped Newton iteration. The caller supplies the linearization as a
 fixed inverse of the Jacobian, so each direction is one matrix-vector
 product (simplified Newton with a frozen Jacobian, the inverse at the
 caller's chosen point). Its callers are the nonlinear steps: a linear
-step's exact inverse makes Newton's first step the solution up to
-rounding, so the integrator takes that step itself and never calls
-here, and ``TOL`` applies to nonlinear steps only. Everything here
+step is the closed-form theta step, one product with the inverse of its
+constant iteration matrix, so the integrator takes it itself and never
+calls here, and ``TOL`` applies to nonlinear steps only. Everything here
 operates on plain 1-d float64 numpy arrays and is free of shared mutable
 state, so all functions are safe to call concurrently.
 
-Finiteness comes from the dot products behind the norms: ``v.dot(v)`` is
-a sum of squares, so it is finite exactly when every entry is finite and
-the norm does not overflow, and ``math.sqrt(v.dot(v))`` equals
-``np.linalg.norm(v)`` bit for bit. The entrywise scan runs only when that
-sum is not finite, to tell an overflowing norm of a finite vector from a
-NaN or Inf entry.
+A vector whose finiteness alone is in question is tested by
+:func:`finite_test`, one product with a zero vector, which no finite
+entry can overflow. Newton's residual norms are ``math.sqrt(r.dot(r))``,
+bit for bit ``np.linalg.norm(r)``: a sum of squares is finite exactly
+when every entry is finite and the norm does not overflow, and the
+entrywise scan runs only when it is not, to tell an overflowing norm of
+a finite vector from a NaN or Inf entry.
 
 The package's hot paths call ``ndarray.dot``, not the ``@`` operator:
 the method skips the ufunc dispatch of ``np.matmul`` and makes the same
@@ -59,6 +60,22 @@ def matrix_vector(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return matrix.dot if matrix.shape[0] > 1 else functools.partial(np.matmul, matrix)
 
 
+@functools.lru_cache(maxsize=64)
+def finite_test(size: int) -> Callable[[np.ndarray], bool]:
+    """The test whether every entry of a float64 vector of ``size`` entries is finite.
+
+    It is ``zero.dot(v) == 0.0`` with a read-only zero vector: a finite
+    entry times zero is a signed zero, and an Inf or NaN entry makes the
+    sum NaN. No finite entry can overflow it, so a finite vector of any
+    size passes without a warning, where ``v.dot(v)`` overflows from
+    entries near 1e154 on; an Inf entry sets numpy's "invalid" flag. It
+    costs what ``v.dot(v)`` costs, and the cache serves one test per size.
+    """
+    zero = np.zeros(size)
+    zero.setflags(write=False)
+    return lambda v: zero.dot(v) == 0.0
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate and return ``x`` as a non-empty finite 1-d float64 array."""
     arr = np.asarray(x, dtype=np.float64)
@@ -66,7 +83,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not math.isfinite(arr.dot(arr)) and not np.all(np.isfinite(arr)):
+    if not finite_test(arr.size)(arr):
         raise NumericBreakdown(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -114,7 +131,7 @@ def newton_solve(
         A NaN or Inf in the start, a residual or a direction.
     """
     x = as_vector(x0, "x0")
-    direction = matrix_vector(jacobian_inverse)
+    direction, finite = matrix_vector(jacobian_inverse), finite_test(x.size)
     r = np.asarray(residual(x), dtype=np.float64)
     rr = r.dot(r)
     if not math.isfinite(rr) and not np.all(np.isfinite(r)):
@@ -127,7 +144,7 @@ def newton_solve(
         if rnorm <= TOL:
             return x, it
         dx = -direction(r)
-        if not math.isfinite(dx.dot(dx)) and not np.all(np.isfinite(dx)):
+        if not finite(dx):
             raise NumericBreakdown("non-finite Newton direction")
 
         lam = 1.0

@@ -3,10 +3,10 @@
 Everything in here is deliberately written in the most straightforward
 way possible (plain loops, numpy only) and does not reuse any engine
 internals beyond the propagator ``advance`` contract, except that
-:func:`first_step_theta_window` steps a linear problem with the shared
-``frozen_inverse`` and :func:`newton_theta_window` solves each step of a
-nonlinear one with ``linalg.newton_solve``: they are the arithmetic a
-step must reproduce bit for bit.
+:func:`linear_theta_window` takes a linear problem's closed-form theta
+step with the shared ``frozen_inverse`` and :func:`newton_theta_window`
+solves each step of a nonlinear one with ``linalg.newton_solve``: they
+are the arithmetic a step must reproduce bit for bit.
 """
 
 import heapq
@@ -104,24 +104,22 @@ def fd_jacobian(f, x):
     return jac
 
 
-def first_step_theta_window(problem, k, theta, values, t, n):
-    """``n`` theta steps of the linear ``problem`` from ``values`` at time ``t``, Newton's first step each.
+def linear_theta_window(problem, k, theta, values, t, n):
+    """``n`` theta steps of the linear ``problem`` from ``values`` at time ``t``, in closed form.
 
-    Step ``j`` is ``y0 - inverse @ r`` with the frozen inverse of
-    ``I - k*theta*A`` and the residual ``r = y0 - base - k*theta*f(y0)``
-    at its start values, ``base = y0 + k*(1-theta)*f(y0)``: one full
-    Newton step, which solves a linear step up to rounding. Returns
-    ``(values, steps, failure)`` in the shape of
-    :func:`newton_theta_window`, one Newton iteration per step: ``failure``
-    is None, or ``(j, text)`` for the first step with a non-finite value,
-    ``text`` naming its end time and the step size, with ``values`` and
-    the count of the steps before it.
+    Step ``j`` solves ``(I - k*theta*A) (y1 - y0) = k*f(y0)``, the theta
+    step of ``f(y) = A y + b``, as ``y1 = y0 + inverse @ (k*f(y0))`` with
+    the frozen inverse of ``I - k*theta*A``. Returns ``(values, steps,
+    failure)`` in the shape of :func:`newton_theta_window`, one Newton
+    iteration per step: ``failure`` is None, or ``(j, text)`` for the
+    first step with a non-finite value, ``text`` naming its end time and
+    the step size, with ``values`` and the count of the steps before it.
     """
     inverse = frozen_inverse(problem, k, theta)
     for j in range(n):
         f = problem.rhs(values, t)
         t = t + k
-        step = values - inverse @ (values - (values + (k * (1.0 - theta)) * f) - (k * theta) * f)
+        step = values + inverse @ (k * f)
         if not np.all(np.isfinite(step)):
             return values, j, (j, f"t_n={t!r}, k={k!r}: non-finite values")
         values = step

@@ -539,7 +539,7 @@ adv = 5.0
 
     def test_large_boundary_value_runs_to_completion(self, tmp_path):
         # states near 1e6 leave a residual above linalg.TOL from rounding
-        # alone; a linear step takes Newton's first step and tests none
+        # alone; a linear step takes the scheme's closed form and tests none
         out = tmp_path / "res.csv"
         body = """
 [experiment]

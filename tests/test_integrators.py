@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -28,7 +29,7 @@ from pintbench.linalg import MaxItersExceeded, NumericBreakdown
 from pintbench.parareal import PararealConfig, run_parareal, sequential_solve
 from pintbench.state import State
 
-from oracles import first_step_theta_window, newton_theta_window
+from oracles import linear_theta_window, newton_theta_window
 
 
 # one case per problem class, with non-zero heat boundary values and both advection grids
@@ -387,7 +388,7 @@ class TestStepOperator:
 
 
 class TestLinearStep:
-    """A linear step is Newton's first step and nothing more: no residual test, and no ``newton_solve`` call."""
+    """A linear step is the scheme's closed form and nothing more: no residual test, and no ``newton_solve`` call."""
 
     @staticmethod
     def _count_newton(monkeypatch):
@@ -441,15 +442,30 @@ class TestLinearStep:
         for problem, start, step, n, failing, where in cases:
             end = start.time + n * step
             with np.errstate(over="ignore"):
-                _, _, failure = first_step_theta_window(problem, step, 0.5, start.values, start.time, n)
+                _, _, failure = linear_theta_window(problem, step, 0.5, start.values, start.time, n)
             assert failure[0] == failing
             for advance in (lambda p: p.advance(start, end), lambda p: p.advance_many([start], [end])[0]):
                 prop = make_propagator(problem, ThetaSettings(step=step))
-                with np.errstate(over="ignore"), pytest.raises(
+                # the overflowing rhs, and its Inf times linalg.finite_test's zero
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                         TimeStepError, match=rf"^implicit step failed at {where}: non-finite values$") as info:
                     advance(prop)
                 assert str(info.value) == f"implicit step failed at {failure[1]}"
                 assert (prop.newton_iterations, prop.steps_taken) == (0, 0)
+
+    def test_huge_finite_state_steps_without_a_warning(self):
+        # 1e200 times the sine: finite at every step, though its squared norm
+        # overflows, so neither the vector loop's per-step check nor the
+        # block's final check may warn
+        problem = heat1d(mesh_n=15)
+        s0 = initial_state(problem)
+        huge = s0.with_values(1e200 * s0.values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = make_propagator(problem, ThetaSettings(step=0.01)).advance(huge, 0.04)
+            outs = make_propagator(problem, ThetaSettings(step=0.01)).advance_many([huge, huge], [0.04, 0.04])
+        assert np.all(np.isfinite(alone.values)) and np.abs(alone.values).max() > 1e199
+        assert [out.values.tobytes() for out in outs] == [alone.values.tobytes()] * 2
 
 
 class TestAdvanceMany:
@@ -461,17 +477,16 @@ class TestAdvanceMany:
         states = [base.with_values(v, time=0.3 * j) for j, v in enumerate(values)]
         return states, [s.time + n * step for s in states]
 
-    # theta0 0 gives k*(1-theta) == k*theta, the explicit term reused; 0.5 gives theta 0.505
+    # theta0 0 is Crank-Nicolson, theta 1/2; 0.5 shifts theta above it, to 0.505 at k = 0.01
     THETA0 = pytest.mark.parametrize("theta0", [0.0, 0.5])
 
     @THETA0
     def test_zero_tiny_and_large_columns_pass_as_one_block(self, theta0):
-        # a zero column already solves every step, a 1e-9 column's residual
-        # falls to the tolerance within the window, and rounding leaves a 1e7
-        # column's and a 1e6 boundary value's residual above it: each column
-        # takes Newton's first step all the same, and a 1e200 column's
-        # squared norm overflows though it is finite, so the block is kept
-        # and no window falls back to advance
+        # columns at every scale: a zero column stays exactly zero, a 1e-9
+        # and a 1e7 column and a 1e6 boundary value take the same closed-form
+        # step as the unit sine, and a 1e200 column is finite though its
+        # squared norm would overflow, so the block is kept, no window falls
+        # back to advance, and no step warns
         small = heat1d(mesh_n=15)
         sine = initial_state(small).values
         tiny = 1e-9 * np.sin(7 * np.pi * small.grid())
@@ -486,12 +501,11 @@ class TestAdvanceMany:
             copies = [s.values.copy() for s in states]
             block, loop = (make_propagator(problem, settings) for _ in range(2))
             block.advance = None
-            with np.errstate(over="ignore"):  # the 1e200 column's squared norm
-                outs = block.advance_many(states, ends)
-                for s, t, out in zip(states, ends, outs):
-                    expected, _, failure = first_step_theta_window(problem, step, settings.theta, s.values, s.time, n)
-                    assert failure is None
-                    assert out.values.tobytes() == loop.advance(s, t).values.tobytes() == expected.tobytes()
+            outs = block.advance_many(states, ends)
+            for s, t, out in zip(states, ends, outs):
+                expected, _, failure = linear_theta_window(problem, step, settings.theta, s.values, s.time, n)
+                assert failure is None
+                assert out.values.tobytes() == loop.advance(s, t).values.tobytes() == expected.tobytes()
             assert all(s.values.tobytes() == c.tobytes() for s, c in zip(states, copies))
             if problem is small:
                 assert not np.any(outs[1].values)  # an exact zero stays exactly zero
@@ -533,7 +547,7 @@ class TestAdvanceMany:
             settings = ThetaSettings(step=step, theta0=theta0)
             block, loop = (make_propagator(problem, settings) for _ in range(2))
             bad = states[failing]
-            _, _, failure = first_step_theta_window(problem, step, settings.theta, bad.values, bad.time, n)
+            _, _, failure = linear_theta_window(problem, step, settings.theta, bad.values, bad.time, n)
             with pytest.raises(TimeStepError) as alone:
                 for s, t in zip(states, ends):
                     loop.advance(s, t)

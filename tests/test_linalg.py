@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pintbench.linalg import (
     MaxItersExceeded,
     NumericBreakdown,
     as_vector,
+    finite_test,
     matrix_vector,
     newton_solve,
 )
@@ -42,7 +44,7 @@ class TestNewton:
             newton_solve(lambda v: v * np.nan, [1.0], jacobian_inverse=np.eye(1))
         with pytest.raises(NumericBreakdown):
             newton_solve(lambda v: v, [np.nan, 1.0], jacobian_inverse=np.eye(2))
-        with pytest.raises(NumericBreakdown):
+        with pytest.raises(NumericBreakdown), np.errstate(invalid="ignore"):  # Inf times finite_test's zero
             newton_solve(lambda v: v, [np.inf], jacobian_inverse=np.eye(1))
 
     def test_empty_start_rejected(self):
@@ -73,7 +75,7 @@ class TestNewton:
 
 
 class TestFiniteness:
-    """Finiteness is read off the squared norms; the messages are those of an entrywise scan."""
+    """Finiteness is read off ``finite_test`` and the residual norms; the messages are those of an entrywise scan."""
 
     HUGE = np.array([1e200, -1e200, 3e200])  # finite, but the squared norm overflows
 
@@ -84,6 +86,7 @@ class TestFiniteness:
         x, iters = newton_solve(lambda v: v, self.HUGE, jacobian_inverse=np.eye(3))
         assert iters == 1 and not x.any()
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in dot:RuntimeWarning")  # Inf times zero
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_keep_their_messages(self, bad):
         vec = np.array([1.0, bad, 2.0])
@@ -122,6 +125,26 @@ class TestNormIdiom:
         def test_equals_numpy_norm(self, v):
             # compared as bits, so NaN and the sign of a zero count too
             assert np.float64(math.sqrt(v.dot(v))).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+class TestFiniteTest:
+    """``finite_test`` is the entrywise scan, and a finite vector of any size passes it without a warning."""
+
+    if given is not None:
+
+        @settings(max_examples=200, deadline=None)
+        @given(hnp.arrays(np.float64, st.integers(1, 128), elements=TestNormIdiom.ENTRIES))
+        def test_equals_the_entrywise_scan(self, vector):
+            n = (vector.size + 1) // 2
+            for v in (vector[:n], vector[::2]):
+                if np.all(np.isfinite(v)):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        assert finite_test(v.size)(v)
+                else:
+                    with np.errstate(invalid="ignore"):  # Inf times zero
+                        assert not finite_test(v.size)(v)
 
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")

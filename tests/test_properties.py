@@ -28,9 +28,13 @@ step example steps random windows of a problem, some of them zero, NaN
 or large enough that rounding leaves a step's residual above the
 tolerance (or, for the piston, that the mesh collapses), and checks
 ``advance`` and ``advance_many`` against the oracle step: for a linear
-problem Newton's first step with the frozen inverse, for the piston one
-``newton_solve`` call per step with the step's inverse. It asks the same
-bits, counters and step errors. Each
+problem the closed-form theta step with the frozen inverse, for the
+piston one ``newton_solve`` call per step with the step's inverse. It
+asks the same bits, counters and step errors. Each theta-scheme example
+takes one step of a linear problem from a random state, some heat ones
+with a 1e6 boundary value, and checks it against ``np.linalg.solve`` of
+the scheme's own equation, ``(I - k*theta*A) y1 = y + k*(1-theta)*A y +
+k*b``, within a measured relative bound. Each
 results example builds a ``ResultRow`` from drawn numbers (floats as
 Python floats, counts as Python ints), writes it as CSV and as JSON and
 checks that ``load_rows`` reads back an equal row; one of its fields
@@ -79,7 +83,7 @@ from pintbench.problems import (  # noqa: E402
     initial_state,
 )
 
-from oracles import fd_jacobian, first_step_theta_window, newton_theta_window  # noqa: E402
+from oracles import fd_jacobian, linear_theta_window, newton_theta_window  # noqa: E402
 
 WINDOW = 0.25
 PROBLEM = dahlquist(lam=-1.0)
@@ -384,7 +388,7 @@ def test_advance_many_equals_advance_per_window_bit_for_bit(kind, data):
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_steps_equal_the_first_step_or_newton_solve_oracle(kind, data):
+def test_steps_equal_the_linear_or_newton_solve_oracle(kind, data):
     problem = _draw_problem(data, kind)
     if kind == "heat1d" and data.draw(st.booleans(), label="zero forcing"):
         problem = replace(problem, left_bc=0.0, right_bc=0.0)  # a zero column then solves every step
@@ -401,14 +405,14 @@ def test_steps_equal_the_first_step_or_newton_solve_oracle(kind, data):
             values = np.zeros_like(values)
         elif column == "large":
             # rounding leaves a step's residual above linalg.TOL: a linear
-            # step keeps its first step, Newton may not reach the tolerance,
-            # and the piston's displacement collapses its mesh
+            # step tests none, Newton may not reach the tolerance, and the
+            # piston's displacement collapses its mesh
             values *= data.draw(st.sampled_from([1e5, 3e5, 1e6, 3e6]), label=f"scale[{j}]")
         elif column == "nan":
             values[data.draw(st.integers(0, values.size - 1), label=f"nan at[{j}]")] = np.nan
         states.append(base.with_values(values, time=data.draw(st.floats(0.0, 10.0), label=f"t0[{j}]")))
     ends = [s.time + n * k for s in states]
-    oracle = first_step_theta_window if problem.linear else newton_theta_window
+    oracle = linear_theta_window if problem.linear else newton_theta_window
     expected = [oracle(problem, k, settings_.theta, s.values, s.time, n) for s in states]
 
     for s, t, (values, iterations, failure) in zip(states, ends, expected):
@@ -434,6 +438,31 @@ def test_steps_equal_the_first_step_or_newton_solve_oracle(kind, data):
     outs = block.advance_many(states, ends)
     assert [out.values.tobytes() for out in outs] == [values.tobytes() for values, _, _ in expected]
     assert (block.newton_iterations, block.steps_taken) == (sum(e[1] for e in expected), width * n)
+
+
+# largest measured ||step - solve|| / max(||solve||, ||y||), in the max norm, over
+# 40000 random draws of these cases: 5.6e-15 on heat, 9.1e-16 on advection and
+# 4.2e-16 on the scalar equation
+THETA_STEP_BOUND = 1e-14
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_step_solves_the_theta_scheme(kind, data):
+    problem = _draw_problem(data, kind)
+    if kind == "heat1d" and data.draw(st.booleans(), label="left_bc 1e6"):
+        problem = replace(problem, left_bc=1e6)
+    k = data.draw(st.floats(1e-3, 0.05), label="k")
+    settings_ = ThetaSettings(step=k, theta0=data.draw(st.sampled_from([0.0, 0.5]), label="theta0"))
+    theta = settings_.theta
+    y = _draw_values(data, problem)
+    state = initial_state(problem).with_values(y, time=data.draw(st.floats(0.0, 10.0), label="t0"))
+    step = make_propagator(problem, settings_).advance(state, state.time + k)
+    a, b = problem.affine
+    expected = np.linalg.solve(np.eye(y.size) - k * theta * a, y + k * (1.0 - theta) * (a @ y) + k * b)
+    scale = max(np.abs(expected).max(), np.abs(y).max())
+    assert np.abs(step.values - expected).max() <= THETA_STEP_BOUND * scale
 
 
 def _reals(**bounds):
