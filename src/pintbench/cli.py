@@ -77,7 +77,7 @@ DISCRETIZATION_VARIANT = "discretization"
 
 # what a run raises on numerical failure: a step reports a non-finite linear step, or wraps a Newton or
 # mesh failure, in TimeStepError, the engine wraps a propagator's in PararealError, and make_propagator
-# raises NumericBreakdown for an operator whose iteration matrix is singular
+# raises NumericBreakdown for a step map whose iteration matrix is singular
 _NUMERIC_FAILURES = (NumericBreakdown, TimeStepError, PararealError)
 
 
@@ -508,7 +508,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             "max_iters": MAX_ITERS,
             # the integrator differentiates each problem's rhs analytically, and
             # every step uses one inverse of I - k*theta*J, formed once per run
-            # for a linear problem and at each step's start otherwise
+            # for a linear problem, inside its step map, and at each step's start otherwise
             "jacobian": "analytic",
             "frozen": "run" if cfg.problem.linear else "step",
         },

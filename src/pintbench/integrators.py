@@ -11,34 +11,31 @@ damping for retained second-order accuracy. Every failure of a step is
 reported as a ``TimeStepError`` naming the step's ``(t_n, k)``.
 
 A linear problem's rhs is ``A y + b`` (``problem.linear``), so the
-iteration matrix ``I - k * theta * A`` is constant: its inverse is one
-read-only operator per (problem, step size, theta), kept in one bounded
-module-level cache that every propagator shares. The step then has a
-closed form (Hairer & Wanner II, section IV.3): subtracting
-``y_{n-1}`` from both sides of the scheme leaves ``(I - k*theta*A)
-(y_n - y_{n-1}) = k * f(y_{n-1})``, so a linear step is its increment,
-``y_n = y_{n-1} + operator.dot(k * f(y_{n-1}))``, one rhs call and one
-product. It tests no residual; its one failure is a non-finite value,
-and it counts one Newton iteration. A linear window steps in one of two
-loops of that arithmetic: ``ThetaPropagator._linear`` on one window's
-vector (``advance``, and so the sequential solve and every coarse
-window) and ``_linear_block`` on an ``(m, size, 1)`` stack of windows
-of equal step count (``advance_many``). Each evaluates the rhs at the
-step's start values; the rhs does not depend on the time. The vector
-loop checks every step's values with ``linalg.finite_test``, which no
-finite value can overflow, and raises at the first non-finite step. A
-non-finite entry stays non-finite in every later step, so the block
-checks its final stack once and hands itself back as None when it is
-not finite; ``advance_many`` then is the loop of ``advance`` over its
-windows, which raises the first failing window's step error. The block
-allocates its two working arrays once per call and steps with
-``out=``. The vector loop's products are ``linalg.matrix_vector``'s,
-``A.dot(y)`` with the bits of ``A @ y``. A stacked ``matmul`` makes the
-same BLAS call per column (a plain ``A @ Y.T`` does not: its columns
-change with the block width, and on a stack ``dot`` is another
-product), so the stack returns, for every window, exactly the array
-``advance`` returns, whichever windows share it. Every other
-``advance_many`` call is the loop of ``advance`` over its windows.
+iteration matrix ``I - k * theta * A`` is constant, and one theta step is
+an affine map (Hairer & Wanner II, section IV.3): subtracting ``y_{n-1}``
+from both sides of the scheme leaves ``(I - k*theta*A) (y_n - y_{n-1}) =
+k * f(y_{n-1})``, so with ``K = k * (I - k*theta*A)^-1`` a step is
+``y_n = y_{n-1} + K f(y_{n-1}) = M y_{n-1} + c``, where ``M = I + K A``
+and ``c = K b``. ``linear_step_map`` builds that read-only pair once per
+(problem, step size, theta), in one bounded module-level cache that every
+propagator shares. A linear window steps in one loop,
+``ThetaPropagator._linear``, over an ``(m, size, 1)`` stack of windows
+of equal step count: ``m = 1`` for ``advance`` (and so the sequential
+solve and every coarse window), ``m`` windows for ``advance_many``. Each
+step is ``Y <- M Y + c``, one stacked ``matmul`` written in place with
+``out=``, into working arrays allocated once per call; it evaluates no
+rhs, tests no residual, and counts one Newton iteration. A stacked
+``matmul`` makes one BLAS call per column, the call of a one-column
+stack (a plain ``M @ Y.T`` does not: its columns change with the block
+width), so the stack returns, for every window, exactly the values
+``advance`` returns, whichever windows share it. Every step's stack is
+checked with ``linalg.finite_test``, which no finite value can overflow.
+At the first non-finite step one window raises its step error, and a
+wider stack hands itself back as None; ``advance_many`` then is the loop
+of ``advance`` over its windows, which raises the first failing window's
+step error. ``advance`` returns the stack's own flat buffer, a new
+vector that holds nothing else. Every other ``advance_many`` call is the
+loop of ``advance`` over its windows.
 
 A nonlinear problem's step is ``ThetaPropagator._step``, one damped
 ``newton_solve`` call whose every direction is a product with one
@@ -94,7 +91,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import problems as _problems
-from .linalg import MaxItersExceeded, NumericBreakdown, finite_test, matrix_vector, newton_solve
+from .linalg import MaxItersExceeded, NumericBreakdown, finite_test, newton_solve
 from .state import State, _require_fields
 
 
@@ -109,9 +106,9 @@ class TimeStepError(RuntimeError):
 # window mismatch below this relative threshold is rounding slack, stamped not integrated
 _WINDOW_SLACK = 1e-9
 
-# frozen step operators kept at once: one per (problem, step size, theta),
-# and a run uses a few step sizes
-_OPERATOR_CACHE_SIZE = 64
+# step maps kept at once: one per (problem, step size, theta), and a run
+# uses a few step sizes
+_STEP_MAP_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ class ThetaSettings:
     more than 1e-12 outside it are rejected.
     A nonlinear problem's Newton solve stops once the residual norm is
     at most ``linalg``'s residual tolerance; a linear problem's step is
-    the scheme's closed form, with no residual test.
+    its exact step map, with no residual test.
     """
 
     step: float
@@ -152,17 +149,23 @@ def _iteration_inverse(jacobian: np.ndarray, k: float, theta: float) -> np.ndarr
         raise NumericBreakdown(f"singular iteration matrix at k={k!r}") from exc
 
 
-@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def frozen_inverse(problem: _problems.Problem, k: float, theta: float) -> np.ndarray:
-    """Read-only inverse of the iteration matrix ``I - k*theta*J`` of a linear problem.
+@functools.lru_cache(maxsize=_STEP_MAP_CACHE_SIZE)
+def linear_step_map(problem: _problems.Problem, k: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only exact step map ``(M, c)`` of a linear problem: one theta step is ``y -> M y + c``.
 
-    One module-level cache, keyed on the problem, the step size and theta,
-    serves every propagator, so propagators on the same problem and step
-    size share one operator instead of each holding a copy.
+    With ``K = k * (I - k*theta*A)^-1``, the step's increment is ``K f(y)``
+    and ``f(y) = A y + b``, so ``M = I + K A`` and ``c = K b``, with ``c``
+    a column. One module-level cache, keyed on the problem, the step size
+    and theta, serves every propagator, so propagators on the same problem
+    and step size share one pair instead of each holding a copy. A
+    singular iteration matrix raises ``NumericBreakdown``.
     """
-    inverse = _iteration_inverse(problem.affine[0], k, theta)
-    inverse.setflags(write=False)
-    return inverse
+    a, b = problem.affine
+    gain = k * _iteration_inverse(a, k, theta)
+    pair = (np.eye(a.shape[0]) + gain.dot(a), gain.dot(b)[:, None])
+    for array in pair:
+        array.setflags(write=False)
+    return pair
 
 
 class Propagator(Protocol):
@@ -221,12 +224,11 @@ class ThetaPropagator:
     holds and stamps the result ``t_end``; the rounding slack between the
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. A linear problem's windows
-    step in ``_linear`` and ``_linear_block``, each step the increment
-    ``operator.dot(k * f)`` with ``operator`` the shared frozen inverse
-    of ``I - k*theta*A``, and a non-finite step raises. A nonlinear
-    problem has no ``operator`` (None): each of its steps is one
-    ``newton_solve`` in ``_step``, with the inverse formed at the step's
-    own start.
+    step in ``_linear``, each step ``Y <- M Y + c`` through ``step_map``,
+    the shared read-only pair ``(M, c)`` of ``linear_step_map``, and a
+    non-finite step raises. A nonlinear problem has no ``step_map``
+    (None): each of its steps is one ``newton_solve`` in ``_step``, with
+    the inverse formed at the step's own start.
     ``advance`` and ``advance_many`` are the only paths to a step, so one
     step is ``advance(state, state.time + step)``. The steps of a window
     run on raw arrays; a nonlinear window carries the rhs from one step
@@ -245,7 +247,7 @@ class ThetaPropagator:
         # that proxy (ROADMAP item 5)
         self.cost_hint = 0.0
         self.theta = settings.theta
-        self.operator = frozen_inverse(problem, self.step, self.theta) if problem.linear else None
+        self.step_map = linear_step_map(problem, self.step, self.theta) if problem.linear else None
         self.newton_iterations = 0
         self.steps_taken = 0
         self._stats_lock = threading.Lock()
@@ -254,8 +256,8 @@ class ThetaPropagator:
         n = _window_steps(state, t_end, self.step)
         if n == 0:
             return state
-        if self.operator is not None:
-            y, iters = self._linear(state.values, n, state.time), n
+        if self.step_map is not None:
+            y, iters = self._linear([state.values], n, state.time), n
         else:
             y, t, f, iters = state.values, state.time, None, 0
             for _ in range(n):
@@ -268,74 +270,58 @@ class ThetaPropagator:
     def advance_many(self, states: Sequence[State], t_ends: Sequence[float]) -> list:
         """``[advance(s, t) for s, t in zip(states, t_ends)]``, bit for bit, failures included.
 
-        Every window is validated before any of them steps. Two or more
-        windows of a linear problem that all take the same nonzero number
-        of steps are first stepped as one ``(m, size, 1)`` stack by
-        ``_linear_block``. If its final stack is finite, the counters grow
-        by the loop's totals. Otherwise, and for any other call, the
-        result is that loop of ``advance``, so a window that fails raises
-        its own step error and leaves the windows before it counted.
+        Every window is validated before any of them steps. Windows of a
+        linear problem that all take the same nonzero number of steps are
+        stepped as one stack by ``_linear``, the loop of ``advance``. If
+        every step of the stack is finite, the counters grow by the loop's
+        totals, and each window's values are its row of the stack; one
+        window raises its step error there, as ``advance`` does. A wider
+        stack with a non-finite step, and any other call, give that loop
+        of ``advance``, so a window that fails raises its own step error
+        and leaves the windows before it counted.
         """
         counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
-        stacked = self.operator is not None and len(states) > 1 and len(set(counts)) == 1 and counts[0] > 0
-        block = self._linear_block([s.values for s in states], counts[0]) if stacked else None
+        stacked = self.step_map is not None and len(set(counts)) == 1 and counts[0] > 0
+        block = self._linear([s.values for s in states], counts[0], states[0].time) if stacked else None
         if block is None:
             return [self.advance(s, t) for s, t in zip(states, t_ends)]
         steps = sum(counts)
         self._count(steps, steps)
-        return [s.with_values(y, time=t) for s, t, y in zip(states, t_ends, block[:, :, 0])]
+        return [s.with_values(y, time=t) for s, t, y in zip(states, t_ends, block.reshape(len(states), -1))]
 
     def _count(self, iters: int, steps: int) -> None:
         with self._stats_lock:
             self.newton_iterations += iters
             self.steps_taken += steps
 
-    def _linear(self, y: np.ndarray, n: int, t: float) -> np.ndarray:
-        """``n`` steps of a linear problem from one window's vector ``y`` at time ``t``.
+    def _linear(self, values: Sequence[np.ndarray], n: int, t: float):
+        """``n`` steps of a linear problem from ``m`` windows' start values at once, or None.
 
-        A step is the closed-form theta step, ``y + operator.dot(k * f)``
-        with the rhs ``f`` evaluated at the start values. Its values are
-        checked with ``linalg.finite_test``, and the first non-finite
-        step raises ``TimeStepError`` with its ``(t_n, k)``. The clock is
-        one float, advanced as ``t + k`` once per step. Returns the final
-        values.
+        The windows step as one ``(m, size, 1)`` stack ``Y``, each step
+        ``Y <- M Y + c`` through the shared ``step_map``, written in place
+        with ``out=``: no rhs call. A stacked ``np.matmul`` makes one BLAS
+        call per column, the call of a one-column stack, so every column
+        has the same bits whichever windows share the stack. Each step's
+        stack is checked with ``linalg.finite_test``. At the first
+        non-finite step, one window (``m = 1``) raises ``TimeStepError``
+        with that step's ``(t_n, k)``, its clock ``t`` advanced as
+        ``t + k`` once per step; a wider stack is handed back as None.
+        Returns the stack's own flat buffer of ``m * size`` values, a new
+        1-d array, with window ``j`` at ``[j * size, (j + 1) * size)``.
         """
-        problem, apply, k = self.problem, matrix_vector(self.operator), self.step
-        finite = finite_test(y.size)
+        (matrix, offset), k = self.step_map, self.step
+        flat = np.concatenate(values)
+        y = flat.reshape(len(values), -1, 1)
+        d = np.empty_like(y)
+        finite = finite_test(flat.size)
         for _ in range(n):
-            f = _problems.rhs_values(problem, y, t)
             t += k
-            y = y + apply(k * f)
-            if not finite(y):
+            np.add(np.matmul(matrix, y, out=d), offset, out=y)
+            if not finite(flat):
+                if len(values) > 1:
+                    return None
                 raise TimeStepError(f"implicit step failed at t_n={t!r}, k={k!r}: non-finite values")
-        return y
-
-    def _linear_block(self, values: Sequence[np.ndarray], n: int):
-        """``_linear`` on ``m`` windows at once, as one ``(m, size, 1)`` stack, or None.
-
-        ``values`` holds each window's start values. Each column takes
-        ``_linear``'s step. The rhs is ``A Y + b``: the stacked products
-        ``np.matmul(A, Y)`` and ``np.matmul(operator, F)`` make one BLAS
-        call per column, the call of ``_linear``'s vector products, so each
-        column is ``_linear``'s step bit for bit whichever windows share
-        the stack. The stack is checked once, at the end: a non-finite
-        entry stays non-finite in every later step, so a stack with none
-        had none at any step. A stack with one is handed back as None,
-        and ``advance_many`` steps each window through ``advance``, which
-        names the failing step. The two working arrays are allocated once
-        per call, and the loop writes only its own arrays. Returns the
-        final stack.
-        """
-        inverse, k = self.operator, self.step
-        a, b = self.problem.affine
-        b = b[:, None]
-        y = np.stack(values)[:, :, None]
-        f, d = np.empty_like(y), np.empty_like(y)
-        for _ in range(n):
-            np.multiply(np.add(np.matmul(a, y, out=f), b, out=f), k, out=f)
-            np.add(y, np.matmul(inverse, f, out=d), out=y)
-        flat = y.reshape(-1)
-        return y if finite_test(flat.size)(flat) else None
+        return flat
 
     def _step(self, y0: np.ndarray, f0, t0: float):
         """One implicit step of a nonlinear problem on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).

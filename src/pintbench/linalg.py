@@ -4,11 +4,11 @@ A damped Newton iteration. The caller supplies the linearization as a
 fixed inverse of the Jacobian, so each direction is one matrix-vector
 product (simplified Newton with a frozen Jacobian, the inverse at the
 caller's chosen point). Its callers are the nonlinear steps: a linear
-step is the closed-form theta step, one product with the inverse of its
-constant iteration matrix, so the integrator takes it itself and never
-calls here, and ``TOL`` applies to nonlinear steps only. Everything here
-operates on plain 1-d float64 numpy arrays and is free of shared mutable
-state, so all functions are safe to call concurrently.
+step is one product with its exact step map, so the integrator takes it
+itself and never calls here, and ``TOL`` applies to nonlinear steps
+only. Everything here operates on plain 1-d float64 numpy arrays and is
+free of shared mutable state, so all functions are safe to call
+concurrently.
 
 A vector whose finiteness alone is in question is tested by
 :func:`finite_test`, one product with a zero vector, which no finite
@@ -25,7 +25,9 @@ and ``A.dot(x)`` those of ``A @ x``, at a third less call cost on a
 vector of 63 entries. The one exception is a 1 x 1 matrix, which
 ``dot`` treats as a scalar: it returns the product ``a * x`` itself,
 where gemv adds it to 0.0, so a product of -0.0 keeps its sign.
-:func:`matrix_vector` gives every caller the bits of ``A @ x``.
+:func:`matrix_vector` gives every caller the bits of ``A @ x``. The
+integrator's linear step loop calls ``np.matmul`` itself, on a stack of
+columns and with ``out=``, which ``dot`` cannot do with the same bits.
 """
 
 from __future__ import annotations

@@ -8,14 +8,15 @@ says the rhs is ``A.dot(values) + b`` with a constant matrix ``A`` and
 vector ``b``: the linear problems build that pair once, their ``rhs``
 and ``jacobian`` both read it, and the rhs does not depend on the time.
 The dense product costs ``Theta(n^2)`` where a stencil costs
-``Theta(n)``. At the mesh sizes used here (n <= 64) it is the cheaper
-of the two; near n = 1000 it costs as much as the frozen-inverse
-product that is the rest of a linear step, so a linear step there costs
-up to twice what a stencil rhs would. Every parameter follows the number
-rule of ``state._require_fields``: a float parameter is a finite real
-number and a count (``mesh_n``, a sine ``mode``) an integer, neither a
-bool, and ``periodic`` is ``True`` or ``False``; anything else is
-rejected with ``ValueError`` naming the field at construction.
+``Theta(n)``; at the mesh sizes used here (n <= 64) it is the cheaper
+of the two. A linear step does not evaluate the rhs: it is one dense
+product with the problem's exact step map, ``Theta(n^2)`` at any mesh,
+so a stencil rhs would not make it cheaper. Every parameter follows
+the number rule of ``state._require_fields``: a float parameter is a
+finite real number and a count (``mesh_n``, a sine ``mode``) an
+integer, neither a bool, and ``periodic`` is ``True`` or ``False``;
+anything else is rejected with ``ValueError`` naming the field at
+construction.
 ``PROBLEMS`` maps each class's ``kind`` to the class:
 
 * ``dahlquist``    scalar linear test equation y' = lambda * y
@@ -110,8 +111,8 @@ class _Affine:
 
     Each class builds the pair once in ``_affine()``; it is cached on the
     instance as ``affine`` with both arrays read-only, so ``jacobian``
-    hands every caller the same ``A`` and the integrator's block step
-    reads the same pair. ``rhs`` forms the product with the callable
+    hands every caller the same ``A`` and the integrator builds its step
+    map from the same pair. ``rhs`` forms the product with the callable
     ``linalg.matrix_vector`` returns for ``A``, cached as ``_product``.
     """
 
@@ -389,9 +390,9 @@ def rhs_values(problem: Problem, values: np.ndarray, t: float) -> np.ndarray:
     """Time derivative of every unknown, on raw value vectors.
 
     The integrator's one path to ``problem.rhs`` on one window's vector:
-    a linear step calls this once, at its start values; a nonlinear
-    window calls it once at its start and once per Newton residual
-    evaluation at a new iterate.
+    a nonlinear window calls it once at its start and once per Newton
+    residual evaluation at a new iterate. A linear step does not call it;
+    it steps through its exact step map.
     """
     return problem.rhs(values, t)
 

@@ -3,8 +3,8 @@
 Everything in here is deliberately written in the most straightforward
 way possible (plain loops, numpy only) and does not reuse any engine
 internals beyond the propagator ``advance`` contract, except that
-:func:`linear_theta_window` takes a linear problem's closed-form theta
-step with the shared ``frozen_inverse`` and :func:`newton_theta_window`
+:func:`linear_theta_window` takes a linear problem's theta step through
+the shared ``linear_step_map`` and :func:`newton_theta_window`
 solves each step of a nonlinear one with ``linalg.newton_solve``: they
 are the arithmetic a step must reproduce bit for bit.
 """
@@ -13,7 +13,7 @@ import heapq
 
 import numpy as np
 
-from pintbench.integrators import frozen_inverse
+from pintbench.integrators import linear_step_map
 from pintbench.linalg import MaxItersExceeded, NumericBreakdown, newton_solve
 from pintbench.problems import MeshDegenerate
 
@@ -105,21 +105,20 @@ def fd_jacobian(f, x):
 
 
 def linear_theta_window(problem, k, theta, values, t, n):
-    """``n`` theta steps of the linear ``problem`` from ``values`` at time ``t``, in closed form.
+    """``n`` theta steps of the linear ``problem`` from ``values`` at time ``t``, through its exact step map.
 
-    Step ``j`` solves ``(I - k*theta*A) (y1 - y0) = k*f(y0)``, the theta
-    step of ``f(y) = A y + b``, as ``y1 = y0 + inverse @ (k*f(y0))`` with
-    the frozen inverse of ``I - k*theta*A``. Returns ``(values, steps,
-    failure)`` in the shape of :func:`newton_theta_window`, one Newton
-    iteration per step: ``failure`` is None, or ``(j, text)`` for the
-    first step with a non-finite value, ``text`` naming its end time and
-    the step size, with ``values`` and the count of the steps before it.
+    Step ``j`` is ``y1 = M @ y0 + c``, the theta step of ``f(y) = A y + b``
+    with the library's cached pair ``M = I + K A``, ``c = K b`` and
+    ``K = k (I - k*theta*A)^-1``. Returns ``(values, steps, failure)`` in
+    the shape of :func:`newton_theta_window`, one Newton iteration per
+    step: ``failure`` is None, or ``(j, text)`` for the first step with a
+    non-finite value, ``text`` naming its end time and the step size, with
+    ``values`` and the count of the steps before it.
     """
-    inverse = frozen_inverse(problem, k, theta)
+    matrix, offset = linear_step_map(problem, k, theta)
     for j in range(n):
-        f = problem.rhs(values, t)
         t = t + k
-        step = values + inverse @ (k * f)
+        step = matrix @ values + offset[:, 0]
         if not np.all(np.isfinite(step)):
             return values, j, (j, f"t_n={t!r}, k={k!r}: non-finite values")
         values = step

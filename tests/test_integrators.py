@@ -13,7 +13,7 @@ from pintbench.integrators import (
     ThetaSettings,
     TimeStepError,
     convergence_order,
-    frozen_inverse,
+    linear_step_map,
     make_propagator,
 )
 from pintbench.problems import (
@@ -269,11 +269,14 @@ class TestStepOperator:
         settings = ThetaSettings(step=0.01, theta0=0.5)
         a = make_propagator(heat1d(mesh_n=15), settings)
         b = make_propagator(heat1d(mesh_n=15), ThetaSettings(step=0.01, theta0=0.5))
-        assert a.operator is b.operator
-        assert not a.operator.flags.writeable
-        with pytest.raises(ValueError):
-            a.operator[0, 0] = 0.0
-        assert make_propagator(ale_piston(mesh_n=7), settings).operator is None
+        assert a.step_map is b.step_map
+        matrix, offset = a.step_map
+        assert (matrix.shape, offset.shape) == ((15, 15), (15, 1))
+        for array in a.step_map:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+        assert make_propagator(ale_piston(mesh_n=7), settings).step_map is None
 
     def test_shared_cache_under_thread_contention(self):
         # more distinct step sizes than the cache holds, each built into a
@@ -286,8 +289,8 @@ class TestStepOperator:
         problem = heat1d(mesh_n=7, nu=0.1)
         s0 = initial_state(problem)
         steps = [0.1 / j for j in range(1, 81)]
-        assert len(steps) > integrators._OPERATOR_CACHE_SIZE
-        frozen_inverse.cache_clear()
+        assert len(steps) > integrators._STEP_MAP_CACHE_SIZE
+        linear_step_map.cache_clear()
 
         def advance(j):
             return make_propagator(problem, ThetaSettings(step=steps[j])).advance(s0, 0.1).values.tobytes()
@@ -315,7 +318,7 @@ class TestStepOperator:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert frozen_inverse.cache_info().misses > len(steps)  # operators were evicted and rebuilt
+        assert linear_step_map.cache_info().misses > len(steps)  # step maps were evicted and rebuilt
         assert all(results[w, j] == expected[j] for w in range(8) for j in range(80))
 
     def test_nan_state_raises_located_step_error(self):
@@ -339,7 +342,7 @@ class TestStepOperator:
     @STEP_CASES
     def test_window_evaluates_the_rhs_once_outside_newton(self, problem, monkeypatch):
         # a nonlinear step ends holding the rhs at its solution, which the
-        # next step starts from; a linear step evaluates it once, at its start
+        # next step starts from; a linear step is its step map and evaluates none
         rhs_calls, residual_calls = [], []
         rhs_values, newton_solve = problems.rhs_values, integrators.newton_solve
 
@@ -357,11 +360,10 @@ class TestStepOperator:
         monkeypatch.setattr(integrators, "newton_solve", counted_newton)
         n = 12
         make_propagator(problem, ThetaSettings(step=0.02)).advance(initial_state(problem), n * 0.02)
-        assert rhs_calls[0] == 0.0
         if problem.linear:
-            assert len(rhs_calls) == n
-            assert residual_calls == []
+            assert rhs_calls == residual_calls == []
         else:
+            assert rhs_calls[0] == 0.0
             assert len(residual_calls) >= 2 * n
             assert len(rhs_calls) == len(residual_calls) + 1
 
@@ -412,9 +414,11 @@ class TestLinearStep:
         assert calls == []
         assert (prop.newton_iterations, prop.steps_taken) == (60, 60)
 
-    @pytest.mark.parametrize("problem", [
+    LINEAR_CASES = pytest.mark.parametrize("problem", [
         dahlquist(), heat1d(mesh_n=15, left_bc=1.0), advection1d(mesh_n=16), advection1d(mesh_n=15, periodic=False),
     ], ids=lambda p: f"{p.kind}-periodic" if getattr(p, "periodic", False) else p.kind)
+
+    @LINEAR_CASES
     def test_linear_problem_never_calls_newton_solve(self, problem, monkeypatch):
         # through every path a run takes: a window, a block, the sequential
         # solve and the parareal engine, whose fine windows step as blocks
@@ -427,9 +431,21 @@ class TestLinearStep:
         run_parareal(coarse, fine, s0, 0.4, PararealConfig(intervals=4, max_iters=2, tol=1e-14))
         assert calls == []
 
+    @LINEAR_CASES
+    def test_window_values_are_a_vector_that_owns_its_buffer(self, problem):
+        # a run keeps its states, so a window's values hold its own entries
+        # and nothing of the stack they were stepped in
+        s0 = initial_state(problem)
+        prop = make_propagator(problem, ThetaSettings(step=0.01))
+        out = prop.advance(s0, 0.2)
+        assert out.values.shape == (s0.size,)
+        assert out.values.base is None and out.values.flags.owndata
+        (alone,) = prop.advance_many([s0], [0.2])
+        assert alone.values.tobytes() == out.values.tobytes()
+
     def test_failing_window_raises_the_located_step_error(self):
         # a NaN entry fails the window's first step; y' = 50 y from 1e300
-        # grows ninefold a step at k = 0.05, and its rhs overflows at step 7
+        # grows ninefold a step at k = 0.05, and y itself overflows at step 8
         heat = heat1d(mesh_n=15)
         s0 = initial_state(heat)
         nan = s0.values.copy()
@@ -437,7 +453,7 @@ class TestLinearStep:
         growth = dahlquist(lam=50.0, y0=1e300)
         cases = [
             (heat, s0.with_values(nan, time=0.3), 0.01, 4, 0, r"t_n=0\.31, k=0\.01"),
-            (growth, initial_state(growth), 0.05, 12, 7, r"t_n=0\.39999999999999997, k=0\.05"),
+            (growth, initial_state(growth), 0.05, 12, 8, r"t_n=0\.44999999999999996, k=0\.05"),
         ]
         for problem, start, step, n, failing, where in cases:
             end = start.time + n * step
@@ -446,7 +462,7 @@ class TestLinearStep:
             assert failure[0] == failing
             for advance in (lambda p: p.advance(start, end), lambda p: p.advance_many([start], [end])[0]):
                 prop = make_propagator(problem, ThetaSettings(step=step))
-                # the overflowing rhs, and its Inf times linalg.finite_test's zero
+                # the overflowing product, and its Inf times linalg.finite_test's zero
                 with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                         TimeStepError, match=rf"^implicit step failed at {where}: non-finite values$") as info:
                     advance(prop)
@@ -455,8 +471,8 @@ class TestLinearStep:
 
     def test_huge_finite_state_steps_without_a_warning(self):
         # 1e200 times the sine: finite at every step, though its squared norm
-        # overflows, so neither the vector loop's per-step check nor the
-        # block's final check may warn
+        # overflows, so neither a window's nor a block's per-step check may
+        # warn
         problem = heat1d(mesh_n=15)
         s0 = initial_state(problem)
         huge = s0.with_values(1e200 * s0.values)
@@ -483,7 +499,7 @@ class TestAdvanceMany:
     @THETA0
     def test_zero_tiny_and_large_columns_pass_as_one_block(self, theta0):
         # columns at every scale: a zero column stays exactly zero, a 1e-9
-        # and a 1e7 column and a 1e6 boundary value take the same closed-form
+        # and a 1e7 column and a 1e6 boundary value take the same exact
         # step as the unit sine, and a 1e200 column is finite though its
         # squared norm would overflow, so the block is kept, no window falls
         # back to advance, and no step warns

@@ -28,7 +28,7 @@ step example steps random windows of a problem, some of them zero, NaN
 or large enough that rounding leaves a step's residual above the
 tolerance (or, for the piston, that the mesh collapses), and checks
 ``advance`` and ``advance_many`` against the oracle step: for a linear
-problem the closed-form theta step with the frozen inverse, for the
+problem the theta step through its exact step map, for the
 piston one ``newton_solve`` call per step with the step's inverse. It
 asks the same bits, counters and step errors. Each theta-scheme example
 takes one step of a linear problem from a random state, some heat ones
