@@ -325,10 +325,10 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
     seq = sequential_solve(fine, s0, t_grid)
     t_seq = time.perf_counter() - t0
     if verbose:
-        per_newton = t_seq / max(fine.newton_iterations, 1)
+        per_step = t_seq / max(fine.steps_taken, 1)
         print(
-            f"[pint-bench]   {t_seq:.3f} s, {fine.newton_iterations} Newton iterations "
-            f"({per_newton * 1e3:.3f} ms each)"
+            f"[pint-bench]   {t_seq:.3f} s, {fine.steps_taken} steps ({per_step * 1e6:.2f} us each), "
+            f"{fine.newton_iterations} Newton iterations"
         )
 
     ref_prop = make_propagator(problem, cfg.theta_settings(k / REFERENCE_REFINEMENT))

@@ -19,23 +19,25 @@ k * f(y_{n-1})``, so with ``K = k * (I - k*theta*A)^-1`` a step is
 and ``c = K b``. ``linear_step_map`` builds that read-only pair once per
 (problem, step size, theta), in one bounded module-level cache that every
 propagator shares. A linear window steps in one loop,
-``ThetaPropagator._linear``, over an ``(m, size, 1)`` stack of windows
-of equal step count: ``m = 1`` for ``advance`` (and so the sequential
-solve and every coarse window), ``m`` windows for ``advance_many``. Each
-step is ``Y <- M Y + c``, one stacked ``matmul`` written in place with
-``out=``, into working arrays allocated once per call; it evaluates no
-rhs, tests no residual, and counts one Newton iteration. A stacked
-``matmul`` makes one BLAS call per column, the call of a one-column
-stack (a plain ``M @ Y.T`` does not: its columns change with the block
-width), so the stack returns, for every window, exactly the values
-``advance`` returns, whichever windows share it. Every step's stack is
-checked with ``linalg.finite_test``, which no finite value can overflow.
-At the first non-finite step one window raises its step error, and a
-wider stack hands itself back as None; ``advance_many`` then is the loop
-of ``advance`` over its windows, which raises the first failing window's
-step error. ``advance`` returns the stack's own flat buffer, a new
-vector that holds nothing else. Every other ``advance_many`` call is the
-loop of ``advance`` over its windows.
+``ThetaPropagator._linear``, over ``m`` windows of equal step count:
+``m = 1`` for ``advance`` (and so the sequential solve and every coarse
+window), ``m`` windows for ``advance_many``. Each step is
+``Y <- M Y + c``, one product written in place with ``out=``, into
+working arrays allocated once per call; it evaluates no rhs, tests no
+residual, and counts one Newton iteration. One window steps its flat
+vector, through ``linalg.matrix_vector``'s product, one gemv; a wider
+stack steps as ``(m, size, 1)`` through a stacked ``matmul``, which
+makes that same gemv once per column (a plain ``M @ Y.T`` does not: its
+columns change with the block width). So the stack returns, for every
+window, exactly the values ``advance`` returns, whichever windows share
+it, and one window pays no stack set-up per step. Every step's values
+are checked with ``linalg.finite_test``, which no finite value can
+overflow. At the first non-finite step one window raises its step error,
+and a wider stack hands itself back as None; ``advance_many`` then is
+the loop of ``advance`` over its windows, which raises the first failing
+window's step error. ``advance`` returns the loop's own flat buffer, a
+new vector that holds nothing else. Every other ``advance_many`` call is
+the loop of ``advance`` over its windows.
 
 A nonlinear problem's step is ``ThetaPropagator._step``, one damped
 ``newton_solve`` call whose every direction is a product with one
@@ -91,7 +93,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import problems as _problems
-from .linalg import MaxItersExceeded, NumericBreakdown, finite_test, newton_solve
+from .linalg import MaxItersExceeded, NumericBreakdown, finite_test, matrix_vector, newton_solve
 from .state import State, _require_fields
 
 
@@ -154,15 +156,15 @@ def linear_step_map(problem: _problems.Problem, k: float, theta: float) -> tuple
     """The read-only exact step map ``(M, c)`` of a linear problem: one theta step is ``y -> M y + c``.
 
     With ``K = k * (I - k*theta*A)^-1``, the step's increment is ``K f(y)``
-    and ``f(y) = A y + b``, so ``M = I + K A`` and ``c = K b``, with ``c``
-    a column. One module-level cache, keyed on the problem, the step size
+    and ``f(y) = A y + b``, so ``M = I + K A`` and ``c = K b``, a
+    vector. One module-level cache, keyed on the problem, the step size
     and theta, serves every propagator, so propagators on the same problem
     and step size share one pair instead of each holding a copy. A
     singular iteration matrix raises ``NumericBreakdown``.
     """
     a, b = problem.affine
     gain = k * _iteration_inverse(a, k, theta)
-    pair = (np.eye(a.shape[0]) + gain.dot(a), gain.dot(b)[:, None])
+    pair = (np.eye(a.shape[0]) + gain.dot(a), gain.dot(b))
     for array in pair:
         array.setflags(write=False)
     return pair
@@ -225,8 +227,9 @@ class ThetaPropagator:
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. A linear problem's windows
     step in ``_linear``, each step ``Y <- M Y + c`` through ``step_map``,
-    the shared read-only pair ``(M, c)`` of ``linear_step_map``, and a
-    non-finite step raises. A nonlinear problem has no ``step_map``
+    the shared read-only pair ``(M, c)`` of ``linear_step_map``: a single
+    window as its flat vector, several as one stack. A non-finite step
+    raises. A nonlinear problem has no ``step_map``
     (None): each of its steps is one ``newton_solve`` in ``_step``, with
     the inverse formed at the step's own start.
     ``advance`` and ``advance_many`` are the only paths to a step, so one
@@ -244,7 +247,7 @@ class ThetaPropagator:
         self.step = settings.step
         # not part of the Propagator contract: only perfbench/spans.py's proxy
         # copies it, here and as SleepPropagator's sleep, and it goes with
-        # that proxy (ROADMAP item 5)
+        # that proxy (ROADMAP item 8)
         self.cost_hint = 0.0
         self.theta = settings.theta
         self.step_map = linear_step_map(problem, self.step, self.theta) if problem.linear else None
@@ -272,7 +275,7 @@ class ThetaPropagator:
 
         Every window is validated before any of them steps. Windows of a
         linear problem that all take the same nonzero number of steps are
-        stepped as one stack by ``_linear``, the loop of ``advance``. If
+        stepped together by ``_linear``, the loop of ``advance``. If
         every step of the stack is finite, the counters grow by the loop's
         totals, and each window's values are its row of the stack; one
         window raises its step error there, as ``advance`` does. A wider
@@ -297,26 +300,31 @@ class ThetaPropagator:
     def _linear(self, values: Sequence[np.ndarray], n: int, t: float):
         """``n`` steps of a linear problem from ``m`` windows' start values at once, or None.
 
-        The windows step as one ``(m, size, 1)`` stack ``Y``, each step
-        ``Y <- M Y + c`` through the shared ``step_map``, written in place
-        with ``out=``: no rhs call. A stacked ``np.matmul`` makes one BLAS
-        call per column, the call of a one-column stack, so every column
-        has the same bits whichever windows share the stack. Each step's
-        stack is checked with ``linalg.finite_test``. At the first
-        non-finite step, one window (``m = 1``) raises ``TimeStepError``
-        with that step's ``(t_n, k)``, its clock ``t`` advanced as
-        ``t + k`` once per step; a wider stack is handed back as None.
-        Returns the stack's own flat buffer of ``m * size`` values, a new
+        Each step is ``Y <- M Y + c`` through the shared ``step_map``,
+        written in place with ``out=``: no rhs call. One window (``m = 1``)
+        steps its flat vector itself, through ``linalg.matrix_vector(M)``,
+        with the bits of ``M @ y``. A wider stack steps as ``(m, size, 1)`` through ``np.matmul``,
+        which makes one BLAS call per column, the gemv of one window, so
+        every column has the same bits whichever windows share the stack.
+        Each step's values are checked with ``linalg.finite_test``. At the
+        first non-finite step, one window raises ``TimeStepError`` with
+        that step's ``(t_n, k)``, its clock ``t`` advanced as ``t + k``
+        once per step; a wider stack is handed back as None. Returns the
+        flat buffer the steps were written to, ``m * size`` values in a new
         1-d array, with window ``j`` at ``[j * size, (j + 1) * size)``.
         """
         (matrix, offset), k = self.step_map, self.step
         flat = np.concatenate(values)
-        y = flat.reshape(len(values), -1, 1)
+        if len(values) == 1:
+            y, product = flat, matrix_vector(matrix)
+        else:
+            y, offset = flat.reshape(len(values), -1, 1), offset[:, None]
+            product = functools.partial(np.matmul, matrix)
         d = np.empty_like(y)
         finite = finite_test(flat.size)
         for _ in range(n):
             t += k
-            np.add(np.matmul(matrix, y, out=d), offset, out=y)
+            np.add(product(y, out=d), offset, out=y)
             if not finite(flat):
                 if len(values) > 1:
                     return None

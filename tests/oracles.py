@@ -118,7 +118,7 @@ def linear_theta_window(problem, k, theta, values, t, n):
     matrix, offset = linear_step_map(problem, k, theta)
     for j in range(n):
         t = t + k
-        step = matrix @ values + offset[:, 0]
+        step = matrix @ values + offset
         if not np.all(np.isfinite(step)):
             return values, j, (j, f"t_n={t!r}, k={k!r}: non-finite values")
         values = step

@@ -502,7 +502,7 @@ mesh_n = 15
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
         assert main(["run", path, "--verbose"]) == EXIT_OK
         text = capsys.readouterr().out
-        sequential = re.search(r"s, (\d+) Newton iterations \([\d.]+ ms each\)", text)
+        sequential = re.search(r"s, (\d+) steps \([\d.]+ us each\), (\d+) Newton iterations$", text, flags=re.MULTILINE)
         parareal = re.search(r"2 iterations, coarse Newton (\d+), fine Newton (\d+), t_par\(to iter \d\)", text)
         assert re.search(r"t_par\(to iter \d\) [\d.]+ s, 1 thread\(s\)$", text, flags=re.MULTILINE), text
         assert sequential and parareal, text

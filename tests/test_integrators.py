@@ -39,6 +39,22 @@ STEP_CASES = pytest.mark.parametrize("problem", [
 ], ids=lambda p: f"{p.kind}-periodic" if getattr(p, "periodic", False) else p.kind)
 
 
+@dataclass(frozen=True)
+class Pair(problems._Affine):
+    """``y' = A y + b`` with a 2 x 2 ``A``: the smallest state whose step product is a gemv."""
+
+    kind: ClassVar[str] = "pair"
+
+    def layout(self):
+        return {"y": (0, 2)}
+
+    def initial_values(self):
+        return np.array([1.0, -0.5])
+
+    def _affine(self):
+        return np.array([[-1.0, 2.0], [-3.0, -4.0]]), np.array([0.5, 0.0])
+
+
 def scalar_theta_factor(lam: float, k: float, theta: float) -> float:
     """Exact one-step amplification of the theta scheme on y' = lam*y."""
     return (1.0 + k * (1.0 - theta) * lam) / (1.0 - k * theta * lam)
@@ -271,11 +287,11 @@ class TestStepOperator:
         b = make_propagator(heat1d(mesh_n=15), ThetaSettings(step=0.01, theta0=0.5))
         assert a.step_map is b.step_map
         matrix, offset = a.step_map
-        assert (matrix.shape, offset.shape) == ((15, 15), (15, 1))
+        assert (matrix.shape, offset.shape) == ((15, 15), (15,))
         for array in a.step_map:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array[0, 0] = 0.0
+                array[0] = 0.0
         assert make_propagator(ale_piston(mesh_n=7), settings).step_map is None
 
     def test_shared_cache_under_thread_contention(self):
@@ -431,6 +447,19 @@ class TestLinearStep:
         run_parareal(coarse, fine, s0, 0.4, PararealConfig(intervals=4, max_iters=2, tol=1e-14))
         assert calls == []
 
+    def test_a_1x1_step_keeps_the_sign_of_the_matmul_product(self):
+        # y' = 5 y from 0 at k = 1, theta = 1/2: M = -7/3 and c = -0.0. The
+        # product M y is -0.0, which a gemv adds to +0.0, so the step is
+        # +0.0; a bare ndarray.dot multiplies a 1 x 1 matrix as a scalar,
+        # and the step would be -0.0
+        problem = dahlquist(lam=5.0, y0=0.0)
+        s0 = initial_state(problem)
+        expected, _, failure = linear_theta_window(problem, 1.0, 0.5, s0.values, s0.time, 1)
+        assert failure is None and expected.tobytes() == np.zeros(1).tobytes()
+        prop = make_propagator(problem, ThetaSettings(step=1.0))
+        outs = [prop.advance(s0, 1.0), *prop.advance_many([s0, s0], [1.0, 1.0])]
+        assert [out.values.tobytes() for out in outs] == [expected.tobytes()] * 3
+
     @LINEAR_CASES
     def test_window_values_are_a_vector_that_owns_its_buffer(self, problem):
         # a run keeps its states, so a window's values hold its own entries
@@ -502,7 +531,9 @@ class TestAdvanceMany:
         # and a 1e7 column and a 1e6 boundary value take the same exact
         # step as the unit sine, and a 1e200 column is finite though its
         # squared norm would overflow, so the block is kept, no window falls
-        # back to advance, and no step warns
+        # back to advance, and no step warns; states of one and two entries
+        # step as a 1 x 1 and a 2 x 2 product, the sizes where a bare
+        # ndarray.dot is a scalar product and where it is a gemv
         small = heat1d(mesh_n=15)
         sine = initial_state(small).values
         tiny = 1e-9 * np.sin(7 * np.pi * small.grid())
@@ -510,6 +541,8 @@ class TestAdvanceMany:
         cases = [
             (small, [sine, np.zeros_like(sine), tiny, 1e7 * sine, 1e200 * sine], 0.01, 20),
             (large, [initial_state(large).values] * 2, 0.005, 20),
+            (dahlquist(lam=-3.0), [np.ones(1), np.zeros(1), np.full(1, 1e-9), np.full(1, 1e200)], 0.01, 20),
+            (Pair(), [np.array([1.0, -0.5]), np.zeros(2), np.array([1e-9, 1e200])], 0.01, 20),
         ]
         for problem, values, step, n in cases:
             settings = ThetaSettings(step=step, theta0=theta0)
