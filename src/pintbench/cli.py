@@ -326,10 +326,9 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
     t_seq = time.perf_counter() - t0
     if verbose:
         per_step = t_seq / max(fine.steps_taken, 1)
-        print(
-            f"[pint-bench]   {t_seq:.3f} s, {fine.steps_taken} steps ({per_step * 1e6:.2f} us each), "
-            f"{fine.newton_iterations} Newton iterations"
-        )
+        # a linear step solves no Newton system, so a linear run counts its steps alone
+        newton = "" if problem.linear else f", {fine.newton_iterations} Newton iterations"
+        print(f"[pint-bench]   {t_seq:.3f} s, {fine.steps_taken} steps ({per_step * 1e6:.2f} us each){newton}")
 
     ref_prop = make_propagator(problem, cfg.theta_settings(k / REFERENCE_REFINEMENT))
     reference = sequential_solve(ref_prop, s0, t_grid)
@@ -368,9 +367,12 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False, collect: Option
                 )
             )
             if verbose:
+                if problem.linear:
+                    work = f"coarse steps {coarse.steps_taken}, fine steps {fine_run.steps_taken}"
+                else:
+                    work = f"coarse Newton {coarse.newton_iterations}, fine Newton {fine_run.newton_iterations}"
                 print(
-                    f"[pint-bench]   {trace.iterations_run} iterations, "
-                    f"coarse Newton {coarse.newton_iterations}, fine Newton {fine_run.newton_iterations}, "
+                    f"[pint-bench]   {trace.iterations_run} iterations, {work}, "
                     f"t_par(to iter {qualifying}) {t_par:.3f} s, "
                     f"{trace.workers} thread(s)"
                 )
@@ -462,7 +464,7 @@ def speedup_report(rows: Sequence[ResultRow]) -> str:
         marker = "accurate" if accurate else "above discretization error"
         lines.append(
             f"K={row.K:g} variant={row.variant}: iterations={row.iter} "
-            f"measured={row.speedup_meas:.3f} theoretical={row.speedup_theory:.3f} "
+            f"measured={row.speedup_meas:.3f} model(one worker per window)={row.speedup_theory:.3f} "
             f"efficiency={efficiency:.3f} [{marker}]"
         )
         if accurate or disc_final is None:

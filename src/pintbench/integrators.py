@@ -16,28 +16,31 @@ an affine map (Hairer & Wanner II, section IV.3): subtracting ``y_{n-1}``
 from both sides of the scheme leaves ``(I - k*theta*A) (y_n - y_{n-1}) =
 k * f(y_{n-1})``, so with ``K = k * (I - k*theta*A)^-1`` a step is
 ``y_n = y_{n-1} + K f(y_{n-1}) = M y_{n-1} + c``, where ``M = I + K A``
-and ``c = K b``. ``linear_step_map`` builds that read-only pair once per
-(problem, step size, theta), in one bounded module-level cache that every
-propagator shares. A linear window steps in one loop,
+and ``c = K b``. ``linear_step_map`` builds that map once per (problem,
+step size, theta) as one read-only augmented matrix ``[M | c]``, whose
+product with ``[y; 1]`` is ``M y + c``, in one bounded module-level cache
+that every propagator shares. A linear window steps in one loop,
 ``ThetaPropagator._linear``, over ``m`` windows of equal step count:
 ``m = 1`` for ``advance`` (and so the sequential solve and every coarse
-window), ``m`` windows for ``advance_many``. Each step is
-``Y <- M Y + c``, one product written in place with ``out=``, into
-working arrays allocated once per call; it evaluates no rhs, tests no
-residual, and counts one Newton iteration. One window steps its flat
-vector, through ``linalg.matrix_vector``'s product, one gemv; a wider
-stack steps as ``(m, size, 1)`` through a stacked ``matmul``, which
-makes that same gemv once per column (a plain ``M @ Y.T`` does not: its
-columns change with the block width). So the stack returns, for every
-window, exactly the values ``advance`` returns, whichever windows share
-it, and one window pays no stack set-up per step. Every step's values
-are checked with ``linalg.finite_test``, which no finite value can
-overflow. At the first non-finite step one window raises its step error,
-and a wider stack hands itself back as None; ``advance_many`` then is
-the loop of ``advance`` over its windows, which raises the first failing
-window's step error. ``advance`` returns the loop's own flat buffer, a
-new vector that holds nothing else. Every other ``advance_many`` call is
-the loop of ``advance`` over its windows.
+window), ``m`` windows for ``advance_many``. Each window's values take
+turns between two working buffers of ``size + 1`` entries, whose last
+entry is 1.0, so a step is one product of ``[M | c]`` with one buffer,
+written with ``out=`` into the other's first ``size`` entries, and one
+finiteness test: no separate add of ``c``. It evaluates no rhs, tests
+no residual, and counts one Newton iteration. One window steps its flat
+buffers through ``[M | c].dot``, one gemv; a wider stack steps as
+``(m, size + 1, 1)`` through a stacked ``matmul``, which makes that
+same gemv once per column (a plain ``M @ Y.T`` does not: its columns
+change with the block width). So the stack returns, for every window,
+exactly the values ``advance`` returns, whichever windows share it, and
+one window pays no stack set-up per step. Every step's output buffer is
+checked with ``linalg.finite_test``, which no finite value can overflow.
+At the first non-finite step one window raises its step error, and a
+wider stack hands itself back as None; ``advance_many`` then is the
+loop of ``advance`` over its windows, which raises the first failing
+window's step error. ``advance`` returns a copy of the loop's last
+output, a new vector that holds nothing else. Every other
+``advance_many`` call is the loop of ``advance`` over its windows.
 
 A nonlinear problem's step is ``ThetaPropagator._step``, one damped
 ``newton_solve`` call whose every direction is a product with one
@@ -84,6 +87,7 @@ identical inputs give bit-identical outputs regardless of scheduling.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 import time as _time
@@ -93,7 +97,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import problems as _problems
-from .linalg import MaxItersExceeded, NumericBreakdown, finite_test, matrix_vector, newton_solve
+from .linalg import MaxItersExceeded, NumericBreakdown, finite_test, newton_solve
 from .state import State, _require_fields
 
 
@@ -152,22 +156,27 @@ def _iteration_inverse(jacobian: np.ndarray, k: float, theta: float) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=_STEP_MAP_CACHE_SIZE)
-def linear_step_map(problem: _problems.Problem, k: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only exact step map ``(M, c)`` of a linear problem: one theta step is ``y -> M y + c``.
+def linear_step_map(problem: _problems.Problem, k: float, theta: float) -> np.ndarray:
+    """The read-only augmented step map ``[M | c]`` of a linear problem: one theta step is ``y -> M y + c``.
 
     With ``K = k * (I - k*theta*A)^-1``, the step's increment is ``K f(y)``
-    and ``f(y) = A y + b``, so ``M = I + K A`` and ``c = K b``, a
-    vector. One module-level cache, keyed on the problem, the step size
-    and theta, serves every propagator, so propagators on the same problem
-    and step size share one pair instead of each holding a copy. A
-    singular iteration matrix raises ``NumericBreakdown``.
+    and ``f(y) = A y + b``, so ``M = I + K A`` and ``c = K b``. They are
+    returned as one C-contiguous ``size x (size + 1)`` array, ``M`` in the
+    first ``size`` columns and ``c`` in the last, so that its product with
+    ``[y; 1]`` is the whole step. One module-level cache, keyed on the
+    problem, the step size and theta, serves every propagator, so
+    propagators on the same problem and step size share one array instead
+    of each holding a copy. A singular iteration matrix raises
+    ``NumericBreakdown``.
     """
     a, b = problem.affine
+    size = a.shape[0]
     gain = k * _iteration_inverse(a, k, theta)
-    pair = (np.eye(a.shape[0]) + gain.dot(a), gain.dot(b))
-    for array in pair:
-        array.setflags(write=False)
-    return pair
+    step = np.empty((size, size + 1))
+    step[:, :size] = np.eye(size) + gain.dot(a)
+    step[:, size] = gain.dot(b)
+    step.setflags(write=False)
+    return step
 
 
 class Propagator(Protocol):
@@ -226,12 +235,12 @@ class ThetaPropagator:
     holds and stamps the result ``t_end``; the rounding slack between the
     window and ``n * step`` (at most 1e-9 relative) is not integrated.
     ``theta`` is the effective implicitness. A linear problem's windows
-    step in ``_linear``, each step ``Y <- M Y + c`` through ``step_map``,
-    the shared read-only pair ``(M, c)`` of ``linear_step_map``: a single
-    window as its flat vector, several as one stack. A non-finite step
-    raises. A nonlinear problem has no ``step_map``
-    (None): each of its steps is one ``newton_solve`` in ``_step``, with
-    the inverse formed at the step's own start.
+    step in ``_linear``, each step ``Y <- M Y + c`` as one product with
+    ``step_map``, the shared read-only augmented matrix ``[M | c]`` of
+    ``linear_step_map``: a single window as its flat buffers, several as
+    one stack. A non-finite step raises. A nonlinear problem has no
+    ``step_map`` (None): each of its steps is one ``newton_solve`` in
+    ``_step``, with the inverse formed at the step's own start.
     ``advance`` and ``advance_many`` are the only paths to a step, so one
     step is ``advance(state, state.time + step)``. The steps of a window
     run on raw arrays; a nonlinear window carries the rhs from one step
@@ -300,36 +309,48 @@ class ThetaPropagator:
     def _linear(self, values: Sequence[np.ndarray], n: int, t: float):
         """``n`` steps of a linear problem from ``m`` windows' start values at once, or None.
 
-        Each step is ``Y <- M Y + c`` through the shared ``step_map``,
-        written in place with ``out=``: no rhs call. One window (``m = 1``)
-        steps its flat vector itself, through ``linalg.matrix_vector(M)``,
-        with the bits of ``M @ y``. A wider stack steps as ``(m, size, 1)`` through ``np.matmul``,
-        which makes one BLAS call per column, the gemv of one window, so
-        every column has the same bits whichever windows share the stack.
-        Each step's values are checked with ``linalg.finite_test``. At the
-        first non-finite step, one window raises ``TimeStepError`` with
-        that step's ``(t_n, k)``, its clock ``t`` advanced as ``t + k``
-        once per step; a wider stack is handed back as None. Returns the
-        flat buffer the steps were written to, ``m * size`` values in a new
-        1-d array, with window ``j`` at ``[j * size, (j + 1) * size)``.
+        Each step is one product of the shared augmented ``step_map``
+        ``[M | c]`` with ``[Y; 1]``, which is ``M Y + c``: no rhs call and
+        no separate add. Two working buffers of ``size + 1`` entries per
+        window, whose last entry is 1.0, take turns as the product's input
+        and, through ``out=``, its first ``size`` entries as the output.
+        One window (``m = 1``) steps its flat buffers through
+        ``step_map.dot``, one gemv. A wider stack steps as
+        ``(m, size + 1, 1)`` through ``np.matmul``, which makes one gemv
+        per column, the gemv of one window, so every column has the same
+        bits whichever windows share the stack. Each step's output buffer is
+        checked with ``linalg.finite_test``. At the first non-finite step,
+        one window raises ``TimeStepError`` with that step's ``(t_n, k)``,
+        its clock ``t`` advanced as ``t + k`` once per step; a wider stack
+        is handed back as None. Returns a new array that owns its values:
+        the ``size`` values of one window, or an ``(m, size, 1)`` stack.
         """
-        (matrix, offset), k = self.step_map, self.step
-        flat = np.concatenate(values)
-        if len(values) == 1:
-            y, product = flat, matrix_vector(matrix)
+        step, k = self.step_map, self.step
+        m, size = len(values), step.shape[0]
+        if m == 1:
+            a = np.empty(size + 1)
+            a[size] = 1.0
+            a[:size] = values[0]
+            b = a.copy()
+            turns = ((a, b[:size], b), (b, a[:size], a))
+            product = step.dot
         else:
-            y, offset = flat.reshape(len(values), -1, 1), offset[:, None]
-            product = functools.partial(np.matmul, matrix)
-        d = np.empty_like(y)
-        finite = finite_test(flat.size)
-        for _ in range(n):
+            a, b = grid = np.empty((2, m, size + 1, 1))
+            grid[:, :, size] = 1.0
+            a[:, :size, 0] = values
+            flat = grid.reshape(2, -1)
+            turns = ((a, b[:, :size], flat[1]), (b, a[:, :size], flat[0]))
+            product = functools.partial(np.matmul, step)
+        finite = finite_test(a.size)
+        # step j reads turn j % 2's input and writes its output, whose whole buffer it tests
+        for y, out, written in itertools.islice(itertools.cycle(turns), n):
             t += k
-            np.add(product(y, out=d), offset, out=y)
-            if not finite(flat):
-                if len(values) > 1:
+            product(y, out=out)
+            if not finite(written):
+                if m > 1:
                     return None
                 raise TimeStepError(f"implicit step failed at t_n={t!r}, k={k!r}: non-finite values")
-        return flat
+        return out.copy()
 
     def _step(self, y0: np.ndarray, f0, t0: float):
         """One implicit step of a nonlinear problem on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).

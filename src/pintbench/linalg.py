@@ -25,16 +25,18 @@ and ``A.dot(x)`` those of ``A @ x``, at a third less call cost on a
 vector of 63 entries. The one exception is a 1 x 1 matrix, which
 ``dot`` treats as a scalar: it returns the product ``a * x`` itself,
 where gemv adds it to 0.0, so a product of -0.0 keeps its sign.
-:func:`matrix_vector` gives every caller the bits of ``A @ x``, and it
-is the one-window product of the integrator's linear step loop, called
-there with ``out=``, so a 1 x 1 step map multiplies as gemv does too:
-``dahlquist(lam=5.0, y0=0.0)`` at step size 1 steps to ``+0.0``, where
-``dot`` would give ``-0.0``.
-A stack of windows keeps ``np.matmul``, which makes one gemv per column
-of an ``(m, n, 1)`` stack, the gemv of one window. ``dot`` takes a
-stack as one tensor, whose product has shape ``(n, m, 1)``, and one
-``A @ Y`` over a block is a gemm, whose columns change bits with the
-block's width.
+:func:`matrix_vector` gives every caller of a square matrix the bits of
+``A @ x``: a linear problem's rhs and Newton's directions. The
+integrator's linear step loop does not call it. Its step map is the
+augmented ``n x (n + 1)`` matrix ``[M | c]``, which has two columns even
+for a scalar problem, so ``dot`` makes a gemv at every size, and
+``dahlquist(lam=5.0, y0=0.0)`` at step size 1 steps to ``+0.0``, as
+``M @ y + c`` gives. One window steps through ``[M | c].dot`` with
+``out=``; a stack of windows keeps ``np.matmul``, which makes one gemv
+per column of an ``(m, n + 1, 1)`` stack, the gemv of one window.
+``dot`` takes a stack as one tensor, whose product has shape
+``(n, m, 1)``, and one ``A @ Y`` over a block is a gemm, whose columns
+change bits with the block's width.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ def matrix_vector(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The product ``x -> matrix @ x`` with a square float64 ``matrix``, bit for bit.
 
     It is ``matrix.dot`` from two rows on, and ``np.matmul`` with a 1 x 1
-    matrix, whose ``dot`` would keep the sign of a -0.0 product. Either
-    takes ``out=``, a C-contiguous float64 vector of the matrix's size.
+    matrix, whose ``dot`` would keep the sign of a -0.0 product.
     """
     return matrix.dot if matrix.shape[0] > 1 else functools.partial(np.matmul, matrix)
 

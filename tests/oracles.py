@@ -107,18 +107,19 @@ def fd_jacobian(f, x):
 def linear_theta_window(problem, k, theta, values, t, n):
     """``n`` theta steps of the linear ``problem`` from ``values`` at time ``t``, through its exact step map.
 
-    Step ``j`` is ``y1 = M @ y0 + c``, the theta step of ``f(y) = A y + b``
-    with the library's cached pair ``M = I + K A``, ``c = K b`` and
-    ``K = k (I - k*theta*A)^-1``. Returns ``(values, steps, failure)`` in
-    the shape of :func:`newton_theta_window`, one Newton iteration per
-    step: ``failure`` is None, or ``(j, text)`` for the first step with a
+    Step ``j`` is ``y1 = [M | c] @ [y0; 1]``, that is ``M y0 + c``, the
+    theta step of ``f(y) = A y + b`` with the library's cached augmented
+    map of ``M = I + K A``, ``c = K b`` and ``K = k (I - k*theta*A)^-1``.
+    Returns ``(values, steps, failure)`` in the shape of
+    :func:`newton_theta_window`, one Newton iteration per step:
+    ``failure`` is None, or ``(j, text)`` for the first step with a
     non-finite value, ``text`` naming its end time and the step size, with
     ``values`` and the count of the steps before it.
     """
-    matrix, offset = linear_step_map(problem, k, theta)
+    step_map = linear_step_map(problem, k, theta)
     for j in range(n):
         t = t + k
-        step = matrix @ values + offset
+        step = step_map @ np.append(values, 1.0)
         if not np.all(np.isfinite(step)):
             return values, j, (j, f"t_n={t!r}, k={k!r}: non-finite values")
         values = step

@@ -307,6 +307,7 @@ class TestSpeedupReport:
         ]
         text = speedup_report(rows)
         assert "measured=2.000" in text
+        assert "model(one worker per window)=4.000" in text
         assert "efficiency=0.500" in text
 
     def test_single_iteration_best_k(self):
@@ -497,17 +498,31 @@ mesh_n = 15
         assert "config error" in captured.err
         assert captured.out == ""
 
-    def test_verbose_prints_newton_counters(self, tmp_path, capsys):
+    def test_verbose_prints_step_counters_of_a_linear_run(self, tmp_path, capsys):
+        # a linear step solves no Newton system, so the lines count steps
         out = tmp_path / "res.csv"
         path = write_config(tmp_path / "a.ini", SMOKE_INI.format(out=out))
         assert main(["run", path, "--verbose"]) == EXIT_OK
         text = capsys.readouterr().out
-        sequential = re.search(r"s, (\d+) steps \([\d.]+ us each\), (\d+) Newton iterations$", text, flags=re.MULTILINE)
-        parareal = re.search(r"2 iterations, coarse Newton (\d+), fine Newton (\d+), t_par\(to iter \d\)", text)
+        assert "Newton" not in text, text
+        sequential = re.search(r"s, (\d+) steps \([\d.]+ us each\)$", text, flags=re.MULTILINE)
+        parareal = re.search(r"2 iterations, coarse steps (\d+), fine steps (\d+), t_par\(to iter \d\)", text)
         assert re.search(r"t_par\(to iter \d\) [\d.]+ s, 1 thread\(s\)$", text, flags=re.MULTILINE), text
         assert sequential and parareal, text
         assert all(int(n) > 0 for n in sequential.groups() + parareal.groups())
         assert f"wrote 13 rows to {out}" in text
+
+    def test_verbose_prints_newton_counters_of_a_nonlinear_run(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        body = EXPERIMENT_INI.format(out=out) + "[ale_piston]\nmesh_n = 7\n"
+        path = write_config(tmp_path / "a.ini", body)
+        assert main(["run", path, "--problem=ale_piston", "--horizon=0.4", "--coarse_steps=0.1", "--fine_step=0.05",
+                     "--verbose"]) == EXIT_OK
+        text = capsys.readouterr().out
+        sequential = re.search(r"s, (\d+) steps \([\d.]+ us each\), (\d+) Newton iterations$", text, flags=re.MULTILINE)
+        parareal = re.search(r"\d iterations, coarse Newton (\d+), fine Newton (\d+), t_par\(to iter \d\)", text)
+        assert sequential and parareal, text
+        assert all(int(n) > 0 for n in sequential.groups() + parareal.groups())
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["run", "/no/such/config.ini"]) == EXIT_CONFIG

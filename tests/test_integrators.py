@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -286,13 +287,28 @@ class TestStepOperator:
         a = make_propagator(heat1d(mesh_n=15), settings)
         b = make_propagator(heat1d(mesh_n=15), ThetaSettings(step=0.01, theta0=0.5))
         assert a.step_map is b.step_map
-        matrix, offset = a.step_map
-        assert (matrix.shape, offset.shape) == ((15, 15), (15,))
-        for array in a.step_map:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        assert a.step_map.shape == (15, 16) and a.step_map.flags.c_contiguous
+        assert not a.step_map.flags.writeable
+        with pytest.raises(ValueError):
+            a.step_map[0, 0] = 0.0
         assert make_propagator(ale_piston(mesh_n=7), settings).step_map is None
+
+    def test_propagators_keep_no_step_map_of_their_own(self):
+        # a run keeps its propagators, so each one holds the cached step map
+        # itself: a copy of heat's 63 x 64 map would keep 32 KB per propagator
+        problem = heat1d(mesh_n=63)
+        settings = ThetaSettings(step=0.005)
+        first = make_propagator(problem, settings)
+        assert make_propagator(problem, settings).step_map is first.step_map
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [make_propagator(problem, settings) for _ in range(50)]
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(prop.step_map is first.step_map for prop in kept)
+        assert grown < 50 * 1024, f"{grown / 50:.0f} bytes per propagator"
 
     def test_shared_cache_under_thread_contention(self):
         # more distinct step sizes than the cache holds, each built into a
@@ -447,11 +463,48 @@ class TestLinearStep:
         run_parareal(coarse, fine, s0, 0.4, PararealConfig(intervals=4, max_iters=2, tol=1e-14))
         assert calls == []
 
+    # sizes on both sides of where OpenBLAS's gemv changes its path: the
+    # product with [y; 1] has size + 1 columns
+    KERNEL_SIZES = pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64])
+
+    @staticmethod
+    def _problem_of_size(size):
+        return {1: dahlquist(lam=-3.0), 2: Pair()}.get(size) or heat1d(mesh_n=size, left_bc=1.0)
+
+    @KERNEL_SIZES
+    def test_block_is_the_loop_of_advance_at_every_size(self, size):
+        problem = self._problem_of_size(size)
+        rng = np.random.default_rng(size)
+        base = initial_state(problem)
+        states = [base.with_values(rng.standard_normal(size), time=0.2 * j) for j in range(3)]
+        ends = [s.time + 0.2 for s in states]
+        block, loop = (make_propagator(problem, ThetaSettings(step=0.01, theta0=0.5)) for _ in range(2))
+        outs = block.advance_many(states, ends)
+        assert [out.values.tobytes() for out in outs] == [loop.advance(s, t).values.tobytes() for s, t in zip(states, ends)]
+
+    @KERNEL_SIZES
+    def test_one_product_step_is_within_the_dot_product_bound(self, size):
+        # [M | c] @ [y; 1] and M @ y + c each lie within gamma_{size+1}
+        # (|M| |y| + |c|) of the exact step (Higham, Accuracy and Stability,
+        # section 3.1), so within twice that of each other
+        problem = self._problem_of_size(size)
+        rng = np.random.default_rng(100 + size)
+        prop = make_propagator(problem, ThetaSettings(step=0.01, theta0=0.5))
+        matrix, offset = prop.step_map[:, :size], prop.step_map[:, size]
+        unit = np.finfo(float).eps / 2
+        gamma = (size + 1) * unit / (1 - (size + 1) * unit)
+        state = initial_state(problem).with_values(rng.standard_normal(size))
+        for _ in range(10):
+            y = state.values
+            state = prop.advance(state, state.time + prop.step)
+            bound = 2 * gamma * (np.abs(matrix) @ np.abs(y) + np.abs(offset))
+            assert np.all(np.abs(state.values - (matrix @ y + offset)) <= bound)
+
     def test_a_1x1_step_keeps_the_sign_of_the_matmul_product(self):
         # y' = 5 y from 0 at k = 1, theta = 1/2: M = -7/3 and c = -0.0. The
-        # product M y is -0.0, which a gemv adds to +0.0, so the step is
-        # +0.0; a bare ndarray.dot multiplies a 1 x 1 matrix as a scalar,
-        # and the step would be -0.0
+        # products M y and c 1 are -0.0, which a gemv adds to +0.0, so the
+        # step is +0.0; the map [M | c] is 1 x 2, so ndarray.dot makes that
+        # gemv, where it would multiply a 1 x 1 M as a scalar and keep -0.0
         problem = dahlquist(lam=5.0, y0=0.0)
         s0 = initial_state(problem)
         expected, _, failure = linear_theta_window(problem, 1.0, 0.5, s0.values, s0.time, 1)
