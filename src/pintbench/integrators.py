@@ -10,78 +10,25 @@ The integrator solves, per step of size ``k``,
 damping for retained second-order accuracy. Every failure of a step is
 reported as a ``TimeStepError`` naming the step's ``(t_n, k)``.
 
-A linear problem's rhs is ``A y + b`` (``problem.linear``), so the
-iteration matrix ``I - k * theta * A`` is constant, and one theta step is
-an affine map (Hairer & Wanner II, section IV.3): subtracting ``y_{n-1}``
-from both sides of the scheme leaves ``(I - k*theta*A) (y_n - y_{n-1}) =
-k * f(y_{n-1})``, so with ``K = k * (I - k*theta*A)^-1`` a step is
-``y_n = y_{n-1} + K f(y_{n-1}) = M y_{n-1} + c``, where ``M = I + K A``
-and ``c = K b``. ``linear_step_map`` builds that map once per (problem,
-step size, theta) as one read-only augmented matrix ``[M | c]``, whose
-product with ``[y; 1]`` is ``M y + c``, in one bounded module-level cache
-that every propagator shares. A linear window steps in one loop,
-``ThetaPropagator._linear``, over ``m`` windows of equal step count:
-``m = 1`` for ``advance`` (and so the sequential solve and every coarse
-window), ``m`` windows for ``advance_many``. Each window's values take
-turns between two working buffers of ``size + 1`` entries, whose last
-entry is 1.0, so a step is one product of ``[M | c]`` with one buffer,
-written with ``out=`` into the other's first ``size`` entries, and one
-finiteness test: no separate add of ``c``. It evaluates no rhs, tests
-no residual, and counts one Newton iteration. One window steps its flat
-buffers through ``[M | c].dot``, one gemv; a wider stack steps as
-``(m, size + 1, 1)`` through a stacked ``matmul``, which makes that
-same gemv once per column (a plain ``M @ Y.T`` does not: its columns
-change with the block width). So the stack returns, for every window,
-exactly the values ``advance`` returns, whichever windows share it, and
-one window pays no stack set-up per step. Every step's output buffer is
-checked with ``linalg.finite_test``, which no finite value can overflow.
-At the first non-finite step one window raises its step error, and a
-wider stack hands itself back as None; ``advance_many`` then is the
-loop of ``advance`` over its windows, which raises the first failing
-window's step error. ``advance`` returns a copy of the loop's last
-output, a new vector that holds nothing else. Every other
-``advance_many`` call is the loop of ``advance`` over its windows.
+The step comes in two kinds, and ``make_propagator`` builds the
+propagator of the problem's kind: a linear problem's step is an exact
+affine map (Hairer & Wanner II, section IV.3), which
+``LinearThetaPropagator`` takes from ``linear_step_map``'s shared
+cache, and a nonlinear problem's step is a simplified Newton solve
+(section IV.8) in ``NewtonThetaPropagator``. Both derive from
+``ThetaPropagator``, which holds what they share. ``Propagator`` is the
+contract by which the parallel-in-time engine composes them, a cheap
+coarse propagator and an expensive fine one over the same windows, and
+``SleepPropagator`` is a synthetic one for scheduler benchmarks.
 
-A nonlinear problem's step is ``ThetaPropagator._step``, one damped
-``newton_solve`` call whose every direction is a product with one
-inverse of the iteration matrix ``I - k * theta * J``, where ``J`` is
-the problem's analytic Jacobian (simplified Newton). The step forms
-that inverse once, from ``J`` at its start values and end time, and
-keeps it for every Newton iterate and line-search trial of the step.
-The matrix is frozen per step, not per window, so a window is its steps
-chained one at a time. Every nonlinear step evaluates the residual and
-confirms convergence against ``linalg``'s residual tolerance, and a
-singular iteration matrix is a failure of the step like any other.
-Newton returns the last
-iterate it evaluated the residual at, so a step ends holding ``f(y_n,
-t_n)``, and that vector is the next step's ``f(y_{n-1}, t_{n-1})``: a
-window evaluates the rhs once at its start and then only inside Newton.
-This reuses the result of the same call on the same arguments, so the
-output is bit-identical to evaluating afresh. Steps run on raw arrays,
-and a window builds one ``State``. A step whose start values already
-solve it returns that array itself, so a result may share its values
-with its input; states are never written, so this is safe.
-
-Propagators wrap the stepping loop behind ``advance(state, t_end)`` and
-are the unit the parallel-in-time engine composes: a cheap coarse
-propagator and an expensive fine one over the same windows. A fine
-propagator may also have ``advance_many(states, t_ends)``, and the
-engine then hands it each iteration's windows as one call, on the
-calling thread alone, since under the interpreter lock a second thread
-would only compete with the call. The engine
-relies on its contract: the call is the loop of ``advance`` over its
-windows, bit for bit, so it returns one state per window, each exactly
-what ``advance`` returns for that window, or raises what the loop
-raises. The exception does not say which window failed, so the engine
-then steps each window through ``advance`` to name it.
-``SleepPropagator`` has none. A window of
-``n`` steps takes ``n`` steps of exactly the propagator's step and is
-stamped ``t_end``: rounding slack of at most 1e-9 relative between the
-window and ``n`` steps is stamped, not integrated. Propagators are safe
-to share across workers: their settings do not change after
-construction, and the only state ``advance`` writes is a pair of cost
-counters updated under a lock. Each ``advance`` is deterministic, so
-identical inputs give bit-identical outputs regardless of scheduling.
+A window of ``n`` steps takes ``n`` steps of exactly the propagator's
+step and is stamped ``t_end``: rounding slack of at most 1e-9 relative
+between the window and ``n`` steps is stamped, not integrated.
+Propagators are safe to share across workers: their settings do not
+change after construction, and the only state ``advance`` writes is a
+pair of cost counters updated under a lock. Each ``advance`` is
+deterministic, so identical inputs give bit-identical outputs
+regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -126,9 +73,6 @@ class ThetaSettings:
     ``step`` is positive. The effective implicitness is
     ``theta = 1/2 + theta0 * step``, clamped to [1/2, 1]; configurations
     more than 1e-12 outside it are rejected.
-    A nonlinear problem's Newton solve stops once the residual norm is
-    at most ``linalg``'s residual tolerance; a linear problem's step is
-    its exact step map, with no residual test.
     """
 
     step: float
@@ -159,8 +103,10 @@ def _iteration_inverse(jacobian: np.ndarray, k: float, theta: float) -> np.ndarr
 def linear_step_map(problem: _problems.Problem, k: float, theta: float) -> np.ndarray:
     """The read-only augmented step map ``[M | c]`` of a linear problem: one theta step is ``y -> M y + c``.
 
-    With ``K = k * (I - k*theta*A)^-1``, the step's increment is ``K f(y)``
-    and ``f(y) = A y + b``, so ``M = I + K A`` and ``c = K b``. They are
+    Subtracting ``y_{n-1}`` from both sides of the scheme leaves
+    ``(I - k*theta*A) (y_n - y_{n-1}) = k f(y_{n-1})``, so with
+    ``K = k * (I - k*theta*A)^-1`` the step's increment is ``K f(y)``, and
+    ``f(y) = A y + b`` gives ``M = I + K A`` and ``c = K b``. They are
     returned as one C-contiguous ``size x (size + 1)`` array, ``M`` in the
     first ``size`` columns and ``c`` in the last, so that its product with
     ``[y; 1]`` is the whole step. One module-level cache, keyed on the
@@ -229,24 +175,14 @@ def _window_steps(state: State, t_end: float, step: float) -> int:
 
 
 class ThetaPropagator:
-    """Theta-scheme propagator for one problem at a fixed step size.
+    """What the two theta-scheme propagators share: one problem at a fixed step size.
 
-    ``advance`` takes the ``n`` steps of exactly ``step`` that the window
-    holds and stamps the result ``t_end``; the rounding slack between the
-    window and ``n * step`` (at most 1e-9 relative) is not integrated.
-    ``theta`` is the effective implicitness. A linear problem's windows
-    step in ``_linear``, each step ``Y <- M Y + c`` as one product with
-    ``step_map``, the shared read-only augmented matrix ``[M | c]`` of
-    ``linear_step_map``: a single window as its flat buffers, several as
-    one stack. A non-finite step raises. A nonlinear problem has no
-    ``step_map`` (None): each of its steps is one ``newton_solve`` in
-    ``_step``, with the inverse formed at the step's own start.
-    ``advance`` and ``advance_many`` are the only paths to a step, so one
-    step is ``advance(state, state.time + step)``. The steps of a window
-    run on raw arrays; a nonlinear window carries the rhs from one step
-    to the next, so its first rhs is its only one outside the steps'
-    solves. Newton iterations (one per linear step) and steps are
-    accumulated in ``newton_iterations`` and ``steps_taken`` for cost
+    ``make_propagator`` builds ``LinearThetaPropagator`` or
+    ``NewtonThetaPropagator`` by the problem's kind, and each has its own
+    ``advance``. ``theta`` is the effective implicitness. ``advance`` and
+    ``advance_many`` are the only paths to a step, so one step is
+    ``advance(state, state.time + step)``. Newton iterations and steps
+    are accumulated in ``newton_iterations`` and ``steps_taken`` for cost
     diagnostics; these counters change under a lock, everything else is
     fixed at construction.
     """
@@ -259,52 +195,64 @@ class ThetaPropagator:
         # that proxy (ROADMAP item 8)
         self.cost_hint = 0.0
         self.theta = settings.theta
-        self.step_map = linear_step_map(problem, self.step, self.theta) if problem.linear else None
         self.newton_iterations = 0
         self.steps_taken = 0
         self._stats_lock = threading.Lock()
 
-    def advance(self, state: State, t_end: float) -> State:
-        n = _window_steps(state, t_end, self.step)
-        if n == 0:
-            return state
-        if self.step_map is not None:
-            y, iters = self._linear([state.values], n, state.time), n
-        else:
-            y, t, f, iters = state.values, state.time, None, 0
-            for _ in range(n):
-                y, f, it = self._step(y, f, t)
-                t += self.step
-                iters += it
-        self._count(iters, n)
-        return state.with_values(y, time=t_end)
-
     def advance_many(self, states: Sequence[State], t_ends: Sequence[float]) -> list:
-        """``[advance(s, t) for s, t in zip(states, t_ends)]``, bit for bit, failures included.
-
-        Every window is validated before any of them steps. Windows of a
-        linear problem that all take the same nonzero number of steps are
-        stepped together by ``_linear``, the loop of ``advance``. If
-        every step of the stack is finite, the counters grow by the loop's
-        totals, and each window's values are its row of the stack; one
-        window raises its step error there, as ``advance`` does. A wider
-        stack with a non-finite step, and any other call, give that loop
-        of ``advance``, so a window that fails raises its own step error
-        and leaves the windows before it counted.
-        """
-        counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
-        stacked = self.step_map is not None and len(set(counts)) == 1 and counts[0] > 0
-        block = self._linear([s.values for s in states], counts[0], states[0].time) if stacked else None
-        if block is None:
-            return [self.advance(s, t) for s, t in zip(states, t_ends)]
-        steps = sum(counts)
-        self._count(steps, steps)
-        return [s.with_values(y, time=t) for s, t, y in zip(states, t_ends, block.reshape(len(states), -1))]
+        """Validates every window before any steps, then ``advance`` on each in turn."""
+        for s, t in zip(states, t_ends, strict=True):
+            _window_steps(s, t, self.step)
+        return [self.advance(s, t) for s, t in zip(states, t_ends)]
 
     def _count(self, iters: int, steps: int) -> None:
         with self._stats_lock:
             self.newton_iterations += iters
             self.steps_taken += steps
+
+
+class LinearThetaPropagator(ThetaPropagator):
+    """Theta-scheme propagator of a linear problem: each step is its exact affine map.
+
+    A linear problem's rhs is ``A y + b``, so the iteration matrix
+    ``I - k*theta*A`` is constant and one theta step is ``Y <- M Y + c``.
+    ``step_map`` is that map as the shared read-only augmented matrix
+    ``[M | c]`` of ``linear_step_map``, and ``_linear`` takes every step
+    as one product with it: one window as its flat buffers in
+    ``advance`` (and so the sequential solve and every coarse window),
+    windows of one step count as one stack in ``advance_many``. A step
+    evaluates no rhs, tests no residual and counts one Newton iteration;
+    a non-finite step raises.
+    """
+
+    def __init__(self, problem: _problems.Problem, settings: ThetaSettings):
+        super().__init__(problem, settings)
+        self.step_map = linear_step_map(problem, self.step, self.theta)
+
+    def advance(self, state: State, t_end: float) -> State:
+        n = _window_steps(state, t_end, self.step)
+        if n == 0:
+            return state
+        y = self._linear([state.values], n, state.time)
+        self._count(n, n)
+        return state.with_values(y, time=t_end)
+
+    def advance_many(self, states: Sequence[State], t_ends: Sequence[float]) -> list:
+        """Windows that all take one nonzero number of steps step as one stack; other calls take the base's loop.
+
+        If every step of the stack is finite, the counters grow by the
+        loop's totals, and each window's values are its row of the stack;
+        one window raises its step error there, as ``advance`` does. A
+        wider stack that ``_linear`` hands back takes the base's loop too.
+        """
+        counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
+        stacked = len(set(counts)) == 1 and counts[0] > 0
+        block = self._linear([s.values for s in states], counts[0], states[0].time) if stacked else None
+        if block is None:
+            return super().advance_many(states, t_ends)
+        steps = sum(counts)
+        self._count(steps, steps)
+        return [s.with_values(y, time=t) for s, t, y in zip(states, t_ends, block.reshape(len(states), -1))]
 
     def _linear(self, values: Sequence[np.ndarray], n: int, t: float):
         """``n`` steps of a linear problem from ``m`` windows' start values at once, or None.
@@ -352,15 +300,48 @@ class ThetaPropagator:
                 raise TimeStepError(f"implicit step failed at t_n={t!r}, k={k!r}: non-finite values")
         return out.copy()
 
+
+class NewtonThetaPropagator(ThetaPropagator):
+    """Theta-scheme propagator of a nonlinear problem: each step is one simplified Newton solve.
+
+    A step is ``_step``, one damped ``newton_solve`` call whose every
+    direction is a product with one inverse of the iteration matrix
+    ``I - k*theta*J``, where ``J`` is the problem's analytic Jacobian.
+    The step forms that inverse once, from ``J`` at its start values and
+    end time, and keeps it for every Newton iterate and line-search trial
+    of the step, so a window is its steps chained one at a time. Every
+    step confirms convergence against ``linalg``'s residual tolerance,
+    and a singular iteration matrix is a failure of the step like any
+    other. Newton returns the last iterate it evaluated the residual at,
+    so a step ends holding ``f(y_n, t_n)``, and that vector is the next
+    step's ``f(y_{n-1}, t_{n-1})``: a window evaluates the rhs once at its
+    start and then only inside Newton, bit-identical to evaluating
+    afresh. Steps run on raw arrays, and a window builds one ``State``. A
+    step whose start values already solve it returns that array itself,
+    so a result may share its values with its input; states are never
+    written, so this is safe. ``advance_many`` is the base's loop, which
+    has the engine run the fine windows on one thread.
+    """
+
+    def advance(self, state: State, t_end: float) -> State:
+        n = _window_steps(state, t_end, self.step)
+        if n == 0:
+            return state
+        y, t, f, iters = state.values, state.time, None, 0
+        for _ in range(n):
+            y, f, it = self._step(y, f, t)
+            t += self.step
+            iters += it
+        self._count(iters, n)
+        return state.with_values(y, time=t_end)
+
     def _step(self, y0: np.ndarray, f0, t0: float):
-        """One implicit step of a nonlinear problem on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).
+        """One step on raw arrays; returns (y1, f(y1, t0 + k), Newton iterations).
 
         ``f0`` is ``f(y0, t0)`` when the caller holds it (the previous step's
-        returned rhs), else None and evaluated here. Every Newton direction
-        is a product with one inverse of ``I - k*theta*J``, formed here,
-        once, from the analytic Jacobian at ``(y0, t0 + k)``, the point of
-        Newton's first residual. A singular matrix is a ``TimeStepError``
-        like any other failure of the step.
+        returned rhs), else None and evaluated here. The step's inverse is
+        formed from the Jacobian at ``(y0, t0 + k)``, the point of Newton's
+        first residual.
         """
         problem, k, theta = self.problem, self.step, self.theta
         t1 = t0 + k
@@ -397,8 +378,8 @@ class ThetaPropagator:
 
 
 def make_propagator(problem: _problems.Problem, settings: ThetaSettings) -> ThetaPropagator:
-    """Build the theta-scheme propagator for ``problem``."""
-    return ThetaPropagator(problem, settings)
+    """Build the theta-scheme propagator of ``problem``'s step kind."""
+    return (LinearThetaPropagator if problem.linear else NewtonThetaPropagator)(problem, settings)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,11 @@ A damped Newton iteration. The caller supplies the linearization as a
 fixed inverse of the Jacobian, so each direction is one matrix-vector
 product (simplified Newton with a frozen Jacobian, the inverse at the
 caller's chosen point). Its callers are the nonlinear steps: a linear
-step is one product with its exact step map, so the integrator takes it
-itself and never calls here, and ``TOL`` applies to nonlinear steps
-only. Everything here operates on plain 1-d float64 numpy arrays and is
-free of shared mutable state, so all functions are safe to call
-concurrently.
+step is one product with its exact step map, which
+``integrators.LinearThetaPropagator._linear`` takes itself, never
+calling here, and ``TOL`` applies to nonlinear steps only. Everything
+here operates on plain 1-d float64 numpy arrays and is free of shared
+mutable state, so all functions are safe to call concurrently.
 
 A vector whose finiteness alone is in question is tested by
 :func:`finite_test`, one product with a zero vector, which no finite
@@ -26,17 +26,17 @@ vector of 63 entries. The one exception is a 1 x 1 matrix, which
 ``dot`` treats as a scalar: it returns the product ``a * x`` itself,
 where gemv adds it to 0.0, so a product of -0.0 keeps its sign.
 :func:`matrix_vector` gives every caller of a square matrix the bits of
-``A @ x``: a linear problem's rhs and Newton's directions. The
-integrator's linear step loop does not call it. Its step map is the
-augmented ``n x (n + 1)`` matrix ``[M | c]``, which has two columns even
-for a scalar problem, so ``dot`` makes a gemv at every size, and
-``dahlquist(lam=5.0, y0=0.0)`` at step size 1 steps to ``+0.0``, as
-``M @ y + c`` gives. One window steps through ``[M | c].dot`` with
-``out=``; a stack of windows keeps ``np.matmul``, which makes one gemv
-per column of an ``(m, n + 1, 1)`` stack, the gemv of one window.
-``dot`` takes a stack as one tensor, whose product has shape
-``(n, m, 1)``, and one ``A @ Y`` over a block is a gemm, whose columns
-change bits with the block's width.
+``A @ x``: a linear problem's rhs and Newton's directions.
+``integrators.LinearThetaPropagator._linear`` does not call it. Its
+step map is the augmented ``n x (n + 1)`` matrix ``[M | c]``, which has
+two columns even for a scalar problem, so ``dot`` makes a gemv at every
+size, and ``dahlquist(lam=5.0, y0=0.0)`` at step size 1 steps to
+``+0.0``, as ``M @ y + c`` gives. One window steps through
+``[M | c].dot`` with ``out=``; a stack of windows keeps ``np.matmul``,
+which makes one gemv per column of an ``(m, n + 1, 1)`` stack, the gemv
+of one window. ``dot`` takes a stack as one tensor, whose product has
+shape ``(n, m, 1)``, and one ``A @ Y`` over a block is a gemm, whose
+columns change bits with the block's width.
 """
 
 from __future__ import annotations

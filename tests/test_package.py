@@ -9,9 +9,11 @@ import pytest
 
 import pintbench
 from pintbench.cli import ConfigError, ExperimentConfig, ResultRow
-from pintbench.integrators import SleepPropagator, ThetaSettings
+from pintbench.integrators import (
+    LinearThetaPropagator, NewtonThetaPropagator, SleepPropagator, ThetaSettings, make_propagator,
+)
 from pintbench.parareal import PararealConfig
-from pintbench.problems import AlePiston, Advection1D, Dahlquist, GaussianBump, Heat1D, SineMode
+from pintbench.problems import PROBLEMS, AlePiston, Advection1D, Dahlquist, GaussianBump, Heat1D, SineMode
 from pintbench.state import State
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pintbench").glob("*.py"))
@@ -113,3 +115,31 @@ def test_every_settings_field_follows_the_number_rule(obj, name, hint, optional)
 
 def test_every_settings_class_has_a_number_field():
     assert {type(obj) for obj, *_ in NUMBER_FIELDS} == {type(obj) for obj in SETTINGS}
+
+
+PROPAGATOR_CLASSES = ("ThetaPropagator", "LinearThetaPropagator", "NewtonThetaPropagator")
+
+
+def test_no_propagator_method_branches_on_the_problem_kind():
+    # make_propagator picks the class from problem.linear; no method tests the kind again
+    tree = ast.parse((SOURCES[0].parent / "integrators.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name in PROPAGATOR_CLASSES]
+    assert sorted(c.name for c in classes) == sorted(PROPAGATOR_CLASSES)
+    found = []
+    for cls in classes:
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and node.attr == "linear":
+                found.append(f"{cls.name}:{node.lineno} reads .linear")
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                names = {getattr(o, "attr", getattr(o, "id", None)) for o in operands}
+                if "step_map" in names and any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+                    found.append(f"{cls.name}:{node.lineno} compares step_map with None")
+    assert found == []
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_make_propagator_picks_the_class_of_the_step_kind(kind):
+    cls = PROBLEMS[kind]
+    expected = LinearThetaPropagator if cls.linear else NewtonThetaPropagator
+    assert type(make_propagator(cls(), ThetaSettings(step=0.125))) is expected

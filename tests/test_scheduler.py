@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pintbench import parareal
-from pintbench.integrators import SleepPropagator, ThetaSettings, make_propagator
+from pintbench.integrators import NewtonThetaPropagator, SleepPropagator, ThetaSettings, make_propagator
 from pintbench.parareal import (
     PararealConfig,
     PararealError,
@@ -16,7 +16,7 @@ from pintbench.parareal import (
     pipelined_schedule,
     run_parareal,
 )
-from pintbench.problems import SineMode, heat1d, initial_state
+from pintbench.problems import SineMode, ale_piston, heat1d, initial_state
 from pintbench.state import State
 
 from oracles import simulate_makespan
@@ -227,7 +227,7 @@ class TestSchedulerEquivalence:
         run_parareal(Probe(0.5), Probe(0.1), s0, 2.0, cfg)
         assert seen and set(seen) == {(caller, threads_before)}
 
-    # a bare ThetaPropagator batches and runs inline at any worker count; the
+    # a bare LinearThetaPropagator batches and runs inline at any worker count; the
     # wrapper without advance_many runs its windows one by one on the worker threads
     @pytest.mark.parametrize("wrap", [None, _Recorder], ids=["block", "per_window"])
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
@@ -247,6 +247,21 @@ class TestSchedulerEquivalence:
             for va, vb in zip(row_a, row_b):
                 assert va.tobytes() == vb.tobytes()
         assert np.array_equal(serial_trace.theta_values, pipe_trace.theta_values)
+
+    def test_bare_newton_propagator_runs_on_the_calling_thread(self):
+        # the piston's propagator batches nothing, but its advance_many still
+        # keeps every fine window on the calling thread, whatever workers says
+        problem = ale_piston(mesh_n=7)
+        C = make_propagator(problem, ThetaSettings(step=0.1))
+        F = make_propagator(problem, ThetaSettings(step=0.02))
+        assert isinstance(F, NewtonThetaPropagator)
+        s0 = initial_state(problem)
+        (_, serial), (_, two) = (
+            run_parareal(C, F, s0, 0.8, PararealConfig(intervals=4, max_iters=2, tol=1e-30, workers=w))
+            for w in (1, 2)
+        )
+        assert two.workers == 1
+        assert [row.tobytes() for row in two.iterate_values] == [row.tobytes() for row in serial.iterate_values]
 
     def test_sleep_fine_tasks_run_on_the_fine_threads(self):
         # sleeps release the interpreter lock, so a fine propagator without
@@ -411,19 +426,30 @@ class TestInterrupt:
 
     def test_interrupted_calling_thread_cancels_the_queued_fine_tasks(self):
         # the last link of the init sweep interrupts the calling thread, as Ctrl-C
-        # would, while all six iteration-1 fine tasks are queued on two fine threads
+        # would, while all six iteration-1 fine tasks are queued on two fine threads;
+        # the link waits until the interrupt has been raised on the calling thread,
+        # so the run cannot finish before it
         caller, threads_before = threading.get_ident(), threading.active_count()
-        ran = []
+        ran, interrupted = [], threading.Event()
+
+        def on_sigint(signum, frame):
+            interrupted.set()
+            raise KeyboardInterrupt
 
         def run_task(task):
             ran.append(task.key)
             if task.key == (0, 1, 5):
                 signal.pthread_kill(caller, signal.SIGINT)
+                interrupted.wait(timeout=10.0)
             if task.kind == "fine":
                 time.sleep(0.05)
 
-        with pytest.raises(KeyboardInterrupt):
-            _execute(pipelined_schedule(6, 3), run_task, workers=2)
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                _execute(pipelined_schedule(6, 3), run_task, workers=2)
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert threading.active_count() == threads_before
         assert sum(key[1] == 0 for key in ran) <= 2  # only the fine tasks already in flight
         assert max(ran) < (2, 0, 0)
