@@ -295,6 +295,38 @@ class TestStepOperator:
         piston = make_propagator(ale_piston(mesh_n=7), settings)
         assert isinstance(piston, NewtonThetaPropagator) and not hasattr(piston, "step_map")
 
+    @pytest.mark.parametrize("problem", [dahlquist(), Pair(), heat1d(mesh_n=15), heat1d(mesh_n=63),
+                                         advection1d(mesh_n=16), advection1d(mesh_n=255, periodic=False)],
+                             ids=lambda p: p.kind)
+    def test_step_map_starts_on_a_cache_line(self, problem):
+        size = initial_state(problem).size
+        step_map = linear_step_map(problem, 0.01, 0.5)
+        assert step_map.ctypes.data % 64 == 0
+        assert step_map.flags.c_contiguous and not step_map.flags.writeable
+        assert step_map.shape == (size, size + 1)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255])
+    def test_step_map_offset_changes_no_bit(self, size):
+        # alignment is a change of speed only: a one-window product through
+        # [M | c].dot and a stacked np.matmul give the same bytes wherever
+        # the map starts, 0 to 56 bytes past a cache line
+        rng = np.random.default_rng(size)
+        step_map = rng.standard_normal((size, size + 1))
+        flat = np.append(rng.standard_normal(size), 1.0)
+        stack = np.concatenate([rng.standard_normal((5, size, 1)), np.ones((5, 1, 1))], axis=1)
+        raw = np.empty(step_map.size + 15)
+        line = -raw.ctypes.data % 64 // 8
+        results = set()
+        for skip in range(line, line + 8):
+            shifted = raw[skip:skip + step_map.size].reshape(step_map.shape)
+            shifted[:] = step_map
+            assert shifted.ctypes.data % 64 == 8 * (skip - line)
+            one, many = np.empty(size), np.empty((5, size, 1))
+            shifted.dot(flat, out=one)
+            np.matmul(shifted, stack, out=many)
+            results.add((one.tobytes(), many.tobytes()))
+        assert len(results) == 1
+
     def test_propagators_keep_no_step_map_of_their_own(self):
         # a run keeps its propagators, so each one holds the cached step map
         # itself: a copy of heat's 63 x 64 map would keep 32 KB per propagator

@@ -15,6 +15,7 @@ from pintbench.linalg import (
     TOL,
     MaxItersExceeded,
     NumericBreakdown,
+    _squared_norm,
     as_vector,
     finite_test,
     matrix_vector,
@@ -79,7 +80,6 @@ class TestFiniteness:
 
     HUGE = np.array([1e200, -1e200, 3e200])  # finite, but the squared norm overflows
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_norm_is_not_a_breakdown(self):
         assert as_vector(self.HUGE) is self.HUGE
         # the start residual's norm overflows to inf; the first full step lands on the root
@@ -110,7 +110,7 @@ class TestFiniteness:
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
 class TestNormIdiom:
-    """``math.sqrt(v.dot(v))``, the norm every caller takes, is ``np.linalg.norm(v)`` bit for bit."""
+    """Newton's norm ``math.sqrt(_squared_norm(v))`` is ``math.sqrt(v.dot(v))``, and ``np.linalg.norm(v)``, in bits."""
 
     if given is not None:
         ENTRIES = st.one_of(
@@ -120,11 +120,15 @@ class TestNormIdiom:
             st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
         )
 
-        @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+        @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # dot's and norm's, not Newton's
         @given(hnp.arrays(np.float64, st.integers(1, 64), elements=ENTRIES))
         def test_equals_numpy_norm(self, v):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                squared = _squared_norm(v)
             # compared as bits, so NaN and the sign of a zero count too
-            assert np.float64(math.sqrt(v.dot(v))).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+            bits = {np.float64(math.sqrt(x)).tobytes() for x in (squared, v.dot(v))}
+            assert bits == {np.float64(np.linalg.norm(v)).tobytes()}
 
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")

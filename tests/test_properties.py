@@ -30,7 +30,12 @@ tolerance (or, for the piston, that the mesh collapses), and checks
 ``advance`` and ``advance_many`` against the oracle step: for a linear
 problem the theta step through its exact step map, for the
 piston one ``newton_solve`` call per step with the step's inverse. It
-asks the same bits, counters and step errors. Each theta-scheme example
+asks the same bits, counters and step errors. Each finiteness example
+steps 1, 2, 5 or 20 windows of a growing linear problem of up to 64
+entries, one window holding a NaN, an Inf or an entry that overflows at
+a drawn step, and checks that ``advance`` and ``advance_many`` raise the
+oracle's step error, count nothing for the failing window and warn of
+nothing but Inf arithmetic. Each theta-scheme example
 takes one step of a linear problem from a random state, some heat ones
 with a 1e6 boundary value, and checks it against ``np.linalg.solve`` of
 the scheme's own equation, ``(I - k*theta*A) y1 = y + k*(1-theta)*A y +
@@ -46,12 +51,14 @@ that ``ResultRow`` rejects is not written.
 import math
 import threading
 import time
+import warnings
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from dataclasses import replace  # noqa: E402
+from dataclasses import dataclass, replace  # noqa: E402
+from typing import ClassVar  # noqa: E402
 
 import numpy as np  # noqa: E402
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -62,6 +69,7 @@ from pintbench.integrators import (  # noqa: E402
     ThetaSettings,
     TimeStepError,
     _split_window,
+    linear_step_map,
     make_propagator,
 )
 from pintbench.parareal import (  # noqa: E402
@@ -73,6 +81,7 @@ from pintbench.parareal import (  # noqa: E402
     run_parareal,
     sequential_solve,
 )
+from pintbench import problems  # noqa: E402
 from pintbench.problems import (  # noqa: E402
     PROBLEMS,
     AlePiston,
@@ -438,6 +447,80 @@ def test_steps_equal_the_linear_or_newton_solve_oracle(kind, data):
     outs = block.advance_many(states, ends)
     assert [out.values.tobytes() for out in outs] == [values.tobytes() for values, _, _ in expected]
     assert (block.newton_iterations, block.steps_taken) == (sum(e[1] for e in expected), width * n)
+
+
+@dataclass(frozen=True)
+class _Growth(problems._Affine):
+    """``y' = A y + b`` of ``size`` entries, ``A`` 50 I plus a small dense coupling: a step at k = 0.05 grows y 7-9x."""
+
+    kind: ClassVar[str] = "growth"
+    size: int = 1
+
+    def layout(self):
+        return {"y": (0, self.size)}
+
+    def initial_values(self):
+        return np.ones(self.size)
+
+    def _affine(self):
+        rng = np.random.default_rng(self.size)
+        coupling = 0.01 * rng.standard_normal((self.size, self.size))
+        return 50.0 * np.eye(self.size) + coupling, rng.standard_normal(self.size)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_finiteness_test_per_window_names_the_first_failing_step(data):
+    # a linear window tests only its last step and replays a failure: a
+    # NaN or Inf entry at one window's start fails its first step, and an
+    # entry scaled to overflow at a drawn step fails that step; advance and
+    # advance_many raise the oracle's step error, count nothing for the
+    # failing window, and warn of nothing but the Inf arithmetic
+    size = data.draw(st.integers(1, 64), label="size")
+    width = data.draw(st.sampled_from([1, 2, 5, 20]), label="width")
+    steps = data.draw(st.integers(1, 12), label="steps")
+    kind = data.draw(st.sampled_from(["none", "nan", "inf", "-inf", "overflow"]), label="kind")
+    problem, k = _Growth(size), 0.05
+    settings_ = ThetaSettings(step=k, theta0=data.draw(st.sampled_from([0.0, 0.5]), label="theta0"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    starts = [rng.uniform(-1.0, 1.0, size) for _ in range(width)]
+    window = data.draw(st.integers(0, width - 1), label="window")
+    entry = data.draw(st.integers(0, size - 1), label="entry")
+    failing_step = 0
+    if kind == "overflow":
+        failing_step = data.draw(st.integers(0, steps - 1), label="step")
+        growth = abs(linear_step_map(problem, k, settings_.theta)[entry, entry])
+        sign = data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        starts[window][entry] = sign * 1.5e308 / growth ** (failing_step + 0.5)
+    elif kind != "none":
+        starts[window][entry] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    base = initial_state(problem)
+    states = [base.with_values(v, time=data.draw(st.floats(0.0, 10.0), label=f"t0[{j}]")) for j, v in enumerate(starts)]
+    ends = [s.time + steps * k for s in states]
+    # Inf arithmetic sets numpy's overflow and invalid flags; a NaN sets none
+    quiet = {} if kind in ("none", "nan") else {"over": "ignore", "invalid": "ignore"}
+    with warnings.catch_warnings(), np.errstate(**quiet):
+        warnings.simplefilter("error")
+        expected = [linear_theta_window(problem, k, settings_.theta, s.values, s.time, steps) for s in states]
+        one, block = make_propagator(problem, settings_), make_propagator(problem, settings_)
+        if kind == "none":
+            assert all(failure is None for _, _, failure in expected)
+            outs = block.advance_many(states, ends)
+            for s, t, out, (values, _, _) in zip(states, ends, outs, expected):
+                assert one.advance(s, t).values.tobytes() == out.values.tobytes() == values.tobytes()
+            assert (one.newton_iterations, one.steps_taken) == (block.newton_iterations, block.steps_taken) \
+                == (width * steps, width * steps)
+            return
+        failure = expected[window][2]
+        assert failure[0] == failing_step
+        assert [j for j, (_, _, f) in enumerate(expected) if f] == [window]
+        with pytest.raises(TimeStepError) as alone:
+            one.advance(states[window], ends[window])
+        with pytest.raises(TimeStepError) as many:
+            block.advance_many(states, ends)
+    assert str(alone.value) == str(many.value) == f"implicit step failed at {failure[1]}"
+    assert (one.newton_iterations, one.steps_taken) == (0, 0)
+    assert (block.newton_iterations, block.steps_taken) == (window * steps, window * steps)
 
 
 # largest measured ||step - solve|| / max(||solve||, ||y||), in the max norm, over
