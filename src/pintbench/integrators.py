@@ -20,6 +20,13 @@ cache, and a nonlinear problem's step is a simplified Newton solve
 contract by which the parallel-in-time engine composes them, a cheap
 coarse propagator and an expensive fine one over the same windows, and
 ``SleepPropagator`` is a synthetic one for scheduler benchmarks.
+Besides ``advance``, the contract names two optional calls that take a
+loop of windows at once, ``advance_many`` over independent windows and
+``advance_through`` over chained ones, and each must equal its loop
+bit for bit. A linear propagator has both: every step it takes, a lone
+window's, a sweep's or a stack's, runs in one two-buffer loop,
+``_linear``, so the serial coarse chain pays for its products and
+little else.
 
 A window of ``n`` steps takes ``n`` steps of exactly the propagator's
 step and is stamped ``t_end``: rounding slack of at most 1e-9 relative
@@ -98,6 +105,20 @@ def _iteration_inverse(jacobian: np.ndarray, k: float, theta: float) -> np.ndarr
         raise NumericBreakdown(f"singular iteration matrix at k={k!r}") from exc
 
 
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of ``shape`` that starts on a 64-byte boundary.
+
+    It is a slice of an allocation 7 entries longer, whose address is read
+    once (about 1.4 us). OpenBLAS's gemv reads a map that starts 16 or 48
+    bytes past a cache line about a tenth slower, with the same bits at
+    every offset.
+    """
+    count = math.prod(shape)
+    raw = np.empty(count + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + count].reshape(shape)
+
+
 @functools.lru_cache(maxsize=_STEP_MAP_CACHE_SIZE)
 def linear_step_map(problem: _problems.Problem, k: float, theta: float) -> np.ndarray:
     """The read-only augmented step map ``[M | c]`` of a linear problem: one theta step is ``y -> M y + c``.
@@ -108,10 +129,8 @@ def linear_step_map(problem: _problems.Problem, k: float, theta: float) -> np.nd
     ``f(y) = A y + b`` gives ``M = I + K A`` and ``c = K b``. They are
     returned as one C-contiguous ``size x (size + 1)`` array, ``M`` in the
     first ``size`` columns and ``c`` in the last, so that its product with
-    ``[y; 1]`` is the whole step. The array starts on a 64-byte boundary,
-    a slice of a slightly longer allocation: OpenBLAS's gemv reads a map
-    that starts 16 or 48 bytes past one about a tenth slower, with the
-    same bits at every offset. One module-level cache, keyed on the
+    ``[y; 1]`` is the whole step. The array starts on a 64-byte boundary
+    (``_aligned_empty``). One module-level cache, keyed on the
     problem, the step size and theta, serves every propagator, so
     propagators on the same problem and step size share one array instead
     of each holding a copy. A singular iteration matrix raises
@@ -120,13 +139,10 @@ def linear_step_map(problem: _problems.Problem, k: float, theta: float) -> np.nd
     a, b = problem.affine
     size = a.shape[0]
     gain = k * _iteration_inverse(a, k, theta)
-    # the map starts where a 64-byte cache line of a longer allocation does
-    raw = np.empty(size * (size + 1) + 7)
-    skip = -raw.ctypes.data % 64 // 8
-    step = raw[skip:skip + size * (size + 1)].reshape(size, size + 1)
+    step = _aligned_empty((size, size + 1))
     step[:, :size] = np.eye(size) + gain.dot(a)
     step[:, size] = gain.dot(b)
-    raw.setflags(write=False)
+    step.base.setflags(write=False)
     step.setflags(write=False)
     return step
 
@@ -136,14 +152,27 @@ class Propagator(Protocol):
 
     ``step`` is the fixed internal step, and ``advance(state, t_end)``
     takes the window's whole number of steps from ``state`` and returns
-    the state stamped ``t_end``. A fine propagator may also have the
-    optional ``advance_many(states, t_ends) -> list``, which the engine
-    calls on an iteration's windows at once, on the run's one thread
-    (``parareal.PararealConfig`` says why). It is the loop of
-    ``advance`` over the windows: it returns, for every window, exactly
-    the state ``advance`` returns for it, or raises what that loop
-    raises. The engine does not retry a call that raised and steps each
-    window through ``advance``, so the first failing window is named.
+    the state stamped ``t_end``. A propagator may also have either of two
+    optional methods, each a loop of ``advance`` taken at once:
+
+    - ``advance_many(states, t_ends) -> list``, the loop of ``advance``
+      over independent windows, one per start state. The engine calls it
+      on a fine propagator with an iteration's windows, on the run's one
+      thread (``parareal.PararealConfig`` says why).
+    - ``advance_through(state, t_grid) -> list``, the chained loop
+      ``state = advance(state, t)`` over the times of ``t_grid``, which
+      returns the state at each of them. ``parareal.sequential_solve``
+      calls it, and so the one-worker init sweep of the coarse
+      propagator.
+
+    Either one's contract is its loop: for every window it returns
+    exactly the state ``advance`` returns there, with the same bytes, and
+    the propagator's counters grow by the loop's totals. A window that
+    fails raises the loop's error for the first failing window, with the
+    windows before it counted, and a window that cannot be stepped
+    raises the ``ValueError`` the loop would, before any step. The
+    engine does not retry a call that raised: it steps each window
+    through ``advance``, so the first failing window is named.
     """
 
     step: float
@@ -152,6 +181,10 @@ class Propagator(Protocol):
         ...
 
 
+# a run splits a few distinct windows over and over: each coarse and fine window,
+# and the rounding of its grid times; a hit costs a fifth of the checks, and typed
+# keys keep a NumPy scalar's own arithmetic
+@functools.lru_cache(maxsize=256, typed=True)
 def _split_window(window: float, step: float) -> int:
     """Number of internal steps for ``window``, validating divisibility."""
     if not 0.0 < step < math.inf:  # NaN too
@@ -170,13 +203,13 @@ def _split_window(window: float, step: float) -> int:
     return n
 
 
-def _window_steps(state: State, t_end: float, step: float) -> int:
-    """Steps of ``step`` from ``state`` to ``t_end``: 0 for an empty window, ValueError for a backwards one."""
-    window = t_end - state.time
+def _window_steps(t0: float, t_end: float, step: float) -> int:
+    """Steps of ``step`` from time ``t0`` to ``t_end``: 0 for an empty window, ValueError for a backwards one."""
+    window = t_end - t0
     if window == 0.0:
         return 0
     if window < 0.0:
-        raise ValueError(f"cannot advance backwards from {state.time} to {t_end}")
+        raise ValueError(f"cannot advance backwards from {t0} to {t_end}")
     return _split_window(window, step)
 
 
@@ -185,8 +218,9 @@ class ThetaPropagator:
 
     ``make_propagator`` builds ``LinearThetaPropagator`` or
     ``NewtonThetaPropagator`` by the problem's kind, and each has its own
-    ``advance``. ``theta`` is the effective implicitness. ``advance`` and
-    ``advance_many`` are the only paths to a step, so one step is
+    ``advance``. ``theta`` is the effective implicitness. ``advance``,
+    ``advance_many`` and a linear propagator's ``advance_through`` are the
+    only paths to a step, so one step is
     ``advance(state, state.time + step)``. Newton iterations and steps
     are accumulated in ``newton_iterations`` and ``steps_taken`` for cost
     diagnostics; these counters change under a lock, everything else is
@@ -208,7 +242,7 @@ class ThetaPropagator:
     def advance_many(self, states: Sequence[State], t_ends: Sequence[float]) -> list:
         """Validates every window before any steps, then ``advance`` on each in turn."""
         for s, t in zip(states, t_ends, strict=True):
-            _window_steps(s, t, self.step)
+            _window_steps(s.time, t, self.step)
         return [self.advance(s, t) for s, t in zip(states, t_ends)]
 
     def _count(self, iters: int, steps: int) -> None:
@@ -217,108 +251,160 @@ class ThetaPropagator:
             self.steps_taken += steps
 
 
+@functools.lru_cache(maxsize=_STEP_MAP_CACHE_SIZE)
+def _pair_template(size: int) -> np.ndarray:
+    """Read-only ones of two flat buffers ``[y; 1]`` of ``size + 1`` entries, back to back.
+
+    A sweep's buffers start as a copy of it, 0.4 us cheaper than setting
+    the two ones; propagators of one size share it, so none keeps a copy.
+    """
+    pair = np.ones(2 * (size + 1))
+    pair.setflags(write=False)
+    return pair
+
+
+def _linear(product, a, b, a_out, b_out, n: int) -> tuple:
+    """``n`` linear steps from the buffer ``a``: the one step loop of a window, a sweep and a stack.
+
+    A buffer holds ``[Y; 1]``, and ``a_out``, ``b_out`` are views of its
+    first ``size`` entries. Each step is ``product(x, out=y_out)``, the
+    step map times one buffer written into the other, so the two take
+    turns. Returns the pair with the buffer of the last step first, as
+    ``(a, b, a_out, b_out)``: swapped when ``n`` is odd. The loop tests
+    nothing.
+    """
+    for _ in range(n // 2):
+        product(a, out=b_out)
+        product(b, out=a_out)
+    if n % 2:
+        product(a, out=b_out)
+        return b, a, b_out, a_out
+    return a, b, a_out, b_out
+
+
 class LinearThetaPropagator(ThetaPropagator):
     """Theta-scheme propagator of a linear problem: each step is its exact affine map.
 
     A linear problem's rhs is ``A y + b``, so the iteration matrix
     ``I - k*theta*A`` is constant and one theta step is ``Y <- M Y + c``.
     ``step_map`` is that map as the shared read-only augmented matrix
-    ``[M | c]`` of ``linear_step_map``, and ``_linear`` takes every step
-    as one product with it: one window as its flat buffers in
-    ``advance`` (and so the sequential solve and every coarse window),
-    windows of one step count as one stack in ``advance_many``. A step
+    ``[M | c]`` of ``linear_step_map``, and every step is one product with
+    it in ``_linear``'s loop: no rhs call and no separate add. A step
     evaluates no rhs, tests no residual and counts one Newton iteration.
-    A window tests its values for finiteness once, after its last step,
-    and a window with a non-finite step raises that step's error.
+
+    ``advance`` and ``advance_through`` step one window after another in
+    one pair of flat ``size + 1`` buffers, whose last entry is 1.0,
+    through ``step_map.dot``, one gemv a step: ``advance`` is the sweep of
+    one window, and the sequential solve and the coarse init sweep are one
+    sweep each. A window tests its last step's buffer once, with the
+    finiteness test of ``size + 1`` entries taken at construction, since
+    a NaN or Inf entering a product makes every entry of every later step
+    non-finite (``linalg.finite_test``), and copies it out as its state's
+    values. A window that fails the test, or whose product raises numpy's
+    ``RuntimeWarning`` (warnings as errors) or ``FloatingPointError``
+    (``np.seterr``), replays its steps from its start values under
+    ``np.errstate(all="ignore")``, testing each. Its first non-finite step
+    raises ``TimeStepError`` with that step's ``(t_n, k)``, its clock
+    advanced as ``t + k`` once per step, and the windows before it are
+    counted; a replay whose every step is finite (an underflow numpy was
+    told to raise) keeps its values. ``advance_many`` steps two or more
+    windows of one step count as one stack, in the same loop.
     """
 
     def __init__(self, problem: _problems.Problem, settings: ThetaSettings):
         super().__init__(problem, settings)
         self.step_map = linear_step_map(problem, self.step, self.theta)
+        size = self.step_map.shape[0]
+        self._pair = _pair_template(size)
+        self._finite = finite_test(size + 1)
 
     def advance(self, state: State, t_end: float) -> State:
-        n = _window_steps(state, t_end, self.step)
-        if n == 0:
-            return state
-        y = self._linear([state.values], n, state.time)
-        self._count(n, n)
-        return state.with_values(y, time=t_end)
+        n = _window_steps(state.time, t_end, self.step)
+        return self._sweep(state, (n,), (t_end,))[0] if n else state
+
+    def advance_through(self, state: State, t_grid: Sequence[float]) -> list:
+        """The states at the times of ``t_grid``, stepped as one sweep; ``Propagator`` states the contract."""
+        counts, t = [], state.time
+        for t_end in t_grid:
+            counts.append(n := _window_steps(t, t_end, self.step))
+            if n:
+                t = float(t_end)
+        return self._sweep(state, counts, t_grid)
 
     def advance_many(self, states: Sequence[State], t_ends: Sequence[float]) -> list:
-        """Windows that all take one nonzero number of steps step as one stack; other calls take the base's loop.
+        """Two or more windows of one nonzero step count step as one stack; other calls take the base's loop.
 
-        If every step of the stack is finite, the counters grow by the
-        loop's totals, and each window's values are its row of the stack;
-        one window raises its step error there, as ``advance`` does. A
-        wider stack that ``_linear`` hands back takes the base's loop too.
+        The stack is ``(m, size + 1, 1)`` in a grid that starts on a
+        64-byte boundary, stepped through ``np.matmul``, which makes one
+        gemv per column, the gemv of one window, so every column has the
+        same bits whichever windows share the stack. If the last step is
+        finite, the counters grow by the loop's totals, and each window's
+        values are its row of the stack. A stack with a non-finite step, or
+        whose product raises numpy's warning or error, is handed to the
+        base's loop, which raises the first failing window's error.
         """
-        counts = [_window_steps(s, t, self.step) for s, t in zip(states, t_ends, strict=True)]
-        stacked = len(set(counts)) == 1 and counts[0] > 0
-        block = self._linear([s.values for s in states], counts[0], states[0].time) if stacked else None
-        if block is None:
+        counts = [_window_steps(s.time, t, self.step) for s, t in zip(states, t_ends, strict=True)]
+        if len(counts) < 2 or len(set(counts)) > 1 or counts[0] == 0:
             return super().advance_many(states, t_ends)
-        steps = sum(counts)
-        self._count(steps, steps)
-        return [s.with_values(y, time=t) for s, t, y in zip(states, t_ends, block.reshape(len(states), -1))]
+        m, n, size = len(counts), counts[0], self.step_map.shape[0]
+        a, b = grid = _aligned_empty((2, m, size + 1, 1))
+        grid[:, :, size] = 1.0
+        a[:, :size, 0] = [s.values for s in states]
+        try:
+            a, _, a_out, _ = _linear(functools.partial(np.matmul, self.step_map), a, b, a[:, :size], b[:, :size], n)
+            stacked = finite_test(a.size)(a.reshape(-1))
+        except (RuntimeWarning, FloatingPointError):
+            stacked = False
+        if not stacked:
+            return super().advance_many(states, t_ends)
+        self._count(m * n, m * n)
+        return [s.with_values(y, time=t) for s, t, y in zip(states, t_ends, a_out.copy().reshape(m, -1))]
 
-    def _linear(self, values: Sequence[np.ndarray], n: int, t: float):
-        """``n`` steps of a linear problem from ``m`` windows' start values at once, or None.
+    def _sweep(self, state: State, counts: Sequence[int], t_ends: Sequence[float]) -> list:
+        """The loop of ``advance`` over chained windows of ``counts`` steps ending at ``t_ends``, from ``state``.
 
-        Each step is one product of the shared augmented ``step_map``
-        ``[M | c]`` with ``[Y; 1]``, which is ``M Y + c``: no rhs call and
-        no separate add. Two working buffers of ``size + 1`` entries per
-        window, whose last entry is 1.0, take turns as the product's input
-        and, through ``out=``, its first ``size`` entries as the output.
-        One window (``m = 1``) steps its flat buffers through
-        ``step_map.dot``, one gemv. A wider stack steps as
-        ``(m, size + 1, 1)`` through ``np.matmul``, which makes one gemv
-        per column, the gemv of one window, so every column has the same
-        bits whichever windows share the stack. The loop tests nothing:
-        ``linalg.finite_test`` checks the last step's buffer only, since a
-        NaN or Inf entering a product makes every entry of every later
-        step non-finite. If it fails, one window replays its steps from its
-        start values, testing each, and raises ``TimeStepError`` with the
-        first non-finite step's ``(t_n, k)``, its clock ``t`` advanced as
-        ``t + k`` once per step; a wider stack is handed back as None.
-        Returns a new array that owns its values: the ``size`` values of
-        one window, or an ``(m, size, 1)`` stack.
+        Every window steps from the buffer that holds the last step of the
+        one before, so the pair is set up once, and the counters grow once,
+        by the steps of the windows that succeeded.
         """
-        step, k = self.step_map, self.step
-        m, size = len(values), step.shape[0]
-        if m == 1:
-            a = np.empty(size + 1)
-            a[size] = 1.0
-            a[:size] = values[0]
-            b = a.copy()
-            a_out, b_out = a[:size], b[:size]
-            product = step.dot
-        else:
-            a, b = grid = np.empty((2, m, size + 1, 1))
-            grid[:, :, size] = 1.0
-            a[:, :size, 0] = values
-            a_out, b_out = a[:, :size], b[:, :size]
-            product = functools.partial(np.matmul, step)
-        for _ in range(n // 2):
-            product(a, out=b_out)
-            product(b, out=a_out)
-        last, out = a, a_out
-        if n % 2:
-            product(a, out=b_out)
-            last, out = b, b_out
-        finite = finite_test(last.size)
-        if finite(last.reshape(-1)):
-            return out.copy()
-        if m > 1:
-            return None
-        # the replay's steps have the loop's bits, so it stops at the first non-finite one
-        a_out[:] = values[0]
+        size = self.step_map.shape[0]
+        pair = self._pair.copy()
+        pair[:size] = state.values
+        a, b, a_out, b_out = pair[:size + 1], pair[size + 1:], pair[:size], pair[size + 1:-1]
+        product, finite = self.step_map.dot, self._finite
+        states, steps = [], 0
+        try:
+            for n, t_end in zip(counts, t_ends):
+                if n:
+                    try:
+                        a, b, a_out, b_out = _linear(product, a, b, a_out, b_out, n)
+                        if not finite(a):
+                            raise FloatingPointError("non-finite step")
+                    except (RuntimeWarning, FloatingPointError):
+                        # numpy's warning or error from a product, or a non-finite last step
+                        with np.errstate(all="ignore"):
+                            self._replay(a, b, a_out, b_out, state, n)
+                    state = state.with_values(a_out.copy(), time=t_end)
+                    steps += n
+                states.append(state)
+        finally:
+            self._count(steps, steps)
+        return states
+
+    def _replay(self, a, b, a_out, b_out, start: State, n: int) -> None:
+        """Steps ``n`` steps from ``start`` into ``a``, testing each; the first non-finite one raises its step error.
+
+        The replay's steps have the loop's bits, so it fails at the first
+        non-finite step of the window, or leaves the loop's values in ``a``.
+        """
+        product, finite, k, t = self.step_map.dot, self._finite, self.step, start.time
+        a_out[:] = start.values
         for _ in range(n):
             t += k
             product(a, out=b_out)
             if not finite(b):
-                break
+                raise TimeStepError(f"implicit step failed at t_n={t!r}, k={k!r}: non-finite values")
             a_out[:] = b_out
-        raise TimeStepError(f"implicit step failed at t_n={t!r}, k={k!r}: non-finite values")
 
 
 class NewtonThetaPropagator(ThetaPropagator):
@@ -344,7 +430,7 @@ class NewtonThetaPropagator(ThetaPropagator):
     """
 
     def advance(self, state: State, t_end: float) -> State:
-        n = _window_steps(state, t_end, self.step)
+        n = _window_steps(state.time, t_end, self.step)
         if n == 0:
             return state
         y, t, f, iters = state.values, state.time, None, 0
@@ -435,7 +521,7 @@ class SleepPropagator:
     cost_hint = property(lambda self: self.cost_per_step)
 
     def advance(self, state: State, t_end: float) -> State:
-        n = _window_steps(state, t_end, self.step)
+        n = _window_steps(state.time, t_end, self.step)
         if n == 0:
             return state
         if self.cost_per_step > 0.0:

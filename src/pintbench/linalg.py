@@ -5,15 +5,15 @@ fixed inverse of the Jacobian, so each direction is one matrix-vector
 product (simplified Newton with a frozen Jacobian, the inverse at the
 caller's chosen point). Its callers are the nonlinear steps: a linear
 step is one product with its exact step map, which
-``integrators.LinearThetaPropagator._linear`` takes itself, never
-calling here, and ``TOL`` applies to nonlinear steps only. Everything
-here operates on plain 1-d float64 numpy arrays and is free of shared
-mutable state, so all functions are safe to call concurrently.
+``integrators._linear``'s step loop takes itself, never calling here,
+and ``TOL`` applies to nonlinear steps only. Everything here operates
+on plain 1-d float64 numpy arrays and is free of shared mutable state,
+so all functions are safe to call concurrently.
 
 A vector whose finiteness alone is in question is tested by
 :func:`finite_test`, one product with a zero vector, which no finite
-entry can overflow. ``integrators.LinearThetaPropagator._linear`` tests
-a window's buffer with it once, after the last step, not after every
+entry can overflow. ``integrators.LinearThetaPropagator`` tests a
+window's buffer with it once, after the last step, not after every
 step: a NaN or Inf entering a product makes every entry of every later
 product non-finite (IEEE arithmetic; Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2nd ed., section 2.5). Newton's residual norms
@@ -34,7 +34,7 @@ vector of 63 entries. The one exception is a 1 x 1 matrix, which
 where gemv adds it to 0.0, so a product of -0.0 keeps its sign.
 :func:`matrix_vector` gives every caller of a square matrix the bits of
 ``A @ x``: a linear problem's rhs and Newton's directions.
-``integrators.LinearThetaPropagator._linear`` does not call it. Its
+``integrators._linear``'s step loop does not call it. Its
 step map is the augmented ``n x (n + 1)`` matrix ``[M | c]``, which has
 two columns even for a scalar problem, so ``dot`` makes a gemv at every
 size, and ``dahlquist(lam=5.0, y0=0.0)`` at step size 1 steps to

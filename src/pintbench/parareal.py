@@ -25,9 +25,9 @@ so iteration ``i`` steps only windows ``i-1..L-1`` (:func:`pipelined_schedule`
 says why), and :func:`run_parareal` copies the final boundaries from the
 iterate before once the run ends.
 ``RunTrace.fine_propagations`` counts the fine propagations that ran.
-Every task writes a slot no other task touches (a block, below, fills
-the slots of the fine tasks it covers, which then write nothing), so
-results are bit-identical across worker counts.
+Every task writes a slot no other task touches (a block or a sweep,
+below, fills the slots of the tasks it covers, which then write
+nothing), so results are bit-identical across worker counts.
 
 When the fine propagator has ``advance_many``, the fine tasks group
 the windows themselves. The run then has one worker, whatever
@@ -42,6 +42,18 @@ window is named as without the block. The serial order of the one
 worker also guarantees that the previous iteration has published every
 start the block reads. The fine and chain threads serve only fine
 propagators without ``advance_many``, such as ``SleepPropagator``.
+
+The init sweep follows the same rule on the chain. When the coarse
+propagator has ``advance_through`` (a linear one does) and the run has
+one worker, the first ``coarse_init`` task fills every boundary of
+iteration 0 with one ``advance_through`` call, the sweep of
+:func:`sequential_solve` taken as one run of the step loop, and each
+later ``coarse_init`` task finds its slot filled. If the sweep raises,
+nothing is filled, and each task steps its own window, so the failing
+interval is named. At more workers the init tasks step
+one window each, so each fine task is released as soon as its left
+boundary is. The classic corrector, ``theta = 1``, adds and subtracts
+without scaling (:func:`parareal_update`).
 """
 
 from __future__ import annotations
@@ -169,7 +181,12 @@ def _same_time(t: float, grid_t: float) -> bool:
 
 
 def sequential_solve(F: Propagator, s0: State, t_grid: Sequence[float]) -> list:
-    """Propagate ``s0`` through every grid point in one uninterrupted run."""
+    """Propagate ``s0`` through every grid point in one uninterrupted run.
+
+    Returns the state at every grid point, ``s0`` first. A propagator with
+    ``advance_through`` takes the run as one call, which is the loop of
+    ``advance`` by the ``Propagator`` contract.
+    """
     grid = [float(t) for t in t_grid]
     if len(grid) < 2:
         raise ValueError("time grid needs at least two points")
@@ -178,6 +195,9 @@ def sequential_solve(F: Propagator, s0: State, t_grid: Sequence[float]) -> list:
     for a, b in zip(grid, grid[1:]):
         if b <= a:
             raise ValueError("time grid must be strictly increasing")
+    advance_through = getattr(F, "advance_through", None)
+    if advance_through is not None:
+        return [s0, *advance_through(s0, grid[1:])]
     states = [s0]
     for t in grid[1:]:
         states.append(F.advance(states[-1], t))
@@ -185,13 +205,22 @@ def sequential_solve(F: Propagator, s0: State, t_grid: Sequence[float]) -> list:
 
 
 def parareal_update(coarse_new: State, fine_old: State, coarse_old: State, theta: float) -> State:
-    """Predictor-corrector combination ``theta*C_new + F_old - theta*C_old``."""
+    """Predictor-corrector combination ``theta*C_new + F_old - theta*C_old``.
+
+    At ``theta == 1.0`` it is ``(C_new + F_old) - C_old`` in one fresh
+    array, the same bits without the two scalar products.
+    """
     if not (fine_old.same_layout(coarse_new) and fine_old.same_layout(coarse_old)):
         raise ValueError("states in the update must share one layout")
     t = fine_old.time
     if not (_same_time(coarse_new.time, t) and _same_time(coarse_old.time, t)):
         raise ValueError("states in the update must sit at the same time")
-    values = theta * coarse_new.values + fine_old.values - theta * coarse_old.values
+    if theta == 1.0:
+        # the classic update: 1.0 * x is x bit for bit, NaN, Inf and -0.0 included
+        values = coarse_new.values + fine_old.values
+        values -= coarse_old.values
+    else:
+        values = theta * coarse_new.values + fine_old.values - theta * coarse_old.values
     return fine_old.with_values(values, time=t)
 
 
@@ -490,15 +519,23 @@ def run_parareal(
     corr_rows = [[0.0] * L for _ in range(max_iters + 1)]
     timing = {"init": 0.0, "iterations": [0.0] * (max_iters + 1)}
     advance_many = getattr(F, "advance_many", None)
+    workers = 1 if advance_many is not None else cfg.workers
+    # at more workers each init task steps its own window, so fine tasks are released one by one
+    advance_through = getattr(C, "advance_through", None) if workers == 1 else None
     t_start = time.perf_counter()
 
     def run_task(task: Task) -> Optional[int]:
         i, l = task.iteration, task.interval
         try:
             if task.kind == "coarse_init":
-                nxt = C.advance(X[0][l], t_grid[l + 1])
-                X[0][l + 1] = nxt
-                coarse_vals[0][l + 1] = nxt
+                if advance_through is not None and l == 0:
+                    # the first link of the one worker's chain: one sweep fills every boundary
+                    try:
+                        X[0][1:] = coarse_vals[0][1:] = advance_through(s0, t_grid[1:])
+                    except Exception:
+                        pass  # not retried: each window steps alone, so the failing one is named
+                if X[0][l + 1] is None:
+                    X[0][l + 1] = coarse_vals[0][l + 1] = C.advance(X[0][l], t_grid[l + 1])
                 if l == L - 1:
                     timing["init"] = time.perf_counter() - t_start
                 return None
@@ -537,7 +574,6 @@ def run_parareal(
         except Exception as exc:
             raise PararealError(f"{task.kind} failed at iteration {i}, interval {l}: {exc}") from exc
 
-    workers = 1 if advance_many is not None else cfg.workers
     stop_at = _run(_pipelined_plan(L, max_iters), run_task, workers)
 
     iters_run = stop_at if stop_at is not None else max_iters

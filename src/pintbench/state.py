@@ -106,12 +106,21 @@ class State:
         return self.values[offset:offset + length]
 
     def with_values(self, values: np.ndarray, time: float | None = None) -> "State":
-        """New state sharing this layout; skips layout re-validation."""
+        """New state sharing this layout; skips layout re-validation.
+
+        It writes the three slots through their descriptors, bypassing the
+        frozen ``__setattr__`` as ``object.__setattr__`` does, without its
+        lookup of each name: every window and corrector makes a state.
+        """
         new = object.__new__(State)
-        object.__setattr__(new, "values", np.asarray(values, dtype=np.float64))
-        object.__setattr__(new, "time", float(self.time if time is None else time))
-        object.__setattr__(new, "layout", self.layout)
+        _VALUES(new, np.asarray(values, dtype=np.float64))
+        _TIME(new, float(self.time if time is None else time))
+        _LAYOUT(new, self.layout)
         return new
 
     def same_layout(self, other: "State") -> bool:
         return self.layout == other.layout
+
+
+# the slot setters of ``State.with_values``
+_VALUES, _TIME, _LAYOUT = State.values.__set__, State.time.__set__, State.layout.__set__

@@ -305,6 +305,24 @@ class TestStepOperator:
         assert step_map.flags.c_contiguous and not step_map.flags.writeable
         assert step_map.shape == (size, size + 1)
 
+    @pytest.mark.parametrize("size,width", [(1, 2), (15, 3), (63, 20), (64, 5), (255, 7)])
+    def test_stacked_grid_starts_on_a_cache_line(self, size, width, monkeypatch):
+        # the stack's two buffers are one grid; its first buffer, the first
+        # product's input, starts on a 64-byte boundary as the map does
+        problem = heat1d(mesh_n=size) if size > 1 else dahlquist()
+        prop = make_propagator(problem, ThetaSettings(step=0.01))
+        inputs = []
+        matmul = np.matmul
+
+        def recording(step_map, x, out):
+            inputs.append(x.ctypes.data)
+            return matmul(step_map, x, out=out)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        s0 = initial_state(problem)
+        prop.advance_many([s0] * width, [0.03] * width)
+        assert len(inputs) == 3 and inputs[0] % 64 == 0
+
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255])
     def test_step_map_offset_changes_no_bit(self, size):
         # alignment is a change of speed only: a one-window product through
@@ -584,6 +602,54 @@ class TestLinearStep:
                     advance(prop)
                 assert str(info.value) == f"implicit step failed at {failure[1]}"
                 assert (prop.newton_iterations, prop.steps_taken) == (0, 0)
+
+    # y' = 50 y from 1e300 at k = 0.05 grows ninefold a step and overflows at step 8 of 12
+    GROWTH = dahlquist(lam=50.0, y0=1e300)
+    OVERFLOW = "implicit step failed at t_n=0.44999999999999996, k=0.05: non-finite values"
+
+    def test_overflow_under_warnings_as_errors_raises_the_located_step_error(self):
+        # no np.errstate: numpy's overflow warning, raised as an error from a
+        # product, starts the quiet replay that names the step; a second,
+        # clean window before the failing one is counted
+        start = initial_state(self.GROWTH)
+        clean = start.with_values(np.ones(1))
+        calls = {
+            "advance": (lambda p: p.advance(start, 0.6), 0),
+            "advance_many, 1 window": (lambda p: p.advance_many([start], [0.6]), 0),
+            "advance_many, 2 windows": (lambda p: p.advance_many([clean, start], [0.6, 0.6]), 12),
+            "advance_through": (lambda p: p.advance_through(start, [0.6]), 0),
+            "sequential_solve": (lambda p: sequential_solve(p, start, [0.0, 0.6]), 0),
+        }
+        for name, (call, counted) in calls.items():
+            prop = make_propagator(self.GROWTH, ThetaSettings(step=0.05))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TimeStepError) as info:
+                    call(prop)
+            assert str(info.value) == self.OVERFLOW, name
+            assert (prop.newton_iterations, prop.steps_taken) == (counted, counted), name
+
+    def test_raised_underflow_keeps_the_values_of_the_loop(self):
+        # y' = -50 y from 1e-300 underflows to subnormals and zero: under
+        # np.errstate(under="raise") every product raises FloatingPointError,
+        # the replay finds every step finite and keeps its values
+        problem = dahlquist(lam=-50.0, y0=1e-300)
+        start = initial_state(problem)
+        quiet = make_propagator(problem, ThetaSettings(step=0.05))
+        expected = quiet.advance_through(start, [1.0, 2.0])
+        for name in ("advance", "advance_through"):
+            prop = make_propagator(problem, ThetaSettings(step=0.05))
+            with np.errstate(under="raise"):
+                with pytest.raises(FloatingPointError):
+                    prop.step_map.dot(np.array([1e-308, 1.0]))
+                if name == "advance":
+                    outs = [prop.advance(start, 1.0)]
+                    outs.append(prop.advance(outs[0], 2.0))
+                else:
+                    outs = prop.advance_through(start, [1.0, 2.0])
+            assert [out.values.tobytes() for out in outs] == [out.values.tobytes() for out in expected]
+            assert expected[-1].values[0] == 0.0 < expected[0].values[0]
+            assert (prop.newton_iterations, prop.steps_taken) == (40, 40)
 
     def test_huge_finite_state_steps_without_a_warning(self):
         # 1e200 times the sine: finite at every step, though its squared norm

@@ -143,3 +143,57 @@ def test_make_propagator_picks_the_class_of_the_step_kind(kind):
     cls = PROBLEMS[kind]
     expected = LinearThetaPropagator if cls.linear else NewtonThetaPropagator
     assert type(make_propagator(cls(), ThetaSettings(step=0.125))) is expected
+
+
+def _enclosing_functions(tree):
+    """Map every node of ``tree`` to the name of its innermost enclosing function, or None."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
+def test_one_function_reads_an_address():
+    # reading ctypes.data costs about 1.4 us, a sixth of a coarse window: only the
+    # 64-byte alignment helper pays it, once per step map and once per stacked grid
+    readers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        owner = _enclosing_functions(tree)
+        readers |= {(path.name, owner[node]) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "data"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "ctypes"}
+    assert len(readers) == 1 and None not in {name for _, name in readers}, readers
+
+
+def test_errstate_is_entered_only_after_numpy_raised():
+    # an np.errstate block costs about 1.2 us; the step loops enter one only in an
+    # except handler, when a product has raised, so the happy path never pays it
+    tree = ast.parse((SOURCES[0].parent / "integrators.py").read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "errstate"]
+    assert uses
+    outside = []
+    for node in uses:
+        up = node
+        while up in parent and not isinstance(up, ast.ExceptHandler):
+            up = parent[up]
+        if not isinstance(up, ast.ExceptHandler):
+            outside.append(f"integrators.py:{node.lineno}")
+    assert outside == []
+
+
+def test_per_window_oracle_takes_windows_one_at_a_time():
+    # tests/oracles.py::PerWindow is the reference the batched paths are checked
+    # against, so it has advance and neither optional loop of the Propagator contract
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    (per_window,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "PerWindow"]
+    methods = {node.name for node in per_window.body if isinstance(node, ast.FunctionDef)}
+    assert "advance" in methods
+    assert methods.isdisjoint({"advance_many", "advance_through"})

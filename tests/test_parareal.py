@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from pintbench.parareal import (
 from pintbench.problems import GaussianBump, SineMode, advection1d, dahlquist, heat1d, initial_state
 from pintbench.state import State
 
-from oracles import textbook_parareal
+from oracles import PerWindow, textbook_parareal
 
 LAYOUT = {"v": (0, 2)}
 
@@ -51,6 +53,21 @@ class TestPararealUpdate:
         other = vec_state([1.0, 1.0], layout={"w": (0, 2)})
         with pytest.raises(ValueError):
             parareal_update(vec_state([1.0, 1.0]), other, vec_state([1.0, 1.0]), 1.0)
+
+
+    def test_classic_update_has_the_bits_of_the_scaled_formula(self):
+        # theta 1 skips the two products by 1.0, which change no bit: every
+        # triple of zeros of both signs, subnormals, huge values, Infs and NaN
+        special = [0.0, -0.0, 1.0, -2.5, 5e-324, -1e-310, 1e308, -1e308, np.inf, -np.inf, np.nan]
+        triples = np.array(list(itertools.product(special, repeat=3))).T
+        layout = {"v": (0, triples.shape[1])}
+        cn, f, co = (State(v, 0.5, layout) for v in triples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = 1.0 * cn.values + f.values - 1.0 * co.values
+            out = parareal_update(cn, f, co, theta=1.0)
+        assert out.values.tobytes() == scaled.tobytes()
+        assert out.values.flags.owndata and out.time == 0.5
+        assert not any(np.shares_memory(out.values, x.values) for x in (cn, f, co))
 
 
 class TestThetaWeight:
@@ -386,6 +403,48 @@ class TestRunParareal:
         cfg = PararealConfig(intervals=4, max_iters=2, tol=1e-30)
         with pytest.raises(PararealError, match=r"iteration \d+, interval \d+"):
             run_parareal(C, Exploding(), s0, T, cfg)
+
+    @pytest.mark.parametrize("interval", [0, 1, 3, 5])
+    def test_failing_coarse_window_is_named_at_one_worker(self, interval):
+        # y' = 50 y grows ninefold a coarse step, from a start that overflows
+        # in window `interval`: the one-worker init sweep is one
+        # advance_through call, and when it raises each window steps alone,
+        # so the message names the window, as with a coarse without the call
+        problem = dahlquist(lam=50.0, y0=1.5e308 / 9.0 ** (interval + 0.5))
+        F = make_propagator(problem, ThetaSettings(step=0.01))
+        cfg = PararealConfig(intervals=6, max_iters=2)
+        messages = []
+        for coarse in (make_propagator(problem, ThetaSettings(step=0.05)),
+                       PerWindow(make_propagator(problem, ThetaSettings(step=0.05)))):
+            with pytest.raises(PararealError) as info:
+                run_parareal(coarse, F, initial_state(problem), 0.3, cfg)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"coarse_init failed at iteration 0, interval {interval}: implicit step failed")
+
+    def test_more_workers_step_the_init_windows_one_by_one(self):
+        # a fine propagator without advance_many runs on 2 workers, where each
+        # init window is its own task, so the coarse sweep is never one call;
+        # at one worker it is one call, with the same bytes
+        class Recording:
+            def __init__(self, inner):
+                self.inner, self.step, self.sweeps = inner, inner.step, 0
+
+            def advance(self, state, t_end):
+                return self.inner.advance(state, t_end)
+
+            def advance_through(self, state, t_grid):
+                self.sweeps += 1
+                return self.inner.advance_through(state, t_grid)
+
+        problem, C, F, s0, grid, T = _dahlquist_setup()
+        cfg = PararealConfig(intervals=4, max_iters=3, tol=1e-30, workers=2)
+        at_two, at_one = Recording(C), Recording(C)
+        _, pipelined = run_parareal(at_two, PerWindow(F), s0, T, cfg)
+        _, blocked = run_parareal(at_one, F, s0, T, cfg)
+        assert (pipelined.workers, at_two.sweeps) == (2, 0)
+        assert (blocked.workers, at_one.sweeps) == (1, 1)
+        assert [v.tobytes() for v in pipelined.iterate_values] == [v.tobytes() for v in blocked.iterate_values]
 
     def test_oracle_length_validated(self):
         problem, C, F, s0, grid, T = _dahlquist_setup()

@@ -35,7 +35,13 @@ steps 1, 2, 5 or 20 windows of a growing linear problem of up to 64
 entries, one window holding a NaN, an Inf or an entry that overflows at
 a drawn step, and checks that ``advance`` and ``advance_many`` raise the
 oracle's step error, count nothing for the failing window and warn of
-nothing but Inf arithmetic. Each theta-scheme example
+nothing but Inf arithmetic. Each sweep example steps a linear problem
+of 1 to 64 entries through a grid of 2 to 21 points, 1 to 12 steps a
+window, with ``advance_through`` and ``sequential_solve``, and checks
+them against the loop of ``advance``, bit for bit and counter for
+counter; a step map poisoned to write a NaN when it meets one step's
+input makes all three raise the same step error, with the windows
+before the failing one counted. Each theta-scheme example
 takes one step of a linear problem from a random state, some heat ones
 with a 1e6 boundary value, and checks it against ``np.linalg.solve`` of
 the scheme's own equation, ``(I - k*theta*A) y1 = y + k*(1-theta)*A y +
@@ -521,6 +527,87 @@ def test_one_finiteness_test_per_window_names_the_first_failing_step(data):
     assert str(alone.value) == str(many.value) == f"implicit step failed at {failure[1]}"
     assert (one.newton_iterations, one.steps_taken) == (0, 0)
     assert (block.newton_iterations, block.steps_taken) == (window * steps, window * steps)
+
+
+class _PoisonOnInput(np.ndarray):
+    """A step map whose product writes NaN into one entry whenever its input is one given buffer."""
+
+    def dot(self, x, out=None):
+        np.ndarray.dot(self.view(np.ndarray), x, out=out)
+        if x.tobytes() == self.poisoned:
+            out[self.entry] = np.nan
+        return out
+
+
+SWEEP_KINDS = ["dahlquist", "heat1d", "advection1d-periodic", "advection1d"]
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_sweep_is_the_loop_of_advance(kind, data):
+    # advance_through and sequential_solve over a grid of 2-21 points, 1-12
+    # steps a window, return the loop of advance's states byte for byte and
+    # count its steps; a NaN that a poisoned product writes in window k
+    # raises the loop's step error, with the windows before k counted
+    if kind == "dahlquist":
+        problem = dahlquist(lam=data.draw(st.floats(-50.0, 50.0), label="lam"))
+    else:
+        mesh_n = data.draw(st.integers(3, 64), label="mesh_n")
+        if kind == "heat1d":
+            problem = heat1d(mesh_n, left_bc=data.draw(st.floats(-2.0, 2.0), label="left_bc"))
+        else:
+            speed = data.draw(st.floats(0.1, 2.0), label="speed") * data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+            problem = advection1d(mesh_n, speed=speed, periodic=kind.endswith("periodic"))
+    k = data.draw(st.floats(1e-3, 0.05), label="k")
+    settings_ = ThetaSettings(step=k, theta0=data.draw(st.sampled_from([0.0, 0.5, 5.0]), label="theta0"))
+    counts = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=20), label="steps per window")
+    grid = [data.draw(st.floats(0.0, 10.0), label="t0")]
+    for n in counts:
+        grid.append(grid[-1] + n * k)
+    s0 = initial_state(problem).with_values(_draw_values(data, problem), time=grid[0])
+    loop, sweep, solve = (make_propagator(problem, settings_) for _ in range(3))
+
+    if data.draw(st.booleans(), label="poison"):
+        # the buffer [y; 1] one step takes as input, on a clean run stepped one step at a time
+        inputs, state = [], s0
+        for _ in range(sum(counts)):
+            inputs.append(np.append(state.values, 1.0).tobytes())
+            state = loop.advance(state, state.time + k)
+        poisoned = loop.step_map.view(_PoisonOnInput)
+        poisoned.poisoned = inputs[data.draw(st.integers(0, len(inputs) - 1), label="poisoned step")]
+        poisoned.entry = data.draw(st.integers(0, s0.size - 1), label="entry")
+        first = inputs.index(poisoned.poisoned)  # an earlier step may have the same input
+        window = next(j for j in range(len(counts)) if sum(counts[:j + 1]) > first)
+        loop, sweep, solve = (make_propagator(problem, settings_) for _ in range(3))
+        for prop in (loop, sweep, solve):
+            prop.step_map = poisoned
+    else:
+        window = None
+
+    states, state, failure = [], s0, None
+    try:
+        for t in grid[1:]:
+            states.append(state := loop.advance(state, t))
+    except TimeStepError as exc:
+        failure = str(exc)
+    if window is not None:
+        assert failure is not None and loop.steps_taken == sum(counts[:window])
+    if failure is None:
+        through, solved = sweep.advance_through(s0, grid[1:]), sequential_solve(solve, s0, grid)
+        assert solved[0] is s0
+        for out in (through, solved[1:]):
+            assert [o.time for o in out] == [o.time for o in states]
+            assert [o.values.tobytes() for o in out] == [o.values.tobytes() for o in states]
+    else:
+        # a growing Dahlquist may overflow too, as numpy's overflow error under the suite's warning filter
+        with pytest.raises(TimeStepError) as through:
+            sweep.advance_through(s0, grid[1:])
+        with pytest.raises(TimeStepError) as solved:
+            sequential_solve(solve, s0, grid)
+        assert str(through.value) == str(solved.value) == failure
+    for prop in (sweep, solve):
+        assert (prop.newton_iterations, prop.steps_taken) == (loop.newton_iterations, loop.steps_taken)
 
 
 # largest measured ||step - solve|| / max(||solve||, ||y||), in the max norm, over
